@@ -20,11 +20,6 @@ def normalize_angle(a: float) -> float:
     return a
 
 
-def angle_diff(a: float, b: float) -> float:
-    """Smallest signed difference a - b."""
-    return normalize_angle(a - b)
-
-
 class Polyline:
     """Arc-length parameterized polyline."""
 
@@ -110,9 +105,6 @@ class Polyline:
         if abs(lateral) < dist[i] - 1e-12:
             lateral = math.copysign(dist[i], lateral if lateral != 0.0 else 1.0)
         return s, lateral, float(dist[i])
-
-    def translated(self, dx: float, dy: float) -> "Polyline":
-        return Polyline(self.pts + np.array([dx, dy]))
 
 
 def quad_bezier(p0, p1, p2, step: float = 0.5) -> np.ndarray:

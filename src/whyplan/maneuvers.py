@@ -124,10 +124,6 @@ class Trajectory:
         return VehicleState(float(self.xs[k]), float(self.ys[k]), float(self.headings[k]),
                             max(float(self.speeds[k]), 0.0), float(self.accels[k]))
 
-    @property
-    def states(self) -> list[VehicleState]:
-        return [self.state_at(k) for k in range(len(self.xs))]
-
     def tail_state(self) -> VehicleState:
         return self.state_at(len(self.xs) - 1)
 
@@ -630,8 +626,6 @@ def _end_speed_for(i: int, maneuvers: list[Maneuver], params: KinematicParams) -
         return 0.0
     if nxt.kind in ("give-way",) or nxt.kind.startswith("turn-"):
         return params.turn_speed
-    if nxt.kind == "stop":
-        return params.cruise_speed
     return params.cruise_speed
 
 

@@ -5,6 +5,11 @@ tree with UCB1 selection, forward-simulates the chosen macros against the
 fixed traffic, and backs the terminal reward up the visited path. The full
 record of every iteration (the trace log) is the planner's second output and
 the sole input to the Bayes net.
+
+A rollout is a pure function of the joint sample and the ego's macro prefix,
+so within one search each (joint sample, macro prefix) is simulated once and
+later iterations reuse the result; the reuse is exact, and the trace log is
+the same as without it.
 """
 
 import math
@@ -141,7 +146,12 @@ class TraceRecord:
         check_components(self.outcome, self.components)
 
     def assignment_key(self) -> tuple:
-        return tuple(sorted((vid, gs[0], gs[1]) for vid, gs in self.assignment.items()))
+        return _assignment_key(self.assignment)
+
+
+def _assignment_key(assignment: dict) -> tuple:
+    """Hashable joint sample: sorted (vehicle id, goal index, trajectory index)."""
+    return tuple(sorted((vid, gs[0], gs[1]) for vid, gs in assignment.items()))
 
 
 @dataclass
@@ -231,52 +241,70 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
     tree = SearchTree()
     log: list[TraceRecord] = []
     r_lo, r_hi = math.inf, -math.inf
+    # Exact transposition tables for this search (Childs, Brodeur & Kocsis,
+    # CIG 2008), keyed by (joint sample, macro prefix): the applicable macros
+    # at a prefix, the step to a prefix the rollout goes on from, and
+    # (outcome, collider, reward, components, steps) at a prefix where it
+    # ends. Ending steps keep no trajectory, which keeps peak memory flat.
+    actions_at: dict[tuple, list[MacroAction]] = {}
+    step_at: dict[tuple, MacroStepResult] = {}
+    end_at: dict[tuple, tuple] = {}
 
     for k in range(config.iterations):
         assignment = {vid: predictions[vid].sample(rng) for vid in scenario.non_ego_ids}
-        fixed = {vid: predictions[vid].options[g][s].trajectory
-                 for vid, (g, s) in assignment.items()}
-        traffic = FixedTraffic(scenario.layout, fixed, params)
+        sample = _assignment_key(assignment)
+        traffic = None  # built on the first simulated step of this iteration
 
         state = initial
-        path: list[tuple[tuple, str]] = []
+        macros: tuple[str, ...] = ()
         ego_parts: list[Trajectory] = []
-        outcome: str | None = None
-        collider = None
         for depth in range(config.max_depth):
-            actions = applicable_macros(state, scenario.ego_id, scenario.layout,
-                                        scenario.ego_goal, params)
-            key = tuple(a for _, a in path)
+            actions = actions_at.get((sample, macros))
+            if actions is None:
+                actions = applicable_macros(state, scenario.ego_id, scenario.layout,
+                                            scenario.ego_goal, params)
+                actions_at[(sample, macros)] = actions
             lo = r_lo if math.isfinite(r_lo) else 0.0
             hi = r_hi if math.isfinite(r_hi) else 1.0
-            choice = _select_ucb(tree.node(key), actions, config.exploration, lo, hi)
-            path.append((key, choice.name))
-            step: MacroStepResult = simulate_step(ctx, state, choice, traffic)
-            ego_parts.append(step.ego_trajectory)
-            if step.outcome is not None:
-                outcome = step.outcome
-                collider = step.collider
+            choice = _select_ucb(tree.node(macros), actions, config.exploration, lo, hi)
+            macros = macros + (choice.name,)
+            key = (sample, macros)
+            end = end_at.get(key)
+            if end is not None:
                 break
+            step = step_at.get(key)
+            if step is None:
+                if traffic is None:
+                    traffic = FixedTraffic(scenario.layout, {
+                        vid: predictions[vid].options[g][s].trajectory
+                        for vid, (g, s) in assignment.items()}, params)
+                step = simulate_step(ctx, state, choice, traffic)
+            ego_parts.append(step.ego_trajectory)
+            if step.outcome is not None or depth + 1 == config.max_depth:
+                outcome = step.outcome or "termination"
+                ego_traj = concat_trajectories(ego_parts)
+                reward, comps = terminal_reward(ego_traj, outcome, reward_config,
+                                                scenario.ego_goal, scenario.layout)
+                end = end_at[key] = (outcome, step.collider, reward, comps,
+                                     len(ego_traj) - 1)
+                break
+            step_at[key] = step
             state = step.next_state
-        if outcome is None:
-            outcome = "termination"
 
-        ego_traj = concat_trajectories(ego_parts)
-        reward, comps = terminal_reward(ego_traj, outcome, reward_config,
-                                        scenario.ego_goal, scenario.layout)
+        outcome, collider, reward, comps, n_steps = end
         r_lo = min(r_lo, reward)
         r_hi = max(r_hi, reward)
-        for key, action in path:
-            tree.update(key, action, reward)
+        for depth, action in enumerate(macros):
+            tree.update(macros[:depth], action, reward)
         log.append(TraceRecord(
             index=k,
             assignment=dict(assignment),
-            macros=tuple(a for _, a in path),
-            components=comps,
+            macros=macros,
+            components=dict(comps),
             outcome=outcome,
             collider=collider,
             reward=reward,
-            steps=len(ego_traj) - 1,
+            steps=n_steps,
         ))
 
     return MctsResult(plan=tree.best_path(), tree=tree, trace_log=log,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GoalUnreachableError
+from .errors import (GoalUnreachableError, InapplicableMacroError, NoApplicableActionError,
+                     OffRoadError)
 from .maneuvers import (KinematicParams, Trajectory, applicable_macros,
                         concat_trajectories, expand_macro, extract_features,
                         lane_follow_chain, roll_chain, Maneuver)
@@ -62,12 +63,6 @@ class GoalPosterior:
     goals: tuple[Goal, ...]
     probs: tuple[float, ...]
 
-    def prob(self, goal_index: int) -> float:
-        return self.probs[goal_index]
-
-    def argmax(self) -> int:
-        return int(np.argmax(self.probs))
-
 
 def enumerate_plans(state: VehicleState, goal: Goal, layout: RoadLayout, dt: float,
                     horizon: int, params: KinematicParams,
@@ -84,7 +79,7 @@ def enumerate_plans(state: VehicleState, goal: Goal, layout: RoadLayout, dt: flo
         joint = JointState(t=0, vehicles={vid: cur})
         try:
             actions = applicable_macros(joint, vid, layout, goal, params)
-        except Exception:
+        except (OffRoadError, NoApplicableActionError):
             return
         _inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
         for macro in actions:
@@ -155,7 +150,7 @@ def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon:
             if len(ext) > 1:
                 parts.append(ext)
                 total += len(ext) - 1
-        except Exception:
+        except (OffRoadError, InapplicableMacroError):
             pass
     out = concat_trajectories(parts) if len(parts) > 1 else traj
     if total < horizon:

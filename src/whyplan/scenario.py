@@ -133,10 +133,6 @@ class VehicleState:
         if self.speed < 0.0:
             raise ScenarioValidationError(f"speed must be >= 0, got {self.speed}")
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class JointState:
@@ -205,11 +201,6 @@ class Scenario:
     @property
     def non_ego_ids(self) -> list[str]:
         return [v.id for v in self.vehicles if v.id != self.ego_id]
-
-    def goal_of(self, vehicle_id: str) -> Goal | None:
-        if vehicle_id == self.ego_id:
-            return self.ego_goal
-        return self.spec_of(vehicle_id).true_goal
 
 
 def goal_tolerance(layout: RoadLayout, goal: Goal) -> float:

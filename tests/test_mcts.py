@@ -6,12 +6,13 @@ import pytest
 
 import whyplan.mcts as mcts_mod
 from whyplan.errors import ScenarioValidationError
-from whyplan.maneuvers import KinematicParams, MacroAction, Trajectory
+from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, concat_trajectories,
+                               macro_from_name)
 from whyplan.mcts import (PlannerConfig, RewardConfig, SearchTree, TraceRecord, run_mcts,
                           terminal_reward)
-from whyplan.pipeline import run_pipeline
-from whyplan.scenario import (JointState, lane_point_state, sample_initial_states,
-                              scenario_from_dict)
+from whyplan.pipeline import planner_config, run_pipeline
+from whyplan.scenario import (JointState, lane_point_state, load_scenario,
+                              sample_initial_states, scenario_from_dict)
 from whyplan.simulation import FixedTraffic, SimulationContext, simulate_step
 
 from conftest import mini_scenario_dict
@@ -99,6 +100,60 @@ def test_same_seed_gives_bit_identical_trace_log():
     c = run_pipeline(sc, 12, planner=PlannerConfig(iterations=40, max_depth=2, seed=12,
                                                    exploration=0.5))
     assert dump(a) != dump(c)
+
+
+# --- rollout memoisation ---------------------------------------------------------
+
+SHIPPED_RUNS = [(name, seed) for name in ("s1", "s2") for seed in (0, 1)]
+
+
+def shipped_pipe(name, seed, iterations=60):
+    sc = load_scenario(f"scenarios/{name}.json")
+    return run_pipeline(sc, seed, planner=planner_config(sc, seed, iterations=iterations))
+
+
+@pytest.mark.parametrize("name,seed", SHIPPED_RUNS)
+def test_memoised_records_match_uncached_rollouts(name, seed):
+    pipe = shipped_pipe(name, seed)
+    sc = pipe.scenario
+    params = KinematicParams(cruise_speed=sc.target_speed)
+    ctx = SimulationContext(layout=sc.layout, ego_id=sc.ego_id, ego_goal=sc.ego_goal,
+                            dt=sc.dt, horizon=sc.horizon, params=params)
+    for rec in pipe.mcts.trace_log:
+        traffic = FixedTraffic(sc.layout, {
+            vid: pipe.predictions[vid].options[g][s].trajectory
+            for vid, (g, s) in rec.assignment.items()}, params)
+        state, parts, step = pipe.planning_state, [], None
+        for macro in rec.macros:
+            assert step is None or step.outcome is None
+            step = simulate_step(ctx, state, macro_from_name(macro), traffic)
+            parts.append(step.ego_trajectory)
+            state = step.next_state
+        outcome = step.outcome or "termination"
+        traj = concat_trajectories(parts)
+        reward, comps = terminal_reward(traj, outcome, pipe.reward, sc.ego_goal, sc.layout)
+        assert (outcome, step.collider, len(traj) - 1, reward, comps) == (
+            rec.outcome, rec.collider, rec.steps, rec.reward, rec.components), rec.index
+
+
+def test_each_sample_and_prefix_is_simulated_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return simulate_step(*args, **kwargs)
+
+    monkeypatch.setattr(mcts_mod, "simulate_step", counting)
+    pipe = shipped_pipe("s1", 0)
+    log = pipe.mcts.trace_log
+    keys = {(rec.assignment_key(), rec.macros[:d])
+            for rec in log for d in range(1, len(rec.macros) + 1)}
+    assert len(calls) == len(keys) < sum(len(rec.macros) for rec in log)
+
+
+def test_records_do_not_share_component_dicts(mini_pipe):
+    comps = [id(rec.components) for rec in mini_pipe.mcts.trace_log]
+    assert len(set(comps)) == len(comps)
 
 
 def test_invalid_trace_record_is_rejected():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from whyplan.errors import GoalUnreachableError
+import whyplan.recognition as recognition_mod
+from whyplan.errors import GoalUnreachableError, NoApplicableActionError, OffRoadError
 from whyplan.maneuvers import KinematicParams, Trajectory
 from whyplan.recognition import (enumerate_plans, goal_posterior, predict_all,
                                  trajectory_distribution)
@@ -189,6 +190,32 @@ def test_unreachable_trajectory_distribution_raises(fork):
     start = lane_point_state(fork.layout, "arm_right", 5.0, 5.0)
     with pytest.raises(GoalUnreachableError):
         trajectory_distribution(start, fork_goals()[0], fork.layout, DT, HORIZON, PARAMS)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_enumeration_skips_typed_errors_and_propagates_others(fork, monkeypatch):
+    start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
+    for typed in (OffRoadError("off"), NoApplicableActionError("none")):
+        monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(typed))
+        assert enumerate_plans(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS) == []
+    monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        enumerate_plans(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS)
+
+
+def test_horizon_extension_skips_typed_errors_and_propagates_others(fork, monkeypatch):
+    start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
+    monkeypatch.setattr(recognition_mod, "locate", _raise(OffRoadError("off")))
+    options = trajectory_distribution(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS)
+    assert len(options[0].trajectory) == HORIZON + 1  # padded in place instead
+    monkeypatch.setattr(recognition_mod, "locate", _raise(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        trajectory_distribution(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS)
 
 
 def test_enumeration_prunes_reverted_lane_changes():
