@@ -3,8 +3,13 @@
 Conventions used across the package: coordinates in metres, headings in
 radians measured counter-clockwise from +x and normalized to (-pi, pi],
 lateral offsets signed left-positive relative to travel direction.
+
+`Polyline.project` is a scalar loop over per-segment float rows that
+reproduces the vectorised numpy arithmetic (dot product, clip, norm, first
+argmin) bit for bit, without numpy's per-call overhead on short lines.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -36,38 +41,37 @@ class Polyline:
             raise ValueError("polyline is degenerate (zero arc length)")
         self.pts = pts[keep]
         seg = np.diff(self.pts, axis=0)
-        self._seg = seg
-        self._seg_len = np.linalg.norm(seg, axis=1)
-        self.cum_s = np.concatenate([[0.0], np.cumsum(self._seg_len)])
-        self.length = float(self.cum_s[-1])
+        seg_len = np.linalg.norm(seg, axis=1)
+        self.cum_s = np.concatenate([[0.0], np.cumsum(seg_len)]).tolist()
+        self.length = self.cum_s[-1]
+        # One row of plain floats per segment: (ax, ay, dx, dy, len^2, len, s_start).
+        self._rows = list(zip(*self.pts[:-1].T.tolist(), *seg.T.tolist(),
+                              (seg_len ** 2).tolist(), seg_len.tolist(), self.cum_s[:-1]))
         # Scalar fast path for the ubiquitous straight, two-point midline.
         self._simple = len(seg) == 1
         if self._simple:
-            self._ax, self._ay = float(self.pts[0][0]), float(self.pts[0][1])
-            self._dx, self._dy = float(seg[0][0]), float(seg[0][1])
+            self._ax, self._ay, self._dx, self._dy = self._rows[0][:4]
             self._l2 = self._dx * self._dx + self._dy * self._dy
 
     def _segment_index(self, s: float) -> int:
-        idx = int(np.searchsorted(self.cum_s, s, side="right") - 1)
-        return min(max(idx, 0), len(self._seg) - 1)
+        idx = bisect.bisect_right(self.cum_s, s) - 1
+        return min(max(idx, 0), len(self._rows) - 1)
 
     def point_at(self, s: float) -> np.ndarray:
         """Point at arc length s, clamped to [0, length]."""
         s = min(max(s, 0.0), self.length)
-        i = self._segment_index(s)
-        t = (s - self.cum_s[i]) / self._seg_len[i]
-        return self.pts[i] + t * self._seg[i]
+        ax, ay, dx, dy, _, sl, cs = self._rows[self._segment_index(s)]
+        t = (s - cs) / sl
+        return np.array([ax + t * dx, ay + t * dy])
 
     def heading_at(self, s: float) -> float:
-        i = self._segment_index(min(max(s, 0.0), self.length))
-        dx, dy = self._seg[i]
-        return math.atan2(dy, dx)
+        row = self._rows[self._segment_index(min(max(s, 0.0), self.length))]
+        return math.atan2(row[3], row[2])
 
     def normal_at(self, s: float) -> np.ndarray:
         """Unit left normal of the segment containing s."""
-        i = self._segment_index(min(max(s, 0.0), self.length))
-        dx, dy = self._seg[i] / self._seg_len[i]
-        return np.array([-dy, dx])
+        _, _, dx, dy, _, sl, _ = self._rows[self._segment_index(min(max(s, 0.0), self.length))]
+        return np.array([-(dy / sl), dx / sl])
 
     def project(self, point) -> tuple[float, float, float]:
         """Project a point onto the polyline.
@@ -77,8 +81,8 @@ class Polyline:
         to the foot point. For points beyond the ends, s clamps to the end
         and distance grows while |lateral| tracks distance.
         """
+        px, py = float(point[0]), float(point[1])
         if self._simple:
-            px, py = float(point[0]), float(point[1])
             rx, ry = px - self._ax, py - self._ay
             t = (rx * self._dx + ry * self._dy) / self._l2
             t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
@@ -89,22 +93,26 @@ class Polyline:
             if abs(lateral) < dist - 1e-12:
                 lateral = math.copysign(dist, lateral if lateral != 0.0 else 1.0)
             return t * self.length, lateral, dist
-        p = np.asarray(point, dtype=float)
-        a = self.pts[:-1]
-        d = self._seg
-        ll = self._seg_len ** 2
-        t = np.clip(np.einsum("ij,ij->i", p - a, d) / ll, 0.0, 1.0)
-        foot = a + t[:, None] * d
-        dist = np.linalg.norm(p - foot, axis=1)
-        i = int(np.argmin(dist))
-        s = float(self.cum_s[i] + t[i] * self._seg_len[i])
-        dhat = d[i] / self._seg_len[i]
-        off = p - foot[i]
-        lateral = float(dhat[0] * off[1] - dhat[1] * off[0])
+        # Nearest foot point over all segments; the first strict minimum wins.
+        dist, best = math.inf, None
+        for row in self._rows:
+            ax, ay, dx, dy, ll = row[:5]
+            t = ((px - ax) * dx + (py - ay) * dy) / ll
+            t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+            rx = px - (ax + t * dx)
+            ry = py - (ay + t * dy)
+            d = math.sqrt(rx * rx + ry * ry)
+            if d < dist:
+                dist, best, tb, ox, oy = d, row, t, rx, ry
+        if best is None:  # non-finite point: every distance is NaN
+            return math.nan, math.nan, math.nan
+        _, _, dx, dy, _, sl, cs = best
+        s = cs + tb * sl
+        lateral = (dx / sl) * oy - (dy / sl) * ox
         # Preserve the sign convention even when the point is off the ends.
-        if abs(lateral) < dist[i] - 1e-12:
-            lateral = math.copysign(dist[i], lateral if lateral != 0.0 else 1.0)
-        return s, lateral, float(dist[i])
+        if abs(lateral) < dist - 1e-12:
+            lateral = math.copysign(dist, lateral if lateral != 0.0 else 1.0)
+        return s, lateral, dist
 
 
 def quad_bezier(p0, p1, p2, step: float = 0.5) -> np.ndarray:

@@ -259,11 +259,14 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
         macros: tuple[str, ...] = ()
         ego_parts: list[Trajectory] = []
         for depth in range(config.max_depth):
-            actions = actions_at.get((sample, macros))
+            # The root state is `initial` for every sample, so its key is the
+            # empty prefix alone.
+            akey = (sample if macros else None, macros)
+            actions = actions_at.get(akey)
             if actions is None:
                 actions = applicable_macros(state, scenario.ego_id, scenario.layout,
                                             scenario.ego_goal, params)
-                actions_at[(sample, macros)] = actions
+                actions_at[akey] = actions
             lo = r_lo if math.isfinite(r_lo) else 0.0
             hi = r_hi if math.isfinite(r_hi) else 1.0
             choice = _select_ucb(tree.node(macros), actions, config.exploration, lo, hi)

@@ -127,6 +127,12 @@ def trajectory_distribution(state: VehicleState, goal: Goal, layout: RoadLayout,
     """Predicted trajectories to one goal with rationality-weighted probabilities."""
     candidates = enumerate_plans(state, goal, layout, dt, horizon, params,
                                  max_depth=max_depth, weights=weights)
+    return _trajectory_options(candidates, goal, layout, dt, horizon, params, beta)
+
+
+def _trajectory_options(candidates: list[PlanCandidate], goal: Goal, layout: RoadLayout,
+                        dt: float, horizon: int, params: KinematicParams,
+                        beta: float) -> list[TrajectoryOption]:
     if not candidates:
         raise GoalUnreachableError(f"goal {goal.label!r} unreachable")
     probs = _softmax([c.reward for c in candidates], beta)
@@ -179,25 +185,38 @@ def goal_posterior(observed: Trajectory, goals: tuple[Goal, ...], layout: RoadLa
     the best achievable reward given the prefix already driven. Goals with no
     completion from the current state get probability zero.
     """
+    _check_observation(observed, goals)
+    current = observed.tail_state()
+    completions = [enumerate_plans(current, goal, layout, dt, horizon, params,
+                                   weights=weights) for goal in goals]
+    return _goal_posterior(observed, goals, completions, layout, dt, horizon, params,
+                           beta, prior, weights)
+
+
+def _check_observation(observed: Trajectory, goals: tuple[Goal, ...]) -> None:
     if len(goals) == 0:
         raise GoalUnreachableError("empty goal set")
     if len(observed) == 0:
         raise ValueError("empty observed prefix")
+
+
+def _goal_posterior(observed: Trajectory, goals: tuple[Goal, ...],
+                    completions: list[list[PlanCandidate]], layout: RoadLayout, dt: float,
+                    horizon: int, params: KinematicParams, beta: float,
+                    prior: list[float] | None, weights: dict | None) -> GoalPosterior:
+    """`goal_posterior` given each goal's plans from the last observed state."""
     prior = prior or [1.0 / len(goals)] * len(goals)
     start = observed.state_at(0)
-    current = observed.tail_state()
     scores: list[float | None] = []
-    for goal in goals:
+    for goal, cands in zip(goals, completions):
         best_from_start = enumerate_plans(start, goal, layout, dt, horizon, params,
                                           weights=weights)
-        completions = enumerate_plans(current, goal, layout, dt, horizon, params,
-                                      weights=weights)
-        if not best_from_start or not completions:
+        if not best_from_start or not cands:
             scores.append(None)
             continue
         r_star = best_from_start[0].reward
         r_hat = None
-        for cand in completions:
+        for cand in cands:
             full = concat_trajectories([observed, cand.trajectory])
             r = plan_reward(full, goal, layout, weights)
             if r_hat is None or r > r_hat:
@@ -248,16 +267,19 @@ def predict_all(scenario: Scenario, prefixes: dict[str, Trajectory],
         if spec.id == scenario.ego_id:
             continue
         prefix = prefixes[spec.id]
-        posterior = goal_posterior(prefix, spec.goals, scenario.layout, scenario.dt,
-                                   scenario.horizon, params, beta=beta)
+        _check_observation(prefix, spec.goals)
         current = prefix.tail_state()
+        completions = [enumerate_plans(current, goal, scenario.layout, scenario.dt,
+                                       scenario.horizon, params) for goal in spec.goals]
+        posterior = _goal_posterior(prefix, spec.goals, completions, scenario.layout,
+                                    scenario.dt, scenario.horizon, params, beta, None, None)
         options: dict[int, tuple[TrajectoryOption, ...]] = {}
         for gi, goal in enumerate(spec.goals):
             if posterior.probs[gi] <= 0.0:
                 options[gi] = ()
                 continue
-            opts = trajectory_distribution(current, goal, scenario.layout, scenario.dt,
-                                           scenario.horizon, params, beta=beta)
-            options[gi] = tuple(opts)
+            options[gi] = tuple(_trajectory_options(completions[gi], goal, scenario.layout,
+                                                    scenario.dt, scenario.horizon, params,
+                                                    beta))
         out[spec.id] = VehiclePrediction(spec.id, spec.label, posterior, options)
     return Predictions(vehicles=out)

@@ -6,8 +6,8 @@ import pytest
 
 import whyplan.mcts as mcts_mod
 from whyplan.errors import ScenarioValidationError
-from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, concat_trajectories,
-                               macro_from_name)
+from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, applicable_macros,
+                               concat_trajectories, macro_from_name)
 from whyplan.mcts import (PlannerConfig, RewardConfig, SearchTree, TraceRecord, run_mcts,
                           terminal_reward)
 from whyplan.pipeline import planner_config, run_pipeline
@@ -149,6 +149,24 @@ def test_each_sample_and_prefix_is_simulated_once(monkeypatch):
     keys = {(rec.assignment_key(), rec.macros[:d])
             for rec in log for d in range(1, len(rec.macros) + 1)}
     assert len(calls) == len(keys) < sum(len(rec.macros) for rec in log)
+
+
+def test_root_applicable_macros_is_computed_once_per_search(monkeypatch):
+    states = []
+
+    def counting(state, *args, **kwargs):
+        states.append(state)
+        return applicable_macros(state, *args, **kwargs)
+
+    monkeypatch.setattr(mcts_mod, "applicable_macros", counting)
+    pipe = shipped_pipe("s1", 0)
+    log = pipe.mcts.trace_log
+    assert len({rec.assignment_key() for rec in log}) > 1
+    assert sum(state is pipe.planning_state for state in states) == 1
+    # Below the root, once per (joint sample, prefix) the search selects at.
+    keys = {(rec.assignment_key(), rec.macros[:d])
+            for rec in log for d in range(1, len(rec.macros))}
+    assert len(states) == 1 + len(keys)
 
 
 def test_records_do_not_share_component_dicts(mini_pipe):

@@ -261,3 +261,33 @@ def test_predict_all_covers_non_egos_and_normalizes():
                 assert first.x == pytest.approx(current.x, abs=1e-9)
                 assert first.y == pytest.approx(current.y, abs=1e-9)
                 assert first.speed == pytest.approx(current.speed, abs=1e-9)
+
+
+def test_predict_all_enumerates_each_state_and_goal_once(monkeypatch):
+    sc = scenario_from_dict(mini_scenario_dict())
+    from whyplan.scenario import sample_initial_states
+    from whyplan.pipeline import true_goal_plans
+    from whyplan.simulation import observe
+    init = sample_initial_states(sc, 3)
+    prefixes, _ = observe(sc, init, true_goal_plans(sc, init, PARAMS))
+    expected = predict_all(sc, prefixes, params=PARAMS)
+    calls = []
+
+    def counting(state, goal, *args, **kwargs):
+        calls.append((state, goal))
+        return enumerate_plans(state, goal, *args, **kwargs)
+
+    monkeypatch.setattr(recognition_mod, "enumerate_plans", counting)
+    preds = predict_all(sc, prefixes, params=PARAMS)
+    assert len(prefixes["v1"]) > 1
+    assert len(calls) == 2 * len(sc.spec_of("v1").goals)
+    assert len(set(calls)) == len(calls)
+    got, want = preds["v1"], expected["v1"]
+    assert got.posterior == want.posterior
+    assert got.options.keys() == want.options.keys()
+    for gi, opts in got.options.items():
+        assert [(o.macros, o.probability) for o in opts] == \
+            [(o.macros, o.probability) for o in want.options[gi]]
+        for a, b in zip(opts, want.options[gi]):
+            assert np.array_equal(a.trajectory.xs, b.trajectory.xs)
+            assert np.array_equal(a.trajectory.speeds, b.trajectory.speeds)
