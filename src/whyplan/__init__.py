@@ -14,13 +14,14 @@ from .causal import (CausalSummary, Cause, CfOutcome, CounterfactualQuery, Effec
                      trace_divergence)
 from .errors import (EmptyTraceLogError, GoalUnreachableError, IncompleteAssignmentError,
                      InapplicableMacroError, NoApplicableActionError, OffRoadError,
-                     QueryParseError, ScenarioParseError, ScenarioValidationError,
-                     UnexploredCounterfactualError, WhyplanError)
+                     QueryParseError, RunDirectoryError, ScenarioParseError,
+                     ScenarioValidationError, StyleError, UnexploredCounterfactualError,
+                     WhyplanError)
 from .grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw, load_style,
                       post_process, realize_macros, to_grammar_input)
 from .maneuvers import (KinematicParams, MacroAction, Maneuver, Trajectory,
                         TrajectoryFeatures, applicable_macros, expand_macro,
-                        extract_features, generate_trajectory, macro_from_name)
+                        extract_features, macro_from_name)
 from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
                    run_mcts, terminal_reward)
 from .pipeline import (PipelineResult, explain_query, load_run, run_pipeline, save_run)

@@ -1,8 +1,8 @@
 """Command line driver: plan, explain, batch.
 
-Exit codes: 0 success, 2 parse errors (scenario or query), 3 validation
-errors, 4 planning failures, 5 inference failures, 6 unexplored
-counterfactual, 1 anything else.
+Exit codes: 0 success, 2 parse errors (scenario, query or style file),
+3 validation errors, 4 planning failures, 5 inference failures, 6 unexplored
+counterfactual, 7 a missing or malformed run directory, 1 anything else.
 """
 
 import argparse
@@ -15,8 +15,8 @@ import sys
 from .causal import CounterfactualQuery
 from .errors import (EmptyTraceLogError, GoalUnreachableError, IncompleteAssignmentError,
                      NoApplicableActionError, OffRoadError, QueryParseError,
-                     ScenarioParseError, ScenarioValidationError,
-                     UnexploredCounterfactualError)
+                     RunDirectoryError, ScenarioParseError, ScenarioValidationError,
+                     StyleError, UnexploredCounterfactualError)
 from .grammar import load_style
 from .mcts import RewardConfig
 from .pipeline import explain_query, load_run, planner_config, run_pipeline, save_run
@@ -29,13 +29,15 @@ EXIT_VALIDATION = 3
 EXIT_PLANNING = 4
 EXIT_INFERENCE = 5
 EXIT_UNEXPLORED = 6
+EXIT_RUN_DIR = 7
 
 _EXIT_CODES = (
     (UnexploredCounterfactualError, EXIT_UNEXPLORED),
-    ((ScenarioParseError, QueryParseError), EXIT_PARSE),
+    ((ScenarioParseError, QueryParseError, StyleError), EXIT_PARSE),
     (ScenarioValidationError, EXIT_VALIDATION),
     ((NoApplicableActionError, OffRoadError, GoalUnreachableError), EXIT_PLANNING),
     ((EmptyTraceLogError, IncompleteAssignmentError), EXIT_INFERENCE),
+    (RunDirectoryError, EXIT_RUN_DIR),
 )
 
 

@@ -43,3 +43,11 @@ class UnexploredCounterfactualError(WhyplanError):
 
 class QueryParseError(WhyplanError):
     """A counterfactual query string could not be parsed."""
+
+
+class StyleError(WhyplanError, ValueError):
+    """A style file is unreadable, not a JSON object, or has a rejected table."""
+
+
+class RunDirectoryError(WhyplanError):
+    """A run directory or one of its artifacts is missing, unreadable or malformed."""

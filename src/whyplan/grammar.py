@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .causal import CausalSummary
+from .errors import StyleError
 
 STYLE_ENV_VAR = "WHYPLAN_STYLE"
 
@@ -90,8 +91,15 @@ def load_style(path: str | None = None) -> dict:
     style = copy.deepcopy(DEFAULT_STYLE)
     path = path or os.environ.get(STYLE_ENV_VAR)
     if path:
-        with open(path) as fh:
-            overlay = json.load(fh)
+        try:
+            with open(path) as fh:
+                overlay = json.load(fh)
+        except OSError as exc:
+            raise StyleError(f"cannot read style file {path}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise StyleError(f"style file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(overlay, dict):
+            raise StyleError(f"style file {path} must hold a JSON object")
         for key, value in overlay.items():
             if isinstance(value, dict) and isinstance(style.get(key), dict):
                 style[key].update(value)
@@ -102,11 +110,15 @@ def load_style(path: str | None = None) -> dict:
 
 
 def _check_postprocess(table) -> None:
+    if not isinstance(table, list) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(isinstance(part, str) for part in pair) for pair in table):
+        raise StyleError("postprocess must be a list of [pattern, replacement] string pairs")
     lhs = [pair[0] for pair in table]
     for _, out in table:
         for pattern in lhs:
             if pattern in out:
-                raise ValueError(
+                raise StyleError(
                     f"post-processing output {out!r} contains pattern {pattern!r}; "
                     "substitution would not be idempotent")
 

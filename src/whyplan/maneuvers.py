@@ -1,10 +1,11 @@
-"""Macro actions, manoeuvres, local trajectory generation and features.
+"""Macro actions, manoeuvres, the one vehicle integrator and trajectory features.
 
 Macro actions (Continue, Change-left/right, Exit, Continue-next-exit, Stop)
 expand into chains of manoeuvres (lane-follow, lane-change, give-way, turn,
-stop). A chain rolls out as a kinematic trajectory: constant-acceleration
-point mass following lane midlines, cubic lateral blends for lane changes,
-give-way segments that hold zero speed until their yield predicate clears.
+stop). `ChainStepper` drives a chain for recognition (`roll_chain`), MCTS
+rollouts and observation alike: a constant-acceleration point mass following
+lane midlines, cubic lateral blends for lane changes, give-way segments that
+hold zero speed until their yield predicate clears.
 """
 
 import math
@@ -12,13 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InapplicableMacroError, NoApplicableActionError
+from .errors import InapplicableMacroError, NoApplicableActionError, OffRoadError
 from .geometry import Polyline, normalize_angle, smoothstep, turn_curve
-from .scenario import (Goal, JointState, RoadLayout, VehicleState, goal_contains, locate)
+from .scenario import (OFFROAD_MARGIN_M, Goal, JointState, RoadLayout, VehicleState,
+                       goal_contains, locate)
 
 MACRO_KINDS = ("Continue", "Change-left", "Change-right", "Exit", "Continue-next-exit", "Stop")
 MANEUVER_KINDS = ("lane-follow", "lane-change-left", "lane-change-right",
                   "turn-left", "turn-right", "turn-straight", "give-way", "stop")
+
+# PD follower gains: gap error (1/s^2) and closing-speed error (1/s).
+FOLLOW_KG = 0.6
+FOLLOW_KV = 1.2
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,6 @@ class Trajectory:
     ys: np.ndarray
     headings: np.ndarray
     speeds: np.ndarray
-    accels: np.ndarray
     vehicle_id: str = ""
     truncated: bool = False
 
@@ -122,7 +127,7 @@ class Trajectory:
     def state_at(self, k: int) -> VehicleState:
         k = min(max(k, 0), len(self.xs) - 1)
         return VehicleState(float(self.xs[k]), float(self.ys[k]), float(self.headings[k]),
-                            max(float(self.speeds[k]), 0.0), float(self.accels[k]))
+                            max(float(self.speeds[k]), 0.0))
 
     def tail_state(self) -> VehicleState:
         return self.state_at(len(self.xs) - 1)
@@ -133,18 +138,16 @@ def concat_trajectories(parts: list[Trajectory]) -> Trajectory:
     parts = [p for p in parts if len(p) > 0]
     if not parts:
         raise ValueError("nothing to concatenate")
-    xs, ys, hs, vs, accs = [parts[0].xs], [parts[0].ys], [parts[0].headings], \
-        [parts[0].speeds], [parts[0].accels]
+    xs, ys, hs, vs = [parts[0].xs], [parts[0].ys], [parts[0].headings], [parts[0].speeds]
     for p in parts[1:]:
         xs.append(p.xs[1:])
         ys.append(p.ys[1:])
         hs.append(p.headings[1:])
         vs.append(p.speeds[1:])
-        accs.append(p.accels[1:])
     return Trajectory(
         dt=parts[0].dt,
         xs=np.concatenate(xs), ys=np.concatenate(ys), headings=np.concatenate(hs),
-        speeds=np.concatenate(vs), accels=np.concatenate(accs),
+        speeds=np.concatenate(vs),
         vehicle_id=parts[0].vehicle_id,
         truncated=parts[-1].truncated,
     )
@@ -297,12 +300,16 @@ def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout, go
                       params: KinematicParams | None = None) -> list[MacroAction]:
     """Macro actions whose first manoeuvre is applicable, sorted by name.
 
-    Raises NoApplicableActionError when empty (cannot happen while Stop stays
+    Inside a junction only the crossing being driven applies. Raises
+    NoApplicableActionError when empty (cannot happen while Stop stays
     unconditional; kept as a guard against future predicate changes).
     """
     params = params or KinematicParams()
     me = state.vehicles[vehicle_id]
-    lane_id, s, _ = locate(layout, (me.x, me.y))
+    try:
+        lane_id, s, _ = locate(layout, (me.x, me.y))
+    except OffRoadError:
+        return [_crossing(layout, me)[0]]
     lane = layout.lanes[lane_id]
     chain = lane_follow_chain(layout, lane_id)
     out: list[MacroAction] = [MacroAction("Stop")]
@@ -336,11 +343,45 @@ def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout, go
     return sorted(out, key=lambda m: m.name)
 
 
+def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[MacroAction, list[Maneuver]]:
+    """The macro a vehicle off every lane is driving, and what is left of it.
+
+    Such a vehicle is crossing a junction, on the connection curve nearest
+    to it that runs its way: Continue on a priority straight, an Exit
+    otherwise. Raises OffRoadError when no connection is within half a lane
+    width plus the off-road margin.
+    """
+    best = None
+    for junction in layout.junctions.values():
+        for conn in junction.connections:
+            curve = Polyline(_connection_curve(layout, (conn.from_lane, conn.to_lane)))
+            s, _, dist = curve.project((me.x, me.y))
+            if abs(normalize_angle(curve.heading_at(s) - me.heading)) < math.pi / 2 and (
+                    best is None or dist < best[0]):
+                best = (dist, junction.id, conn)
+    if best is None or best[0] > layout.lanes[best[2].to_lane].width / 2.0 + OFFROAD_MARGIN_M:
+        raise OffRoadError(f"position ({me.x:.2f}, {me.y:.2f}) is on no lane or connection")
+    _, jid, conn = best
+    if conn.direction == "straight" and conn.has_priority:
+        chain = lane_follow_chain(layout, conn.from_lane)
+        return MacroAction("Continue"), [Maneuver("lane-follow", lanes=tuple(chain))]
+    return MacroAction("Exit", conn.direction), [
+        Maneuver(f"turn-{conn.direction}", lanes=(conn.to_lane,), junction=jid,
+                 connection=(conn.from_lane, conn.to_lane))]
+
+
 def expand_macro(macro: MacroAction, state: JointState, vehicle_id: str,
                  layout: RoadLayout) -> list[Maneuver]:
     """Expand a macro action into its manoeuvre chain at the current state."""
     me = state.vehicles[vehicle_id]
-    lane_id, _, _ = locate(layout, (me.x, me.y))
+    try:
+        lane_id, _, _ = locate(layout, (me.x, me.y))
+    except OffRoadError:
+        crossing, rest = _crossing(layout, me)
+        if macro != crossing:
+            raise InapplicableMacroError(f"{macro.name}: vehicle is crossing a junction "
+                                         f"by {crossing.name}") from None
+        return rest
     lane = layout.lanes[lane_id]
     chain = lane_follow_chain(layout, lane_id)
 
@@ -393,22 +434,25 @@ def expand_macro(macro: MacroAction, state: JointState, vehicle_id: str,
 
 
 class _Segment:
-    """One manoeuvre's integration state."""
+    """One manoeuvre's integration state along a reference path.
 
-    end_speed = 0.0
+    Subclasses give desired_speed(v, params), the speed the manoeuvre asks
+    for, and done(); advance_dist(dist) moves up to dist along the path and
+    returns the pose and the distance used.
+    """
 
-    def desired_speed(self, v: float, params: KinematicParams) -> float:
-        raise NotImplementedError
+    def __init__(self, path: Polyline, x: float, y: float, heading: float):
+        self.path = path
+        self.s = path.project((x, y))[0]
+        self.heading = heading
 
     def advance_dist(self, dist: float) -> tuple[float, float, float, float]:
-        """Move up to dist along the segment; returns pose and distance used."""
-        raise NotImplementedError
-
-    def done(self) -> bool:
-        raise NotImplementedError
-
-    def conflict_points(self):
-        return None
+        used = min(dist, self.path.length - self.s)
+        self.s += used
+        x, y = self.path.point_at(self.s)
+        if used > 1e-9:
+            self.heading = self.path.heading_at(self.s)
+        return float(x), float(y), self.heading, used
 
 
 def _envelope(remaining: float, end_speed: float, cruise: float, brake: float) -> float:
@@ -420,10 +464,7 @@ def _envelope(remaining: float, end_speed: float, cruise: float, brake: float) -
 class _FollowSegment(_Segment):
     def __init__(self, path: Polyline, x: float, y: float, heading: float,
                  cruise: float, end_speed: float, hold_entry: bool = False):
-        self.path = path
-        s, lat, _ = path.project((x, y))
-        self.s = s
-        self.heading = heading
+        super().__init__(path, x, y, heading)
         self.cruise = cruise
         self.end_speed = end_speed
         self._hold = hold_entry
@@ -440,14 +481,6 @@ class _FollowSegment(_Segment):
             brake = params.brake_comfort
         return _envelope(self.path.length - self.s, self.end_speed, cruise, brake)
 
-    def advance_dist(self, dist):
-        used = min(dist, self.path.length - self.s)
-        self.s += used
-        x, y = self.path.point_at(self.s)
-        if used > 1e-9:
-            self.heading = self.path.heading_at(self.s)
-        return float(x), float(y), self.heading, used
-
     def done(self):
         return self.path.length - self.s < 1e-3
 
@@ -459,7 +492,6 @@ class _StopSegment(_Segment):
         self.x, self.y = x, y
         self.heading = heading
         self.v_last = None
-        self.end_speed = 0.0
 
     def desired_speed(self, v, params):
         return max(0.0, v - params.brake_comfort * 0.2)  # steady comfortable braking
@@ -468,13 +500,7 @@ class _StopSegment(_Segment):
         self.v_last = dist  # proxy: zero movement means stopped
         if self.path is None:
             return self.x, self.y, self.heading, 0.0
-        used = min(dist, self.path.length - self.s)
-        self.s += used
-        x, y = self.path.point_at(self.s)
-        self.x, self.y = float(x), float(y)
-        if used > 1e-9:
-            self.heading = self.path.heading_at(self.s)
-        return self.x, self.y, self.heading, used
+        return super().advance_dist(dist)
 
     def done(self):
         return self.v_last is not None and self.v_last < 1e-4
@@ -486,14 +512,11 @@ class _LaneChangeSegment(_Segment):
     def __init__(self, path: Polyline, x: float, y: float, heading: float,
                  duration: float, cruise: float):
         self.path = path
-        s, lat, _ = path.project((x, y))
-        self.s = s
-        self.lat = lat
-        self.lat0 = lat
+        self.s, self.lat, _ = path.project((x, y))
+        self.lat0 = self.lat
         self.u = 0.0
         self.duration = duration
         self.cruise = cruise
-        self.end_speed = cruise
         self.x, self.y = x, y
         self.heading = heading
 
@@ -525,19 +548,17 @@ class _LaneChangeSegment(_Segment):
 
 
 class _GiveWaySegment(_Segment):
-    """Approach the stop point; hold zero speed until the predicate clears."""
+    """Approach the stop point; hold zero speed until the predicate clears.
+
+    `conflict` holds the points of the connection it yields on.
+    """
 
     def __init__(self, path: Polyline, x: float, y: float, heading: float,
-                 conflict_pts: np.ndarray, cleared: bool, turn_speed: float,
-                 junction: str | None = None):
-        self.path = path
-        self.s = path.project((x, y))[0]
-        self.heading = heading
-        self.x, self.y = x, y
-        self._conflict = conflict_pts
-        self.cleared = cleared
+                 conflict: np.ndarray, turn_speed: float, junction: str):
+        super().__init__(path, x, y, heading)
+        self.conflict = conflict
+        self.cleared = False
         self.turn_speed = turn_speed
-        self.end_speed = turn_speed
         self.junction = junction
 
     def desired_speed(self, v, params):
@@ -547,23 +568,8 @@ class _GiveWaySegment(_Segment):
                              params.brake_approach)
         return _envelope(remaining, 0.0, params.cruise_speed, params.brake_comfort)
 
-    def advance_dist(self, dist):
-        if not self.cleared:
-            # Holding for the predicate: approach the stop point but no further.
-            dist = min(dist, max(self.path.length - self.s, 0.0))
-        used = min(dist, self.path.length - self.s)
-        self.s += used
-        x, y = self.path.point_at(self.s)
-        if used > 1e-9:
-            self.heading = self.path.heading_at(self.s)
-        self.x, self.y = float(x), float(y)
-        return self.x, self.y, self.heading, used
-
     def done(self):
         return self.cleared and self.path.length - self.s < 0.3
-
-    def conflict_points(self):
-        return self._conflict
 
 
 def _segment_for(m: Maneuver, x: float, y: float, heading: float, layout: RoadLayout,
@@ -600,8 +606,7 @@ def _segment_for(m: Maneuver, x: float, y: float, heading: float, layout: RoadLa
             end = incoming.point_at(incoming.length)
             fwd = np.array([math.cos(heading), math.sin(heading)])
             remaining = Polyline([end - 0.05 * fwd, end + 0.05 * fwd])
-        return _GiveWaySegment(remaining, x, y, heading, conflict, False, params.turn_speed,
-                               junction=m.junction)
+        return _GiveWaySegment(remaining, x, y, heading, conflict, params.turn_speed, m.junction)
     if m.kind.startswith("turn-"):
         pts = _connection_curve(layout, m.connection)
         return _FollowSegment(Polyline(pts), x, y, heading, params.turn_speed, params.turn_speed)
@@ -629,59 +634,93 @@ def _end_speed_for(i: int, maneuvers: list[Maneuver], params: KinematicParams) -
     return params.cruise_speed
 
 
-def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayout,
-               dt: float, horizon: int, params: KinematicParams | None = None,
-               speed_limit_fn=None, giveway_clear_fn=None, t0: int = 0) -> Trajectory:
-    """Integrate a manoeuvre chain from a start state.
+def _car_follow_limit(x: float, y: float, v: float, seg, others: list[tuple[float, float, float]],
+                      params: KinematicParams, dt: float) -> float:
+    """Max speed that keeps a safe gap to the nearest leader on the path.
 
-    speed_limit_fn(x, y, v, segment, t_index) caps the commanded speed
-    (car following) and may return None to abort the rollout at the current
-    state (the caller detected a terminal condition); giveway_clear_fn
-    (segment, t_index) decides when a give-way segment may proceed. The
-    rollout stops after `horizon` steps and flags the trajectory truncated
-    if the chain did not complete.
+    Leaders are vehicles ahead along the segment's reference path whose
+    lateral offset relative to ours is within lead_lateral; the relative
+    offset keeps adjacent-lane traffic out while still covering vehicles
+    cutting in or diverging off the path.
     """
-    params = params or KinematicParams()
-    if not maneuvers:
-        raise InapplicableMacroError("empty manoeuvre chain")
-    xs = [start.x]
-    ys = [start.y]
-    hs = [start.heading]
-    vs = [start.speed]
-    accs: list[float] = []
-    x, y, heading, v = start.x, start.y, start.heading, start.speed
+    path = getattr(seg, "path", None)
+    if path is None or not others:
+        return math.inf
+    s_me, lat_me, _ = path.project((x, y))
+    limit = math.inf
+    for ox, oy, ov in others:
+        s_o, lat_o, _ = path.project((ox, oy))
+        if abs(lat_o - lat_me) > params.lead_lateral:
+            continue
+        ds = s_o - s_me
+        if ds <= 0.0 or ds > params.lead_lookahead:
+            continue
+        gap = ds - 2.0 * params.collision_radius
+        want = params.follow_min_gap + params.follow_time_gap * v
+        a = FOLLOW_KG * (gap - want) + FOLLOW_KV * (ov - v)
+        limit = min(limit, max(v + a * dt, 0.0))
+    return limit
 
-    seg_idx = 0
-    seg: _Segment | None = None
-    steps = 0
-    truncated = False
 
-    def next_segment(idx):
-        while idx < len(maneuvers):
-            built = _segment_for(maneuvers[idx], x, y, heading, layout, params,
-                                 _end_speed_for(idx, maneuvers, params))
+def _try_clear(seg: _Segment, traffic, t: int) -> None:
+    if isinstance(seg, _GiveWaySegment) and not seg.cleared and (
+            traffic is None or traffic.giveway_clear(seg, t)):
+        seg.cleared = True
+
+
+class ChainStepper:
+    """One vehicle driving a manoeuvre chain, one dt per step.
+
+    A step cut short by the chain's end or a hold point records the speed
+    actually driven, so speeds match displacements. The traffic passed to
+    `step` is None on an empty road (give-way clears at once, no car
+    following) or provides `positions_speeds(t)`, the other vehicles'
+    (x, y, speed), and `giveway_clear(segment, t)`.
+    """
+
+    def __init__(self, start: VehicleState, layout: RoadLayout, dt: float,
+                 params: KinematicParams, maneuvers: list[Maneuver] = ()):
+        self.layout = layout
+        self.dt = dt
+        self.params = params
+        self.x, self.y, self.heading, self.v = start.x, start.y, start.heading, start.speed
+        self.xs, self.ys, self.hs, self.vs = [self.x], [self.y], [self.heading], [self.v]
+        self.follow(maneuvers)
+
+    @property
+    def steps(self) -> int:
+        return len(self.xs) - 1
+
+    def follow(self, maneuvers: list[Maneuver]) -> None:
+        """Drive this chain next, from the pose reached."""
+        self.maneuvers = list(maneuvers)
+        self.seg: _Segment | None = None
+        self.seg_idx = 0
+
+    def segment(self) -> _Segment | None:
+        """The segment being driven, built at the current pose; None once the chain is done."""
+        if self.seg is None:
+            self.seg, self.seg_idx = self._next_segment(self.seg_idx, self.x, self.y,
+                                                        self.heading)
+        return self.seg
+
+    def _next_segment(self, idx: int, x: float, y: float, heading: float):
+        while idx < len(self.maneuvers):
+            built = _segment_for(self.maneuvers[idx], x, y, heading, self.layout, self.params,
+                                 _end_speed_for(idx, self.maneuvers, self.params))
             if built is not None:
                 return built, idx
             idx += 1  # nothing left to drive in this manoeuvre
         return None, idx
 
-    while True:
-        if seg is None:
-            seg, seg_idx = next_segment(seg_idx)
-            if seg is None:
-                break
-        if steps >= horizon:
-            truncated = True
-            break
-        if isinstance(seg, _GiveWaySegment) and not seg.cleared:
-            if giveway_clear_fn is None or giveway_clear_fn(seg, t0 + steps):
-                seg.cleared = True
+    def step(self, traffic, t: int) -> None:
+        """Drive one dt of the current segment; `segment()` must not be None."""
+        seg, params, dt, v = self.seg, self.params, self.dt, self.v
+        _try_clear(seg, traffic, t)
         v_des = seg.desired_speed(v, params)
-        if speed_limit_fn is not None:
-            limit = speed_limit_fn(x, y, v, seg, t0 + steps)
-            if limit is None:
-                break
-            v_des = min(v_des, limit)
+        if traffic is not None:
+            v_des = min(v_des, _car_follow_limit(self.x, self.y, v, seg,
+                                                 traffic.positions_speeds(t), params, dt))
         a = min(max((v_des - v) / dt, -params.brake_max), params.accel_max)
         v_next = max(v + a * dt, 0.0)
 
@@ -692,43 +731,59 @@ def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayou
             budget = v * dt
             x, y, heading, used = seg.advance_dist(budget)
             while seg.done() and budget - used > 1e-9:
-                nxt, nxt_idx = next_segment(seg_idx + 1)
+                nxt, nxt_idx = self._next_segment(self.seg_idx + 1, x, y, heading)
                 if nxt is None or isinstance(nxt, _LaneChangeSegment):
                     break
-                seg, seg_idx = nxt, nxt_idx
-                if isinstance(seg, _GiveWaySegment) and not seg.cleared:
-                    if giveway_clear_fn is None or giveway_clear_fn(seg, t0 + steps):
-                        seg.cleared = True
+                seg, self.seg_idx = nxt, nxt_idx
+                _try_clear(seg, traffic, t)
                 x, y, heading, u2 = seg.advance_dist(budget - used)
                 used += u2
             if used < budget - 1e-9 and dt > 0:
                 # Chain or hold point reached mid-step: the speed actually
                 # driven is what the consistency contract must reflect.
                 v_eff = used / dt
-                vs[-1] = v_eff
-                if accs:
-                    accs[-1] = (v_eff - vs[-2]) / dt
+                self.vs[-1] = v_eff
                 v_next = min(v_next, v_eff)
-        xs.append(x)
-        ys.append(y)
-        hs.append(heading)
-        vs.append(v_next)
-        accs.append((v_next - vs[-2]) / dt)
-        v = v_next
-        steps += 1
+        self._record(x, y, heading, v_next)
         if seg.done():
-            seg = None
-            seg_idx += 1
-    accs.append(0.0)
-    return Trajectory(dt=dt, xs=np.asarray(xs), ys=np.asarray(ys), headings=np.asarray(hs),
-                      speeds=np.asarray(vs), accels=np.asarray(accs), truncated=truncated)
+            self.seg = None
+            self.seg_idx += 1
+        else:
+            self.seg = seg
+
+    def coast(self) -> None:
+        """No chain left: brake comfortably to a stop in place."""
+        self._record(self.x, self.y, self.heading,
+                     max(self.v - self.params.brake_comfort * self.dt, 0.0))
+
+    def _record(self, x: float, y: float, heading: float, v: float) -> None:
+        self.xs.append(x)
+        self.ys.append(y)
+        self.hs.append(heading)
+        self.vs.append(v)
+        self.x, self.y, self.heading, self.v = x, y, heading, v
+
+    def trajectory(self, truncated: bool = False, vehicle_id: str = "") -> Trajectory:
+        return Trajectory(dt=self.dt, xs=np.asarray(self.xs), ys=np.asarray(self.ys),
+                          headings=np.asarray(self.hs), speeds=np.asarray(self.vs),
+                          vehicle_id=vehicle_id, truncated=truncated)
 
 
-def generate_trajectory(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayout,
-                        dt: float, horizon: int,
-                        params: KinematicParams | None = None) -> Trajectory:
-    """Traffic-free rollout of a manoeuvre chain (give-way clears instantly)."""
-    return roll_chain(maneuvers, start, layout, dt, horizon, params=params)
+def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayout,
+               dt: float, horizon: int, params: KinematicParams | None = None) -> Trajectory:
+    """Traffic-free rollout of a manoeuvre chain (give-way clears at once).
+
+    The rollout stops after `horizon` steps and flags the trajectory
+    truncated if the chain did not complete.
+    """
+    if not maneuvers:
+        raise InapplicableMacroError("empty manoeuvre chain")
+    stepper = ChainStepper(start, layout, dt, params or KinematicParams(), maneuvers)
+    for t in range(horizon):
+        if stepper.segment() is None:
+            break
+        stepper.step(None, t)
+    return stepper.trajectory(truncated=stepper.segment() is not None)
 
 
 # --- features ----------------------------------------------------------------

@@ -318,4 +318,4 @@ def _single_state_prefix(initial: JointState, vid: str, dt: float) -> Trajectory
     st = initial.vehicles[vid]
     return Trajectory(dt=dt, xs=np.array([st.x]), ys=np.array([st.y]),
                       headings=np.array([st.heading]), speeds=np.array([st.speed]),
-                      accels=np.array([0.0]), vehicle_id=vid)
+                      vehicle_id=vid)

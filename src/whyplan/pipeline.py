@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from .bayes_net import BnModel, build_bn, model_to_dict
 from .causal import (CausalSummary, CounterfactualQuery, agent_influences, assemble_summary,
                      outcome_given_cf, reward_deltas)
+from .errors import RunDirectoryError
 from .grammar import explain as render_explanation
 from .maneuvers import KinematicParams, macro_from_name
 from .mcts import MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
-from .recognition import Predictions, predict_all
+from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
-from .simulation import lane_keep_plan, observe
+from .simulation import observe
 
 
 @dataclass
@@ -39,21 +40,17 @@ class PipelineResult:
 def true_goal_plans(scenario: Scenario, initial: JointState, params: KinematicParams) -> dict:
     """Observation-phase plan per vehicle: its best plan to its true goal.
 
-    The ego has not planned yet and just keeps its lane.
+    The ego has not planned yet and just keeps its lane (Continue), as does a
+    vehicle with no goal or no plan to it.
     """
-    from .recognition import enumerate_plans
     plans: dict = {}
     for spec in scenario.vehicles:
-        state = initial.vehicles[spec.id]
-        if spec.id == scenario.ego_id or spec.true_goal is None:
-            plans[spec.id] = lane_keep_plan(scenario.layout, state)
-            continue
-        candidates = enumerate_plans(state, spec.true_goal, scenario.layout, scenario.dt,
-                                     scenario.horizon, params)
-        if not candidates:
-            plans[spec.id] = lane_keep_plan(scenario.layout, state)
-            continue
-        plans[spec.id] = [macro_from_name(name) for name in candidates[0].macros]
+        candidates = []
+        if spec.id != scenario.ego_id and spec.true_goal is not None:
+            candidates = enumerate_plans(initial.vehicles[spec.id], spec.true_goal,
+                                         scenario.layout, scenario.dt, scenario.horizon, params)
+        names = candidates[0].macros if candidates else ("Continue",)
+        plans[spec.id] = [macro_from_name(name) for name in names]
     return plans
 
 
@@ -194,42 +191,59 @@ class LoadedRun:
     meta: dict
 
 
+def _read_artifact(run_dir: str, name: str):
+    path = os.path.join(run_dir, name)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise RunDirectoryError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise RunDirectoryError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_run(run_dir: str) -> LoadedRun:
-    """Rebuild the model from persisted artifacts, without re-planning."""
-    with open(os.path.join(run_dir, "run.json")) as fh:
-        meta = json.load(fh)
-    with open(os.path.join(run_dir, "tracelog.json")) as fh:
-        raw_log = json.load(fh)
-    with open(os.path.join(run_dir, "predictions.json")) as fh:
-        raw_pred = json.load(fh)
-    records = [
-        TraceRecord(
-            index=r["index"],
-            assignment={vid: tuple(gs) for vid, gs in r["assignment"].items()},
-            macros=tuple(r["macros"]),
-            components={k: v for k, v in r["components"].items()},
-            outcome=r["outcome"],
-            collider=r["collider"],
-            reward=r["reward"],
-            steps=r["steps"],
-        )
-        for r in raw_log
-    ]
-    goal_probs = {vid: {int(g): p for g, p in d["goals"].items()}
-                  for vid, d in raw_pred.items()}
-    traj_probs = {}
-    traj_macros = {}
-    labels = {}
-    for vid, d in raw_pred.items():
-        labels[vid] = d["label"]
-        traj_probs[vid] = {}
-        traj_macros[vid] = {}
-        for key, od in d["options"].items():
-            gi, si = (int(part) for part in key.split("/"))
-            traj_probs[vid][(gi, si)] = od["p"]
-            traj_macros[vid][(gi, si)] = tuple(od["macros"])
-    reward = RewardConfig(weights=meta["reward_weights"])
-    model = build_bn(records, goal_probs, traj_probs, meta["max_depth"],
+    """Rebuild the model from persisted artifacts, without re-planning.
+
+    Raises RunDirectoryError when the directory or an artifact is missing or
+    unreadable, is not JSON, or lacks an entry the model is built from.
+    """
+    if not os.path.isdir(run_dir):
+        raise RunDirectoryError(f"run directory {run_dir} does not exist")
+    meta, raw_log, raw_pred = (_read_artifact(run_dir, name) for name in
+                               ("run.json", "tracelog.json", "predictions.json"))
+    try:
+        records = [
+            TraceRecord(
+                index=r["index"],
+                assignment={vid: tuple(gs) for vid, gs in r["assignment"].items()},
+                macros=tuple(r["macros"]),
+                components={k: v for k, v in r["components"].items()},
+                outcome=r["outcome"],
+                collider=r["collider"],
+                reward=r["reward"],
+                steps=r["steps"],
+            )
+            for r in raw_log
+        ]
+        goal_probs = {vid: {int(g): p for g, p in d["goals"].items()}
+                      for vid, d in raw_pred.items()}
+        traj_probs = {}
+        traj_macros = {}
+        labels = {}
+        for vid, d in raw_pred.items():
+            labels[vid] = d["label"]
+            traj_probs[vid] = {}
+            traj_macros[vid] = {}
+            for key, od in d["options"].items():
+                gi, si = (int(part) for part in key.split("/"))
+                traj_probs[vid][(gi, si)] = od["p"]
+                traj_macros[vid][(gi, si)] = tuple(od["macros"])
+        reward = RewardConfig(weights=meta["reward_weights"])
+        plan, d_max = tuple(meta["plan"]), meta["max_depth"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise RunDirectoryError(f"malformed run directory {run_dir}: "
+                                f"{type(exc).__name__} {exc}") from exc
+    model = build_bn(records, goal_probs, traj_probs, d_max,
                      traj_macros=traj_macros, labels=labels)
-    return LoadedRun(plan=tuple(meta["plan"]), d_max=meta["max_depth"], reward=reward,
-                     model=model, meta=meta)
+    return LoadedRun(plan=plan, d_max=d_max, reward=reward, model=model, meta=meta)

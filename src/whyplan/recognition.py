@@ -168,7 +168,6 @@ def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon:
             ys=np.concatenate([out.ys, np.full(pad, last.y)]),
             headings=np.concatenate([out.headings, np.full(pad, last.heading)]),
             speeds=np.concatenate([out.speeds, np.zeros(pad)]),
-            accels=np.concatenate([out.accels, np.zeros(pad)]),
             vehicle_id=out.vehicle_id, truncated=out.truncated,
         )
     return out

@@ -120,13 +120,12 @@ class RoadLayout:
 
 @dataclass(frozen=True)
 class VehicleState:
-    """Kinematic state of one vehicle: pose, speed and acceleration."""
+    """Kinematic state of one vehicle: pose and speed."""
 
     x: float
     y: float
     heading: float
     speed: float
-    acceleration: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "heading", normalize_angle(self.heading))

@@ -1,26 +1,27 @@
 """Interaction-aware forward simulation.
 
-The planner's ego vehicle and the observation phase share this machinery:
-a PD car-follower caps speed behind a leader on the same path, give-way
-segments yield to priority traffic predicted to enter the conflict path, and
-collisions are circular-disc overlaps. Non-ego vehicles inside MCTS play
-back fixed trajectories; everything here is deterministic.
+Observation and planning drive every vehicle with the same integrator,
+`maneuvers.ChainStepper`, and differ only in the traffic it sees. In MCTS
+rollouts the ego steps against `FixedTraffic`, non-ego vehicles playing back
+pre-sampled trajectories, and ends a macro on collision (circular-disc
+overlap) or at its goal. In the observation phase every vehicle steps
+against `ExtrapolatedTraffic`, the others' current poses extrapolated at
+constant velocity. Both feed the one give-way predicate, `giveway_clear`:
+yield while priority traffic is predicted near the conflict path. Everything
+here is deterministic.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InapplicableMacroError
-from .maneuvers import (KinematicParams, MacroAction, Maneuver, Trajectory,
-                        _GiveWaySegment, _LaneChangeSegment, _end_speed_for, _segment_for,
-                        expand_macro, lane_follow_chain, roll_chain)
-from .scenario import JointState, RoadLayout, Scenario, VehicleState, goal_contains
-
-# PD follower gains: gap error (1/s^2) and closing-speed error (1/s).
-FOLLOW_KG = 0.6
-FOLLOW_KV = 1.2
+from .maneuvers import (ChainStepper, KinematicParams, MacroAction, Trajectory, _GiveWaySegment,
+                        expand_macro)
+from .scenario import (JointState, RoadLayout, Scenario, VehicleState, goal_contains,
+                       locate)
 
 
 @dataclass(frozen=True)
@@ -35,35 +36,10 @@ class SimulationContext:
     params: KinematicParams
 
 
-def _car_follow_limit(x: float, y: float, v: float, seg, others: list[tuple[float, float, float]],
-                      params: KinematicParams, dt: float) -> float:
-    """Max speed that keeps a safe gap to the nearest leader on the path.
-
-    Leaders are vehicles ahead along the segment's reference path whose
-    lateral offset relative to ours is within lead_lateral; the relative
-    offset keeps adjacent-lane traffic out while still covering vehicles
-    cutting in or diverging off the path.
-    """
-    path = getattr(seg, "path", None)
-    if path is None or not others:
-        return math.inf
-    s_me, lat_me, _ = path.project((x, y))
-    limit = math.inf
-    for ox, oy, ov in others:
-        s_o, lat_o, _ = path.project((ox, oy))
-        if abs(lat_o - lat_me) > params.lead_lateral:
-            continue
-        ds = s_o - s_me
-        if ds <= 0.0 or ds > params.lead_lookahead:
-            continue
-        gap = ds - 2.0 * params.collision_radius
-        want = params.follow_min_gap + params.follow_time_gap * v
-        a = FOLLOW_KG * (gap - want) + FOLLOW_KV * (ov - v)
-        limit = min(limit, max(v + a * dt, 0.0))
-    return limit
-
-
-def _junction_region(layout: RoadLayout, junction_id: str) -> tuple[np.ndarray, float]:
+@functools.lru_cache(maxsize=32)
+def _junction_zone(layout: RoadLayout, junction_id: str
+                   ) -> tuple[np.ndarray, float, frozenset[str]]:
+    """Centre and radius of a junction's region, and its priority arrival lanes."""
     ends = []
     for conn in layout.junctions[junction_id].connections:
         a = layout.lanes[conn.from_lane].midline
@@ -73,20 +49,31 @@ def _junction_region(layout: RoadLayout, junction_id: str) -> tuple[np.ndarray, 
     pts = np.asarray(ends)
     center = pts.mean(axis=0)
     radius = float(np.max(np.linalg.norm(pts - center, axis=1))) + 2.0
-    return center, radius
+    priority = frozenset(c.from_lane for c in layout.junctions[junction_id].connections
+                         if c.has_priority)
+    return center, radius, priority
 
 
-def _priority_lanes(layout: RoadLayout, junction_id: str) -> set[str]:
-    return {c.from_lane for c in layout.junctions[junction_id].connections if c.has_priority}
+def giveway_clear(layout: RoadLayout, seg: _GiveWaySegment, windows,
+                  params: KinematicParams) -> bool:
+    """Yield while priority traffic is predicted near the conflict path.
 
-
-def _quiet_locate(layout: RoadLayout, position) -> str | None:
-    best_lane, best_dist = None, math.inf
-    for lane in layout.lanes.values():
-        _, _, dist = lane.midline.project(position)
-        if dist < best_dist:
-            best_lane, best_dist = lane.id, dist
-    return best_lane
+    `windows` holds per peer its predicted (xs, ys) over the give-way window,
+    from its current position. Peers inside the junction region or on a lane
+    with priority there block the path within conflict_clearance of it.
+    """
+    conflict_pts = seg.conflict
+    center, radius, priority = _junction_zone(layout, seg.junction)
+    for px, py in windows:
+        x, y = float(px[0]), float(py[0])
+        inside = np.linalg.norm(np.array([x, y]) - center) <= radius
+        if not inside and locate(layout, (x, y), margin=math.inf)[0] not in priority:
+            continue
+        d = np.hypot(px[:, None] - conflict_pts[:, 0][None, :],
+                     py[:, None] - conflict_pts[:, 1][None, :])
+        if float(d.min()) < params.conflict_clearance:
+            return False
+    return True
 
 
 class FixedTraffic:
@@ -97,7 +84,6 @@ class FixedTraffic:
         self.layout = layout
         self.trajectories = trajectories
         self.params = params
-        self._regions: dict = {}
 
     def states_at(self, t: int) -> dict[str, VehicleState]:
         return {vid: traj.state_at(t) for vid, traj in self.trajectories.items()}
@@ -109,32 +95,50 @@ class FixedTraffic:
             out.append((float(traj.xs[k]), float(traj.ys[k]), float(traj.speeds[k])))
         return out
 
+    def collider(self, x: float, y: float, t: int) -> str | None:
+        """The first vehicle whose disc overlaps one at (x, y) at step t."""
+        radius2 = (2.0 * self.params.collision_radius) ** 2
+        for vid, traj in self.trajectories.items():
+            k = t if t < len(traj.xs) else len(traj.xs) - 1
+            dx, dy = float(traj.xs[k]) - x, float(traj.ys[k]) - y
+            if dx * dx + dy * dy <= radius2:
+                return vid
+        return None
+
     def giveway_clear(self, seg: _GiveWaySegment, t: int) -> bool:
-        """Yield while priority traffic is predicted near the conflict path."""
-        conflict_pts = seg.conflict_points()
-        if conflict_pts is None or seg.junction is None or not self.trajectories:
+        """Predict each vehicle by the recorded slice of its trajectory."""
+        if not self.trajectories:
             return True
-        jid = seg.junction
-        if jid not in self._regions:
-            self._regions[jid] = (_junction_region(self.layout, jid),
-                                  _priority_lanes(self.layout, jid))
-        (center, radius), priority = self._regions[jid]
         dt = next(iter(self.trajectories.values())).dt
         steps = max(int(self.params.giveway_window_s / dt), 1)
+        windows = []
         for traj in self.trajectories.values():
-            st = traj.state_at(t)
-            inside = np.linalg.norm(np.array([st.x, st.y]) - center) <= radius
-            if not inside and _quiet_locate(self.layout, (st.x, st.y)) not in priority:
-                continue
             k0 = min(t, len(traj) - 1)
             k1 = min(t + steps, len(traj) - 1)
-            px = traj.xs[k0:k1 + 1]
-            py = traj.ys[k0:k1 + 1]
-            d = np.hypot(px[:, None] - conflict_pts[:, 0][None, :],
-                         py[:, None] - conflict_pts[:, 1][None, :])
-            if float(d.min()) < self.params.conflict_clearance:
-                return False
-        return True
+            windows.append((traj.xs[k0:k1 + 1], traj.ys[k0:k1 + 1]))
+        return giveway_clear(self.layout, seg, windows, self.params)
+
+
+class ExtrapolatedTraffic:
+    """Other vehicles as one observed vehicle sees them: their current poses,
+    predicted at constant velocity along their current heading."""
+
+    def __init__(self, layout: RoadLayout, peers: list[ChainStepper], dt: float,
+                 params: KinematicParams):
+        self.layout = layout
+        self.peers = peers
+        self.dt = dt
+        self.params = params
+
+    def positions_speeds(self, t: int) -> list[tuple[float, float, float]]:
+        return [(p.x, p.y, p.v) for p in self.peers]
+
+    def giveway_clear(self, seg: _GiveWaySegment, t: int) -> bool:
+        n = max(int(self.params.giveway_window_s / self.dt), 1)
+        ts = np.arange(n + 1) * self.dt
+        windows = ((p.x + p.v * ts * math.cos(p.heading), p.y + p.v * ts * math.sin(p.heading))
+                   for p in self.peers)
+        return giveway_clear(self.layout, seg, windows, self.params)
 
 
 @dataclass
@@ -152,196 +156,73 @@ def simulate_step(ctx: SimulationContext, state: JointState, macro: MacroAction,
                   traffic: FixedTraffic) -> MacroStepResult:
     """Advance the ego through one macro while traffic follows fixed paths.
 
-    Termination checks per step, in order: collision (disc overlap), ego goal
-    reached, horizon exhausted.
+    Before each step, in order: horizon exhausted (termination), collision
+    (disc overlap), ego goal reached (done). A check that ends the macro
+    leaves the state it fired on as the trajectory's last.
     """
-    ego0 = state.vehicles[ctx.ego_id]
     maneuvers = expand_macro(macro, state, ctx.ego_id, ctx.layout)
-    t0 = state.t
-    params = ctx.params
+    ego = ChainStepper(state.vehicles[ctx.ego_id], ctx.layout, ctx.dt, ctx.params, maneuvers)
+    for t in range(state.t, ctx.horizon):
+        if ego.segment() is None:
+            break
+        collider = traffic.collider(ego.x, ego.y, t)
+        if collider is not None or goal_contains(ctx.layout, ctx.ego_goal, ego.x, ego.y):
+            outcome = "done" if collider is None else "collision"
+            return MacroStepResult(None, outcome, collider, ego.trajectory(), ego.steps)
+        ego.step(traffic, t)
 
-    terminal: dict = {"outcome": None, "collider": None, "cut": None}
-    radius2 = (2.0 * params.collision_radius) ** 2
-
-    def speed_limit_fn(x, y, v, seg, t):
-        # Per-step side effects live here: collision and goal checks run on
-        # the state *before* the move; a hit aborts the rollout right there.
-        for vid, traj in traffic.trajectories.items():
-            k = t if t < len(traj.xs) else len(traj.xs) - 1
-            dx, dy = float(traj.xs[k]) - x, float(traj.ys[k]) - y
-            if dx * dx + dy * dy <= radius2:
-                terminal["outcome"] = "collision"
-                terminal["collider"] = vid
-                terminal["cut"] = t - t0
-                return None
-        if goal_contains(ctx.layout, ctx.ego_goal, x, y):
-            terminal["outcome"] = "done"
-            terminal["cut"] = t - t0
-            return None
-        return _car_follow_limit(x, y, v, seg, traffic.positions_speeds(t), params, ctx.dt)
-
-    remaining = ctx.horizon - t0
-    traj = roll_chain(maneuvers, ego0, ctx.layout, ctx.dt, max(remaining, 0), params=params,
-                      speed_limit_fn=speed_limit_fn, giveway_clear_fn=traffic.giveway_clear,
-                      t0=t0)
-
-    if terminal["outcome"] is not None:
-        cut = max(terminal["cut"], 0)
-        traj = Trajectory(dt=traj.dt, xs=traj.xs[:cut + 1], ys=traj.ys[:cut + 1],
-                          headings=traj.headings[:cut + 1], speeds=traj.speeds[:cut + 1],
-                          accels=traj.accels[:cut + 1], truncated=False)
-        return MacroStepResult(None, terminal["outcome"], terminal["collider"], traj,
-                               len(traj) - 1)
-
-    steps = len(traj) - 1
-    t_end = t0 + steps
-    if traj.truncated or t_end >= ctx.horizon:
-        return MacroStepResult(None, "termination", None, traj, steps)
-
+    traj = ego.trajectory(truncated=ego.segment() is not None)
+    t_end = state.t + ego.steps
+    if t_end >= ctx.horizon:
+        return MacroStepResult(None, "termination", None, traj, ego.steps)
     vehicles = dict(traffic.states_at(t_end))
     vehicles[ctx.ego_id] = traj.tail_state()
-    return MacroStepResult(JointState(t=t_end, vehicles=vehicles), None, None, traj, steps)
+    return MacroStepResult(JointState(t=t_end, vehicles=vehicles), None, None, traj, ego.steps)
 
 
 # --- observation phase -------------------------------------------------------
 
 
-class _InteractiveActor:
-    """A vehicle playing its plan with reactive speed control.
+def _plan_segment(vid: str, driver: ChainStepper, plan: list[MacroAction], layout: RoadLayout):
+    """The driver's segment, expanding its next plan macros once its chain is done.
 
-    The plan is a list of Maneuver and/or MacroAction items; macro actions
-    expand lazily at whatever state the vehicle has actually reached.
+    A macro expands at whatever state the vehicle has actually reached and
+    is skipped if inapplicable there. None once the plan is exhausted.
     """
-
-    def __init__(self, vid: str, plan: list, state: VehicleState,
-                 layout: RoadLayout, dt: float, params: KinematicParams):
-        self.vid = vid
-        self.layout = layout
-        self.dt = dt
-        self.params = params
-        self.x, self.y = state.x, state.y
-        self.heading = state.heading
-        self.v = state.speed
-        self.states = [state]
-        self._plan = list(plan)
-        self._maneuvers: list[Maneuver] = []
-        self._man_idx = 0
-        self._seg = None
-        self._exhausted = False
-        self._peers: list["_InteractiveActor"] = []
-
-    def bind(self, peers: list["_InteractiveActor"]):
-        self._peers = [p for p in peers if p.vid != self.vid]
-
-    def _pop_segment(self):
-        while True:
-            while self._man_idx < len(self._maneuvers):
-                m = self._maneuvers[self._man_idx]
-                seg = _segment_for(m, self.x, self.y, self.heading, self.layout, self.params,
-                                   _end_speed_for(self._man_idx, self._maneuvers, self.params))
-                self._man_idx += 1
-                if seg is not None:
-                    return seg
-            if not self._plan:
-                return None
-            item = self._plan.pop(0)
-            if isinstance(item, Maneuver):
-                self._maneuvers = [item]
-            else:
-                joint = JointState(t=0, vehicles={self.vid: VehicleState(
-                    self.x, self.y, self.heading, max(self.v, 0.0))})
-                try:
-                    self._maneuvers = expand_macro(item, joint, self.vid, self.layout)
-                except InapplicableMacroError:
-                    self._maneuvers = []
-            self._man_idx = 0
-
-    def _giveway_clear(self, seg: _GiveWaySegment) -> bool:
-        conflict_pts = seg.conflict_points()
-        if conflict_pts is None or seg.junction is None:
-            return True
-        priority = _priority_lanes(self.layout, seg.junction)
-        center, radius = _junction_region(self.layout, seg.junction)
-        n = max(int(self.params.giveway_window_s / self.dt), 1)
-        for peer in self._peers:
-            inside = np.linalg.norm(np.array([peer.x, peer.y]) - center) <= radius
-            if not inside and _quiet_locate(self.layout, (peer.x, peer.y)) not in priority:
-                continue
-            # Constant-velocity extrapolation along the peer's current heading.
-            ts = np.arange(n + 1) * self.dt
-            px = peer.x + peer.v * ts * math.cos(peer.heading)
-            py = peer.y + peer.v * ts * math.sin(peer.heading)
-            d = np.hypot(px[:, None] - conflict_pts[:, 0][None, :],
-                         py[:, None] - conflict_pts[:, 1][None, :])
-            if float(d.min()) < self.params.conflict_clearance:
-                return False
-        return True
-
-    def step(self):
-        if self._seg is None:
-            self._seg = self._pop_segment()
-        if self._seg is None:
-            # Plan exhausted: coast to a stop in place.
-            v_next = max(self.v - self.params.brake_comfort * self.dt, 0.0)
-            self.states.append(VehicleState(self.x, self.y, self.heading, v_next,
-                                            (v_next - self.v) / self.dt))
-            self.v = v_next
-            return
-        seg = self._seg
-        if isinstance(seg, _GiveWaySegment) and not seg.cleared and self._giveway_clear(seg):
-            seg.cleared = True
-        v_des = seg.desired_speed(self.v, self.params)
-        others = [(p.x, p.y, p.v) for p in self._peers]
-        v_des = min(v_des, _car_follow_limit(self.x, self.y, self.v, seg, others,
-                                             self.params, self.dt))
-        a = min(max((v_des - self.v) / self.dt, -self.params.brake_max), self.params.accel_max)
-        v_next = max(self.v + a * self.dt, 0.0)
-        if isinstance(seg, _LaneChangeSegment):
-            x, y, heading = seg.advance(self.v, self.dt)
-        else:
-            x, y, heading, used = seg.advance_dist(self.v * self.dt)
-            if used < self.v * self.dt - 1e-9:
-                v_next = min(v_next, used / self.dt)
-        self.states.append(VehicleState(x, y, heading, v_next, (v_next - self.v) / self.dt))
-        self.x, self.y, self.heading, self.v = x, y, heading, v_next
-        if seg.done():
-            self._seg = None
-
-    def trajectory(self) -> Trajectory:
-        xs = np.array([s.x for s in self.states])
-        ys = np.array([s.y for s in self.states])
-        hs = np.array([s.heading for s in self.states])
-        vs = np.array([s.speed for s in self.states])
-        accs = np.array([s.acceleration for s in self.states])
-        return Trajectory(dt=self.dt, xs=xs, ys=ys, headings=hs, speeds=vs, accels=accs,
-                          vehicle_id=self.vid)
+    while driver.segment() is None and plan:
+        here = VehicleState(driver.x, driver.y, driver.heading, max(driver.v, 0.0))
+        try:
+            driver.follow(expand_macro(plan.pop(0), JointState(t=0, vehicles={vid: here}), vid,
+                                       layout))
+        except InapplicableMacroError:
+            continue
+    return driver.seg
 
 
-def observe(scenario: Scenario, initial: JointState, plans: dict[str, list],
+def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[MacroAction]],
             steps: int | None = None,
             params: KinematicParams | None = None) -> tuple[dict[str, Trajectory], JointState]:
     """Play every vehicle's plan for the observation window.
 
     Returns the observed per-vehicle trajectory prefixes and the resulting
-    planning-time joint state. Actors update in a fixed order each step, so
-    the phase is deterministic.
+    planning-time joint state. Vehicles step in a fixed order and each sees
+    the others' latest states, so the phase is deterministic. A vehicle whose
+    plan is exhausted coasts to a stop in place.
     """
     params = params or KinematicParams(cruise_speed=scenario.target_speed)
     steps = scenario.observation_steps if steps is None else steps
-    actors = [_InteractiveActor(vid, plans[vid], st, scenario.layout, scenario.dt, params)
-              for vid, st in initial.vehicles.items()]
-    for actor in actors:
-        actor.bind(actors)
-    for _ in range(steps):
-        for actor in actors:
-            actor.step()
-    prefixes = {a.vid: a.trajectory() for a in actors}
-    final = JointState(t=steps, vehicles={a.vid: a.states[-1] for a in actors})
+    layout, dt = scenario.layout, scenario.dt
+    drivers = {vid: ChainStepper(st, layout, dt, params) for vid, st in initial.vehicles.items()}
+    plan_left = {vid: list(plans[vid]) for vid in drivers}
+    traffic = {vid: ExtrapolatedTraffic(layout, [d for o, d in drivers.items() if o != vid],
+                                        dt, params)
+               for vid in drivers}
+    for t in range(steps):
+        for vid, driver in drivers.items():
+            if _plan_segment(vid, driver, plan_left[vid], layout) is None:
+                driver.coast()
+            else:
+                driver.step(traffic[vid], t)
+    prefixes = {vid: d.trajectory(vehicle_id=vid) for vid, d in drivers.items()}
+    final = JointState(t=steps, vehicles={vid: p.tail_state() for vid, p in prefixes.items()})
     return prefixes, final
-
-
-def lane_keep_plan(layout: RoadLayout, state: VehicleState) -> list[Maneuver]:
-    """Plain lane keeping, used for the ego before it has planned anything."""
-    from .scenario import locate
-    lane_id, _, _ = locate(layout, (state.x, state.y))
-    return [Maneuver("lane-follow", lanes=tuple(lane_follow_chain(layout, lane_id)))]

@@ -190,3 +190,54 @@ def test_style_flag_changes_wording(mini_scenario_path, tmp_path, capsys):
     assert code == 0
     assert "continued ahead" in default_text
     assert "gone straight" in styled_text
+
+
+# --- typed run-directory and style errors -------------------------------------------
+
+
+def test_missing_run_directory_exits_with_run_dir_code(tmp_path, capsys):
+    code, _, err = run_cli(["explain", "--run", str(tmp_path / "nowhere"),
+                            "--query", "omega1=Continue"], capsys)
+    assert code == 7
+    assert "does not exist" in err and "unexpected" not in err
+
+
+def test_truncated_trace_log_exits_with_run_dir_code(mini_scenario_path, tmp_path, capsys):
+    out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
+    path = os.path.join(out, "tracelog.json")
+    data = open(path).read()
+    with open(path, "w") as fh:
+        fh.write(data[:len(data) // 2])
+    code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
+    assert code == 7
+    assert "tracelog.json is not valid JSON" in err
+
+
+def test_run_json_without_max_depth_exits_with_run_dir_code(mini_scenario_path, tmp_path,
+                                                            capsys):
+    out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
+    path = os.path.join(out, "run.json")
+    meta = json.load(open(path))
+    del meta["max_depth"]
+    json.dump(meta, open(path, "w"))
+    code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
+    assert code == 7
+    assert "max_depth" in err
+
+
+def test_malformed_style_file_exits_with_parse_code(mini_scenario_path, tmp_path, capsys):
+    out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
+    style = tmp_path / "style.json"
+    style.write_text("{not json")
+    code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue",
+                            "--style", str(style)], capsys)
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+def test_missing_style_file_exits_with_parse_code(mini_scenario_path, tmp_path, capsys):
+    out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
+    code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue",
+                            "--style", str(tmp_path / "missing.json")], capsys)
+    assert code == 2
+    assert "cannot read style file" in err

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from whyplan.causal import CausalSummary, Cause, CfOutcome, Effect
+from whyplan.errors import StyleError
 from whyplan.grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw,
                              load_style, post_process, realize_macros, to_grammar_input)
 
@@ -160,6 +161,14 @@ def test_broken_postprocess_table_is_rejected(tmp_path):
         "postprocess": [["slow", "very slow"]],  # output contains the pattern
     }))
     with pytest.raises(ValueError, match="idempotent"):
+        load_style(str(style_path))
+
+
+@pytest.mark.parametrize("table", [5, [["only a pattern"]], [["with higher jerk", 3]]])
+def test_malformed_postprocess_table_is_a_style_error(tmp_path, table):
+    style_path = tmp_path / "style.json"
+    style_path.write_text(json.dumps({"postprocess": table}))
+    with pytest.raises(StyleError, match="string pairs"):
         load_style(str(style_path))
 
 

@@ -1,17 +1,24 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from whyplan.errors import InapplicableMacroError
+from whyplan.errors import InapplicableMacroError, OffRoadError
+from whyplan.geometry import Polyline, turn_curve
 from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, applicable_macros,
-                               expand_macro, extract_features, generate_trajectory,
-                               macro_from_name)
-from whyplan.scenario import Goal, JointState, lane_point_state, scenario_from_dict
+                               expand_macro, extract_features, macro_from_name,
+                               roll_chain)
+from whyplan.pipeline import true_goal_plans
+from whyplan.scenario import (Goal, JointState, VehicleState, goal_contains, lane_point_state,
+                              load_scenario, locate, sample_initial_states,
+                              scenario_from_dict)
+from whyplan.simulation import observe
 
 from conftest import mini_scenario_dict
 
 PARAMS = KinematicParams()
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def joint_on(sc, lane, s, speed=8.0, extra=None):
@@ -145,6 +152,38 @@ def test_inapplicable_macro_raises(sc):
         expand_macro(MacroAction("Exit", "left"), joint_on(sc, "right", 10.0), "me", sc.layout)
 
 
+def mid_connection(layout, from_lane, to_lane, speed=3.0):
+    """A state halfway along a junction connection curve, heading along it."""
+    a, b = layout.lanes[from_lane].midline, layout.lanes[to_lane].midline
+    curve = Polyline(turn_curve(a.point_at(a.length), a.heading_at(a.length),
+                                b.point_at(0.0), b.heading_at(0.0)))
+    x, y = curve.point_at(curve.length / 2)
+    return JointState(t=0, vehicles={"me": VehicleState(float(x), float(y),
+                                                        curve.heading_at(curve.length / 2),
+                                                        speed)})
+
+
+def test_vehicle_inside_a_junction_finishes_its_crossing():
+    s2 = load_scenario(os.path.join(SCENARIOS, "s2.json"))
+    goal = s2.spec_of("v1").goals[0]  # the start of n_out
+    turning = mid_connection(s2.layout, "w_in", "n_out")
+    with pytest.raises(OffRoadError):
+        locate(s2.layout, (turning.vehicles["me"].x, turning.vehicles["me"].y))
+    assert applicable_macros(turning, "me", s2.layout, goal) == [MacroAction("Exit", "left")]
+    chain = expand_macro(MacroAction("Exit", "left"), turning, "me", s2.layout)
+    assert [m.kind for m in chain] == ["turn-left"]
+    with pytest.raises(InapplicableMacroError):
+        expand_macro(MacroAction("Continue"), turning, "me", s2.layout)
+    traj = roll_chain(chain, turning.vehicles["me"], s2.layout, s2.dt, 100, PARAMS)
+    assert not traj.truncated
+    assert goal_contains(s2.layout, goal, traj.xs[-1], traj.ys[-1])
+
+    straight = mid_connection(s2.layout, "w_in", "e_out")  # priority: lane keeping
+    assert applicable_macros(straight, "me", s2.layout, goal) == [MacroAction("Continue")]
+    chain = expand_macro(MacroAction("Continue"), straight, "me", s2.layout)
+    assert chain[0].lanes == ("w_in", "e_out")
+
+
 # --- trajectory generation -------------------------------------------------------
 
 
@@ -169,7 +208,7 @@ def test_constant_speed_lane_follow_reaches_lane_end():
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
     chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = generate_trajectory(chain, start, sc.layout, 0.1, 400, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
     # Cruise equals start speed until the end-of-road braking envelope binds.
     assert abs(len(traj) - 1 - 117) < 25
     assert traj.xs[-1] == pytest.approx(100.0, abs=0.5)
@@ -182,7 +221,7 @@ def test_lane_change_realigns_heading_and_moves_one_width():
     start = lane_point_state(sc.layout, "lane", 10.0, 8.0)
     chain = expand_macro(MacroAction("Change-left"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = generate_trajectory(chain, start, sc.layout, 0.1, 400, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
     assert traj.ys[-1] - traj.ys[0] == pytest.approx(3.5, abs=0.01)
     assert abs(traj.headings[-1]) < 1e-3
     assert len(traj) - 1 == pytest.approx(PARAMS.lane_change_duration / 0.1, abs=1)
@@ -193,7 +232,7 @@ def test_stop_manoeuvre_reaches_zero_speed():
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
     chain = expand_macro(MacroAction("Stop"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = generate_trajectory(chain, start, sc.layout, 0.1, 400, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
     assert traj.speeds[-1] == pytest.approx(0.0, abs=1e-6)
     assert not traj.truncated
 
@@ -203,22 +242,34 @@ def test_horizon_truncation_is_flagged_not_raised():
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
     chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = generate_trajectory(chain, start, sc.layout, 0.1, 30, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 30, PARAMS)
     assert traj.truncated
     assert len(traj) == 31
 
 
-def test_finite_difference_consistency():
+def consistency_inputs():
+    """Rollouts on the mini road, then every observed prefix of s2 at seeds 0-9."""
     sc = scenario_from_dict(mini_scenario_dict())
     start = lane_point_state(sc.layout, "right", 5.0, 9.0)
     for macro in ("Continue", "Change-left", "Exit-right"):
         chain = expand_macro(macro_from_name(macro), JointState(t=0, vehicles={"me": start}),
                              "me", sc.layout)
-        traj = generate_trajectory(chain, start, sc.layout, 0.1, 400, PARAMS)
+        yield macro, roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
+    s2 = load_scenario(os.path.join(SCENARIOS, "s2.json"))
+    params = KinematicParams(cruise_speed=s2.target_speed)
+    for seed in range(10):
+        initial = sample_initial_states(s2, seed)
+        prefixes, _ = observe(s2, initial, true_goal_plans(s2, initial, params))
+        for vid, traj in prefixes.items():
+            yield f"s2 seed {seed} observed {vid}", traj
+
+
+def test_finite_difference_consistency():
+    for label, traj in consistency_inputs():
         dx = np.diff(traj.xs)
         dy = np.diff(traj.ys)
-        speed_err = np.abs(np.hypot(dx, dy) / 0.1 - traj.speeds[:-1])
-        assert float(speed_err.max()) <= 0.1
+        speed_err = np.abs(np.hypot(dx, dy) / traj.dt - traj.speeds[:-1])
+        assert float(speed_err.max()) <= 0.1, label
 
 
 # --- features --------------------------------------------------------------------
@@ -228,7 +279,7 @@ def test_constant_velocity_straight_features_are_zero():
     sc = straight_lane_sc()
     n = 51
     traj = Trajectory(dt=0.1, xs=np.arange(n) * 1.0, ys=np.zeros(n), headings=np.zeros(n),
-                      speeds=np.full(n, 10.0), accels=np.zeros(n))
+                      speeds=np.full(n, 10.0))
     goal = Goal(lane="lane", start_s=99.0, end_s=100.0, label="end")
     f = extract_features(traj, goal, sc.layout)
     assert f.jerk == 0.0
@@ -242,7 +293,7 @@ def test_time_to_goal_on_100m_lane_at_10mps():
     sc = straight_lane_sc()
     n = 101
     traj = Trajectory(dt=0.1, xs=np.arange(n) * 1.0, ys=np.zeros(n), headings=np.zeros(n),
-                      speeds=np.full(n, 10.0), accels=np.zeros(n))
+                      speeds=np.full(n, 10.0))
     f = extract_features(traj, sc.ego_goal, sc.layout)
     assert f.reached_goal
     assert f.time_to_goal == pytest.approx(10.0, abs=1e-9)
@@ -257,7 +308,7 @@ def test_circular_arc_curvature():
     ys = radius * np.sin(omega * ts)
     headings = omega * ts + math.pi / 2
     traj = Trajectory(dt=dt, xs=xs, ys=ys, headings=np.array([((h + math.pi) % (2 * math.pi)) - math.pi for h in headings]),
-                      speeds=np.full(steps + 1, speed), accels=np.zeros(steps + 1))
+                      speeds=np.full(steps + 1, speed))
     sc = straight_lane_sc()
     f = extract_features(traj, sc.ego_goal, sc.layout)
     assert f.curvature == pytest.approx(1.0 / radius, rel=0.02)
@@ -269,7 +320,7 @@ def test_features_invariant_to_rigid_translation():
     start = lane_point_state(sc.layout, "right", 5.0, 9.0)
     chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = generate_trajectory(chain, start, sc.layout, 0.1, 400, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
     f0 = extract_features(traj, sc.ego_goal, sc.layout)
 
     shifted = mini_scenario_dict()
@@ -278,7 +329,7 @@ def test_features_invariant_to_rigid_translation():
         lane["midline"] = [[x + dx, y + dy] for x, y in lane["midline"]]
     sc2 = scenario_from_dict(shifted)
     traj2 = Trajectory(dt=traj.dt, xs=traj.xs + dx, ys=traj.ys + dy, headings=traj.headings,
-                       speeds=traj.speeds, accels=traj.accels)
+                       speeds=traj.speeds)
     f1 = extract_features(traj2, sc2.ego_goal, sc2.layout)
     for name in ("time_to_goal", "jerk", "angular_acceleration", "curvature"):
         assert getattr(f0, name) == pytest.approx(getattr(f1, name), abs=1e-9)

@@ -191,7 +191,7 @@ def head_on_traffic(sc, ego_state, dt):
     n = 200
     xs = np.linspace(ego_state.x + 30.0, ego_state.x + 30.0 - 0.8 * n, n + 1)
     traj = Trajectory(dt=dt, xs=xs, ys=np.zeros(n + 1), headings=np.full(n + 1, math.pi),
-                      speeds=np.full(n + 1, 8.0), accels=np.zeros(n + 1), vehicle_id="v1")
+                      speeds=np.full(n + 1, 8.0), vehicle_id="v1")
     return FixedTraffic(sc.layout, {"v1": traj}, PARAMS)
 
 
@@ -234,7 +234,7 @@ def test_horizon_exhaustion_is_termination():
 
 def flat_trajectory(n=60, speed=10.0):
     return Trajectory(dt=0.1, xs=np.arange(n) * speed * 0.1, ys=np.zeros(n),
-                      headings=np.zeros(n), speeds=np.full(n, speed), accels=np.zeros(n))
+                      headings=np.zeros(n), speeds=np.full(n, speed))
 
 
 def test_collision_reward_sets_exactly_one_component():

@@ -19,8 +19,7 @@ def prefix_from_states(states, dt=DT):
                       xs=np.array([s.x for s in states]),
                       ys=np.array([s.y for s in states]),
                       headings=np.array([s.heading for s in states]),
-                      speeds=np.array([s.speed for s in states]),
-                      accels=np.zeros(len(states)))
+                      speeds=np.array([s.speed for s in states]))
 
 
 def symmetric_fork_dict():
@@ -125,8 +124,7 @@ def test_posterior_never_rises_for_goal_with_growing_detour():
     last = None
     for steps in (5, 15, 25):
         prefix = Trajectory(dt=DT, xs=full.xs[:steps + 1], ys=full.ys[:steps + 1],
-                            headings=full.headings[:steps + 1], speeds=full.speeds[:steps + 1],
-                            accels=full.accels[:steps + 1])
+                            headings=full.headings[:steps + 1], speeds=full.speeds[:steps + 1])
         post = goal_posterior(prefix, goals, sc.layout, DT, HORIZON, PARAMS, beta=1.0)
         p_straight = post.probs[1]
         if last is not None:

@@ -1,0 +1,169 @@
+"""The one give-way predicate against the two it replaced.
+
+Planning (`FixedTraffic`, recorded trajectories) and observation
+(`ExtrapolatedTraffic`, constant-velocity extrapolation) used to carry their
+own copies of the give-way test. Both copies are kept here as references,
+and the merged predicate must give the same answer as the matching one for
+generated traffic around s2's junction.
+"""
+
+import math
+import os
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, _GiveWaySegment,
+                               _segment_for, expand_macro)
+from whyplan.scenario import JointState, lane_point_state, load_scenario
+from whyplan.simulation import ExtrapolatedTraffic, FixedTraffic
+
+S2 = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "s2.json"))
+PARAMS = KinematicParams(cruise_speed=S2.target_speed)
+DT = S2.dt
+
+
+# --- references: the two predicates before the merge ----------------------------
+
+
+def _junction_region(layout, junction_id):
+    ends = []
+    for conn in layout.junctions[junction_id].connections:
+        a = layout.lanes[conn.from_lane].midline
+        b = layout.lanes[conn.to_lane].midline
+        ends.append(a.point_at(a.length))
+        ends.append(b.point_at(0.0))
+    pts = np.asarray(ends)
+    center = pts.mean(axis=0)
+    radius = float(np.max(np.linalg.norm(pts - center, axis=1))) + 2.0
+    return center, radius
+
+
+def _priority_lanes(layout, junction_id):
+    return {c.from_lane for c in layout.junctions[junction_id].connections if c.has_priority}
+
+
+def _nearest_lane(layout, position):
+    best_lane, best_dist = None, math.inf
+    for lane in layout.lanes.values():
+        _, _, dist = lane.midline.project(position)
+        if dist < best_dist:
+            best_lane, best_dist = lane.id, dist
+    return best_lane
+
+
+def ref_recorded(layout, trajectories, params, seg, t):
+    """Planning's predicate: peers predicted by their recorded trajectories."""
+    conflict_pts = seg.conflict
+    if conflict_pts is None or seg.junction is None or not trajectories:
+        return True
+    center, radius = _junction_region(layout, seg.junction)
+    priority = _priority_lanes(layout, seg.junction)
+    dt = next(iter(trajectories.values())).dt
+    steps = max(int(params.giveway_window_s / dt), 1)
+    for traj in trajectories.values():
+        here = traj.state_at(t)
+        inside = np.linalg.norm(np.array([here.x, here.y]) - center) <= radius
+        if not inside and _nearest_lane(layout, (here.x, here.y)) not in priority:
+            continue
+        k0 = min(t, len(traj) - 1)
+        k1 = min(t + steps, len(traj) - 1)
+        px = traj.xs[k0:k1 + 1]
+        py = traj.ys[k0:k1 + 1]
+        d = np.hypot(px[:, None] - conflict_pts[:, 0][None, :],
+                     py[:, None] - conflict_pts[:, 1][None, :])
+        if float(d.min()) < params.conflict_clearance:
+            return False
+    return True
+
+
+def ref_extrapolated(layout, peers, dt, params, seg):
+    """Observation's predicate: peers extrapolated at constant velocity."""
+    conflict_pts = seg.conflict
+    if conflict_pts is None or seg.junction is None:
+        return True
+    priority = _priority_lanes(layout, seg.junction)
+    center, radius = _junction_region(layout, seg.junction)
+    n = max(int(params.giveway_window_s / dt), 1)
+    for peer in peers:
+        inside = np.linalg.norm(np.array([peer.x, peer.y]) - center) <= radius
+        if not inside and _nearest_lane(layout, (peer.x, peer.y)) not in priority:
+            continue
+        ts = np.arange(n + 1) * dt
+        px = peer.x + peer.v * ts * math.cos(peer.heading)
+        py = peer.y + peer.v * ts * math.sin(peer.heading)
+        d = np.hypot(px[:, None] - conflict_pts[:, 0][None, :],
+                     py[:, None] - conflict_pts[:, 1][None, :])
+        if float(d.min()) < params.conflict_clearance:
+            return False
+    return True
+
+
+# --- give-way segments at s2's junction -------------------------------------------
+
+
+def giveway_segment(lane, s, direction) -> _GiveWaySegment:
+    me = lane_point_state(S2.layout, lane, s, 6.0)
+    chain = expand_macro(MacroAction("Exit", direction), JointState(t=0, vehicles={"me": me}),
+                         "me", S2.layout)
+    seg = _segment_for(chain[1], me.x, me.y, me.heading, S2.layout, PARAMS, PARAMS.turn_speed)
+    assert isinstance(seg, _GiveWaySegment)
+    return seg
+
+
+SEGMENTS = [giveway_segment("s_in", 30.0, "right"), giveway_segment("s_in", 38.0, "left"),
+            giveway_segment("w_in", 40.0, "left")]
+
+coord = st.floats(-45.0, 45.0, allow_nan=False)
+peer = st.builds(SimpleNamespace, x=coord, y=coord,
+                 heading=st.floats(-math.pi, math.pi, allow_nan=False),
+                 v=st.floats(0.0, 12.0, allow_nan=False))
+
+
+@st.composite
+def recorded(draw):
+    x0, y0 = draw(coord), draw(coord)
+    n = draw(st.integers(1, 60))
+    steps = draw(st.lists(st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)),
+                          min_size=n - 1, max_size=n - 1))
+    xs = np.cumsum([x0] + [dx for dx, _ in steps])
+    ys = np.cumsum([y0] + [dy for _, dy in steps])
+    return Trajectory(dt=DT, xs=xs, ys=ys, headings=np.zeros(n), speeds=np.full(n, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seg_index=st.integers(0, len(SEGMENTS) - 1),
+       trajs=st.lists(recorded(), max_size=3), t=st.integers(0, 80))
+def test_recorded_prediction_matches_planning_reference(seg_index, trajs, t):
+    seg = SEGMENTS[seg_index]
+    trajectories = {f"v{i}": traj for i, traj in enumerate(trajs)}
+    traffic = FixedTraffic(S2.layout, trajectories, PARAMS)
+    assert traffic.giveway_clear(seg, t) == ref_recorded(S2.layout, trajectories, PARAMS,
+                                                         seg, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seg_index=st.integers(0, len(SEGMENTS) - 1), peers=st.lists(peer, max_size=3))
+def test_extrapolated_prediction_matches_observation_reference(seg_index, peers):
+    seg = SEGMENTS[seg_index]
+    traffic = ExtrapolatedTraffic(S2.layout, peers, DT, PARAMS)
+    assert traffic.giveway_clear(seg, 0) == ref_extrapolated(S2.layout, peers, DT, PARAMS, seg)
+
+
+@pytest.mark.parametrize("x,y,heading,v,clear", [
+    (-20.0, -1.75, 0.0, 8.0, False),   # priority traffic from the west, on the conflict path
+    (-20.0, -1.75, 0.0, 0.0, True),    # the same vehicle standing still, out of reach
+    (-50.0, 1.75, math.pi, 8.0, True),  # leaving westbound: not a priority lane
+    (0.0, 40.0, 0.0, 8.0, True),       # far north, off every priority lane
+])
+def test_both_predictors_agree_on_fixed_cases(x, y, heading, v, clear):
+    seg = SEGMENTS[0]
+    here = SimpleNamespace(x=x, y=y, heading=heading, v=v)
+    assert ExtrapolatedTraffic(S2.layout, [here], DT, PARAMS).giveway_clear(seg, 0) is clear
+    n = int(PARAMS.giveway_window_s / DT) + 1
+    ts = np.arange(n) * DT
+    traj = Trajectory(dt=DT, xs=x + v * ts * math.cos(heading), ys=y + v * ts * math.sin(heading),
+                      headings=np.full(n, heading), speeds=np.full(n, v))
+    assert FixedTraffic(S2.layout, {"v": traj}, PARAMS).giveway_clear(seg, 0) is clear
