@@ -25,8 +25,8 @@ from .maneuvers import (KinematicParams, MacroAction, Maneuver, Trajectory,
 from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
                    run_mcts, terminal_reward)
 from .pipeline import (PipelineResult, explain_query, load_run, run_pipeline, save_run)
-from .recognition import (GoalPosterior, Predictions, TrajectoryOption, goal_posterior,
-                          predict_all, trajectory_distribution)
+from .recognition import (GoalPosterior, Predictions, TrajectoryOption, enumerate_plans,
+                          goal_posterior, predict_all, trajectory_options)
 from .scenario import (Goal, JointState, Junction, Lane, RoadLayout, Scenario, VehicleState,
                        goal_contains, load_scenario, locate, sample_initial_states)
 from .simulation import FixedTraffic, SimulationContext, observe, simulate_step

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 parse errors (scenario, query or style file),
 3 validation errors, 4 planning failures, 5 inference failures, 6 unexplored
-counterfactual, 7 a missing or malformed run directory, 1 anything else.
+counterfactual, 7 a missing or malformed run directory (including a trace log
+whose indices are not 0..n-1, whose records go deeper than max_depth, or
+which samples options predictions.json does not list), 1 anything else.
 """
 
 import argparse

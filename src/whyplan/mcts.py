@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ScenarioValidationError
 from .maneuvers import (KinematicParams, MacroAction, Trajectory, applicable_macros,
                         concat_trajectories, extract_features)
-from .recognition import Predictions, predict_all
+from .recognition import FEATURE_WEIGHTS, Predictions
 from .scenario import JointState, Scenario
 from .simulation import FixedTraffic, MacroStepResult, SimulationContext, simulate_step
 
@@ -53,13 +53,7 @@ class RewardConfig:
     """Weights of the linear reward; collision and termination negative."""
 
     weights: dict = field(default_factory=lambda: {
-        "time": -1.0,
-        "jerk": -0.1,
-        "angular_acceleration": -0.1,
-        "curvature": -0.1,
-        "collision": -100.0,
-        "termination": -50.0,
-    })
+        **FEATURE_WEIGHTS, "collision": -100.0, "termination": -50.0})
 
     def __post_init__(self):
         missing = set(REWARD_COMPONENTS) - set(self.weights)
@@ -195,8 +189,6 @@ class MctsResult:
     plan: tuple[str, ...]
     tree: SearchTree
     trace_log: list[TraceRecord]
-    predictions: Predictions
-    initial: JointState
 
 
 def _select_ucb(node: _Node, actions: list[MacroAction], exploration: float,
@@ -218,21 +210,15 @@ def _select_ucb(node: _Node, actions: list[MacroAction], exploration: float,
 
 
 def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
-             reward_config: RewardConfig | None = None,
-             predictions: Predictions | None = None,
+             predictions: Predictions, reward_config: RewardConfig | None = None,
              params: KinematicParams | None = None) -> MctsResult:
     """Plan for the ego with MCTS; returns the plan, tree and full trace log.
 
-    `predictions` normally comes from goal recognition over the observation
-    phase; without it, posteriors fall back to single-state prefixes (uniform
-    over reachable goals). Deterministic for a fixed config.seed.
+    `predictions` comes from goal recognition over the observation phase.
+    Deterministic for a fixed config.seed.
     """
     reward_config = reward_config or RewardConfig()
     params = params or KinematicParams(cruise_speed=scenario.target_speed)
-    if predictions is None:
-        prefixes = {vid: _single_state_prefix(initial, vid, scenario.dt)
-                    for vid in scenario.non_ego_ids}
-        predictions = predict_all(scenario, prefixes, params=params)
 
     ctx = SimulationContext(layout=scenario.layout, ego_id=scenario.ego_id,
                             ego_goal=scenario.ego_goal, dt=scenario.dt,
@@ -310,12 +296,4 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
             steps=n_steps,
         ))
 
-    return MctsResult(plan=tree.best_path(), tree=tree, trace_log=log,
-                      predictions=predictions, initial=initial)
-
-
-def _single_state_prefix(initial: JointState, vid: str, dt: float) -> Trajectory:
-    st = initial.vehicles[vid]
-    return Trajectory(dt=dt, xs=np.array([st.x]), ys=np.array([st.y]),
-                      headings=np.array([st.heading]), speeds=np.array([st.speed]),
-                      vehicle_id=vid)
+    return MctsResult(plan=tree.best_path(), tree=tree, trace_log=log)

@@ -1,5 +1,10 @@
 """End-to-end orchestration: sample, observe, recognize, plan, model.
 
+Each non-ego vehicle's candidate plans from its initial state are enumerated
+once (`true_goal_plans`) and serve both its observation-phase plan and
+recognition's optimal reward; recognition enumerates once more, from the
+last observed state.
+
 Also owns the run-directory format: everything an explanation needs is
 persisted (trace log, goal/trajectory factors, config), so `explain` never
 re-plans. Artifact files are byte-stable for a fixed seed.
@@ -37,21 +42,27 @@ class PipelineResult:
     model: BnModel
 
 
-def true_goal_plans(scenario: Scenario, initial: JointState, params: KinematicParams) -> dict:
-    """Observation-phase plan per vehicle: its best plan to its true goal.
+def true_goal_plans(scenario: Scenario, initial: JointState,
+                    params: KinematicParams) -> tuple[dict, dict]:
+    """Observation-phase plan per vehicle, and every non-ego vehicle's plans.
 
-    The ego has not planned yet and just keeps its lane (Continue), as does a
-    vehicle with no goal or no plan to it.
+    `from_start` maps each non-ego vehicle to its candidate plans per goal
+    from its initial state. Its observation plan is the best plan to its true
+    goal (the first). The ego has not planned yet and just keeps its lane
+    (Continue), as does a vehicle with no plan to its true goal.
     """
     plans: dict = {}
+    from_start: dict = {}
     for spec in scenario.vehicles:
-        candidates = []
-        if spec.id != scenario.ego_id and spec.true_goal is not None:
-            candidates = enumerate_plans(initial.vehicles[spec.id], spec.true_goal,
-                                         scenario.layout, scenario.dt, scenario.horizon, params)
-        names = candidates[0].macros if candidates else ("Continue",)
+        names = ("Continue",)
+        if spec.id != scenario.ego_id:
+            per_goal = from_start[spec.id] = enumerate_plans(
+                initial.vehicles[spec.id], spec.goals, scenario.layout, scenario.dt,
+                scenario.horizon, params)
+            if per_goal[0]:
+                names = per_goal[0][0].macros
         plans[spec.id] = [macro_from_name(name) for name in names]
-    return plans
+    return plans, from_start
 
 
 def planner_config(scenario: Scenario, seed: int, iterations: int = 300, max_depth: int = 3,
@@ -70,12 +81,14 @@ def run_pipeline(scenario: Scenario, seed: int, planner: PlannerConfig | None = 
     reward = reward or RewardConfig()
     params = KinematicParams(cruise_speed=scenario.target_speed)
     initial = sample_initial_states(scenario, seed)
-    plans = true_goal_plans(scenario, initial, params)
+    plans, from_start = true_goal_plans(scenario, initial, params)
     prefixes, planning_state = observe(scenario, initial, plans)
-    predictions = predict_all(scenario, prefixes, params=params)
-    result = run_mcts(scenario, planning_state, planner, reward_config=reward,
-                      predictions=predictions, params=params)
-    model = model_from(result, planner.max_depth)
+    predictions = predict_all(scenario, prefixes, from_start, params=params)
+    result = run_mcts(scenario, planning_state, planner, predictions, reward_config=reward,
+                      params=params)
+    goal_probs, traj_probs, traj_macros, labels = prediction_factors(predictions)
+    model = build_bn(result.trace_log, goal_probs, traj_probs, planner.max_depth,
+                     traj_macros=traj_macros, labels=labels)
     return PipelineResult(scenario=scenario, seed=seed, planner=planner, reward=reward,
                           initial=initial, planning_state=planning_state, prefixes=prefixes,
                           predictions=predictions, mcts=result, model=model)
@@ -97,12 +110,6 @@ def prediction_factors(predictions: Predictions) -> tuple[dict, dict, dict, dict
                 traj_macros[vid][(gi, si)] = opt.macros
         labels[vid] = pred.label
     return goal_probs, traj_probs, traj_macros, labels
-
-
-def model_from(result: MctsResult, d_max: int) -> BnModel:
-    goal_probs, traj_probs, traj_macros, labels = prediction_factors(result.predictions)
-    return build_bn(result.trace_log, goal_probs, traj_probs, d_max,
-                    traj_macros=traj_macros, labels=labels)
 
 
 def explain_query(model: BnModel, plan: tuple[str, ...], reward: RewardConfig,
@@ -185,10 +192,8 @@ def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
 @dataclass
 class LoadedRun:
     plan: tuple[str, ...]
-    d_max: int
     reward: RewardConfig
     model: BnModel
-    meta: dict
 
 
 def _read_artifact(run_dir: str, name: str):
@@ -202,11 +207,31 @@ def _read_artifact(run_dir: str, name: str):
         raise RunDirectoryError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _check_trace_log(records: list[TraceRecord], traj_probs: dict, d_max: int) -> None:
+    """Records indexed 0..n-1, no deeper than max_depth, each sampling one of
+    the options `predictions.json` lists for every vehicle it predicts."""
+    if [rec.index for rec in records] != list(range(len(records))):
+        raise RunDirectoryError("tracelog.json indices are not 0, 1, ..., n-1 in order")
+    options = {(vid, gs) for vid, opts in traj_probs.items() for gs in opts}
+    for rec in records:
+        if len(rec.macros) > d_max:
+            raise RunDirectoryError(f"tracelog.json record {rec.index} has {len(rec.macros)} "
+                                    f"macros, more than max_depth {d_max} in run.json")
+        # Keys are distinct, so this covers each predicted vehicle exactly once.
+        if len(rec.assignment) != len(traj_probs) or not options.issuperset(
+                rec.assignment.items()):
+            raise RunDirectoryError(f"tracelog.json record {rec.index} samples "
+                                    f"{sorted(rec.assignment.items())}, which are not "
+                                    f"options listed in predictions.json")
+
+
 def load_run(run_dir: str) -> LoadedRun:
     """Rebuild the model from persisted artifacts, without re-planning.
 
     Raises RunDirectoryError when the directory or an artifact is missing or
-    unreadable, is not JSON, or lacks an entry the model is built from.
+    unreadable, is not JSON, or lacks an entry the model is built from, and
+    when the trace log disagrees with `run.json` or `predictions.json` (see
+    `_check_trace_log`).
     """
     if not os.path.isdir(run_dir):
         raise RunDirectoryError(f"run directory {run_dir} does not exist")
@@ -241,9 +266,10 @@ def load_run(run_dir: str) -> LoadedRun:
                 traj_macros[vid][(gi, si)] = tuple(od["macros"])
         reward = RewardConfig(weights=meta["reward_weights"])
         plan, d_max = tuple(meta["plan"]), meta["max_depth"]
+        _check_trace_log(records, traj_probs, d_max)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RunDirectoryError(f"malformed run directory {run_dir}: "
                                 f"{type(exc).__name__} {exc}") from exc
     model = build_bn(records, goal_probs, traj_probs, d_max,
                      traj_macros=traj_macros, labels=labels)
-    return LoadedRun(plan=plan, d_max=d_max, reward=reward, model=model, meta=meta)
+    return LoadedRun(plan=plan, reward=reward, model=model)

@@ -1,11 +1,13 @@
 """Goal recognition: Boltzmann-rational posteriors over goals and predicted
 trajectory distributions per goal.
 
-A vehicle's candidate plans to a goal are enumerated as macro-action
-sequences (bounded depth, traffic-free rollouts). The goal posterior weighs
-how much reward the observed prefix has already given up relative to the
-optimal plan for each goal; trajectory probabilities are a softmax over
-candidate plan rewards.
+A vehicle's candidate plans are enumerated as macro-action sequences
+(bounded depth, traffic-free rollouts) for all of its goals at once, from two
+start states: where it was first observed (its observation plan and r_star)
+and where it is now (the completions of the observed prefix). The goal
+posterior weighs how much reward the observed prefix has already given up
+relative to the optimal plan for each goal; trajectory probabilities are a
+softmax over candidate plan rewards.
 """
 
 import math
@@ -15,26 +17,23 @@ import numpy as np
 
 from .errors import (GoalUnreachableError, InapplicableMacroError, NoApplicableActionError,
                      OffRoadError)
-from .maneuvers import (KinematicParams, Trajectory, applicable_macros,
-                        concat_trajectories, expand_macro, extract_features,
-                        lane_follow_chain, roll_chain, Maneuver)
+from .maneuvers import (KinematicParams, MacroAction, Trajectory, TrajectoryFeatures,
+                        applicable_macros, concat_trajectories, expand_macro,
+                        extract_features, lane_follow_chain, roll_chain, Maneuver)
 from .scenario import Goal, JointState, RoadLayout, Scenario, VehicleState, locate
 
 ENUMERATION_DEPTH = 3
 
-# Reward components of a completed trajectory, shared with the planner.
-DEFAULT_FEATURE_WEIGHTS = {
+# Weights of a completed trajectory's reward components, shared with the planner.
+FEATURE_WEIGHTS = {
     "time": -1.0,
     "jerk": -0.1,
     "angular_acceleration": -0.1,
     "curvature": -0.1,
 }
 
-
-def plan_reward(traj: Trajectory, goal: Goal, layout: RoadLayout,
-                weights: dict | None = None) -> float:
-    w = weights or DEFAULT_FEATURE_WEIGHTS
-    f = extract_features(traj, goal, layout)
+def plan_reward(f: TrajectoryFeatures) -> float:
+    w = FEATURE_WEIGHTS
     return (w["time"] * f.time_to_goal + w["jerk"] * f.jerk
             + w["angular_acceleration"] * f.angular_acceleration
             + w["curvature"] * f.curvature)
@@ -64,25 +63,34 @@ class GoalPosterior:
     probs: tuple[float, ...]
 
 
-def enumerate_plans(state: VehicleState, goal: Goal, layout: RoadLayout, dt: float,
-                    horizon: int, params: KinematicParams,
-                    max_depth: int = ENUMERATION_DEPTH,
-                    weights: dict | None = None) -> list[PlanCandidate]:
-    """All goal-reaching macro sequences up to max_depth, traffic-free."""
-    vid = "_solo"
-    results: list[PlanCandidate] = []
+def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLayout,
+                    dt: float, horizon: int,
+                    params: KinematicParams) -> list[list[PlanCandidate]]:
+    """Goal-reaching macro sequences up to ENUMERATION_DEPTH, one list per goal.
 
-    def recurse(cur: VehicleState, macros: tuple[str, ...], parts: list[Trajectory],
-                steps_left: int, depth: int):
-        if depth >= max_depth or steps_left <= 0:
+    The recursion carries the goals still open on a path: each macro prefix
+    is rolled out once, traffic-free, and offered to every open goal for
+    which the macro is applicable (Continue is the only goal-dependent
+    macro). A goal closes on a path once the path reaches it.
+    """
+    vid = "_solo"
+    results: list[list[PlanCandidate]] = [[] for _ in goals]
+
+    def recurse(cur: VehicleState, open_goals: list[int], macros: tuple[str, ...],
+                parts: list[Trajectory], steps_left: int, depth: int):
+        if depth >= ENUMERATION_DEPTH or steps_left <= 0:
             return
         joint = JointState(t=0, vehicles={vid: cur})
-        try:
-            actions = applicable_macros(joint, vid, layout, goal, params)
-        except (OffRoadError, NoApplicableActionError):
-            return
+        takers: dict[MacroAction, list[int]] = {}
+        for gi in open_goals:
+            try:
+                actions = applicable_macros(joint, vid, layout, goals[gi], params)
+            except (OffRoadError, NoApplicableActionError):
+                continue
+            for macro in actions:
+                takers.setdefault(macro, []).append(gi)
         _inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
-        for macro in actions:
+        for macro, gis in takers.items():
             if macro.kind == "Stop":
                 continue
             if macro.kind == "Continue" and macros and macros[-1] == "Continue":
@@ -98,44 +106,33 @@ def enumerate_plans(state: VehicleState, goal: Goal, layout: RoadLayout, dt: flo
             new_parts = parts + [traj]
             new_macros = macros + (macro.name,)
             full = concat_trajectories(new_parts)
-            feats = extract_features(full, goal, layout)
-            if feats.reached_goal:
-                results.append(PlanCandidate(new_macros, full,
-                                             plan_reward(full, goal, layout, weights)))
-                continue
-            if not traj.truncated:
-                recurse(traj.tail_state(), new_macros, new_parts,
+            still_open = []
+            for gi in gis:
+                feats = extract_features(full, goals[gi], layout)
+                if feats.reached_goal:
+                    results[gi].append(PlanCandidate(new_macros, full, plan_reward(feats)))
+                else:
+                    still_open.append(gi)
+            if still_open and not traj.truncated:
+                recurse(traj.tail_state(), still_open, new_macros, new_parts,
                         steps_left - (len(traj) - 1), depth + 1)
 
-    recurse(state, (), [], horizon, 0)
+    recurse(state, list(range(len(goals))), (), [], horizon, 0)
     # Deterministic order: best reward first, macro names break ties.
-    results.sort(key=lambda c: (-c.reward, c.macros))
+    for cands in results:
+        cands.sort(key=lambda c: (-c.reward, c.macros))
     return results
 
 
-def _softmax(scores, beta: float) -> np.ndarray:
-    z = beta * np.asarray(scores, dtype=float)
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def trajectory_distribution(state: VehicleState, goal: Goal, layout: RoadLayout,
-                            dt: float, horizon: int, params: KinematicParams,
-                            beta: float = 1.0, weights: dict | None = None,
-                            max_depth: int = ENUMERATION_DEPTH) -> list[TrajectoryOption]:
-    """Predicted trajectories to one goal with rationality-weighted probabilities."""
-    candidates = enumerate_plans(state, goal, layout, dt, horizon, params,
-                                 max_depth=max_depth, weights=weights)
-    return _trajectory_options(candidates, goal, layout, dt, horizon, params, beta)
-
-
-def _trajectory_options(candidates: list[PlanCandidate], goal: Goal, layout: RoadLayout,
-                        dt: float, horizon: int, params: KinematicParams,
-                        beta: float) -> list[TrajectoryOption]:
+def trajectory_options(candidates: list[PlanCandidate], goal: Goal, layout: RoadLayout,
+                       dt: float, horizon: int, params: KinematicParams,
+                       beta: float) -> list[TrajectoryOption]:
+    """One goal's candidates as predicted trajectories with softmax probabilities."""
     if not candidates:
         raise GoalUnreachableError(f"goal {goal.label!r} unreachable")
-    probs = _softmax([c.reward for c in candidates], beta)
+    z = beta * np.asarray([c.reward for c in candidates], dtype=float)
+    e = np.exp(z - z.max())
+    probs = e / e.sum()
     return [TrajectoryOption(c.macros, _extend_to_horizon(c.trajectory, layout, dt, horizon,
                                                           params), float(p))
             for c, p in zip(candidates, probs)]
@@ -173,62 +170,40 @@ def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon:
     return out
 
 
-def goal_posterior(observed: Trajectory, goals: tuple[Goal, ...], layout: RoadLayout,
-                   dt: float, horizon: int, params: KinematicParams, beta: float = 1.0,
-                   prior: list[float] | None = None,
-                   weights: dict | None = None) -> GoalPosterior:
+def goal_posterior(observed: Trajectory, goals: tuple[Goal, ...],
+                   from_start: list[list[PlanCandidate]],
+                   from_current: list[list[PlanCandidate]], layout: RoadLayout,
+                   beta: float = 1.0) -> GoalPosterior:
     """Posterior over goals given an observed trajectory prefix.
 
-    p(g | prefix) ~ prior(g) * exp(beta * (r_hat(g) - r_star(g))) where
-    r_star is the optimal plan reward from the first observed state and r_hat
-    the best achievable reward given the prefix already driven. Goals with no
-    completion from the current state get probability zero.
+    p(g | prefix) ~ exp(beta * (r_hat(g) - r_star(g))) under a uniform prior,
+    where r_star is the optimal plan reward from the first observed state (the
+    best of `from_start[g]`, enumerated there) and r_hat the best achievable
+    reward given the prefix already driven (the prefix followed by a plan in
+    `from_current[g]`, enumerated from the last observed state). Goals with no
+    plan from either state get probability zero.
     """
-    _check_observation(observed, goals)
-    current = observed.tail_state()
-    completions = [enumerate_plans(current, goal, layout, dt, horizon, params,
-                                   weights=weights) for goal in goals]
-    return _goal_posterior(observed, goals, completions, layout, dt, horizon, params,
-                           beta, prior, weights)
-
-
-def _check_observation(observed: Trajectory, goals: tuple[Goal, ...]) -> None:
     if len(goals) == 0:
         raise GoalUnreachableError("empty goal set")
     if len(observed) == 0:
         raise ValueError("empty observed prefix")
-
-
-def _goal_posterior(observed: Trajectory, goals: tuple[Goal, ...],
-                    completions: list[list[PlanCandidate]], layout: RoadLayout, dt: float,
-                    horizon: int, params: KinematicParams, beta: float,
-                    prior: list[float] | None, weights: dict | None) -> GoalPosterior:
-    """`goal_posterior` given each goal's plans from the last observed state."""
-    prior = prior or [1.0 / len(goals)] * len(goals)
-    start = observed.state_at(0)
     scores: list[float | None] = []
-    for goal, cands in zip(goals, completions):
-        best_from_start = enumerate_plans(start, goal, layout, dt, horizon, params,
-                                          weights=weights)
-        if not best_from_start or not cands:
+    for goal, start_plans, tail_plans in zip(goals, from_start, from_current):
+        if not start_plans or not tail_plans:
             scores.append(None)
             continue
-        r_star = best_from_start[0].reward
-        r_hat = None
-        for cand in cands:
-            full = concat_trajectories([observed, cand.trajectory])
-            r = plan_reward(full, goal, layout, weights)
-            if r_hat is None or r > r_hat:
-                r_hat = r
-        scores.append(r_hat - r_star)
+        r_hat = max(plan_reward(extract_features(concat_trajectories([observed, c.trajectory]),
+                                                 goal, layout)) for c in tail_plans)
+        scores.append(r_hat - start_plans[0].reward)
     if all(s is None for s in scores):
         raise GoalUnreachableError("all goals unreachable")
-    finite = [beta * s for s in scores if s is not None]
-    zmax = max(finite)
-    weights_out = [p * math.exp(beta * s - zmax) if s is not None else 0.0
-                   for p, s in zip(prior, scores)]
-    total = sum(weights_out)
-    return GoalPosterior(goals=tuple(goals), probs=tuple(w / total for w in weights_out))
+    zmax = max(beta * s for s in scores if s is not None)
+    # The uniform prior cancels exactly only in exact arithmetic, so it stays
+    # a factor: dropping it can move the last bit of a probability.
+    prior = 1.0 / len(goals)
+    weights = [prior * math.exp(beta * s - zmax) if s is not None else 0.0 for s in scores]
+    total = sum(weights)
+    return GoalPosterior(goals=tuple(goals), probs=tuple(w / total for w in weights))
 
 
 # --- whole-scenario prediction -------------------------------------------------
@@ -257,8 +232,13 @@ class Predictions:
 
 
 def predict_all(scenario: Scenario, prefixes: dict[str, Trajectory],
+                from_start: dict[str, list[list[PlanCandidate]]],
                 params: KinematicParams | None = None) -> Predictions:
-    """Goal posteriors and trajectory distributions for every non-ego vehicle."""
+    """Goal posteriors and trajectory distributions for every non-ego vehicle.
+
+    `from_start` holds each vehicle's plans per goal from the first state of
+    its prefix; only the last state is enumerated here.
+    """
     params = params or KinematicParams(cruise_speed=scenario.target_speed)
     beta = scenario.rationality_beta
     out: dict[str, VehiclePrediction] = {}
@@ -266,19 +246,13 @@ def predict_all(scenario: Scenario, prefixes: dict[str, Trajectory],
         if spec.id == scenario.ego_id:
             continue
         prefix = prefixes[spec.id]
-        _check_observation(prefix, spec.goals)
-        current = prefix.tail_state()
-        completions = [enumerate_plans(current, goal, scenario.layout, scenario.dt,
-                                       scenario.horizon, params) for goal in spec.goals]
-        posterior = _goal_posterior(prefix, spec.goals, completions, scenario.layout,
-                                    scenario.dt, scenario.horizon, params, beta, None, None)
-        options: dict[int, tuple[TrajectoryOption, ...]] = {}
-        for gi, goal in enumerate(spec.goals):
-            if posterior.probs[gi] <= 0.0:
-                options[gi] = ()
-                continue
-            options[gi] = tuple(_trajectory_options(completions[gi], goal, scenario.layout,
-                                                    scenario.dt, scenario.horizon, params,
-                                                    beta))
+        completions = enumerate_plans(prefix.tail_state(), spec.goals, scenario.layout,
+                                      scenario.dt, scenario.horizon, params)
+        posterior = goal_posterior(prefix, spec.goals, from_start[spec.id], completions,
+                                   scenario.layout, beta)
+        options = {gi: tuple(trajectory_options(completions[gi], goal, scenario.layout,
+                                                scenario.dt, scenario.horizon, params, beta))
+                   if posterior.probs[gi] > 0.0 else ()
+                   for gi, goal in enumerate(spec.goals)}
         out[spec.id] = VehiclePrediction(spec.id, spec.label, posterior, options)
     return Predictions(vehicles=out)

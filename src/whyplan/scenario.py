@@ -168,11 +168,7 @@ class VehicleSpec:
     nominal_s: float
     spawn_range: float
     speed_range: tuple[float, float]
-    goals: tuple[Goal, ...]
-
-    @property
-    def true_goal(self) -> Goal | None:
-        return self.goals[0] if self.goals else None
+    goals: tuple[Goal, ...]  # the first is the vehicle's true goal
 
 
 @dataclass(frozen=True)
@@ -338,6 +334,8 @@ def _validate_scenario(sc: Scenario) -> None:
         lo, hi = v.speed_range
         if lo < 0 or hi < lo:
             raise ScenarioValidationError(f"vehicle {v.id!r}: bad speed range [{lo}, {hi}]")
+        if v.id != sc.ego_id and not v.goals:
+            raise ScenarioValidationError(f"vehicle {v.id!r}: needs at least one goal")
         reachable = sc.layout.reachable_lanes(v.lane)
         goals = list(v.goals) + ([sc.ego_goal] if v.id == sc.ego_id else [])
         for g in goals:

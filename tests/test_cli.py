@@ -2,9 +2,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whyplan.cli import main, parse_query
 from whyplan.errors import QueryParseError
+
+from conftest import mini_scenario_dict
 
 FAST = ["--iterations", "40", "--max-depth", "2"]
 
@@ -132,6 +135,25 @@ def test_query_parser():
         parse_query("omega1")
 
 
+# Query-shaped text: terms of a variable, a depth, a separator and an action.
+QUERY_TERMS = st.tuples(st.sampled_from(["omega", "OMEGA", " Omega", "omeg", "", "x"]),
+                        st.text("0123456789-+ _\u0663", max_size=5),
+                        st.sampled_from(["=", "==", " = ", ""]),
+                        st.text(max_size=12)).map("".join)
+QUERIES = st.one_of(st.text(), st.lists(QUERY_TERMS, max_size=4).map(",".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(QUERIES, st.integers(-3, 3), st.integers(-3, 3))
+def test_query_parser_raises_only_query_parse_errors(expr, n_causes, n_effects):
+    try:
+        q = parse_query(expr, n_causes=n_causes, n_effects=n_effects)
+    except QueryParseError:
+        return
+    assert q.indices and len(q.indices) == len(set(q.indices)) == len(q.actions)
+    assert min(q.indices) >= 1 and q.n_causes >= 0 and q.n_effects >= 0
+
+
 def test_batch_produces_stable_csv(mini_scenario_path, tmp_path, capsys):
     out_csv = str(tmp_path / "batch.csv")
     args = ["batch", "--scenario", mini_scenario_path, "--runs", "2",
@@ -241,3 +263,68 @@ def test_missing_style_file_exits_with_parse_code(mini_scenario_path, tmp_path, 
                             "--style", str(tmp_path / "missing.json")], capsys)
     assert code == 2
     assert "cannot read style file" in err
+
+
+def test_goal_less_vehicle_exits_with_validation_code(tmp_path, capsys):
+    raw = mini_scenario_dict()
+    raw["vehicles"][1]["goals"] = []
+    path = tmp_path / "goal_less.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run_cli(["plan", "--scenario", str(path), *FAST,
+                            "--out", str(tmp_path / "run")], capsys)
+    assert code == 3
+    assert "'v1'" in err and "at least one goal" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
+# --- run directories whose trace log disagrees with run.json or predictions.json ------
+
+
+def explain_edited_log(mini_scenario_path, tmp_path, capsys, edit):
+    out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
+    path = os.path.join(out, "tracelog.json")
+    log = json.load(open(path))
+    edit(log)
+    json.dump(log, open(path, "w"))
+    return run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
+
+
+def test_record_deeper_than_max_depth_exits_with_run_dir_code(mini_scenario_path, tmp_path,
+                                                              capsys):
+    def deepen(log):
+        log[0]["macros"] = log[0]["macros"] + ["Continue"] * 3
+
+    code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, deepen)
+    assert code == 7
+    assert "record 0" in err and "max_depth 2" in err
+
+
+def test_record_naming_unpredicted_vehicle_exits_with_run_dir_code(mini_scenario_path,
+                                                                    tmp_path, capsys):
+    def rename(log):
+        log[0]["assignment"]["v9"] = log[0]["assignment"].pop("v1")
+
+    code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, rename)
+    assert code == 7
+    assert "record 0" in err and "'v9'" in err
+
+
+def test_record_naming_unpredicted_option_exits_with_run_dir_code(mini_scenario_path,
+                                                                   tmp_path, capsys):
+    def retarget(log):
+        log[0]["assignment"]["v1"] = [0, 99]
+
+    code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, retarget)
+    assert code == 7
+    assert "record 0" in err and "('v1', (0, 99))" in err
+
+
+@pytest.mark.parametrize("reindex", ["duplicate", "gap"])
+def test_bad_record_indices_exit_with_run_dir_code(mini_scenario_path, tmp_path, capsys,
+                                                   reindex):
+    def renumber(log):
+        log[1]["index"] = 0 if reindex == "duplicate" else len(log) + 5
+
+    code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, renumber)
+    assert code == 7
+    assert "indices are not 0, 1, ..., n-1" in err

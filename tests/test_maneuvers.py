@@ -259,7 +259,7 @@ def consistency_inputs():
     params = KinematicParams(cruise_speed=s2.target_speed)
     for seed in range(10):
         initial = sample_initial_states(s2, seed)
-        prefixes, _ = observe(s2, initial, true_goal_plans(s2, initial, params))
+        prefixes, _ = observe(s2, initial, true_goal_plans(s2, initial, params)[0])
         for vid, traj in prefixes.items():
             yield f"s2 seed {seed} observed {vid}", traj
 

@@ -10,10 +10,11 @@ from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, applica
                                concat_trajectories, macro_from_name)
 from whyplan.mcts import (PlannerConfig, RewardConfig, SearchTree, TraceRecord, run_mcts,
                           terminal_reward)
-from whyplan.pipeline import planner_config, run_pipeline
+from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
+from whyplan.recognition import predict_all
 from whyplan.scenario import (JointState, lane_point_state, load_scenario,
                               sample_initial_states, scenario_from_dict)
-from whyplan.simulation import FixedTraffic, SimulationContext, simulate_step
+from whyplan.simulation import FixedTraffic, SimulationContext, observe, simulate_step
 
 from conftest import mini_scenario_dict
 
@@ -43,7 +44,10 @@ def test_single_applicable_macro_gets_all_visits(monkeypatch):
     monkeypatch.setattr(mcts_mod, "applicable_macros",
                         lambda *a, **k: [MacroAction("Continue")])
     init = sample_initial_states(sc, 0)
-    res = run_mcts(sc, init, PlannerConfig(iterations=25, max_depth=1, seed=0))
+    plans, from_start = true_goal_plans(sc, init, PARAMS)
+    prefixes, _ = observe(sc, init, plans)
+    predictions = predict_all(sc, prefixes, from_start, PARAMS)
+    res = run_mcts(sc, init, PlannerConfig(iterations=25, max_depth=1, seed=0), predictions)
     root = res.tree.nodes[()]
     assert set(root.actions) == {"Continue"}
     assert root.actions["Continue"][0] == 25

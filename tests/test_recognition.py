@@ -1,17 +1,44 @@
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import whyplan.pipeline as pipeline_mod
 import whyplan.recognition as recognition_mod
 from whyplan.errors import GoalUnreachableError, NoApplicableActionError, OffRoadError
-from whyplan.maneuvers import KinematicParams, Trajectory
-from whyplan.recognition import (enumerate_plans, goal_posterior, predict_all,
-                                 trajectory_distribution)
-from whyplan.scenario import Goal, lane_point_state, scenario_from_dict
+from whyplan.maneuvers import (KinematicParams, Trajectory, applicable_macros,
+                               concat_trajectories, expand_macro, extract_features, roll_chain)
+from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
+from whyplan.recognition import (ENUMERATION_DEPTH, enumerate_plans, goal_posterior,
+                                 predict_all, trajectory_options)
+from whyplan.scenario import (Goal, JointState, lane_point_state, load_scenario,
+                              sample_initial_states, scenario_from_dict)
+from whyplan.simulation import observe
 
 from conftest import mini_scenario_dict
 
 PARAMS = KinematicParams()
 DT, HORIZON = 0.1, 300
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCENARIO_PATHS = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
+                  "s2": os.path.join(ROOT, "scenarios", "s2.json"),
+                  "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
+SCENARIOS = {name: load_scenario(path) for name, path in SCENARIO_PATHS.items()}
+
+
+def posterior(prefix, goals, layout, beta=1.0):
+    """`goal_posterior` over the plans from the prefix's first and last states."""
+    from_start = enumerate_plans(prefix.state_at(0), goals, layout, DT, HORIZON, PARAMS)
+    from_current = enumerate_plans(prefix.tail_state(), goals, layout, DT, HORIZON, PARAMS)
+    return goal_posterior(prefix, goals, from_start, from_current, layout, beta)
+
+
+def options_to(start, goal, layout, beta=1.0):
+    """`trajectory_options` over the plans from `start` to one goal."""
+    [candidates] = enumerate_plans(start, (goal,), layout, DT, HORIZON, PARAMS)
+    return trajectory_options(candidates, goal, layout, DT, HORIZON, PARAMS, beta)
 
 
 def prefix_from_states(states, dt=DT):
@@ -64,7 +91,7 @@ def fork_goals():
 def test_single_reachable_goal_gets_probability_one(fork):
     start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
     prefix = prefix_from_states([start])
-    post = goal_posterior(prefix, (fork_goals()[1],), fork.layout, DT, HORIZON, PARAMS)
+    post = posterior(prefix, (fork_goals()[1],), fork.layout)
     assert post.probs == (1.0,)
 
 
@@ -72,7 +99,7 @@ def test_symmetric_goals_split_evenly(fork):
     start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
     later = lane_point_state(fork.layout, "approach", 18.0, 8.0)
     prefix = prefix_from_states([start, later])
-    post = goal_posterior(prefix, fork_goals(), fork.layout, DT, HORIZON, PARAMS)
+    post = posterior(prefix, fork_goals(), fork.layout)
     assert post.probs[0] == pytest.approx(0.5, abs=1e-9)
     assert post.probs[1] == pytest.approx(0.5, abs=1e-9)
 
@@ -81,11 +108,11 @@ def test_unreachable_goal_gets_zero_and_all_unreachable_raises(fork):
     # From inside the right arm the left arm is unreachable.
     start = lane_point_state(fork.layout, "arm_right", 5.0, 5.0)
     prefix = prefix_from_states([start])
-    post = goal_posterior(prefix, fork_goals(), fork.layout, DT, HORIZON, PARAMS)
+    post = posterior(prefix, fork_goals(), fork.layout)
     assert post.probs[0] == 0.0
     assert post.probs[1] == 1.0
     with pytest.raises(GoalUnreachableError, match="all goals unreachable"):
-        goal_posterior(prefix, (fork_goals()[0],), fork.layout, DT, HORIZON, PARAMS)
+        posterior(prefix, (fork_goals()[0],), fork.layout)
 
 
 def decel_prefix(sc, lane, s0, v0, steps, decel):
@@ -106,7 +133,7 @@ def test_decelerating_near_right_turn_junction_favors_turn_goal():
     goals = (Goal("exit", 0.0, 10.0, "the right exit"),
              Goal("left", 140.0, 150.0, "the end of the road", lateral_tolerance=5.5))
     prefix = decel_prefix(sc, "right", 58.0, 9.0, steps=20, decel=PARAMS.brake_approach)
-    post = goal_posterior(prefix, goals, sc.layout, DT, HORIZON, PARAMS, beta=1.0)
+    post = posterior(prefix, goals, sc.layout, beta=1.0)
     assert post.probs[0] > post.probs[1]
 
 
@@ -119,13 +146,13 @@ def test_posterior_never_rises_for_goal_with_growing_detour():
     goals = (Goal("exit", 0.0, 10.0, "the right exit"),
              Goal("left", 140.0, 150.0, "straight on", lateral_tolerance=5.5))
     start = lane_point_state(sc.layout, "right", 58.0, 9.0)
-    plan = enumerate_plans(start, goals[0], sc.layout, DT, HORIZON, PARAMS)[0]
+    plan = enumerate_plans(start, goals, sc.layout, DT, HORIZON, PARAMS)[0][0]
     full = plan.trajectory
     last = None
     for steps in (5, 15, 25):
         prefix = Trajectory(dt=DT, xs=full.xs[:steps + 1], ys=full.ys[:steps + 1],
                             headings=full.headings[:steps + 1], speeds=full.speeds[:steps + 1])
-        post = goal_posterior(prefix, goals, sc.layout, DT, HORIZON, PARAMS, beta=1.0)
+        post = posterior(prefix, goals, sc.layout, beta=1.0)
         p_straight = post.probs[1]
         if last is not None:
             assert p_straight <= last + 1e-9
@@ -134,7 +161,7 @@ def test_posterior_never_rises_for_goal_with_growing_detour():
 
 def test_trajectory_distribution_single_candidate(fork):
     start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
-    options = trajectory_distribution(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS)
+    options = options_to(start, fork_goals()[1], fork.layout)
     assert len(options) == 1
     assert options[0].probability == pytest.approx(1.0)
     assert options[0].macros == ("Exit-right",)
@@ -145,12 +172,12 @@ def test_trajectory_distribution_normalizes_and_ranks_by_reward():
     sc = scenario_from_dict(raw)
     start = lane_point_state(sc.layout, "left", 20.0, 8.0)
     goal = Goal("right_far", 40.0, 55.0, "end", lateral_tolerance=5.0)
-    options = trajectory_distribution(start, goal, sc.layout, DT, HORIZON, PARAMS, beta=2.0)
+    options = options_to(start, goal, sc.layout, beta=2.0)
     assert sum(o.probability for o in options) == pytest.approx(1.0, abs=1e-9)
     assert len(options) >= 2
     # Softmax weighting: strictly better plans get strictly more probability.
     rewards = {c.macros: c.reward
-               for c in enumerate_plans(start, goal, sc.layout, DT, HORIZON, PARAMS)}
+               for c in enumerate_plans(start, (goal,), sc.layout, DT, HORIZON, PARAMS)[0]}
     for a in options:
         for b in options:
             if rewards[a.macros] > rewards[b.macros]:
@@ -177,7 +204,7 @@ def test_equal_reward_candidates_split_evenly():
     }
     sc = scenario_from_dict(raw)
     start = lane_point_state(sc.layout, "mid", 5.0, 8.0)
-    options = trajectory_distribution(start, sc.ego_goal, sc.layout, DT, HORIZON, PARAMS)
+    options = options_to(start, sc.ego_goal, sc.layout)
     assert len(options) == 2
     assert {o.macros[0] for o in options} == {"Change-left", "Change-right"}
     for o in options:
@@ -187,7 +214,7 @@ def test_equal_reward_candidates_split_evenly():
 def test_unreachable_trajectory_distribution_raises(fork):
     start = lane_point_state(fork.layout, "arm_right", 5.0, 5.0)
     with pytest.raises(GoalUnreachableError):
-        trajectory_distribution(start, fork_goals()[0], fork.layout, DT, HORIZON, PARAMS)
+        options_to(start, fork_goals()[0], fork.layout)
 
 
 def _raise(exc):
@@ -200,20 +227,20 @@ def test_enumeration_skips_typed_errors_and_propagates_others(fork, monkeypatch)
     start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
     for typed in (OffRoadError("off"), NoApplicableActionError("none")):
         monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(typed))
-        assert enumerate_plans(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS) == []
+        assert enumerate_plans(start, fork_goals(), fork.layout, DT, HORIZON, PARAMS) == [[], []]
     monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
-        enumerate_plans(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS)
+        enumerate_plans(start, fork_goals(), fork.layout, DT, HORIZON, PARAMS)
 
 
 def test_horizon_extension_skips_typed_errors_and_propagates_others(fork, monkeypatch):
     start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
     monkeypatch.setattr(recognition_mod, "locate", _raise(OffRoadError("off")))
-    options = trajectory_distribution(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS)
+    options = options_to(start, fork_goals()[1], fork.layout)
     assert len(options[0].trajectory) == HORIZON + 1  # padded in place instead
     monkeypatch.setattr(recognition_mod, "locate", _raise(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
-        trajectory_distribution(start, fork_goals()[1], fork.layout, DT, HORIZON, PARAMS)
+        options_to(start, fork_goals()[1], fork.layout)
 
 
 def test_enumeration_prunes_reverted_lane_changes():
@@ -221,7 +248,7 @@ def test_enumeration_prunes_reverted_lane_changes():
     sc = scenario_from_dict(raw)
     start = lane_point_state(sc.layout, "right", 10.0, 8.0)
     goal = Goal("right_far", 40.0, 55.0, "end", lateral_tolerance=5.0)
-    cands = enumerate_plans(start, goal, sc.layout, DT, HORIZON, PARAMS)
+    [cands] = enumerate_plans(start, (goal,), sc.layout, DT, HORIZON, PARAMS)
     for cand in cands:
         for a, b in zip(cand.macros, cand.macros[1:]):
             assert {a, b} != {"Change-left", "Change-right"}
@@ -232,19 +259,17 @@ def test_recognition_is_deterministic():
     start = lane_point_state(sc.layout, "left", 25.0, 7.0)
     prefix = prefix_from_states([start])
     goals = sc.spec_of("v1").goals
-    a = goal_posterior(prefix, goals, sc.layout, DT, HORIZON, PARAMS, beta=2.0)
-    b = goal_posterior(prefix, goals, sc.layout, DT, HORIZON, PARAMS, beta=2.0)
+    a = posterior(prefix, goals, sc.layout, beta=2.0)
+    b = posterior(prefix, goals, sc.layout, beta=2.0)
     assert a.probs == b.probs
 
 
 def test_predict_all_covers_non_egos_and_normalizes():
     sc = scenario_from_dict(mini_scenario_dict())
-    from whyplan.scenario import sample_initial_states
-    from whyplan.pipeline import true_goal_plans
-    from whyplan.simulation import observe
     init = sample_initial_states(sc, 3)
-    prefixes, _ = observe(sc, init, true_goal_plans(sc, init, PARAMS))
-    preds = predict_all(sc, prefixes, params=PARAMS)
+    plans, from_start = true_goal_plans(sc, init, PARAMS)
+    prefixes, _ = observe(sc, init, plans)
+    preds = predict_all(sc, prefixes, from_start, params=PARAMS)
     assert set(preds.vehicles) == {"v1"}
     pred = preds["v1"]
     assert sum(pred.posterior.probs) == pytest.approx(1.0, abs=1e-9)
@@ -262,30 +287,134 @@ def test_predict_all_covers_non_egos_and_normalizes():
 
 
 def test_predict_all_enumerates_each_state_and_goal_once(monkeypatch):
-    sc = scenario_from_dict(mini_scenario_dict())
-    from whyplan.scenario import sample_initial_states
-    from whyplan.pipeline import true_goal_plans
-    from whyplan.simulation import observe
-    init = sample_initial_states(sc, 3)
-    prefixes, _ = observe(sc, init, true_goal_plans(sc, init, PARAMS))
-    expected = predict_all(sc, prefixes, params=PARAMS)
-    calls = []
+    # Over a whole run: one enumeration per non-ego vehicle from its initial
+    # state and one from its last observed state, and no rollout twice.
+    enumerations, rollouts = [], []
 
-    def counting(state, goal, *args, **kwargs):
-        calls.append((state, goal))
-        return enumerate_plans(state, goal, *args, **kwargs)
+    def counting_enumerate(state, goals, *args):
+        enumerations.append((state, goals))
+        return enumerate_plans(state, goals, *args)
 
-    monkeypatch.setattr(recognition_mod, "enumerate_plans", counting)
-    preds = predict_all(sc, prefixes, params=PARAMS)
-    assert len(prefixes["v1"]) > 1
-    assert len(calls) == 2 * len(sc.spec_of("v1").goals)
-    assert len(set(calls)) == len(calls)
-    got, want = preds["v1"], expected["v1"]
-    assert got.posterior == want.posterior
-    assert got.options.keys() == want.options.keys()
-    for gi, opts in got.options.items():
-        assert [(o.macros, o.probability) for o in opts] == \
-            [(o.macros, o.probability) for o in want.options[gi]]
-        for a, b in zip(opts, want.options[gi]):
-            assert np.array_equal(a.trajectory.xs, b.trajectory.xs)
-            assert np.array_equal(a.trajectory.speeds, b.trajectory.speeds)
+    def counting_roll(maneuvers, start, layout, dt, horizon, **kwargs):
+        rollouts.append((tuple(maneuvers), start, horizon))
+        return roll_chain(maneuvers, start, layout, dt, horizon, **kwargs)
+
+    monkeypatch.setattr(recognition_mod, "enumerate_plans", counting_enumerate)
+    monkeypatch.setattr(pipeline_mod, "enumerate_plans", counting_enumerate)
+    monkeypatch.setattr(recognition_mod, "roll_chain", counting_roll)
+    for name, sc in SCENARIOS.items():
+        enumerations.clear()
+        rollouts.clear()
+        pipe = run_pipeline(sc, 0, planner=planner_config(sc, 0, iterations=5))
+        expected = Counter()
+        for vid in sc.non_ego_ids:
+            goals = sc.spec_of(vid).goals
+            expected[(pipe.initial.vehicles[vid], goals)] += 1
+            expected[(pipe.prefixes[vid].tail_state(), goals)] += 1
+        assert Counter(enumerations) == expected, name
+        assert len(enumerations) == 2 * len(sc.non_ego_ids), name
+        assert rollouts and len(set(rollouts)) == len(rollouts), name
+
+
+# --- enumeration oracle: the single-goal enumeration, one goal at a time ----------
+
+REFERENCE_WEIGHTS = {"time": -1.0, "jerk": -0.1, "angular_acceleration": -0.1,
+                     "curvature": -0.1}
+
+
+def reference_enumerate(state, goal, layout, dt, horizon, params):
+    """Every goal-reaching macro sequence to one goal, each prefix rolled out
+    for this goal alone, the reward recomputed from the finished trajectory."""
+    w = REFERENCE_WEIGHTS
+    results = []
+
+    def reward(traj):
+        f = extract_features(traj, goal, layout)
+        return (w["time"] * f.time_to_goal + w["jerk"] * f.jerk
+                + w["angular_acceleration"] * f.angular_acceleration
+                + w["curvature"] * f.curvature)
+
+    def recurse(cur, macros, parts, steps_left, depth):
+        if depth >= ENUMERATION_DEPTH or steps_left <= 0:
+            return
+        joint = JointState(t=0, vehicles={"_solo": cur})
+        try:
+            actions = applicable_macros(joint, "_solo", layout, goal, params)
+        except (OffRoadError, NoApplicableActionError):
+            return
+        inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
+        for macro in actions:
+            if macro.kind == "Stop":
+                continue
+            if macro.kind == "Continue" and macros and macros[-1] == "Continue":
+                continue
+            if macros and inverse.get(macro.name) == macros[-1]:
+                continue
+            maneuvers = expand_macro(macro, joint, "_solo", layout)
+            traj = roll_chain(maneuvers, cur, layout, dt, steps_left, params=params)
+            if len(traj) < 2:
+                continue
+            new_parts = parts + [traj]
+            new_macros = macros + (macro.name,)
+            full = concat_trajectories(new_parts)
+            if extract_features(full, goal, layout).reached_goal:
+                results.append((new_macros, full, reward(full)))
+                continue
+            if not traj.truncated:
+                recurse(traj.tail_state(), new_macros, new_parts,
+                        steps_left - (len(traj) - 1), depth + 1)
+
+    recurse(state, (), [], horizon, 0)
+    results.sort(key=lambda c: (-c[2], c[0]))
+    return results
+
+
+def assert_matches_reference(sc, state, goals, label):
+    params = KinematicParams(cruise_speed=sc.target_speed)
+    merged = enumerate_plans(state, goals, sc.layout, sc.dt, sc.horizon, params)
+    assert len(merged) == len(goals), label
+    for goal, got in zip(goals, merged):
+        want = reference_enumerate(state, goal, sc.layout, sc.dt, sc.horizon, params)
+        assert [c.macros for c in got] == [m for m, _, _ in want], (label, goal.label)
+        assert [c.reward for c in got] == [r for _, _, r in want], (label, goal.label)
+        for c, (_, traj, _) in zip(got, want):
+            for field in ("xs", "ys", "headings", "speeds"):
+                assert np.array_equal(getattr(c.trajectory, field), getattr(traj, field))
+            assert c.trajectory.truncated == traj.truncated
+
+
+def scenario_goals(sc):
+    """Every distinct non-ego goal of a scenario, in first-seen order."""
+    return tuple(dict.fromkeys(g for vid in sc.non_ego_ids for g in sc.spec_of(vid).goals))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("seed", range(5))
+def test_enumeration_matches_single_goal_reference_on_run_states(name, seed):
+    sc = SCENARIOS[name]
+    params = KinematicParams(cruise_speed=sc.target_speed)
+    initial = sample_initial_states(sc, seed)
+    plans, _ = true_goal_plans(sc, initial, params)
+    prefixes, _ = observe(sc, initial, plans)
+    for vid in sc.non_ego_ids:
+        goals = sc.spec_of(vid).goals
+        assert_matches_reference(sc, initial.vehicles[vid], goals, f"{vid} initial")
+        assert_matches_reference(sc, prefixes[vid].tail_state(), goals, f"{vid} observed")
+
+
+@st.composite
+def lane_states(draw):
+    name = draw(st.sampled_from(sorted(SCENARIOS)))
+    sc = SCENARIOS[name]
+    lane_id = draw(st.sampled_from(sorted(sc.layout.lanes)))
+    s = draw(st.floats(0.0, 1.0)) * sc.layout.lanes[lane_id].length
+    speed = draw(st.floats(0.0, 1.5 * sc.target_speed))
+    return name, lane_point_state(sc.layout, lane_id, s, speed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lane_states())
+def test_enumeration_matches_single_goal_reference_on_generated_states(case):
+    name, state = case
+    sc = SCENARIOS[name]
+    assert_matches_reference(sc, state, scenario_goals(sc), f"{name} {state}")
