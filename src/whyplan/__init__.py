@@ -8,15 +8,14 @@ language.
 """
 
 from .bayes_net import (BnModel, build_bn, collision_collider, expected_reward,
-                        joint_probability, model_to_dict, outcome_distribution, query)
+                        model_to_dict, outcome_distribution, query)
 from .causal import (CausalSummary, Cause, CfOutcome, CounterfactualQuery, Effect,
                      agent_influences, assemble_summary, outcome_given_cf, reward_deltas,
                      trace_divergence)
-from .errors import (EmptyTraceLogError, GoalUnreachableError, IncompleteAssignmentError,
-                     InapplicableMacroError, NoApplicableActionError, OffRoadError,
-                     QueryParseError, RunDirectoryError, ScenarioParseError,
-                     ScenarioValidationError, StyleError, UnexploredCounterfactualError,
-                     WhyplanError)
+from .errors import (EmptyTraceLogError, GoalUnreachableError, InapplicableMacroError,
+                     NoApplicableActionError, OffRoadError, QueryParseError,
+                     RunDirectoryError, ScenarioParseError, ScenarioValidationError,
+                     StyleError, UnexploredCounterfactualError, WhyplanError)
 from .grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw, load_style,
                       post_process, realize_macros, to_grammar_input)
 from .maneuvers import (KinematicParams, MacroAction, Maneuver, Trajectory,

@@ -7,15 +7,18 @@ components are per-trace-node Gaussians with an absence probability, and the
 existence/outcome layers are deterministic. Inference is exact enumeration
 over the support realized in the trace log; conditionals are ratios of sums,
 so queries never touch never-realized presence patterns.
+
+The model is immutable after build, so what a query reads is computed once
+per model: CPD counts in one pass per (sample, trace) signature, each node's
+reward means when the build ends, and the rows matching an evidence, with
+their total weight, the first time that evidence is asked.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyTraceLogError, IncompleteAssignmentError,
-                     UnexploredCounterfactualError)
+from .errors import EmptyTraceLogError, UnexploredCounterfactualError
 from .mcts import OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceRecord
 
 AssignmentKey = tuple  # sorted tuple of (vehicle id, goal index, trajectory index)
@@ -29,19 +32,19 @@ class _NodeStats:
     values: dict = field(default_factory=lambda: {c: [] for c in REWARD_COMPONENTS})
     outcomes: dict = field(default_factory=dict)   # kind -> count
     colliders: dict = field(default_factory=dict)  # vehicle id -> count
+    means: dict = field(default_factory=dict)  # component -> mean or None, set after build
 
     def presence(self, comp: str) -> float:
         return len(self.values[comp]) / self.total
 
     def mean(self, comp: str) -> float | None:
-        vals = self.values[comp]
-        return float(np.mean(vals)) if vals else None
+        return self.means[comp]
 
     def variance(self, comp: str) -> float:
         vals = self.values[comp]
         if len(vals) < 2:
             return 0.0
-        mu = float(np.mean(vals))
+        mu = self.means[comp]
         return float(sum((v - mu) ** 2 for v in vals) / (len(vals) - 1))
 
 
@@ -79,35 +82,26 @@ class BnModel:
         self.nodes: dict[tuple, _NodeStats] = {}
         self._signatures: dict = {}  # (akey, omega) -> count
         self._build_counts()
-        self.trace_weights: dict = self._trace_weights()
+        self.trace_weights: dict = {(akey, omega): (self.assignment_probability(akey)
+                                                    * self.trace_probability(akey, omega))
+                                    for akey, omega in self._signatures}
         self.rows: list[Row] = self._build_rows()
-        self.total_weight = sum(r.weight for r in self.rows)
-
-        self.omega_support: dict[int, set] = {d: set() for d in range(1, self.d_max + 1)}
-        for rec in self.trace_log:
-            for d, a in enumerate(rec.macros, start=1):
-                self.omega_support[d].add(a)
+        self._filtered: dict = {}  # canonical evidence -> (rows, weight), see _filter_rows
+        self.omega_support: dict[int, set] = {
+            d: {omega[d - 1] for _, omega in self._signatures if len(omega) >= d}
+            for d in range(1, self.d_max + 1)}
 
     # -- construction ---------------------------------------------------------
 
     def _build_counts(self) -> None:
+        # Records that share a (sample, trace) signature walk the same CPD
+        # keys, so each signature walks them once and adds its record count.
+        members: dict = {}  # (akey, omega) -> [record index], first-seen order
         for rec in self.trace_log:
-            akey = rec.assignment_key()
-            prefix: tuple = ()
-            for action in rec.macros:
-                key = (prefix, akey)
-                self.reach[key] = self.reach.get(key, 0) + 1
-                self.sel.setdefault(key, {})
-                self.sel[key][action] = self.sel[key].get(action, 0) + 1
-                self.support.setdefault(key, []).append(rec.index)
-                prefix = prefix + (action,)
-            if len(rec.macros) < self.d_max:
-                # Terminal visit: the trace reached this node and selected nothing.
-                key = (prefix, akey)
-                self.reach[key] = self.reach.get(key, 0) + 1
-                self.support.setdefault(key, []).append(rec.index)
-
-            node = self.nodes.setdefault(rec.macros, _NodeStats())
+            members.setdefault((rec.assignment_key(), rec.macros), []).append(rec.index)
+            node = self.nodes.get(rec.macros)
+            if node is None:
+                node = self.nodes[rec.macros] = _NodeStats()
             node.total += 1
             for comp, val in rec.components.items():
                 if val is not None:
@@ -115,8 +109,24 @@ class BnModel:
             node.outcomes[rec.outcome] = node.outcomes.get(rec.outcome, 0) + 1
             if rec.collider is not None:
                 node.colliders[rec.collider] = node.colliders.get(rec.collider, 0) + 1
-            sig = (akey, rec.macros)
-            self._signatures[sig] = self._signatures.get(sig, 0) + 1
+        for node in self.nodes.values():
+            node.means = {c: float(np.mean(v)) if v else None for c, v in node.values.items()}
+        for (akey, omega), indices in members.items():
+            n = len(indices)
+            self._signatures[(akey, omega)] = n
+            prefix: tuple = ()
+            for action in omega:
+                key = (prefix, akey)
+                self.reach[key] = self.reach.get(key, 0) + n
+                counts = self.sel.setdefault(key, {})
+                counts[action] = counts.get(action, 0) + n
+                self.support.setdefault(key, []).extend(indices)
+                prefix = prefix + (action,)
+            if len(omega) < self.d_max:
+                # Terminal visit: the trace reached this node and selected nothing.
+                key = (prefix, akey)
+                self.reach[key] = self.reach.get(key, 0) + n
+                self.support.setdefault(key, []).extend(indices)
 
     def assignment_probability(self, akey: AssignmentKey) -> float:
         p = 1.0
@@ -147,13 +157,6 @@ class BnModel:
         if len(omega) < self.d_max:
             p *= self.action_probability(prefix, akey, None)
         return p
-
-    def _trace_weights(self) -> dict:
-        out = {}
-        for (akey, omega) in self._signatures:
-            out[(akey, omega)] = (self.assignment_probability(akey)
-                                  * self.trace_probability(akey, omega))
-        return out
 
     def pattern_probability(self, omega: tuple[str, ...], kind: str) -> float:
         """p(the presence pattern of `kind` | trace node omega).
@@ -224,21 +227,32 @@ def _canonical_value(var: str, value):
     return value
 
 
-def _filter_rows(model: BnModel, evidence: dict) -> list[Row]:
-    known = set(model.rows[0].values) if model.rows else set()
-    for var in evidence:
-        if var not in known:
-            raise KeyError(f"unknown variable {var!r}; valid: {sorted(known)}")
-    out = []
-    for row in model.rows:
-        ok = True
-        for var, val in evidence.items():
-            if row.values[var] != _canonical_value(var, val):
-                ok = False
-                break
-        if ok:
-            out.append(row)
-    return out
+def _filter_rows(model: BnModel, evidence: dict) -> tuple[tuple[Row, ...], float]:
+    """The rows matching every evidence value, in row order, and their weight.
+
+    The model never changes after build, so both are found once per distinct
+    evidence and kept on the model.
+    """
+    evidence = {var: _canonical_value(var, val) for var, val in evidence.items()}
+    key = frozenset(evidence.items())
+    found = model._filtered.get(key)
+    if found is None:
+        known = model.rows[0].values
+        for var in evidence:
+            if var not in known:
+                raise KeyError(f"unknown variable {var!r}; valid: {sorted(known)}")
+        rows = tuple(row for row in model.rows
+                     if all(row.values[var] == val for var, val in evidence.items()))
+        found = model._filtered[key] = (rows, sum(r.weight for r in rows))
+    return found
+
+
+def _weighted_rows(model: BnModel, evidence: dict | None) -> tuple[tuple[Row, ...], float]:
+    """`_filter_rows`, raising UnexploredCounterfactualError on zero weight."""
+    rows, total = _filter_rows(model, evidence or {})
+    if total <= 0.0:
+        raise UnexploredCounterfactualError(f"zero-probability evidence: {evidence}")
+    return rows, total
 
 
 def query(model: BnModel, targets: list[str], evidence: dict | None = None) -> dict:
@@ -247,13 +261,8 @@ def query(model: BnModel, targets: list[str], evidence: dict | None = None) -> d
     Returns {target value tuple: probability}, normalized. Raises
     UnexploredCounterfactualError when the evidence has zero probability.
     """
-    evidence = evidence or {}
-    rows = _filter_rows(model, evidence)
-    total = sum(r.weight for r in rows)
-    if total <= 0.0:
-        raise UnexploredCounterfactualError(
-            f"zero-probability evidence: {evidence}")
-    known = set(model.rows[0].values)
+    rows, total = _weighted_rows(model, evidence or {})
+    known = model.rows[0].values
     for var in targets:
         if var not in known:
             raise KeyError(f"unknown variable {var!r}; valid: {sorted(known)}")
@@ -266,10 +275,7 @@ def query(model: BnModel, targets: list[str], evidence: dict | None = None) -> d
 
 def outcome_distribution(model: BnModel, evidence: dict | None = None) -> dict:
     """Categorical distribution over outcome kinds (Rb marginalized out)."""
-    rows = _filter_rows(model, evidence or {})
-    total = sum(r.weight for r in rows)
-    if total <= 0.0:
-        raise UnexploredCounterfactualError(f"zero-probability evidence: {evidence}")
+    rows, total = _weighted_rows(model, evidence)
     dist = {k: 0.0 for k in OUTCOME_KINDS}
     for row in rows:
         dist[row.kind] += row.weight
@@ -283,14 +289,12 @@ def expected_reward(model: BnModel, component: str, evidence: dict | None = None
     Returns (mean, support weight); mean is None when the component is absent
     in every trace consistent with the evidence.
     """
-    rows = _filter_rows(model, evidence or {})
-    total = sum(r.weight for r in rows)
-    if total <= 0.0:
-        raise UnexploredCounterfactualError(f"zero-probability evidence: {evidence}")
+    rows, total = _weighted_rows(model, evidence)
     num = 0.0
     den = 0.0
+    indicator = f"Rb_{component}"
     for row in rows:
-        if row.values[f"Rb_{component}"] == 1:
+        if row.values[indicator] == 1:
             mu = model.nodes[row.omega].mean(component)
             if mu is None:
                 continue
@@ -303,7 +307,7 @@ def expected_reward(model: BnModel, component: str, evidence: dict | None = None
 
 def collision_collider(model: BnModel, evidence: dict | None = None) -> str | None:
     """Most likely colliding vehicle under the evidence, if any."""
-    rows = _filter_rows(model, evidence or {})
+    rows, _ = _filter_rows(model, evidence or {})
     weights: dict = {}
     for row in rows:
         if row.kind != "collision":
@@ -317,83 +321,6 @@ def collision_collider(model: BnModel, evidence: dict | None = None) -> str | No
     if not weights:
         return None
     return sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-
-
-def _normal_density(x: float, mu: float, var: float) -> float:
-    if var <= 0.0:
-        # Degenerate single-sample estimate: point mass at the observed value.
-        return 1.0 if abs(x - mu) < 1e-9 else 0.0
-    return math.exp(-((x - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-
-def joint_probability(model: BnModel, assignment: dict) -> float:
-    """Product of all factor groups for one full assignment.
-
-    The assignment must set G and S for every non-ego, Omega for every depth
-    (None past the trace end), Rb for every component, O for every outcome
-    kind, and R values (number or None) for every component. Densities enter
-    for set reward values, masses otherwise. This is the verbatim factor
-    product with component-wise existence terms; query() and the outcome
-    helpers instead weight whole realized presence patterns by their node
-    frequencies (see pattern_probability).
-    """
-    required = ([f"G_{v}" for v in model.vehicles] + [f"S_{v}" for v in model.vehicles]
-                + [f"Omega_{d}" for d in range(1, model.d_max + 1)]
-                + [f"Rb_{c}" for c in REWARD_COMPONENTS]
-                + [f"R_{c}" for c in REWARD_COMPONENTS]
-                + [f"O_{k}" for k in OUTCOME_KINDS])
-    missing = [v for v in required if v not in assignment]
-    if missing:
-        raise IncompleteAssignmentError(f"incomplete assignment; missing {missing}")
-
-    p = 1.0
-    akey_parts = []
-    for vid in model.vehicles:
-        g = assignment[f"G_{vid}"]
-        s = _canonical_value("S_", assignment[f"S_{vid}"])
-        p *= model.goal_probs[vid].get(g, 0.0)
-        p *= model.traj_probs[vid].get(s, 0.0)
-        if s[0] != g:
-            return 0.0
-        akey_parts.append((vid, s[0], s[1]))
-    akey = tuple(sorted(akey_parts))
-
-    omega_vals = [assignment[f"Omega_{d}"] for d in range(1, model.d_max + 1)]
-    actions = []
-    seen_none = False
-    for v in omega_vals:
-        if v is None:
-            seen_none = True
-        elif seen_none:
-            return 0.0  # a selection after no-selection is inconsistent
-        else:
-            actions.append(v)
-    omega = tuple(actions)
-    p *= model.trace_probability(akey, omega)
-    if p <= 0.0:
-        return 0.0
-
-    node = model.nodes.get(omega)
-    if node is None:
-        return 0.0
-    present = set()
-    for comp in REWARD_COMPONENTS:
-        rb = assignment[f"Rb_{comp}"]
-        rv = assignment[f"R_{comp}"]
-        if (rv is not None) != (rb == 1):
-            return 0.0  # existence indicator must match the value
-        pres = node.presence(comp)
-        p *= pres if rb == 1 else (1.0 - pres)
-        if rv is not None:
-            present.add(comp)
-            mu = node.mean(comp)
-            p *= _normal_density(float(rv), mu, node.variance(comp))
-
-    for kind in OUTCOME_KINDS:
-        expected = 1 if set(OUTCOME_REQUIRED[kind]) == present else 0
-        if assignment[f"O_{kind}"] != expected:
-            return 0.0
-    return p
 
 
 def model_to_dict(model: BnModel) -> dict:

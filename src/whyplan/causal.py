@@ -156,18 +156,23 @@ def reward_deltas(model: BnModel, factual: tuple[str, ...], cf: CounterfactualQu
     return effects[:n_effects]
 
 
-def _omega_distribution(model: BnModel, restrict=None) -> dict:
-    """Distribution over full realized traces, optionally over a sample subset."""
-    dist: dict = {}
-    total = 0.0
+def _omega_distributions(model: BnModel) -> tuple[dict, dict]:
+    """Distributions over full realized traces: the marginal, and the
+    conditional given each sampled (vehicle, goal, trajectory).
+
+    One pass over the trace weights; each distribution adds its weights in
+    trace-weight order.
+    """
+    totals: dict = {}  # () for the marginal, else (vid, g, s) -> weight
+    masses: dict = {}  # the same keys -> {omega: weight}
     for (akey, omega), w in model.trace_weights.items():
-        if restrict is not None and not restrict(akey):
-            continue
-        dist[omega] = dist.get(omega, 0.0) + w
-        total += w
-    if total <= 0.0:
-        return {}
-    return {k: v / total for k, v in dist.items()}
+        for key in ((), *akey):
+            totals[key] = totals.get(key, 0.0) + w
+            dist = masses.setdefault(key, {})
+            dist[omega] = dist.get(omega, 0.0) + w
+    dists = {key: {o: m / totals[key] for o, m in dist.items()} if totals[key] > 0.0 else {}
+             for key, dist in masses.items()}
+    return dists.pop(()), dists
 
 
 def trace_divergence(marginal: dict, conditional: dict) -> float:
@@ -197,16 +202,12 @@ def agent_influences(model: BnModel, predictions: Predictions | None = None,
     divergence is identical across all their sampled (goal, trajectory) pairs
     carry no signal and are dropped.
     """
-    marginal = _omega_distribution(model)
+    marginal, conditionals = _omega_distributions(model)
+    samples = sorted(conditionals)
     triples = []
     for vid in model.vehicles:
-        pairs = sorted({(g, s) for akey, _ in model.trace_weights
-                        for v, g, s in akey if v == vid})
-        divs = []
-        for (g, s) in pairs:
-            cond = _omega_distribution(
-                model, restrict=lambda ak, vid=vid, g=g, s=s: (vid, g, s) in ak)
-            divs.append(((g, s), trace_divergence(marginal, cond)))
+        divs = [((g, s), trace_divergence(marginal, conditionals[(v, g, s)]))
+                for v, g, s in samples if v == vid]
         # Identical finite divergence across every pair means the vehicle does
         # not move the plan at all; identical infinities just mean every
         # conditional misses some rarely explored trace, which is no reason

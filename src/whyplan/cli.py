@@ -1,8 +1,9 @@
 """Command line driver: plan, explain, batch.
 
 Exit codes: 0 success, 2 parse errors (scenario, query or style file),
-3 validation errors, 4 planning failures, 5 inference failures, 6 unexplored
-counterfactual, 7 a missing or malformed run directory (including a trace log
+3 validation errors, 4 planning failures, 5 inference failures (an empty
+trace log), 6 unexplored counterfactual, 7 a missing or malformed run
+directory (including a run.json without format_version 1, and a trace log
 whose indices are not 0..n-1, whose records go deeper than max_depth, or
 which samples options predictions.json does not list), 1 anything else.
 """
@@ -15,10 +16,9 @@ import os
 import sys
 
 from .causal import CounterfactualQuery
-from .errors import (EmptyTraceLogError, GoalUnreachableError, IncompleteAssignmentError,
-                     NoApplicableActionError, OffRoadError, QueryParseError,
-                     RunDirectoryError, ScenarioParseError, ScenarioValidationError,
-                     StyleError, UnexploredCounterfactualError)
+from .errors import (EmptyTraceLogError, GoalUnreachableError, NoApplicableActionError,
+                     OffRoadError, QueryParseError, RunDirectoryError, ScenarioParseError,
+                     ScenarioValidationError, StyleError, UnexploredCounterfactualError)
 from .grammar import load_style
 from .mcts import RewardConfig
 from .pipeline import explain_query, load_run, planner_config, run_pipeline, save_run
@@ -38,7 +38,7 @@ _EXIT_CODES = (
     ((ScenarioParseError, QueryParseError, StyleError), EXIT_PARSE),
     (ScenarioValidationError, EXIT_VALIDATION),
     ((NoApplicableActionError, OffRoadError, GoalUnreachableError), EXIT_PLANNING),
-    ((EmptyTraceLogError, IncompleteAssignmentError), EXIT_INFERENCE),
+    (EmptyTraceLogError, EXIT_INFERENCE),
     (RunDirectoryError, EXIT_RUN_DIR),
 )
 

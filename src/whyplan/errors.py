@@ -33,10 +33,6 @@ class EmptyTraceLogError(WhyplanError):
     """A Bayes net cannot be built from zero simulation traces."""
 
 
-class IncompleteAssignmentError(WhyplanError):
-    """joint_probability was given an assignment that misses variables."""
-
-
 class UnexploredCounterfactualError(WhyplanError):
     """Evidence has zero probability: the counterfactual was never explored."""
 

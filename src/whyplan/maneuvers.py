@@ -259,7 +259,7 @@ def merged_path(base: Polyline, lat0: float, step: float = 0.5) -> Polyline:
 # --- applicability -----------------------------------------------------------
 
 
-def _chain_reaches_goal(layout: RoadLayout, chain: list[str], from_s: float, goal: Goal) -> bool:
+def chain_reaches_goal(layout: RoadLayout, chain: list[str], from_s: float, goal: Goal) -> bool:
     for i, lane_id in enumerate(chain):
         mid = layout.lanes[lane_id].midline
         start = from_s if i == 0 else 0.0
@@ -296,11 +296,15 @@ def _headway_ok(state: JointState, vehicle_id: str, layout: RoadLayout,
     return True
 
 
-def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout, goal: Goal,
+def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
+                      goal: Goal | None,
                       params: KinematicParams | None = None) -> list[MacroAction]:
     """Macro actions whose first manoeuvre is applicable, sorted by name.
 
-    Inside a junction only the crossing being driven applies. Raises
+    On a lane, Continue applies when the lane-follow chain reaches `goal`
+    (`chain_reaches_goal`); with goal None it is offered for the caller to
+    decide per goal, the only goal-dependent test. Inside a junction only
+    the crossing being driven applies. Raises
     NoApplicableActionError when empty (cannot happen while Stop stays
     unconditional; kept as a guard against future predicate changes).
     """
@@ -314,7 +318,7 @@ def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout, go
     chain = lane_follow_chain(layout, lane_id)
     out: list[MacroAction] = [MacroAction("Stop")]
 
-    if _chain_reaches_goal(layout, chain, s, goal):
+    if goal is None or chain_reaches_goal(layout, chain, s, goal):
         out.append(MacroAction("Continue"))
 
     for neighbor, kind in ((lane.left_neighbor, "Change-left"),

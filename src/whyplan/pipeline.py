@@ -27,6 +27,8 @@ from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
 from .simulation import observe
 
+RUN_FORMAT_VERSION = 1  # run.json "format_version"; load_run reads no other
+
 
 @dataclass
 class PipelineResult:
@@ -153,6 +155,7 @@ def file_sha256(path) -> str:
 def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _dump(os.path.join(out_dir, "run.json"), {
+        "format_version": RUN_FORMAT_VERSION,
         "scenario_path": str(scenario_path),
         "scenario_sha256": file_sha256(scenario_path),
         "scenario_name": pipe.scenario.name,
@@ -229,8 +232,9 @@ def load_run(run_dir: str) -> LoadedRun:
     """Rebuild the model from persisted artifacts, without re-planning.
 
     Raises RunDirectoryError when the directory or an artifact is missing or
-    unreadable, is not JSON, or lacks an entry the model is built from, and
-    when the trace log disagrees with `run.json` or `predictions.json` (see
+    unreadable, is not JSON, or lacks an entry the model is built from, when
+    `run.json` lacks `format_version` or has another than RUN_FORMAT_VERSION,
+    and when the trace log disagrees with `run.json` or `predictions.json` (see
     `_check_trace_log`).
     """
     if not os.path.isdir(run_dir):
@@ -238,6 +242,10 @@ def load_run(run_dir: str) -> LoadedRun:
     meta, raw_log, raw_pred = (_read_artifact(run_dir, name) for name in
                                ("run.json", "tracelog.json", "predictions.json"))
     try:
+        version = meta.get("format_version")
+        if version != RUN_FORMAT_VERSION:
+            raise RunDirectoryError(f"{os.path.join(run_dir, 'run.json')} has format_version "
+                                    f"{version!r}; this version reads {RUN_FORMAT_VERSION}")
         records = [
             TraceRecord(
                 index=r["index"],

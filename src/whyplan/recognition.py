@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import (GoalUnreachableError, InapplicableMacroError, NoApplicableActionError,
                      OffRoadError)
-from .maneuvers import (KinematicParams, MacroAction, Trajectory, TrajectoryFeatures,
-                        applicable_macros, concat_trajectories, expand_macro,
+from .maneuvers import (KinematicParams, Trajectory, TrajectoryFeatures, applicable_macros,
+                        chain_reaches_goal, concat_trajectories, expand_macro,
                         extract_features, lane_follow_chain, roll_chain, Maneuver)
 from .scenario import Goal, JointState, RoadLayout, Scenario, VehicleState, locate
 
@@ -70,8 +70,9 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
 
     The recursion carries the goals still open on a path: each macro prefix
     is rolled out once, traffic-free, and offered to every open goal for
-    which the macro is applicable (Continue is the only goal-dependent
-    macro). A goal closes on a path once the path reaches it.
+    which the macro is applicable. Applicability is asked once per node;
+    Continue, the only goal-dependent macro, is then decided per goal. A
+    goal closes on a path once the path reaches it.
     """
     vid = "_solo"
     results: list[list[PlanCandidate]] = [[] for _ in goals]
@@ -81,16 +82,12 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
         if depth >= ENUMERATION_DEPTH or steps_left <= 0:
             return
         joint = JointState(t=0, vehicles={vid: cur})
-        takers: dict[MacroAction, list[int]] = {}
-        for gi in open_goals:
-            try:
-                actions = applicable_macros(joint, vid, layout, goals[gi], params)
-            except (OffRoadError, NoApplicableActionError):
-                continue
-            for macro in actions:
-                takers.setdefault(macro, []).append(gi)
+        try:
+            actions = applicable_macros(joint, vid, layout, None, params)
+        except (OffRoadError, NoApplicableActionError):
+            return
         _inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
-        for macro, gis in takers.items():
+        for macro in actions:
             if macro.kind == "Stop":
                 continue
             if macro.kind == "Continue" and macros and macros[-1] == "Continue":
@@ -99,6 +96,18 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
             # path (Continue covers the stay-in-lane alternative).
             if macros and _inverse.get(macro.name) == macros[-1]:
                 continue
+            gis = open_goals
+            if macro.kind == "Continue":
+                try:
+                    lane_id, s, _ = locate(layout, (cur.x, cur.y))
+                except OffRoadError:
+                    pass  # finishing a junction crossing serves every goal
+                else:
+                    chain = lane_follow_chain(layout, lane_id)
+                    gis = [gi for gi in open_goals
+                           if chain_reaches_goal(layout, chain, s, goals[gi])]
+                    if not gis:
+                        continue
             maneuvers = expand_macro(macro, joint, vid, layout)
             traj = roll_chain(maneuvers, cur, layout, dt, steps_left, params=params)
             if len(traj) < 2:

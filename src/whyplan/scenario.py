@@ -187,12 +187,6 @@ class Scenario:
     # applied by the harness unless overridden on the command line.
     planner_overrides: dict = field(default_factory=dict)
 
-    def spec_of(self, vehicle_id: str) -> VehicleSpec:
-        for v in self.vehicles:
-            if v.id == vehicle_id:
-                return v
-        raise KeyError(vehicle_id)
-
     @property
     def non_ego_ids(self) -> list[str]:
         return [v.id for v in self.vehicles if v.id != self.ego_id]

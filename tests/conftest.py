@@ -16,6 +16,11 @@ from whyplan.scenario import scenario_from_dict
 # --- scenario builders ---------------------------------------------------------
 
 
+def spec_of(scenario, vehicle_id):
+    """The VehicleSpec of `vehicle_id` in `scenario`."""
+    return next(v for v in scenario.vehicles if v.id == vehicle_id)
+
+
 def two_lane_road_dict(length=120.0, junction_x=None, exit_len=40.0):
     """Straight two-lane eastbound road, optionally with a right slip exit."""
     lanes = [

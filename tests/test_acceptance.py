@@ -213,10 +213,9 @@ def test_criterion_06_divergence_checks():
         traj_probs = {"v1": {(0, 0): 1.0}}
         records = [make_record(i, {"v1": (0, 0)}, ["A"], "done") for i in range(6)]
         model = build_bn(records, goal_probs, traj_probs, 2)
-        from whyplan.causal import _omega_distribution
-        marg = _omega_distribution(model)
-        cond = _omega_distribution(model, restrict=lambda ak: ("v1", 0, 0) in ak)
-        assert trace_divergence(marg, cond) == 0.0
+        from whyplan.causal import _omega_distributions
+        marg, conds = _omega_distributions(model)
+        assert trace_divergence(marg, conds[("v1", 0, 0)]) == 0.0
 
         hand = 0.5 * math.log2(0.5 / 0.25) + 0.5 * math.log2(0.5 / 0.75)
         got = trace_divergence({("A",): 0.5, ("B",): 0.5}, {("A",): 0.25, ("B",): 0.75})
@@ -226,14 +225,10 @@ def test_criterion_06_divergence_checks():
         for seed in range(30):
             records, goal_probs, traj_probs, d_max = random_trace_log(seed + 600)
             model = build_bn(records, goal_probs, traj_probs, d_max)
-            marg = _omega_distribution(model)
-            for vid in model.vehicles:
-                pairs = {(g, s) for ak, _ in model.trace_weights for v, g, s in ak
-                         if v == vid}
-                for g, s in pairs:
-                    cond = _omega_distribution(
-                        model, restrict=lambda ak, v=vid, g=g, s=s: (v, g, s) in ak)
-                    assert trace_divergence(marg, cond) >= 0.0
+            marg, conds = _omega_distributions(model)
+            assert set(conds) == {triple for ak, _ in model.trace_weights for triple in ak}
+            for cond in conds.values():
+                assert trace_divergence(marg, cond) >= 0.0
 
 
 def _delta_fixture():

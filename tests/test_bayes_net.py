@@ -1,12 +1,20 @@
 import math
+import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from whyplan.bayes_net import (build_bn, expected_reward, joint_probability, model_to_dict,
+import whyplan.bayes_net as bayes_net_mod
+from whyplan.bayes_net import (BnModel, _NodeStats, build_bn, expected_reward, model_to_dict,
                                outcome_distribution, query)
-from whyplan.errors import (EmptyTraceLogError, IncompleteAssignmentError,
-                            UnexploredCounterfactualError)
-from whyplan.mcts import OUTCOME_KINDS, REWARD_COMPONENTS
+from whyplan.causal import (Cause, _cause_macros, _omega_distributions, agent_influences,
+                            trace_divergence)
+from whyplan.cli import parse_query
+from whyplan.errors import EmptyTraceLogError, UnexploredCounterfactualError
+from whyplan.mcts import OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceRecord
+from whyplan.pipeline import explain_query, planner_config, run_pipeline
+from whyplan.scenario import load_scenario
 
 from conftest import (make_record, oracle_expected_reward, oracle_query, oracle_rows,
                       random_trace_log)
@@ -97,6 +105,75 @@ def test_unknown_variable_is_rejected():
 # --- joint probability ------------------------------------------------------------
 
 
+def _normal_density(x: float, mu: float, var: float) -> float:
+    if var <= 0.0:
+        # Degenerate single-sample estimate: point mass at the observed value.
+        return 1.0 if abs(x - mu) < 1e-9 else 0.0
+    return math.exp(-((x - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
+def joint_probability(model, assignment: dict) -> float:
+    """Factor-product reference: the product of all factor groups for one
+    full assignment.
+
+    The assignment sets G and S for every non-ego, Omega for every depth
+    (None past the trace end), Rb for every component, O for every outcome
+    kind, and R values (number or None) for every component. Densities enter
+    for set reward values, masses otherwise. This is the verbatim factor
+    product with component-wise existence terms; query() and the outcome
+    helpers instead weight whole realized presence patterns by their node
+    frequencies (see pattern_probability).
+    """
+    p = 1.0
+    akey_parts = []
+    for vid in model.vehicles:
+        g = assignment[f"G_{vid}"]
+        s = tuple(assignment[f"S_{vid}"])
+        p *= model.goal_probs[vid].get(g, 0.0)
+        p *= model.traj_probs[vid].get(s, 0.0)
+        if s[0] != g:
+            return 0.0
+        akey_parts.append((vid, s[0], s[1]))
+    akey = tuple(sorted(akey_parts))
+
+    omega_vals = [assignment[f"Omega_{d}"] for d in range(1, model.d_max + 1)]
+    actions = []
+    seen_none = False
+    for v in omega_vals:
+        if v is None:
+            seen_none = True
+        elif seen_none:
+            return 0.0  # a selection after no-selection is inconsistent
+        else:
+            actions.append(v)
+    omega = tuple(actions)
+    p *= model.trace_probability(akey, omega)
+    if p <= 0.0:
+        return 0.0
+
+    node = model.nodes.get(omega)
+    if node is None:
+        return 0.0
+    present = set()
+    for comp in REWARD_COMPONENTS:
+        rb = assignment[f"Rb_{comp}"]
+        rv = assignment[f"R_{comp}"]
+        if (rv is not None) != (rb == 1):
+            return 0.0  # existence indicator must match the value
+        pres = node.presence(comp)
+        p *= pres if rb == 1 else (1.0 - pres)
+        if rv is not None:
+            present.add(comp)
+            mu = node.mean(comp)
+            p *= _normal_density(float(rv), mu, node.variance(comp))
+
+    for kind in OUTCOME_KINDS:
+        expected = 1 if set(OUTCOME_REQUIRED[kind]) == present else 0
+        if assignment[f"O_{kind}"] != expected:
+            return 0.0
+    return p
+
+
 def full_assignment(model, record, r_values=None):
     out = {}
     for vid, (g, s) in record.assignment.items():
@@ -109,7 +186,6 @@ def full_assignment(model, record, r_values=None):
         out[f"R_{comp}"] = val
         out[f"Rb_{comp}"] = 1 if val is not None else 0
     present = {c for c in REWARD_COMPONENTS if out[f"R_{c}"] is not None}
-    from whyplan.mcts import OUTCOME_REQUIRED
     for kind in OUTCOME_KINDS:
         out[f"O_{kind}"] = 1 if set(OUTCOME_REQUIRED[kind]) == present else 0
     return out
@@ -135,12 +211,6 @@ def test_joint_probability_zero_for_unseen_trace_and_outcome_mismatch():
     bad_outcome["R_jerk"] = None
     bad_outcome["Rb_jerk"] = 0
     assert joint_probability(model, bad_outcome) == 0.0
-
-
-def test_joint_probability_requires_complete_assignment():
-    model = two_trace_model()
-    with pytest.raises(IncompleteAssignmentError, match="missing"):
-        joint_probability(model, {"Omega_1": "Continue"})
 
 
 def test_rb_must_match_value_presence():
@@ -268,7 +338,6 @@ def test_structural_invariants_on_random_logs():
         for kind in OUTCOME_KINDS:
             via_o = query(model, [f"O_{kind}"], {})
             via_rb = {}
-            from whyplan.mcts import OUTCOME_REQUIRED
             required = set(OUTCOME_REQUIRED[kind])
             rb_targets = [f"Rb_{c}" for c in REWARD_COMPONENTS]
             for key, p in query(model, rb_targets, {}).items():
@@ -289,3 +358,257 @@ def test_model_export_is_json_ready():
     entry = payload["action_cpds"][0]
     assert entry["supporting_traces"] == [0] or entry["supporting_traces"] == [1]
     assert "Continue" in json.loads(text)["variables"]["Omega_1"]
+
+
+# --- aggregates built once: the per-record build and per-call scans as reference ----
+
+
+class _ReferenceNodeStats(_NodeStats):
+    """Node statistics that recompute the sample mean on every call."""
+
+    def mean(self, comp):
+        vals = self.values[comp]
+        return float(np.mean(vals)) if vals else None
+
+    def variance(self, comp):
+        vals = self.values[comp]
+        if len(vals) < 2:
+            return 0.0
+        mu = float(np.mean(vals))
+        return float(sum((v - mu) ** 2 for v in vals) / (len(vals) - 1))
+
+
+class ReferenceModel(BnModel):
+    """The net built by walking every record's CPD keys one record at a time."""
+
+    def _build_counts(self):
+        for rec in self.trace_log:
+            akey = rec.assignment_key()
+            prefix = ()
+            for action in rec.macros:
+                key = (prefix, akey)
+                self.reach[key] = self.reach.get(key, 0) + 1
+                self.sel.setdefault(key, {})
+                self.sel[key][action] = self.sel[key].get(action, 0) + 1
+                self.support.setdefault(key, []).append(rec.index)
+                prefix = prefix + (action,)
+            if len(rec.macros) < self.d_max:
+                key = (prefix, akey)
+                self.reach[key] = self.reach.get(key, 0) + 1
+                self.support.setdefault(key, []).append(rec.index)
+
+            node = self.nodes.setdefault(rec.macros, _ReferenceNodeStats())
+            node.total += 1
+            for comp, val in rec.components.items():
+                if val is not None:
+                    node.values[comp].append(float(val))
+            node.outcomes[rec.outcome] = node.outcomes.get(rec.outcome, 0) + 1
+            if rec.collider is not None:
+                node.colliders[rec.collider] = node.colliders.get(rec.collider, 0) + 1
+            sig = (akey, rec.macros)
+            self._signatures[sig] = self._signatures.get(sig, 0) + 1
+
+
+def reference_filter(model, evidence):
+    """Scan every row for each call."""
+    known = set(model.rows[0].values)
+    for var in evidence:
+        if var not in known:
+            raise KeyError(f"unknown variable {var!r}")
+    out = []
+    for row in model.rows:
+        if all(row.values[var] == (tuple(val) if var.startswith("S_") else val)
+               for var, val in evidence.items()):
+            out.append(row)
+    return out
+
+
+def reference_query(model, targets, evidence):
+    rows = reference_filter(model, evidence)
+    total = sum(r.weight for r in rows)
+    if total <= 0.0:
+        raise UnexploredCounterfactualError("zero-probability evidence")
+    for var in targets:
+        if var not in model.rows[0].values:
+            raise KeyError(f"unknown variable {var!r}")
+    dist = {}
+    for row in rows:
+        key = tuple(row.values[v] for v in targets)
+        dist[key] = dist.get(key, 0.0) + row.weight
+    return {k: v / total for k, v in dist.items()}
+
+
+def reference_expected_reward(model, component, evidence):
+    rows = reference_filter(model, evidence)
+    total = sum(r.weight for r in rows)
+    if total <= 0.0:
+        raise UnexploredCounterfactualError("zero-probability evidence")
+    num = den = 0.0
+    for row in rows:
+        if row.values[f"Rb_{component}"] == 1:
+            mu = model.nodes[row.omega].mean(component)
+            if mu is None:
+                continue
+            num += row.weight * mu
+            den += row.weight
+    if den <= 0.0:
+        return None, 0.0
+    return num / den, den / total
+
+
+def reference_omega_distribution(model, restrict=None):
+    """One scan of the trace weights per distribution."""
+    dist = {}
+    total = 0.0
+    for (akey, omega), w in model.trace_weights.items():
+        if restrict is not None and not restrict(akey):
+            continue
+        dist[omega] = dist.get(omega, 0.0) + w
+        total += w
+    if total <= 0.0:
+        return {}
+    return {k: v / total for k, v in dist.items()}
+
+
+def reference_agent_influences(model, n_causes):
+    marginal = reference_omega_distribution(model)
+    triples = []
+    for vid in model.vehicles:
+        pairs = sorted({(g, s) for akey, _ in model.trace_weights
+                        for v, g, s in akey if v == vid})
+        divs = []
+        for (g, s) in pairs:
+            cond = reference_omega_distribution(
+                model, restrict=lambda ak, vid=vid, g=g, s=s: (vid, g, s) in ak)
+            divs.append(((g, s), trace_divergence(marginal, cond)))
+        if len(divs) <= 1 or (math.isfinite(divs[0][1])
+                              and all(d == divs[0][1] for _, d in divs)):
+            continue
+        for (g, s), d in divs:
+            p_pair = (model.goal_probs[vid].get(g, 0.0)
+                      * model.traj_probs[vid].get((g, s), 0.0))
+            triples.append((d, -p_pair, vid, g, s))
+    triples.sort()
+    causes, seen = [], set()
+    for d, neg_p, vid, g, s in triples:
+        if vid in seen:
+            continue
+        seen.add(vid)
+        causes.append(Cause(vehicle=vid, label=model.labels.get(vid, vid),
+                            macros=_cause_macros(model, None, vid, g, s),
+                            probability=-neg_p, divergence=d))
+        if len(causes) >= n_causes:
+            break
+    return causes
+
+
+def answer(fn, *args):
+    """A result in comparable form: dict items in order, or the error type."""
+    try:
+        out = fn(*args)
+    except (UnexploredCounterfactualError, KeyError) as exc:
+        return type(exc)
+    return list(out.items()) if isinstance(out, dict) else out
+
+
+PROBS = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+@st.composite
+def trace_logs(draw):
+    """A trace log over 1-3 vehicles with 1-2 goals of 1-2 trajectories each."""
+    d_max = draw(st.integers(1, 3))
+    goal_probs, traj_probs = {}, {}
+    for vid in [f"v{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]:
+        n_goals = draw(st.integers(1, 2))
+        goal_probs[vid] = {g: draw(PROBS) for g in range(n_goals)}
+        traj_probs[vid] = {(g, s): draw(PROBS)
+                           for g in range(n_goals) for s in range(draw(st.integers(1, 2)))}
+    records = []
+    for index in range(draw(st.integers(1, 25))):
+        assignment = {vid: draw(st.sampled_from(sorted(opts)))
+                      for vid, opts in traj_probs.items()}
+        macros = tuple(draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=d_max)))
+        outcome = draw(st.sampled_from(OUTCOME_KINDS))
+        components = {c: (draw(st.floats(-50.0, 50.0)) if c in OUTCOME_REQUIRED[outcome]
+                          else None) for c in REWARD_COMPONENTS}
+        collider = (draw(st.sampled_from([None, *sorted(goal_probs)]))
+                    if outcome == "collision" else None)
+        records.append(TraceRecord(index=index, assignment=assignment, macros=macros,
+                                   components=components, outcome=outcome,
+                                   collider=collider, reward=0.0, steps=1))
+    return records, goal_probs, traj_probs, d_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_logs())
+def test_aggregates_built_once_match_per_call_reference(log):
+    records, goal_probs, traj_probs, d_max = log
+    model = build_bn(records, goal_probs, traj_probs, d_max)
+    ref = ReferenceModel(records, goal_probs, traj_probs, d_max)
+
+    assert model_to_dict(model) == model_to_dict(ref)
+    assert model.sel == ref.sel and model.reach == ref.reach
+    assert ({k: set(v) for k, v in model.support.items()}
+            == {k: set(v) for k, v in ref.support.items()})
+    assert list(model.trace_weights.items()) == list(ref.trace_weights.items())
+
+    for targets, evidence in all_queries_for(model):
+        assert (answer(query, model, targets, evidence)
+                == answer(reference_query, ref, targets, evidence)), (targets, evidence)
+    for evidence in [{}] + [{"Omega_1": a} for a in sorted(model.omega_support[1])]:
+        for comp in REWARD_COMPONENTS:
+            assert (answer(expected_reward, model, comp, evidence)
+                    == answer(reference_expected_reward, ref, comp, evidence))
+
+    marginal, conditionals = _omega_distributions(model)
+    assert list(marginal.items()) == list(reference_omega_distribution(ref).items())
+    for (vid, g, s), cond in conditionals.items():
+        want = reference_omega_distribution(ref, lambda ak: (vid, g, s) in ak)
+        assert list(cond.items()) == list(want.items())
+    n = len(model.vehicles)
+    assert agent_influences(model, None, n) == reference_agent_influences(ref, n)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CORPORA = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
+           "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_explain_queries_reuse_node_means_and_filtered_rows(name, monkeypatch):
+    # Once the net is built, answering every explored depth-1 and depth-2
+    # query computes no sample mean and scans the rows once per evidence.
+    sc = load_scenario(CORPORA[name])
+    pipe = run_pipeline(sc, 0, planner=planner_config(sc, 0, iterations=60))
+    model = pipe.model
+    scans, evidences, means = [], set(), []
+
+    class CountingRows(list):
+        def __iter__(self):
+            scans.append(1)
+            return super().__iter__()
+
+    model.rows = CountingRows(model.rows)
+    real_filter, real_mean = bayes_net_mod._filter_rows, np.mean
+
+    def recording_filter(model, evidence):
+        evidences.add(frozenset(evidence.items()))
+        return real_filter(model, evidence)
+
+    def counting_mean(*args, **kwargs):
+        means.append(1)
+        return real_mean(*args, **kwargs)
+
+    monkeypatch.setattr(bayes_net_mod, "_filter_rows", recording_filter)
+    monkeypatch.setattr(np, "mean", counting_mean)
+    answered = 0
+    for depth in (1, 2):
+        for action in sorted(model.omega_support[depth]):
+            cf = parse_query(f"omega{depth}={action}", n_causes=3, n_effects=6)
+            summary, _, _ = explain_query(model, pipe.mcts.plan, pipe.reward, cf,
+                                          predictions=pipe.predictions)
+            answered += bool(summary.effects)
+    assert answered > 0  # reward effects were asked for
+    assert means == []
+    assert len(scans) == len(evidences)

@@ -168,10 +168,9 @@ def test_single_pair_vehicle_is_dropped():
     model = build(records, goal_probs, traj_probs)
     assert agent_influences(model, None, n_causes=3) == []
     # Its conditional equals the marginal exactly, so the divergence is zero.
-    from whyplan.causal import _omega_distribution
-    marg = _omega_distribution(model)
-    cond = _omega_distribution(model, restrict=lambda ak: ("v1", 0, 0) in ak)
-    assert trace_divergence(marg, cond) == 0.0
+    from whyplan.causal import _omega_distributions
+    marg, conds = _omega_distributions(model)
+    assert trace_divergence(marg, conds[("v1", 0, 0)]) == 0.0
 
 
 def test_influences_rank_aligned_pair_first_and_dedupe_per_vehicle():
@@ -214,17 +213,14 @@ def test_trailing_continue_is_pruned_from_cause_labels():
 
 
 def test_kl_non_negative_on_random_logs():
-    from whyplan.causal import _omega_distribution
+    from whyplan.causal import _omega_distributions
     for seed in range(10):
         records, goal_probs, traj_probs, d_max = random_trace_log(seed + 300)
         model = build_bn(records, goal_probs, traj_probs, d_max)
-        marg = _omega_distribution(model)
-        for vid in model.vehicles:
-            pairs = {(g, s) for ak, _ in model.trace_weights for v, g, s in ak if v == vid}
-            for g, s in pairs:
-                cond = _omega_distribution(
-                    model, restrict=lambda ak, vid=vid, g=g, s=s: (vid, g, s) in ak)
-                assert trace_divergence(marg, cond) >= 0.0
+        marg, conds = _omega_distributions(model)
+        assert set(conds) == {triple for ak, _ in model.trace_weights for triple in ak}
+        for cond in conds.values():
+            assert trace_divergence(marg, cond) >= 0.0
 
 
 # --- summary assembly ----------------------------------------------------------------

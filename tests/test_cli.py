@@ -247,6 +247,23 @@ def test_run_json_without_max_depth_exits_with_run_dir_code(mini_scenario_path, 
     assert "max_depth" in err
 
 
+@pytest.mark.parametrize("version", [None, 2])
+def test_run_json_format_version_other_than_1_exits_with_run_dir_code(
+        mini_scenario_path, tmp_path, capsys, version):
+    out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
+    path = os.path.join(out, "run.json")
+    meta = json.load(open(path))
+    assert meta["format_version"] == 1
+    if version is None:
+        del meta["format_version"]
+    else:
+        meta["format_version"] = version
+    json.dump(meta, open(path, "w"))
+    code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
+    assert code == 7
+    assert f"format_version {version!r}" in err and "unexpected" not in err
+
+
 def test_malformed_style_file_exits_with_parse_code(mini_scenario_path, tmp_path, capsys):
     out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
     style = tmp_path / "style.json"

@@ -15,7 +15,7 @@ from whyplan.scenario import (Goal, JointState, VehicleState, goal_contains, lan
                               scenario_from_dict)
 from whyplan.simulation import observe
 
-from conftest import mini_scenario_dict
+from conftest import mini_scenario_dict, spec_of
 
 PARAMS = KinematicParams()
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -165,7 +165,7 @@ def mid_connection(layout, from_lane, to_lane, speed=3.0):
 
 def test_vehicle_inside_a_junction_finishes_its_crossing():
     s2 = load_scenario(os.path.join(SCENARIOS, "s2.json"))
-    goal = s2.spec_of("v1").goals[0]  # the start of n_out
+    goal = spec_of(s2, "v1").goals[0]  # the start of n_out
     turning = mid_connection(s2.layout, "w_in", "n_out")
     with pytest.raises(OffRoadError):
         locate(s2.layout, (turning.vehicles["me"].x, turning.vehicles["me"].y))

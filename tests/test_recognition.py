@@ -17,7 +17,7 @@ from whyplan.scenario import (Goal, JointState, lane_point_state, load_scenario,
                               sample_initial_states, scenario_from_dict)
 from whyplan.simulation import observe
 
-from conftest import mini_scenario_dict
+from conftest import mini_scenario_dict, spec_of
 
 PARAMS = KinematicParams()
 DT, HORIZON = 0.1, 300
@@ -258,7 +258,7 @@ def test_recognition_is_deterministic():
     sc = scenario_from_dict(mini_scenario_dict())
     start = lane_point_state(sc.layout, "left", 25.0, 7.0)
     prefix = prefix_from_states([start])
-    goals = sc.spec_of("v1").goals
+    goals = spec_of(sc, "v1").goals
     a = posterior(prefix, goals, sc.layout, beta=2.0)
     b = posterior(prefix, goals, sc.layout, beta=2.0)
     assert a.probs == b.probs
@@ -308,12 +308,36 @@ def test_predict_all_enumerates_each_state_and_goal_once(monkeypatch):
         pipe = run_pipeline(sc, 0, planner=planner_config(sc, 0, iterations=5))
         expected = Counter()
         for vid in sc.non_ego_ids:
-            goals = sc.spec_of(vid).goals
+            goals = spec_of(sc, vid).goals
             expected[(pipe.initial.vehicles[vid], goals)] += 1
             expected[(pipe.prefixes[vid].tail_state(), goals)] += 1
         assert Counter(enumerations) == expected, name
         assert len(enumerations) == 2 * len(sc.non_ego_ids), name
         assert rollouts and len(set(rollouts)) == len(rollouts), name
+
+
+def test_enumeration_asks_applicability_once_per_node(monkeypatch):
+    # Only Continue depends on the goal, so a node with several open goals
+    # still asks applicable_macros once.
+    asked = []  # per enumerate_plans call: the states applicability was asked at
+
+    def counting_enumerate(*args):
+        asked.append([])
+        return enumerate_plans(*args)
+
+    def counting_applicable(state, vehicle_id, *args, **kwargs):
+        asked[-1].append(state.vehicles[vehicle_id])
+        return applicable_macros(state, vehicle_id, *args, **kwargs)
+
+    monkeypatch.setattr(recognition_mod, "enumerate_plans", counting_enumerate)
+    monkeypatch.setattr(pipeline_mod, "enumerate_plans", counting_enumerate)
+    monkeypatch.setattr(recognition_mod, "applicable_macros", counting_applicable)
+    for name, sc in SCENARIOS.items():
+        asked.clear()
+        run_pipeline(sc, 0, planner=planner_config(sc, 0, iterations=5))
+        assert asked, name
+        for states in asked:
+            assert states and len(set(states)) == len(states), name
 
 
 # --- enumeration oracle: the single-goal enumeration, one goal at a time ----------
@@ -385,7 +409,7 @@ def assert_matches_reference(sc, state, goals, label):
 
 def scenario_goals(sc):
     """Every distinct non-ego goal of a scenario, in first-seen order."""
-    return tuple(dict.fromkeys(g for vid in sc.non_ego_ids for g in sc.spec_of(vid).goals))
+    return tuple(dict.fromkeys(g for vid in sc.non_ego_ids for g in spec_of(sc, vid).goals))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -397,7 +421,7 @@ def test_enumeration_matches_single_goal_reference_on_run_states(name, seed):
     plans, _ = true_goal_plans(sc, initial, params)
     prefixes, _ = observe(sc, initial, plans)
     for vid in sc.non_ego_ids:
-        goals = sc.spec_of(vid).goals
+        goals = spec_of(sc, vid).goals
         assert_matches_reference(sc, initial.vehicles[vid], goals, f"{vid} initial")
         assert_matches_reference(sc, prefixes[vid].tail_state(), goals, f"{vid} observed")
 

@@ -8,7 +8,7 @@ from whyplan.scenario import (Goal, VehicleState, goal_contains, lane_point_stat
                               load_scenario, locate, sample_initial_states,
                               scenario_from_dict)
 
-from conftest import mini_scenario_dict
+from conftest import mini_scenario_dict, spec_of
 
 S1_PATH = "scenarios/s1.json"
 
@@ -131,7 +131,7 @@ def test_sampling_is_uniform_over_many_seeds(mini_scenario):
 
 
 def test_positions_stay_within_spawn_range(mini_scenario):
-    spec = mini_scenario.spec_of("v1")
+    spec = spec_of(mini_scenario, "v1")
     lane = mini_scenario.layout.lanes[spec.lane]
     for seed in range(200):
         st = sample_initial_states(mini_scenario, seed).vehicles["v1"]
