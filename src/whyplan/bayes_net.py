@@ -171,23 +171,31 @@ class BnModel:
         return node.outcomes.get(kind, 0) / node.total
 
     def _build_rows(self) -> list[Row]:
+        # Variable names are formatted once per model, and the Rb/O values,
+        # which depend on the outcome kind alone, once per kind.
+        vehicle_names: dict = {}  # vid -> (G name, S name)
+        omega_names = [f"Omega_{d}" for d in range(1, self.d_max + 1)]
+        kind_values = {
+            kind: {**{f"Rb_{c}": 1 if c in OUTCOME_REQUIRED[kind] else 0
+                      for c in REWARD_COMPONENTS},
+                   **{f"O_{k}": 1 if k == kind else 0 for k in OUTCOME_KINDS}}
+            for kind in OUTCOME_KINDS}
         rows = []
         for (akey, omega), base in self.trace_weights.items():
             node = self.nodes[omega]
+            trace_values = {}
+            for vid, g, s in akey:
+                names = vehicle_names.get(vid)
+                if names is None:
+                    names = vehicle_names[vid] = (f"G_{vid}", f"S_{vid}")
+                trace_values[names[0]] = g
+                trace_values[names[1]] = (g, s)
+            for d, name in enumerate(omega_names):
+                trace_values[name] = omega[d] if d < len(omega) else None
             for kind in sorted(node.outcomes):
                 w = base * self.pattern_probability(omega, kind)
-                values = {}
-                for vid, g, s in akey:
-                    values[f"G_{vid}"] = g
-                    values[f"S_{vid}"] = (g, s)
-                for d in range(1, self.d_max + 1):
-                    values[f"Omega_{d}"] = omega[d - 1] if d <= len(omega) else None
-                required = set(OUTCOME_REQUIRED[kind])
-                for comp in REWARD_COMPONENTS:
-                    values[f"Rb_{comp}"] = 1 if comp in required else 0
-                for k in OUTCOME_KINDS:
-                    values[f"O_{k}"] = 1 if k == kind else 0
-                rows.append(Row(akey=akey, omega=omega, kind=kind, weight=w, values=values))
+                rows.append(Row(akey=akey, omega=omega, kind=kind, weight=w,
+                                values={**trace_values, **kind_values[kind]}))
         return rows
 
     # -- variable index -------------------------------------------------------

@@ -10,6 +10,7 @@ argmin) bit for bit, without numpy's per-call overhead on short lines.
 """
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -52,6 +53,11 @@ class Polyline:
         if self._simple:
             self._ax, self._ay, self._dx, self._dy = self._rows[0][:4]
             self._l2 = self._dx * self._dx + self._dy * self._dy
+
+    @functools.cached_property
+    def content_key(self) -> bytes:
+        """The points as bytes: polylines with equal keys project identically."""
+        return self.pts.tobytes()
 
     def _segment_index(self, s: float) -> int:
         idx = bisect.bisect_right(self.cum_s, s) - 1

@@ -638,7 +638,7 @@ def _end_speed_for(i: int, maneuvers: list[Maneuver], params: KinematicParams) -
     return params.cruise_speed
 
 
-def _car_follow_limit(x: float, y: float, v: float, seg, others: list[tuple[float, float, float]],
+def _car_follow_limit(x: float, y: float, v: float, seg, traffic, t: int,
                       params: KinematicParams, dt: float) -> float:
     """Max speed that keeps a safe gap to the nearest leader on the path.
 
@@ -648,12 +648,14 @@ def _car_follow_limit(x: float, y: float, v: float, seg, others: list[tuple[floa
     cutting in or diverging off the path.
     """
     path = getattr(seg, "path", None)
-    if path is None or not others:
+    if path is None:
         return math.inf
-    s_me, lat_me, _ = path.project((x, y))
+    others = traffic.projected_peers(path, t)
+    if not others:
+        return math.inf
+    s_me, lat_me = traffic.projected_ego(path, x, y)
     limit = math.inf
-    for ox, oy, ov in others:
-        s_o, lat_o, _ = path.project((ox, oy))
+    for s_o, lat_o, ov in others:
         if abs(lat_o - lat_me) > params.lead_lateral:
             continue
         ds = s_o - s_me
@@ -678,8 +680,10 @@ class ChainStepper:
     A step cut short by the chain's end or a hold point records the speed
     actually driven, so speeds match displacements. The traffic passed to
     `step` is None on an empty road (give-way clears at once, no car
-    following) or provides `positions_speeds(t)`, the other vehicles'
-    (x, y, speed), and `giveway_clear(segment, t)`.
+    following) or provides `giveway_clear(segment, t)` and, for car
+    following, the vehicles already projected onto the segment's path:
+    `projected_peers(path, t)`, each other vehicle's (s, lateral, speed) at
+    step t, and `projected_ego(path, x, y)`, this vehicle's (s, lateral).
     """
 
     def __init__(self, start: VehicleState, layout: RoadLayout, dt: float,
@@ -723,8 +727,7 @@ class ChainStepper:
         _try_clear(seg, traffic, t)
         v_des = seg.desired_speed(v, params)
         if traffic is not None:
-            v_des = min(v_des, _car_follow_limit(self.x, self.y, v, seg,
-                                                 traffic.positions_speeds(t), params, dt))
+            v_des = min(v_des, _car_follow_limit(self.x, self.y, v, seg, traffic, t, params, dt))
         a = min(max((v_des - v) / dt, -params.brake_max), params.accel_max)
         v_next = max(v + a * dt, 0.0)
 

@@ -22,7 +22,8 @@ from .maneuvers import (KinematicParams, MacroAction, Trajectory, applicable_mac
                         concat_trajectories, extract_features)
 from .recognition import FEATURE_WEIGHTS, Predictions
 from .scenario import JointState, Scenario
-from .simulation import FixedTraffic, MacroStepResult, SimulationContext, simulate_step
+from .simulation import (FixedTraffic, MacroStepResult, ProjectionTable, SimulationContext,
+                         simulate_step)
 
 OUTCOME_KINDS = ("done", "collision", "termination", "dead")
 # Argmax tie-breaking prefers safety-salient outcomes.
@@ -235,6 +236,9 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
     actions_at: dict[tuple, list[MacroAction]] = {}
     step_at: dict[tuple, MacroStepResult] = {}
     end_at: dict[tuple, tuple] = {}
+    # Car-following projections recur across joint samples that share a
+    # predicted option, which the memo above cannot see: one table per search.
+    projections = ProjectionTable()
 
     for k in range(config.iterations):
         assignment = {vid: predictions[vid].sample(rng) for vid in scenario.non_ego_ids}
@@ -266,7 +270,7 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
                 if traffic is None:
                     traffic = FixedTraffic(scenario.layout, {
                         vid: predictions[vid].options[g][s].trajectory
-                        for vid, (g, s) in assignment.items()}, params)
+                        for vid, (g, s) in assignment.items()}, params, projections, assignment)
                 step = simulate_step(ctx, state, choice, traffic)
             ego_parts.append(step.ego_trajectory)
             if step.outcome is not None or depth + 1 == config.max_depth:

@@ -9,6 +9,12 @@ against `ExtrapolatedTraffic`, the others' current poses extrapolated at
 constant velocity. Both feed the one give-way predicate, `giveway_clear`:
 yield while priority traffic is predicted near the conflict path. Everything
 here is deterministic.
+
+For car following, traffic answers with the other vehicles already projected
+onto the stepping vehicle's path. One search's rollouts replay a handful of
+predicted options from the same root state, so the same (path, option, step)
+projections recur across joint samples; `FixedTraffic` reads them from the
+search's `ProjectionTable`, which computes each once.
 """
 
 import functools
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InapplicableMacroError
+from .geometry import Polyline
 from .maneuvers import (ChainStepper, KinematicParams, MacroAction, Trajectory, _GiveWaySegment,
                         expand_macro)
 from .scenario import (JointState, RoadLayout, Scenario, VehicleState, goal_contains,
@@ -76,24 +83,95 @@ def giveway_clear(layout: RoadLayout, seg: _GiveWaySegment, windows,
     return True
 
 
+def _project_peer(path: Polyline, traj: Trajectory, k: int) -> tuple[float, float, float]:
+    """(s, lateral, speed) of a trajectory's state k on the path."""
+    s, lat, _ = path.project((float(traj.xs[k]), float(traj.ys[k])))
+    return s, lat, float(traj.speeds[k])
+
+
+class ProjectionTable:
+    """The car-following projections of one search, each computed once.
+
+    Peer entries are keyed by path content, predicted option (vehicle, goal
+    index, trajectory index) and step clamped to the trajectory's end, and
+    hold (s, lateral, speed); ego entries are keyed by path content and
+    (x, y), and hold (s, lateral). Segment paths are rebuilt for every
+    rollout segment, so paths are keyed by their points, not by identity.
+    Every entry is the `Polyline.project` answer for the same floats, so
+    reading it changes no result. `FixedTraffic` fills entries on first use;
+    they live as long as the table, which `run_mcts` makes per search.
+    """
+
+    def __init__(self):
+        self._paths: dict[bytes, tuple[dict, dict]] = {}
+
+    def entries(self, path: Polyline) -> tuple[dict, dict]:
+        """The path's peer entries, option -> {step: (s, lateral, speed)}, and
+        its ego entries, (x, y) -> (s, lateral)."""
+        entries = self._paths.get(path.content_key)
+        if entries is None:
+            entries = self._paths[path.content_key] = ({}, {})
+        return entries
+
+
 class FixedTraffic:
-    """Non-ego vehicles following fixed, pre-sampled trajectories."""
+    """Non-ego vehicles following fixed, pre-sampled trajectories.
+
+    Given the search's `table` and the `assignment` (vehicle id -> (goal
+    index, trajectory index)) the trajectories were drawn by, car following
+    reads its projections from the table; without a table it projects
+    directly.
+    """
 
     def __init__(self, layout: RoadLayout, trajectories: dict[str, Trajectory],
-                 params: KinematicParams):
+                 params: KinematicParams, table: ProjectionTable | None = None,
+                 assignment: dict | None = None):
         self.layout = layout
         self.trajectories = trajectories
         self.params = params
+        self._table = table
+        self._assignment = assignment
+        # The path whose table entries are bound; held, so `is` cannot match
+        # a later path that reuses its address.
+        self._path = None
 
     def states_at(self, t: int) -> dict[str, VehicleState]:
         return {vid: traj.state_at(t) for vid, traj in self.trajectories.items()}
 
-    def positions_speeds(self, t: int) -> list[tuple[float, float, float]]:
+    def _bind(self, path: Polyline) -> None:
+        """Find the path's entries once: a segment asks along one path for many steps."""
+        by_option, self._ego_at = self._table.entries(path)
+        self._peer_at = [(by_option.setdefault((vid, *self._assignment[vid]), {}), traj,
+                          len(traj.xs) - 1)
+                         for vid, traj in self.trajectories.items()]
+        self._path = path
+
+    def projected_peers(self, path: Polyline, t: int) -> list[tuple[float, float, float]]:
+        """(s, lateral, speed) on the path of every vehicle at step t."""
+        if self._table is None:
+            return [_project_peer(path, traj, min(t, len(traj.xs) - 1))
+                    for traj in self.trajectories.values()]
+        if path is not self._path:
+            self._bind(path)
         out = []
-        for traj in self.trajectories.values():
-            k = t if t < len(traj.xs) else len(traj.xs) - 1
-            out.append((float(traj.xs[k]), float(traj.ys[k]), float(traj.speeds[k])))
+        for at, traj, last in self._peer_at:
+            k = t if t < last else last
+            hit = at.get(k)
+            if hit is None:
+                hit = at[k] = _project_peer(path, traj, k)
+            out.append(hit)
         return out
+
+    def projected_ego(self, path: Polyline, x: float, y: float) -> tuple[float, float]:
+        if self._table is None:
+            return path.project((x, y))[:2]
+        if path is not self._path:
+            self._bind(path)
+        at = (x, y)
+        hit = self._ego_at.get(at)
+        if hit is None:
+            hit = self._ego_at[at] = path.project(at)[:2]
+        return hit
 
     def collider(self, x: float, y: float, t: int) -> str | None:
         """The first vehicle whose disc overlaps one at (x, y) at step t."""
@@ -130,8 +208,11 @@ class ExtrapolatedTraffic:
         self.dt = dt
         self.params = params
 
-    def positions_speeds(self, t: int) -> list[tuple[float, float, float]]:
-        return [(p.x, p.y, p.v) for p in self.peers]
+    def projected_peers(self, path: Polyline, t: int) -> list[tuple[float, float, float]]:
+        return [(*path.project((p.x, p.y))[:2], p.v) for p in self.peers]
+
+    def projected_ego(self, path: Polyline, x: float, y: float) -> tuple[float, float]:
+        return path.project((x, y))[:2]
 
     def giveway_clear(self, seg: _GiveWaySegment, t: int) -> bool:
         n = max(int(self.params.giveway_window_s / self.dt), 1)

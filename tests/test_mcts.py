@@ -1,8 +1,11 @@
+import functools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import whyplan.mcts as mcts_mod
 from whyplan.errors import ScenarioValidationError
@@ -109,6 +112,10 @@ def test_same_seed_gives_bit_identical_trace_log():
 # --- rollout memoisation ---------------------------------------------------------
 
 SHIPPED_RUNS = [(name, seed) for name in ("s1", "s2") for seed in (0, 1)]
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SCENARIO_PATHS = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
+                  "s2": os.path.join(ROOT, "scenarios", "s2.json"),
+                  "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
 
 
 def shipped_pipe(name, seed, iterations=60):
@@ -116,18 +123,18 @@ def shipped_pipe(name, seed, iterations=60):
     return run_pipeline(sc, seed, planner=planner_config(sc, seed, iterations=iterations))
 
 
-@pytest.mark.parametrize("name,seed", SHIPPED_RUNS)
-def test_memoised_records_match_uncached_rollouts(name, seed):
-    pipe = shipped_pipe(name, seed)
+def assert_records_match_uncached_rollouts(pipe, start, trace_log):
+    """Replay every record without memo or projection table, one fresh
+    table-less `FixedTraffic` per record, and compare what it observed."""
     sc = pipe.scenario
     params = KinematicParams(cruise_speed=sc.target_speed)
     ctx = SimulationContext(layout=sc.layout, ego_id=sc.ego_id, ego_goal=sc.ego_goal,
                             dt=sc.dt, horizon=sc.horizon, params=params)
-    for rec in pipe.mcts.trace_log:
+    for rec in trace_log:
         traffic = FixedTraffic(sc.layout, {
             vid: pipe.predictions[vid].options[g][s].trajectory
             for vid, (g, s) in rec.assignment.items()}, params)
-        state, parts, step = pipe.planning_state, [], None
+        state, parts, step = start, [], None
         for macro in rec.macros:
             assert step is None or step.outcome is None
             step = simulate_step(ctx, state, macro_from_name(macro), traffic)
@@ -138,6 +145,38 @@ def test_memoised_records_match_uncached_rollouts(name, seed):
         reward, comps = terminal_reward(traj, outcome, pipe.reward, sc.ego_goal, sc.layout)
         assert (outcome, step.collider, len(traj) - 1, reward, comps) == (
             rec.outcome, rec.collider, rec.steps, rec.reward, rec.components), rec.index
+
+
+@pytest.mark.parametrize("name,seed", SHIPPED_RUNS)
+def test_memoised_records_match_uncached_rollouts(name, seed):
+    pipe = shipped_pipe(name, seed)
+    assert_records_match_uncached_rollouts(pipe, pipe.planning_state, pipe.mcts.trace_log)
+
+
+@functools.lru_cache(maxsize=None)
+def seed0_pipe(name):
+    """A scenario's seed-0 predictions and planning state (the search is not used)."""
+    sc = load_scenario(SCENARIO_PATHS[name])
+    return run_pipeline(sc, 0, planner=planner_config(sc, 0, iterations=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_memoised_records_match_uncached_rollouts_from_generated_starts(data):
+    """The ego starts anywhere on any lane of s1/s2/dense, at any speed."""
+    pipe = seed0_pipe(data.draw(st.sampled_from(sorted(SCENARIO_PATHS)), label="scenario"))
+    sc = pipe.scenario
+    lane = data.draw(st.sampled_from(sorted(sc.layout.lanes)), label="lane")
+    s = data.draw(st.floats(0.0, sc.layout.lanes[lane].midline.length), label="arc length")
+    speed = data.draw(st.floats(0.0, 1.2 * sc.target_speed), label="speed")
+    ego = lane_point_state(sc.layout, lane, s, speed)
+    start = JointState(t=pipe.planning_state.t,
+                       vehicles={**pipe.planning_state.vehicles, sc.ego_id: ego})
+    config = PlannerConfig(iterations=24, max_depth=3, seed=data.draw(st.integers(0, 3)),
+                           exploration=pipe.planner.exploration)
+    res = run_mcts(sc, start, config, pipe.predictions, reward_config=pipe.reward,
+                   params=KinematicParams(cruise_speed=sc.target_speed))
+    assert_records_match_uncached_rollouts(pipe, start, res.trace_log)
 
 
 def test_each_sample_and_prefix_is_simulated_once(monkeypatch):
