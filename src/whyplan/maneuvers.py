@@ -650,10 +650,10 @@ def _car_follow_limit(x: float, y: float, v: float, seg, traffic, t: int,
     path = getattr(seg, "path", None)
     if path is None:
         return math.inf
-    others = traffic.projected_peers(path, t)
-    if not others:
+    projected = traffic.projected(path, x, y, t)
+    if projected is None:
         return math.inf
-    s_me, lat_me = traffic.projected_ego(path, x, y)
+    s_me, lat_me, others = projected
     limit = math.inf
     for s_o, lat_o, ov in others:
         if abs(lat_o - lat_me) > params.lead_lateral:
@@ -681,9 +681,9 @@ class ChainStepper:
     actually driven, so speeds match displacements. The traffic passed to
     `step` is None on an empty road (give-way clears at once, no car
     following) or provides `giveway_clear(segment, t)` and, for car
-    following, the vehicles already projected onto the segment's path:
-    `projected_peers(path, t)`, each other vehicle's (s, lateral, speed) at
-    step t, and `projected_ego(path, x, y)`, this vehicle's (s, lateral).
+    following, `projected(path, x, y, t)`: this vehicle's (s, lateral) and
+    the other vehicles' (s, lateral, speed) at step t, already projected
+    onto the segment's path, or None when there are no other vehicles.
     """
 
     def __init__(self, start: VehicleState, layout: RoadLayout, dt: float,

@@ -146,32 +146,30 @@ class FixedTraffic:
                          for vid, traj in self.trajectories.items()]
         self._path = path
 
-    def projected_peers(self, path: Polyline, t: int) -> list[tuple[float, float, float]]:
-        """(s, lateral, speed) on the path of every vehicle at step t."""
+    def projected(self, path: Polyline, x: float, y: float, t: int
+                  ) -> tuple[float, float, list[tuple[float, float, float]]] | None:
+        """(s, lateral) of (x, y) and every vehicle's (s, lateral, speed) at step
+        t on the path; None with no vehicles."""
+        if not self.trajectories:
+            return None
         if self._table is None:
-            return [_project_peer(path, traj, min(t, len(traj.xs) - 1))
-                    for traj in self.trajectories.values()]
+            s, lat, _ = path.project((x, y))
+            return s, lat, [_project_peer(path, traj, min(t, len(traj.xs) - 1))
+                            for traj in self.trajectories.values()]
         if path is not self._path:
             self._bind(path)
-        out = []
+        peers = []
         for at, traj, last in self._peer_at:
             k = t if t < last else last
             hit = at.get(k)
             if hit is None:
                 hit = at[k] = _project_peer(path, traj, k)
-            out.append(hit)
-        return out
-
-    def projected_ego(self, path: Polyline, x: float, y: float) -> tuple[float, float]:
-        if self._table is None:
-            return path.project((x, y))[:2]
-        if path is not self._path:
-            self._bind(path)
-        at = (x, y)
-        hit = self._ego_at.get(at)
-        if hit is None:
-            hit = self._ego_at[at] = path.project(at)[:2]
-        return hit
+            peers.append(hit)
+        key = (x, y)
+        me = self._ego_at.get(key)
+        if me is None:
+            me = self._ego_at[key] = path.project(key)[:2]
+        return me[0], me[1], peers
 
     def collider(self, x: float, y: float, t: int) -> str | None:
         """The first vehicle whose disc overlaps one at (x, y) at step t."""
@@ -208,11 +206,12 @@ class ExtrapolatedTraffic:
         self.dt = dt
         self.params = params
 
-    def projected_peers(self, path: Polyline, t: int) -> list[tuple[float, float, float]]:
-        return [(*path.project((p.x, p.y))[:2], p.v) for p in self.peers]
-
-    def projected_ego(self, path: Polyline, x: float, y: float) -> tuple[float, float]:
-        return path.project((x, y))[:2]
+    def projected(self, path: Polyline, x: float, y: float, t: int
+                  ) -> tuple[float, float, list[tuple[float, float, float]]] | None:
+        if not self.peers:
+            return None
+        s, lat, _ = path.project((x, y))
+        return s, lat, [(*path.project((p.x, p.y))[:2], p.v) for p in self.peers]
 
     def giveway_clear(self, seg: _GiveWaySegment, t: int) -> bool:
         n = max(int(self.params.giveway_window_s / self.dt), 1)

@@ -115,11 +115,10 @@ def test_table_answers_equal_direct_projection(session):
             if spec is not None:
                 del path  # the rebuilt path may reuse the freed object
                 path = build(spec)
-            assert traffic.projected_peers(path, t) == [ref_peer(path, trajs[v], t)
-                                                        for v in chosen]
-            assert traffic.projected_ego(path, x, y) == path.project((x, y))[:2]
-            # Reading an entry again answers the same.
-            assert traffic.projected_ego(path, x, y) == path.project((x, y))[:2]
+            want = (*path.project((x, y))[:2], [ref_peer(path, trajs[v], t) for v in chosen])
+            assert traffic.projected(path, x, y, t) == want
+            # Reading the entries again answers the same.
+            assert traffic.projected(path, x, y, t) == want
 
 
 def test_rebuilt_path_with_equal_points_is_answered_without_projecting(monkeypatch):
@@ -128,14 +127,13 @@ def test_rebuilt_path_with_equal_points_is_answered_without_projecting(monkeypat
                       headings=np.zeros(2), speeds=np.array([5.0, 5.0]))
     table = ProjectionTable()
     first = FixedTraffic(None, {"v1": traj}, PARAMS, table, {"v1": (0, 0)})
-    want = (first.projected_peers(Polyline(pts), 7), first.projected_ego(Polyline(pts), 1.0, 2.0))
+    want = first.projected(Polyline(pts), 1.0, 2.0, 7)
 
     calls = []
     monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(p))
     again = FixedTraffic(None, {"v1": traj}, PARAMS, table, {"v1": (0, 0)})
     # Step 9 clamps to the same last state as step 7.
-    assert (again.projected_peers(Polyline(pts), 9),
-            again.projected_ego(Polyline(pts), 1.0, 2.0)) == want
+    assert again.projected(Polyline(pts), 1.0, 2.0, 9) == want
     assert calls == []
 
 
