@@ -10,8 +10,7 @@ language.
 from .bayes_net import (BnModel, build_bn, collision_collider, expected_reward,
                         model_to_dict, outcome_distribution, query)
 from .causal import (CausalSummary, Cause, CfOutcome, CounterfactualQuery, Effect,
-                     agent_influences, assemble_summary, outcome_given_cf, reward_deltas,
-                     trace_divergence)
+                     agent_influences, outcome_given_cf, reward_deltas, trace_divergence)
 from .errors import (EmptyTraceLogError, GoalUnreachableError, InapplicableMacroError,
                      NoApplicableActionError, OffRoadError, QueryParseError,
                      RunDirectoryError, ScenarioParseError, ScenarioValidationError,

@@ -6,6 +6,12 @@ Agent influence ranks each (vehicle, goal, trajectory) by the KL divergence
 on that sample; small divergence marks behaviour the plan already accounts
 for. Vehicles whose divergences are all identical carry no signal and are
 dropped.
+
+Every answer reads the Bayes net alone: a cause's macro labels come from
+`BnModel.traj_macros`, which `load_run` rebuilds from `predictions.json`,
+so an in-memory run and a reloaded one explain alike. Each of the query's
+counts is applied once: `reward_deltas` keeps the first `n_effects` effects
+and `agent_influences` the first `n_causes` causes.
 """
 
 import math
@@ -15,7 +21,6 @@ from .bayes_net import BnModel, collision_collider, expected_reward, outcome_dis
 from .errors import QueryParseError, UnexploredCounterfactualError
 from .maneuvers import ALL_MACRO_NAMES
 from .mcts import OUTCOME_SAFETY_ORDER, REWARD_COMPONENTS, RewardConfig
-from .recognition import Predictions
 
 
 @dataclass(frozen=True)
@@ -128,15 +133,12 @@ def outcome_given_cf(model: BnModel, cf: CounterfactualQuery) -> CfOutcome:
 
 
 def reward_deltas(model: BnModel, factual: tuple[str, ...], cf: CounterfactualQuery,
-                  reward_config: RewardConfig | None = None,
-                  n_effects: int | None = None) -> list[Effect]:
+                  reward_config: RewardConfig) -> list[Effect]:
     """Per-component reward differences between factual and counterfactual.
 
     Only components present on both sides contribute; entries are sorted by
-    |reward delta| descending and truncated to n_effects.
+    |reward delta| descending and truncated to the query's n_effects.
     """
-    reward_config = reward_config or RewardConfig()
-    n_effects = cf.n_effects if n_effects is None else n_effects
     ev_f = {f"Omega_{d}": a for d, a in enumerate(factual, start=1)}
     ev_cf = cf.evidence(model)
     effects = []
@@ -153,7 +155,7 @@ def reward_deltas(model: BnModel, factual: tuple[str, ...], cf: CounterfactualQu
         ))
     order = {c: i for i, c in enumerate(REWARD_COMPONENTS)}
     effects.sort(key=lambda e: (-abs(e.delta), order[e.component]))
-    return effects[:n_effects]
+    return effects[:cf.n_effects]
 
 
 def _omega_distributions(model: BnModel) -> tuple[dict, dict]:
@@ -193,8 +195,7 @@ def trace_divergence(marginal: dict, conditional: dict) -> float:
     return max(d, 0.0)
 
 
-def agent_influences(model: BnModel, predictions: Predictions | None = None,
-                     n_causes: int = 1) -> list[Cause]:
+def agent_influences(model: BnModel, n_causes: int = 1) -> list[Cause]:
     """Vehicle behaviours ranked by how little they change the plan (Eq-KL).
 
     Returns at most n_causes causes, one per vehicle (each vehicle's
@@ -202,6 +203,8 @@ def agent_influences(model: BnModel, predictions: Predictions | None = None,
     divergence is identical across all their sampled (goal, trajectory) pairs
     carry no signal and are dropped.
     """
+    if n_causes <= 0:
+        return []
     marginal, conditionals = _omega_distributions(model)
     samples = sorted(conditionals)
     triples = []
@@ -226,7 +229,7 @@ def agent_influences(model: BnModel, predictions: Predictions | None = None,
         if vid in seen:
             continue
         seen.add(vid)
-        macros = _cause_macros(model, predictions, vid, g, s)
+        macros = _cause_macros(model, vid, g, s)
         label = model.labels.get(vid, vid)
         causes.append(Cause(vehicle=vid, label=label, macros=macros,
                             probability=-neg_p, divergence=d))
@@ -235,29 +238,10 @@ def agent_influences(model: BnModel, predictions: Predictions | None = None,
     return causes
 
 
-def _cause_macros(model: BnModel, predictions: Predictions | None, vid: str,
-                  g: int, s: int) -> tuple[str, ...]:
-    macros: tuple[str, ...] = ()
-    if predictions is not None and vid in predictions.vehicles:
-        opts = predictions[vid].options.get(g, ())
-        if s < len(opts):
-            macros = opts[s].macros
-    if not macros:
-        macros = model.traj_macros.get(vid, {}).get((g, s), ())
-    if not macros:
-        macros = (f"goal-{g}/trajectory-{s}",)
+def _cause_macros(model: BnModel, vid: str, g: int, s: int) -> tuple[str, ...]:
+    # Only a model built without trajectory macros lacks them.
+    macros = model.traj_macros.get(vid, {}).get((g, s)) or (f"goal-{g}/trajectory-{s}",)
     # The phrasing reads better without the trailing drive-on segment.
     if len(macros) > 1 and macros[-1] == "Continue":
         macros = macros[:-1]
     return macros
-
-
-def assemble_summary(cf: CounterfactualQuery, outcome: CfOutcome, effects: list[Effect],
-                     causes: list[Cause]) -> CausalSummary:
-    """Bundle the three causal answers for the grammar."""
-    return CausalSummary(
-        cf_actions=tuple(cf.actions),
-        outcome=outcome,
-        effects=tuple(effects[:cf.n_effects]),
-        causes=tuple(causes[:cf.n_causes]),
-    )

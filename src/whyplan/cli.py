@@ -122,7 +122,7 @@ def _batch_worker(job: tuple) -> list[dict]:
         try:
             query = parse_query(expr, n_causes=n_causes, n_effects=n_effects)
             summary, _, text = explain_query(pipe.model, pipe.mcts.plan, pipe.reward,
-                                             query, style, predictions=pipe.predictions)
+                                             query, style)
             row.update({
                 "outcome": summary.outcome.kind,
                 "probability": summary.outcome.probability,

@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass
 
 from .bayes_net import BnModel, build_bn, model_to_dict
-from .causal import (CausalSummary, CounterfactualQuery, agent_influences, assemble_summary,
-                     outcome_given_cf, reward_deltas)
+from .causal import (CausalSummary, CounterfactualQuery, agent_influences, outcome_given_cf,
+                     reward_deltas)
 from .errors import RunDirectoryError
 from .grammar import explain as render_explanation
 from .maneuvers import KinematicParams, macro_from_name
@@ -115,22 +115,21 @@ def prediction_factors(predictions: Predictions) -> tuple[dict, dict, dict, dict
 
 
 def explain_query(model: BnModel, plan: tuple[str, ...], reward: RewardConfig,
-                  query: CounterfactualQuery, style: dict | None = None,
-                  predictions: Predictions | None = None
+                  query: CounterfactualQuery, style: dict | None = None
                   ) -> tuple[CausalSummary, str, str]:
     """Answer one counterfactual query: (summary, raw sentence, final sentence).
 
-    Reward effects only make sense against a completed counterfactual, so
-    they are suppressed when the most likely outcome is not `done` (matching
-    how collision and no-goal explanations read).
+    The model is the only input the answer reads. Reward effects only make
+    sense against a completed counterfactual, so they are suppressed when the
+    most likely outcome is not `done` (matching how collision and no-goal
+    explanations read).
     """
     outcome = outcome_given_cf(model, query)
-    if outcome.kind == "done" and query.n_effects > 0:
-        effects = reward_deltas(model, plan, query, reward)
-    else:
-        effects = []
-    causes = agent_influences(model, predictions, query.n_causes)
-    summary = assemble_summary(query, outcome, effects, causes)
+    effects = (reward_deltas(model, plan, query, reward)
+               if outcome.kind == "done" and query.n_effects > 0 else [])
+    summary = CausalSummary(cf_actions=tuple(query.actions), outcome=outcome,
+                            effects=tuple(effects),
+                            causes=tuple(agent_influences(model, query.n_causes)))
     raw, text = render_explanation(summary, style)
     return summary, raw, text
 
@@ -179,17 +178,17 @@ def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
         }
         for rec in pipe.mcts.trace_log
     ])
-    goal_probs, traj_probs, traj_macros, labels = prediction_factors(pipe.predictions)
+    model = pipe.model
     _dump(os.path.join(out_dir, "predictions.json"), {
         vid: {
-            "label": labels[vid],
-            "goals": {str(gi): p for gi, p in goal_probs[vid].items()},
-            "options": {f"{gi}/{si}": {"p": p, "macros": list(traj_macros[vid][(gi, si)])}
-                        for (gi, si), p in sorted(traj_probs[vid].items())},
+            "label": model.labels[vid],
+            "goals": {str(gi): p for gi, p in model.goal_probs[vid].items()},
+            "options": {f"{gi}/{si}": {"p": p, "macros": list(model.traj_macros[vid][(gi, si)])}
+                        for (gi, si), p in sorted(model.traj_probs[vid].items())},
         }
-        for vid in sorted(goal_probs)
+        for vid in model.vehicles
     })
-    _dump(os.path.join(out_dir, "bn.json"), model_to_dict(pipe.model))
+    _dump(os.path.join(out_dir, "bn.json"), model_to_dict(model))
 
 
 @dataclass

@@ -54,7 +54,7 @@ def batch(scenario_name, queries):
             cf = CounterfactualQuery(indices=(1,), actions=(action,),
                                      n_causes=1, n_effects=1)
             summary, raw, text = explain_query(pipe.model, pipe.mcts.plan, pipe.reward,
-                                               cf, style, predictions=pipe.predictions)
+                                               cf, style)
             answers[action] = (summary, text)
         runs.append({"seed": seed, "pipe": pipe, "plan": pipe.mcts.plan,
                      "answers": answers, "elapsed": elapsed})
@@ -338,8 +338,7 @@ def test_criterion_10_effect_count_scaling(s1_runs):
         for n in (1, 2, 3):
             cf = CounterfactualQuery(indices=(1,), actions=("Continue",),
                                      n_causes=1, n_effects=n)
-            _, _, text = explain_query(pipe.model, pipe.mcts.plan, pipe.reward, cf, style,
-                                       predictions=pipe.predictions)
+            _, _, text = explain_query(pipe.model, pipe.mcts.plan, pipe.reward, cf, style)
             body = text.split(" because ")[0]
             bodies.append(body)
         assert "slower" in bodies[0]

@@ -495,7 +495,7 @@ def reference_agent_influences(model, n_causes):
             continue
         seen.add(vid)
         causes.append(Cause(vehicle=vid, label=model.labels.get(vid, vid),
-                            macros=_cause_macros(model, None, vid, g, s),
+                            macros=_cause_macros(model, vid, g, s),
                             probability=-neg_p, divergence=d))
         if len(causes) >= n_causes:
             break
@@ -567,7 +567,7 @@ def test_aggregates_built_once_match_per_call_reference(log):
         want = reference_omega_distribution(ref, lambda ak: (vid, g, s) in ak)
         assert list(cond.items()) == list(want.items())
     n = len(model.vehicles)
-    assert agent_influences(model, None, n) == reference_agent_influences(ref, n)
+    assert agent_influences(model, n) == reference_agent_influences(ref, n)
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -606,8 +606,7 @@ def test_explain_queries_reuse_node_means_and_filtered_rows(name, monkeypatch):
     for depth in (1, 2):
         for action in sorted(model.omega_support[depth]):
             cf = parse_query(f"omega{depth}={action}", n_causes=3, n_effects=6)
-            summary, _, _ = explain_query(model, pipe.mcts.plan, pipe.reward, cf,
-                                          predictions=pipe.predictions)
+            summary, _, _ = explain_query(model, pipe.mcts.plan, pipe.reward, cf)
             answered += bool(summary.effects)
     assert answered > 0  # reward effects were asked for
     assert means == []

@@ -3,11 +3,12 @@ import math
 import pytest
 
 from whyplan.bayes_net import build_bn
-from whyplan.causal import (Cause, CfOutcome, CounterfactualQuery, Effect,
-                            agent_influences, assemble_summary, outcome_given_cf,
-                            reward_deltas, trace_divergence)
+from whyplan.causal import (CausalSummary, Cause, CfOutcome, CounterfactualQuery, Effect,
+                            agent_influences, outcome_given_cf, reward_deltas,
+                            trace_divergence)
 from whyplan.errors import QueryParseError, UnexploredCounterfactualError
 from whyplan.mcts import RewardConfig
+from whyplan.pipeline import explain_query
 
 from conftest import make_record, random_trace_log
 
@@ -166,7 +167,7 @@ def test_single_pair_vehicle_is_dropped():
     traj_probs = {"v1": {(0, 0): 1.0}}
     records = [make_record(i, {"v1": (0, 0)}, ["A"], "done") for i in range(5)]
     model = build(records, goal_probs, traj_probs)
-    assert agent_influences(model, None, n_causes=3) == []
+    assert agent_influences(model, n_causes=3) == []
     # Its conditional equals the marginal exactly, so the divergence is zero.
     from whyplan.causal import _omega_distributions
     marg, conds = _omega_distributions(model)
@@ -191,7 +192,7 @@ def test_influences_rank_aligned_pair_first_and_dedupe_per_vehicle():
     model = build(records, goal_probs, traj_probs,
                   traj_macros={"v1": {(0, 0): ("Continue",), (1, 0): ("Change-right",)}},
                   labels={"v1": "vehicle 1"})
-    causes = agent_influences(model, None, n_causes=5)
+    causes = agent_influences(model, n_causes=5)
     assert len(causes) == 1  # one cause per vehicle
     assert causes[0].vehicle == "v1"
     assert causes[0].macros == ("Continue",)
@@ -208,8 +209,17 @@ def test_trailing_continue_is_pruned_from_cause_labels():
     macros = {"v1": {(0, 0): ("Change-right", "Exit-right", "Continue"),
                      (1, 0): ("Continue",)}}
     model = build(records, goal_probs, traj_probs, traj_macros=macros)
-    causes = agent_influences(model, None, n_causes=1)
+    causes = agent_influences(model, n_causes=1)
     assert causes and causes[0].macros == ("Change-right", "Exit-right")
+
+
+def test_zero_causes_ranks_nothing():
+    ranked = 0
+    for seed in range(10):
+        model = build_bn(*random_trace_log(seed))
+        assert agent_influences(model, 0) == []
+        ranked += bool(agent_influences(model, 1))
+    assert ranked > 0  # the logs do have causes to withhold
 
 
 def test_kl_non_negative_on_random_logs():
@@ -223,18 +233,18 @@ def test_kl_non_negative_on_random_logs():
             assert trace_divergence(marg, cond) >= 0.0
 
 
-# --- summary assembly ----------------------------------------------------------------
+# --- summary ---------------------------------------------------------------------------
 
 
-def test_assemble_summary_carries_running_example_fields():
-    cf = CounterfactualQuery(indices=(1,), actions=("Continue",), n_causes=1, n_effects=1)
+def test_summary_carries_running_example_fields():
     outcome = CfOutcome(distribution={"done": 0.75, "collision": 0.0,
                                       "termination": 0.25, "dead": 0.0},
                         kind="done", probability=0.75)
-    effects = [Effect(component="time", delta=-5.0, delta_quantity=-5.0)]
-    causes = [Cause(vehicle="v1", label=1, macros=("Change-right",), probability=0.6,
-                    divergence=0.0)]
-    summary = assemble_summary(cf, outcome, effects, causes)
+    effects = (Effect(component="time", delta=-5.0, delta_quantity=-5.0),)
+    causes = (Cause(vehicle="v1", label=1, macros=("Change-right",), probability=0.6,
+                    divergence=0.0),)
+    summary = CausalSummary(cf_actions=("Continue",), outcome=outcome, effects=effects,
+                            causes=causes)
     assert summary.cf_actions == ("Continue",)
     assert summary.outcome.kind == "done"
     assert summary.outcome.probability == 0.75
@@ -247,14 +257,13 @@ def test_assemble_summary_carries_running_example_fields():
 
 
 def test_summary_validation():
-    cf = CounterfactualQuery(indices=(1,), actions=("Continue",), n_causes=2, n_effects=2)
     outcome = CfOutcome(distribution={}, kind="done", probability=1.5)
     with pytest.raises(ValueError):
-        assemble_summary(cf, outcome, [], [])
+        CausalSummary(cf_actions=("Continue",), outcome=outcome, effects=(), causes=())
     good = CfOutcome(distribution={}, kind="done", probability=0.5)
-    bad_effects = [Effect("jerk", 0.1, 0.1), Effect("time", -5.0, -5.0)]
+    bad_effects = (Effect("jerk", 0.1, 0.1), Effect("time", -5.0, -5.0))
     with pytest.raises(ValueError, match="sorted"):
-        assemble_summary(cf, good, bad_effects, [])
+        CausalSummary(cf_actions=("Continue",), outcome=good, effects=bad_effects, causes=())
 
 
 def test_multi_depth_counterfactual_query():
@@ -275,10 +284,20 @@ def test_multi_depth_counterfactual_query():
 
 
 def test_truncation_respects_query_counts():
-    cf = CounterfactualQuery(indices=(1,), actions=("Continue",), n_causes=0, n_effects=1)
-    outcome = CfOutcome(distribution={}, kind="done", probability=0.5)
-    effects = [Effect("time", -5.0, -5.0), Effect("jerk", 0.1, 0.1)]
-    causes = [Cause("v1", "vehicle 1", ("Continue",), 0.5, 0.0)]
-    summary = assemble_summary(cf, outcome, effects, causes)
+    # Goal 0 mirrors the overall A/B mix and goal 1 skews it, so v1 is a cause;
+    # every trace reaches the goal, so several reward effects are on offer.
+    goal_probs = {"v1": {0: 0.5, 1: 0.5}}
+    traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
+    plan = [("A", 0), ("B", 0), ("A", 0), ("B", 0), ("A", 1), ("A", 1), ("A", 1), ("B", 1)]
+    records = [make_record(i, {"v1": (g, 0)}, [a], "done",
+                           values={"time": 10.0 + i, "jerk": 0.1 * i,
+                                   "angular_acceleration": 0.2, "curvature": 0.01 * i})
+               for i, (a, g) in enumerate(plan)]
+    model = build(records, goal_probs, traj_probs, d_max=1, labels={"v1": "vehicle 1"})
+    full = CounterfactualQuery(indices=(1,), actions=("B",), n_causes=1, n_effects=6)
+    summary, _, _ = explain_query(model, ("A",), RewardConfig(), full)
+    assert len(summary.effects) > 1 and len(summary.causes) == 1
+    cf = CounterfactualQuery(indices=(1,), actions=("B",), n_causes=0, n_effects=1)
+    summary, _, _ = explain_query(model, ("A",), RewardConfig(), cf)
     assert len(summary.effects) == 1
     assert summary.causes == ()
