@@ -7,11 +7,8 @@ on that sample; small divergence marks behaviour the plan already accounts
 for. Vehicles whose divergences are all identical carry no signal and are
 dropped.
 
-Every answer reads the Bayes net alone: a cause's macro labels come from
-`BnModel.traj_macros`, which `load_run` rebuilds from `predictions.json`,
-so an in-memory run and a reloaded one explain alike. Each of the query's
-counts is applied once: `reward_deltas` keeps the first `n_effects` effects
-and `agent_influences` the first `n_causes` causes.
+Every answer reads the Bayes net alone (a cause's macros come from
+`BnModel.traj_macros`), and each function applies the query count it serves.
 """
 
 import math

@@ -1,11 +1,11 @@
 """Command line driver: plan, explain, batch.
 
-Exit codes: 0 success, 2 parse errors (scenario, query or style file),
-3 validation errors, 4 planning failures, 5 inference failures (an empty
-trace log), 6 unexplored counterfactual, 7 a missing or malformed run
-directory (including a run.json without format_version 1, and a trace log
-whose indices are not 0..n-1, whose records go deeper than max_depth, or
-which samples options predictions.json does not list), 1 anything else.
+Exit codes: 0 success, 2 parse errors (a scenario file that cannot be read,
+is not JSON, or lacks a key or has a value of the wrong type or shape; a
+query; a style file), 3 validation errors, 4 planning failures, 5 inference
+failures (an empty trace log), 6 unexplored counterfactual, 7 a run directory
+that `plan` cannot write or that `explain` finds missing or malformed (README
+lists the checks), 1 anything else.
 """
 
 import argparse
@@ -121,8 +121,7 @@ def _batch_worker(job: tuple) -> list[dict]:
         }
         try:
             query = parse_query(expr, n_causes=n_causes, n_effects=n_effects)
-            summary, _, text = explain_query(pipe.model, pipe.mcts.plan, pipe.reward,
-                                             query, style)
+            summary, _, text = explain_query(pipe.model, pipe.mcts.plan, pipe.reward, query, style)
             row.update({
                 "outcome": summary.outcome.kind,
                 "probability": summary.outcome.probability,

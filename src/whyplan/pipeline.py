@@ -152,43 +152,47 @@ def file_sha256(path) -> str:
 
 
 def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _dump(os.path.join(out_dir, "run.json"), {
-        "format_version": RUN_FORMAT_VERSION,
-        "scenario_path": str(scenario_path),
-        "scenario_sha256": file_sha256(scenario_path),
-        "scenario_name": pipe.scenario.name,
-        "seed": pipe.seed,
-        "iterations": pipe.planner.iterations,
-        "max_depth": pipe.planner.max_depth,
-        "exploration": pipe.planner.exploration,
-        "reward_weights": pipe.reward.weights,
-        "plan": list(pipe.mcts.plan),
-    })
-    _dump(os.path.join(out_dir, "tracelog.json"), [
-        {
-            "index": rec.index,
-            "assignment": {vid: list(gs) for vid, gs in sorted(rec.assignment.items())},
-            "macros": list(rec.macros),
-            "components": rec.components,
-            "outcome": rec.outcome,
-            "collider": rec.collider,
-            "reward": rec.reward,
-            "steps": rec.steps,
-        }
-        for rec in pipe.mcts.trace_log
-    ])
-    model = pipe.model
-    _dump(os.path.join(out_dir, "predictions.json"), {
-        vid: {
-            "label": model.labels[vid],
-            "goals": {str(gi): p for gi, p in model.goal_probs[vid].items()},
-            "options": {f"{gi}/{si}": {"p": p, "macros": list(model.traj_macros[vid][(gi, si)])}
-                        for (gi, si), p in sorted(model.traj_probs[vid].items())},
-        }
-        for vid in model.vehicles
-    })
-    _dump(os.path.join(out_dir, "bn.json"), model_to_dict(model))
+    """Write the run directory; RunDirectoryError when it cannot be created or written."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _dump(os.path.join(out_dir, "run.json"), {
+            "format_version": RUN_FORMAT_VERSION,
+            "scenario_path": str(scenario_path),
+            "scenario_sha256": file_sha256(scenario_path),
+            "scenario_name": pipe.scenario.name,
+            "seed": pipe.seed,
+            "iterations": pipe.planner.iterations,
+            "max_depth": pipe.planner.max_depth,
+            "exploration": pipe.planner.exploration,
+            "reward_weights": pipe.reward.weights,
+            "plan": list(pipe.mcts.plan),
+        })
+        _dump(os.path.join(out_dir, "tracelog.json"), [
+            {
+                "index": rec.index,
+                "assignment": {vid: list(gs) for vid, gs in sorted(rec.assignment.items())},
+                "macros": list(rec.macros),
+                "components": rec.components,
+                "outcome": rec.outcome,
+                "collider": rec.collider,
+                "reward": rec.reward,
+                "steps": rec.steps,
+            }
+            for rec in pipe.mcts.trace_log
+        ])
+        model = pipe.model
+        _dump(os.path.join(out_dir, "predictions.json"), {
+            vid: {
+                "label": model.labels[vid],
+                "goals": {str(gi): p for gi, p in model.goal_probs[vid].items()},
+                "options": {f"{gi}/{si}": {"p": p, "macros": model.traj_macros[vid][(gi, si)]}
+                            for (gi, si), p in sorted(model.traj_probs[vid].items())},
+            }
+            for vid in model.vehicles
+        })
+        _dump(os.path.join(out_dir, "bn.json"), model_to_dict(model))
+    except OSError as exc:
+        raise RunDirectoryError(f"cannot write run directory {out_dir}: {exc}") from exc
 
 
 @dataclass
@@ -258,19 +262,15 @@ def load_run(run_dir: str) -> LoadedRun:
             )
             for r in raw_log
         ]
-        goal_probs = {vid: {int(g): p for g, p in d["goals"].items()}
-                      for vid, d in raw_pred.items()}
-        traj_probs = {}
-        traj_macros = {}
-        labels = {}
+        goal_probs, traj_probs, traj_macros, labels = {}, {}, {}, {}
         for vid, d in raw_pred.items():
             labels[vid] = d["label"]
-            traj_probs[vid] = {}
-            traj_macros[vid] = {}
+            goal_probs[vid] = {int(g): p for g, p in d["goals"].items()}
+            traj_probs[vid], traj_macros[vid] = {}, {}
             for key, od in d["options"].items():
                 gi, si = (int(part) for part in key.split("/"))
                 traj_probs[vid][(gi, si)] = od["p"]
-                traj_macros[vid][(gi, si)] = tuple(od["macros"])
+                traj_macros[vid][(gi, si)] = od["macros"]
         reward = RewardConfig(weights=meta["reward_weights"])
         plan, d_max = tuple(meta["plan"]), meta["max_depth"]
         _check_trace_log(records, traj_probs, d_max)

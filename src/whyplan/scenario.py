@@ -8,6 +8,7 @@ load; sampling takes an explicit seed and is pure.
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,62 +237,80 @@ def lane_point_state(layout: RoadLayout, lane_id: str, s: float, speed: float) -
 # --- file loading -----------------------------------------------------------
 
 
-def _require(mapping: dict, key: str, context: str):
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a finite number", bool: "true or false", tuple: "a list of two numbers"}
+_REQUIRED = object()
+
+
+def _check(value, kind: type, where: str):
+    """`value` as JSON type `kind`, or ScenarioParseError. float takes any
+    finite number (a boolean is none), tuple a list of two, as floats."""
+    if kind is tuple:
+        if len(_check(value, list, where)) != 2:
+            raise ScenarioParseError(f"{where} must be {_KINDS[tuple]}")
+        return _check(value[0], float, where), _check(value[1], float, where)
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) and kind is not bool
+            or kind is float and not abs(value) <= sys.float_info.max):
+        raise ScenarioParseError(f"{where} must be {_KINDS[kind]}")
+    return float(value) if kind is float else value
+
+
+def _require(mapping: dict, key: str, context: str, kind: type, default=_REQUIRED):
+    """mapping[key] as `kind`; a key with a default may be absent or null."""
+    if _check(mapping, dict, context).get(key) is None and default is not _REQUIRED:
+        return default
     if key not in mapping:
         raise ScenarioParseError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+    return _check(mapping[key], kind, f"{context}.{key}")
 
 
 def _parse_goal(raw: dict, context: str) -> Goal:
-    lane = _require(raw, "lane", context)
-    interval = _require(raw, "interval", context)
-    if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
-        raise ScenarioParseError(f"{context}: interval must be [start_s, end_s]")
-    return Goal(
-        lane=str(lane),
-        start_s=float(interval[0]),
-        end_s=float(interval[1]),
-        label=str(raw.get("label", f"{lane}[{interval[0]},{interval[1]}]")),
-        lateral_tolerance=(float(raw["lateral_tolerance_m"])
-                           if "lateral_tolerance_m" in raw else None),
-    )
+    lane = _require(raw, "lane", context, str)
+    start_s, end_s = _require(raw, "interval", context, tuple)
+    interval = raw["interval"]
+    return Goal(lane, start_s, end_s,
+                label=_require(raw, "label", context, str, f"{lane}[{interval[0]},{interval[1]}]"),
+                lateral_tolerance=_require(raw, "lateral_tolerance_m", context, float, None))
 
 
 def _parse_layout(raw: dict) -> RoadLayout:
     lanes = []
-    for i, lr in enumerate(_require(raw, "lanes", "layout")):
+    for i, lr in enumerate(_require(raw, "lanes", "layout", list)):
         ctx = f"layout.lanes[{i}]"
-        midline_pts = _require(lr, "midline", ctx)
+        midline_pts = [_check(pt, tuple, f"{ctx}.midline")
+                       for pt in _require(lr, "midline", ctx, list)]
         if len(midline_pts) < 2:
             raise ScenarioValidationError(f"{ctx}: degenerate midline (needs >= 2 points)")
         try:
             midline = Polyline(midline_pts)
         except ValueError as exc:
             raise ScenarioValidationError(f"{ctx}: degenerate midline ({exc})") from exc
-        width = float(_require(lr, "width_m", ctx))
+        width = _require(lr, "width_m", ctx, float)
         if width <= 0:
             raise ScenarioValidationError(f"{ctx}: width must be positive")
         lanes.append(Lane(
-            id=str(_require(lr, "id", ctx)),
+            id=_require(lr, "id", ctx, str),
             midline=midline,
             width=width,
-            left_neighbor=lr.get("left_neighbor"),
-            right_neighbor=lr.get("right_neighbor"),
-            successors=tuple(lr.get("successors", [])),
+            left_neighbor=_require(lr, "left_neighbor", ctx, str, None),
+            right_neighbor=_require(lr, "right_neighbor", ctx, str, None),
+            successors=tuple(_check(succ, str, f"{ctx}.successors")
+                             for succ in _require(lr, "successors", ctx, list, [])),
         ))
     junctions = []
-    for i, jr in enumerate(raw.get("junctions", [])):
+    for i, jr in enumerate(_require(raw, "junctions", "layout", list, [])):
         ctx = f"layout.junctions[{i}]"
         conns = []
-        for k, cr in enumerate(_require(jr, "connections", ctx)):
+        for k, cr in enumerate(_require(jr, "connections", ctx, list)):
             cctx = f"{ctx}.connections[{k}]"
             conns.append(Connection(
-                from_lane=str(_require(cr, "from", cctx)),
-                to_lane=str(_require(cr, "to", cctx)),
-                direction=str(_require(cr, "direction", cctx)),
-                has_priority=bool(cr.get("has_priority", False)),
+                from_lane=_require(cr, "from", cctx, str),
+                to_lane=_require(cr, "to", cctx, str),
+                direction=_require(cr, "direction", cctx, str),
+                has_priority=_require(cr, "has_priority", cctx, bool, False),
             ))
-        junctions.append(Junction(id=str(_require(jr, "id", ctx)), connections=tuple(conns)))
+        junctions.append(Junction(id=_require(jr, "id", ctx, str), connections=tuple(conns)))
     return RoadLayout(lanes, junctions)
 
 
@@ -340,36 +359,38 @@ def _validate_scenario(sc: Scenario) -> None:
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    layout = _parse_layout(_require(raw, "layout", "scenario"))
-    ego_raw = _require(raw, "ego", "scenario")
+    layout = _parse_layout(_require(raw, "layout", "scenario", dict))
+    ego_raw = _require(raw, "ego", "scenario", dict)
     if "goal" not in ego_raw:
         raise ScenarioValidationError("ego goal absent")
     ego_goal = _parse_goal(ego_raw["goal"], "ego.goal")
     vehicles = []
-    for i, vr in enumerate(_require(raw, "vehicles", "scenario")):
+    for i, vr in enumerate(_require(raw, "vehicles", "scenario", list)):
         ctx = f"vehicles[{i}]"
-        speed_range = _require(vr, "speed_range_mps", ctx)
+        vid = _require(vr, "id", ctx, str)
         vehicles.append(VehicleSpec(
-            id=str(_require(vr, "id", ctx)),
-            label=str(vr.get("label", vr["id"])),
-            lane=str(_require(vr, "lane", ctx)),
-            nominal_s=float(_require(vr, "nominal_s", ctx)),
-            spawn_range=float(vr.get("spawn_range_m", 0.0)),
-            speed_range=(float(speed_range[0]), float(speed_range[1])),
-            goals=tuple(_parse_goal(g, f"{ctx}.goals") for g in vr.get("goals", [])),
+            id=vid,
+            label=_require(vr, "label", ctx, str, vid),
+            lane=_require(vr, "lane", ctx, str),
+            nominal_s=_require(vr, "nominal_s", ctx, float),
+            spawn_range=_require(vr, "spawn_range_m", ctx, float, 0.0),
+            speed_range=_require(vr, "speed_range_mps", ctx, tuple),
+            goals=tuple(_parse_goal(g, f"{ctx}.goals")
+                        for g in _require(vr, "goals", ctx, list, [])),
         ))
+    planner = _require(raw, "planner", "scenario", dict, {})
     sc = Scenario(
-        name=str(raw.get("name", name)),
+        name=_require(raw, "name", "scenario", str, name),
         layout=layout,
-        ego_id=str(_require(ego_raw, "id", "ego")),
+        ego_id=_require(ego_raw, "id", "ego", str),
         ego_goal=ego_goal,
         vehicles=tuple(vehicles),
-        dt=float(_require(raw, "timestep_s", "scenario")),
-        horizon=int(_require(raw, "horizon_steps", "scenario")),
-        observation_steps=int(raw.get("observation_steps", 10)),
-        rationality_beta=float(raw.get("rationality_beta", 1.0)),
-        target_speed=float(raw.get("target_speed_mps", 10.0)),
-        planner_overrides=dict(raw.get("planner", {})),
+        dt=_require(raw, "timestep_s", "scenario", float),
+        horizon=_require(raw, "horizon_steps", "scenario", int),
+        observation_steps=_require(raw, "observation_steps", "scenario", int, 10),
+        rationality_beta=_require(raw, "rationality_beta", "scenario", float, 1.0),
+        target_speed=_require(raw, "target_speed_mps", "scenario", float, 10.0),
+        planner_overrides={key: _require(planner, key, "planner", float) for key in planner},
     )
     _validate_scenario(sc)
     return sc
@@ -382,9 +403,8 @@ def load_scenario(path) -> Scenario:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ScenarioParseError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # a directory, invalid JSON, not UTF-8
+        raise ScenarioParseError(f"{path} is not a readable JSON file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{path}: top level must be an object")
     return scenario_from_dict(raw, name=os.path.splitext(os.path.basename(str(path)))[0])

@@ -280,9 +280,8 @@ def _plan_segment(vid: str, driver: ChainStepper, plan: list[MacroAction], layou
 
 
 def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[MacroAction]],
-            steps: int | None = None,
             params: KinematicParams | None = None) -> tuple[dict[str, Trajectory], JointState]:
-    """Play every vehicle's plan for the observation window.
+    """Play every vehicle's plan for the scenario's observation window.
 
     Returns the observed per-vehicle trajectory prefixes and the resulting
     planning-time joint state. Vehicles step in a fixed order and each sees
@@ -290,7 +289,7 @@ def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[Macro
     plan is exhausted coasts to a stop in place.
     """
     params = params or KinematicParams(cruise_speed=scenario.target_speed)
-    steps = scenario.observation_steps if steps is None else steps
+    steps = scenario.observation_steps
     layout, dt = scenario.layout, scenario.dt
     drivers = {vid: ChainStepper(st, layout, dt, params) for vid, st in initial.vehicles.items()}
     plan_left = {vid: list(plans[vid]) for vid in drivers}

@@ -294,6 +294,65 @@ def test_goal_less_vehicle_exits_with_validation_code(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
+def set_timestep(raw):
+    raw["timestep_s"] = "fast"
+
+
+def set_speed_range(raw):
+    raw["vehicles"][1]["speed_range_mps"] = [5.0]
+
+
+def set_lanes(raw):
+    raw["layout"]["lanes"] = 5
+
+
+def set_vehicles(raw):
+    raw["vehicles"] = 5
+
+
+def set_connection(raw):
+    raw["layout"]["junctions"][0]["connections"][0] = 7
+
+
+def set_interval(raw):
+    raw["vehicles"][1]["goals"][0]["interval"] = [0.0, "ten"]
+
+
+def set_exploration(raw):
+    raw["planner"]["exploration"] = "high"
+
+
+def set_horizon(raw):
+    raw["horizon_steps"] = 2.5
+
+
+@pytest.mark.parametrize("edit", [set_timestep, set_speed_range, set_lanes, set_vehicles,
+                                  set_connection, set_interval, set_exploration, set_horizon,
+                                  pytest.param(None, id="directory")])
+def test_malformed_scenario_exits_with_parse_code(tmp_path, capsys, edit):
+    path = tmp_path
+    if edit is not None:
+        raw = mini_scenario_dict()
+        edit(raw)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(raw))
+    code, _, err = run_cli(["plan", "--scenario", str(path), *FAST,
+                            "--out", str(tmp_path / "run")], capsys)
+    assert code == 2, err
+    assert "unexpected error" not in err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_plan_into_an_existing_file_exits_with_run_dir_code(mini_scenario_path, tmp_path,
+                                                            capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    code, _, err = run_cli(["plan", "--scenario", mini_scenario_path, *FAST,
+                            "--out", str(out)], capsys)
+    assert code == 7
+    assert "cannot write run directory" in err and "unexpected error" not in err
+
+
 # --- run directories whose trace log disagrees with run.json or predictions.json ------
 
 

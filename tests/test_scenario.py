@@ -1,7 +1,13 @@
+import copy
+import functools
+import json
 import math
+import operator
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whyplan.errors import OffRoadError, ScenarioParseError, ScenarioValidationError
 from whyplan.scenario import (Goal, VehicleState, goal_contains, lane_point_state,
@@ -80,6 +86,50 @@ def test_missing_file_and_bad_json(tmp_path):
     bad.write_text("{ this is not json")
     with pytest.raises(ScenarioParseError, match="line"):
         load_scenario(bad)
+
+
+def json_paths(node, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def json_type(value) -> str:
+    for kind, types in (("null", type(None)), ("boolean", bool), ("number", (int, float)),
+                        ("string", str), ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+
+
+with open(os.path.join(os.path.dirname(__file__), os.pardir, S1_PATH)) as _fh:
+    S1_RAW = json.load(_fh)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
+JSON_VALUES = {"null": st.none(), "boolean": st.booleans(),
+               "number": st.one_of(st.integers(),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+               "string": st.text(max_size=4), "array": st.lists(SCALARS, max_size=3),
+               "object": st.dictionaries(st.text(max_size=4), SCALARS, max_size=3)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(list(json_paths(S1_RAW))), data=st.data())
+def test_one_field_of_another_type_or_deleted_fails_typed(path, data):
+    raw = copy.deepcopy(S1_RAW)
+    parent = functools.reduce(operator.getitem, path[:-1], raw)
+    kind = data.draw(st.sampled_from(
+        [k for k in JSON_VALUES if k != json_type(parent[path[-1]])] + ["deleted"]))
+    if kind == "deleted":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES[kind])
+    try:
+        scenario_from_dict(raw, name="s1")
+    except (ScenarioParseError, ScenarioValidationError):
+        pass
 
 
 def test_loading_is_pure():
