@@ -153,12 +153,13 @@ def file_sha256(path) -> str:
 
 def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
     """Write the run directory; RunDirectoryError when it cannot be created or written."""
+    scenario_sha256 = file_sha256(scenario_path)
     try:
         os.makedirs(out_dir, exist_ok=True)
         _dump(os.path.join(out_dir, "run.json"), {
             "format_version": RUN_FORMAT_VERSION,
             "scenario_path": str(scenario_path),
-            "scenario_sha256": file_sha256(scenario_path),
+            "scenario_sha256": scenario_sha256,
             "scenario_name": pipe.scenario.name,
             "seed": pipe.seed,
             "iterations": pipe.planner.iterations,
