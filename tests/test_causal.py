@@ -288,11 +288,11 @@ def test_truncation_respects_query_counts():
     # every trace reaches the goal, so several reward effects are on offer.
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
-    plan = [("A", 0), ("B", 0), ("A", 0), ("B", 0), ("A", 1), ("A", 1), ("A", 1), ("B", 1)]
+    draws = [("A", 0), ("B", 0), ("A", 0), ("B", 0), ("A", 1), ("A", 1), ("A", 1), ("B", 1)]
     records = [make_record(i, {"v1": (g, 0)}, [a], "done",
                            values={"time": 10.0 + i, "jerk": 0.1 * i,
                                    "angular_acceleration": 0.2, "curvature": 0.01 * i})
-               for i, (a, g) in enumerate(plan)]
+               for i, (a, g) in enumerate(draws)]
     model = build(records, goal_probs, traj_probs, d_max=1, labels={"v1": "vehicle 1"})
     full = CounterfactualQuery(indices=(1,), actions=("B",), n_causes=1, n_effects=6)
     summary, _, _ = explain_query(model, ("A",), RewardConfig(), full)

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 
 import pytest
@@ -294,49 +296,29 @@ def test_goal_less_vehicle_exits_with_validation_code(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
-def set_timestep(raw):
-    raw["timestep_s"] = "fast"
+MALFORMED_SCENARIOS = {  # case -> (path to the edited value, its new value)
+    "string-timestep": (("timestep_s",), "fast"),
+    "one-element-speed-range": (("vehicles", 1, "speed_range_mps"), [5.0]),
+    "number-for-lanes": (("layout", "lanes"), 5),
+    "number-for-vehicles": (("vehicles",), 5),
+    "integer-connection": (("layout", "junctions", 0, "connections", 0), 7),
+    "string-in-interval": (("vehicles", 1, "goals", 0, "interval", 1), "ten"),
+    "string-exploration": (("planner", "exploration"), "high"),
+    "fractional-horizon": (("horizon_steps",), 2.5),
+    "directory": None,
+}
 
 
-def set_speed_range(raw):
-    raw["vehicles"][1]["speed_range_mps"] = [5.0]
-
-
-def set_lanes(raw):
-    raw["layout"]["lanes"] = 5
-
-
-def set_vehicles(raw):
-    raw["vehicles"] = 5
-
-
-def set_connection(raw):
-    raw["layout"]["junctions"][0]["connections"][0] = 7
-
-
-def set_interval(raw):
-    raw["vehicles"][1]["goals"][0]["interval"] = [0.0, "ten"]
-
-
-def set_exploration(raw):
-    raw["planner"]["exploration"] = "high"
-
-
-def set_horizon(raw):
-    raw["horizon_steps"] = 2.5
-
-
-@pytest.mark.parametrize("edit", [set_timestep, set_speed_range, set_lanes, set_vehicles,
-                                  set_connection, set_interval, set_exploration, set_horizon,
-                                  pytest.param(None, id="directory")])
-def test_malformed_scenario_exits_with_parse_code(tmp_path, capsys, edit):
-    path = tmp_path
-    if edit is not None:
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_exits_with_parse_code(tmp_path, capsys, case):
+    scenario = tmp_path
+    if MALFORMED_SCENARIOS[case] is not None:
+        path, value = MALFORMED_SCENARIOS[case]
         raw = mini_scenario_dict()
-        edit(raw)
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(raw))
-    code, _, err = run_cli(["plan", "--scenario", str(path), *FAST,
+        functools.reduce(operator.getitem, path[:-1], raw)[path[-1]] = value
+        scenario = tmp_path / "malformed.json"
+        scenario.write_text(json.dumps(raw))
+    code, _, err = run_cli(["plan", "--scenario", str(scenario), *FAST,
                             "--out", str(tmp_path / "run")], capsys)
     assert code == 2, err
     assert "unexpected error" not in err

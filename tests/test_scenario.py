@@ -106,11 +106,9 @@ def json_type(value) -> str:
 
 with open(os.path.join(os.path.dirname(__file__), os.pardir, S1_PATH)) as _fh:
     S1_RAW = json.load(_fh)
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
-                    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
-JSON_VALUES = {"null": st.none(), "boolean": st.booleans(),
-               "number": st.one_of(st.integers(),
-                                   st.floats(allow_nan=False, allow_infinity=False)),
+NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=4))
+JSON_VALUES = {"null": st.none(), "boolean": st.booleans(), "number": NUMBERS,
                "string": st.text(max_size=4), "array": st.lists(SCALARS, max_size=3),
                "object": st.dictionaries(st.text(max_size=4), SCALARS, max_size=3)}
 
