@@ -12,14 +12,13 @@ from .bayes_net import (BnModel, build_bn, collision_collider, expected_reward,
 from .causal import (CausalSummary, Cause, CfOutcome, CounterfactualQuery, Effect,
                      agent_influences, outcome_given_cf, reward_deltas, trace_divergence)
 from .errors import (EmptyTraceLogError, GoalUnreachableError, InapplicableMacroError,
-                     NoApplicableActionError, OffRoadError, QueryParseError,
-                     RunDirectoryError, ScenarioParseError, ScenarioValidationError,
-                     StyleError, UnexploredCounterfactualError, WhyplanError)
+                     OffRoadError, QueryParseError, RunDirectoryError, ScenarioParseError,
+                     ScenarioValidationError, StyleError, UnexploredCounterfactualError,
+                     WhyplanError)
 from .grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw, load_style,
                       post_process, realize_macros, to_grammar_input)
-from .maneuvers import (KinematicParams, MacroAction, Maneuver, Trajectory,
-                        TrajectoryFeatures, applicable_macros, expand_macro,
-                        extract_features, macro_from_name)
+from .maneuvers import (MacroAction, Maneuver, Trajectory, TrajectoryFeatures,
+                        applicable_macros, expand_macro, extract_features, macro_from_name)
 from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
                    run_mcts, terminal_reward)
 from .pipeline import (PipelineResult, explain_query, load_run, run_pipeline, save_run)
@@ -27,6 +26,6 @@ from .recognition import (GoalPosterior, Predictions, TrajectoryOption, enumerat
                           goal_posterior, predict_all, trajectory_options)
 from .scenario import (Goal, JointState, Junction, Lane, RoadLayout, Scenario, VehicleState,
                        goal_contains, load_scenario, locate, sample_initial_states)
-from .simulation import FixedTraffic, SimulationContext, observe, simulate_step
+from .simulation import FixedTraffic, observe, simulate_step
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 parse errors (a scenario file that cannot be read,
 is not JSON, or lacks a key or has a value of the wrong type or shape; a
 query; a style file), 3 validation errors, 4 planning failures, 5 inference
-failures (an empty trace log), 6 unexplored counterfactual, 7 a run directory
-that `plan` cannot write or that `explain` finds missing or malformed (README
-lists the checks), 1 anything else.
+failures (an empty trace log), 6 unexplored counterfactual, 7 an output path
+that cannot be written (the `plan --out` run directory, the `batch --out` CSV
+or the `explain --dump-causal` file) or a run directory that `explain` finds
+missing or malformed (README lists the checks), 1 anything else.
 """
 
 import argparse
@@ -16,9 +17,9 @@ import os
 import sys
 
 from .causal import CounterfactualQuery
-from .errors import (EmptyTraceLogError, GoalUnreachableError, NoApplicableActionError,
-                     OffRoadError, QueryParseError, RunDirectoryError, ScenarioParseError,
-                     ScenarioValidationError, StyleError, UnexploredCounterfactualError)
+from .errors import (EmptyTraceLogError, GoalUnreachableError, OffRoadError, QueryParseError,
+                     RunDirectoryError, ScenarioParseError, ScenarioValidationError,
+                     StyleError, UnexploredCounterfactualError)
 from .grammar import load_style
 from .mcts import RewardConfig
 from .pipeline import explain_query, load_run, planner_config, run_pipeline, save_run
@@ -37,7 +38,7 @@ _EXIT_CODES = (
     (UnexploredCounterfactualError, EXIT_UNEXPLORED),
     ((ScenarioParseError, QueryParseError, StyleError), EXIT_PARSE),
     (ScenarioValidationError, EXIT_VALIDATION),
-    ((NoApplicableActionError, OffRoadError, GoalUnreachableError), EXIT_PLANNING),
+    ((OffRoadError, GoalUnreachableError), EXIT_PLANNING),
     (EmptyTraceLogError, EXIT_INFERENCE),
     (RunDirectoryError, EXIT_RUN_DIR),
 )
@@ -70,6 +71,14 @@ def parse_query(expr: str, n_causes: int = 1, n_effects: int = 1) -> Counterfact
                                n_causes=n_causes, n_effects=n_effects)
 
 
+def _open_output(path: str, **kwargs):
+    """Open an output file for writing; an unwritable path is a RunDirectoryError."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise RunDirectoryError(f"cannot write output file {path}: {exc.strerror}") from exc
+
+
 def cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     planner = planner_config(scenario, args.seed, iterations=args.iterations,
@@ -90,7 +99,7 @@ def cmd_explain(args) -> int:
     query = parse_query(args.query, n_causes=args.n_causes, n_effects=args.n_effects)
     summary, raw, text = explain_query(run.model, run.plan, run.reward, query, style)
     if args.dump_causal:
-        with open(args.dump_causal, "w") as fh:
+        with _open_output(args.dump_causal) as fh:
             json.dump(summary.to_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
     if args.json:
@@ -147,7 +156,7 @@ def cmd_batch(args) -> int:
     else:
         results = [_batch_worker(job) for job in jobs]
     fieldnames = ["run", "seed", "plan", "query", "outcome", "probability", "explanation"]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    out = _open_output(args.out, newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()

@@ -17,10 +17,6 @@ class OffRoadError(WhyplanError):
     """A position could not be matched to any lane within the allowed margin."""
 
 
-class NoApplicableActionError(WhyplanError):
-    """No macro action is applicable; signals a modelling bug in the scenario."""
-
-
 class InapplicableMacroError(WhyplanError):
     """A macro action was expanded in a state where its preconditions fail."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InapplicableMacroError, NoApplicableActionError, OffRoadError
+from .errors import InapplicableMacroError, OffRoadError
 from .geometry import Polyline, normalize_angle, smoothstep, turn_curve
 from .scenario import (OFFROAD_MARGIN_M, Goal, JointState, RoadLayout, VehicleState,
                        goal_contains, locate)
@@ -22,32 +22,26 @@ MACRO_KINDS = ("Continue", "Change-left", "Change-right", "Exit", "Continue-next
 MANEUVER_KINDS = ("lane-follow", "lane-change-left", "lane-change-right",
                   "turn-left", "turn-right", "turn-straight", "give-way", "stop")
 
+# The motion model; a scenario sets only the cruise speed (`target_speed_mps`).
+ACCEL_MAX = 2.0
+BRAKE_COMFORT = 2.0
+# Turn approaches shed speed early and gently, like a driver signalling
+# an exit, so following traffic sees the slowdown well before the turn.
+BRAKE_APPROACH = 1.0
+BRAKE_MAX = 4.5
+LANE_CHANGE_DURATION = 3.0
+TURN_SPEED = 2.5
+HEADWAY_S = 1.5
+GIVEWAY_WINDOW_S = 4.0
+CONFLICT_CLEARANCE = 4.5
+COLLISION_RADIUS = 1.5
+FOLLOW_TIME_GAP = 1.0
+FOLLOW_MIN_GAP = 2.0
+LEAD_LATERAL = 3.2
+LEAD_LOOKAHEAD = 60.0
 # PD follower gains: gap error (1/s^2) and closing-speed error (1/s).
 FOLLOW_KG = 0.6
 FOLLOW_KV = 1.2
-
-
-@dataclass(frozen=True)
-class KinematicParams:
-    """Tunables of the motion model and applicability predicates."""
-
-    cruise_speed: float = 10.0
-    accel_max: float = 2.0
-    brake_comfort: float = 2.0
-    # Turn approaches shed speed early and gently, like a driver signalling
-    # an exit, so following traffic sees the slowdown well before the turn.
-    brake_approach: float = 1.0
-    brake_max: float = 4.5
-    lane_change_duration: float = 3.0
-    turn_speed: float = 2.5
-    headway_s: float = 1.5
-    giveway_window_s: float = 4.0
-    conflict_clearance: float = 4.5
-    collision_radius: float = 1.5
-    follow_time_gap: float = 1.0
-    follow_min_gap: float = 2.0
-    lead_lateral: float = 3.2
-    lead_lookahead: float = 60.0
 
 
 @dataclass(frozen=True)
@@ -276,7 +270,7 @@ def chain_reaches_goal(layout: RoadLayout, chain: list[str], from_s: float, goal
 
 
 def _headway_ok(state: JointState, vehicle_id: str, layout: RoadLayout,
-                target_lane_id: str, params: KinematicParams) -> bool:
+                target_lane_id: str) -> bool:
     me = state.vehicles[vehicle_id]
     lane = layout.lanes[target_lane_id]
     s_me, _, _ = lane.midline.project((me.x, me.y))
@@ -291,24 +285,20 @@ def _headway_ok(state: JointState, vehicle_id: str, layout: RoadLayout,
             headway = ds / max(me.speed, 0.1)
         else:
             headway = -ds / max(other.speed, 0.1)
-        if headway < params.headway_s:
+        if headway < HEADWAY_S:
             return False
     return True
 
 
 def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
-                      goal: Goal | None,
-                      params: KinematicParams | None = None) -> list[MacroAction]:
+                      goal: Goal | None) -> list[MacroAction]:
     """Macro actions whose first manoeuvre is applicable, sorted by name.
 
     On a lane, Continue applies when the lane-follow chain reaches `goal`
     (`chain_reaches_goal`); with goal None it is offered for the caller to
     decide per goal, the only goal-dependent test. Inside a junction only
-    the crossing being driven applies. Raises
-    NoApplicableActionError when empty (cannot happen while Stop stays
-    unconditional; kept as a guard against future predicate changes).
+    the crossing being driven applies. Stop always applies on a lane.
     """
-    params = params or KinematicParams()
     me = state.vehicles[vehicle_id]
     try:
         lane_id, s, _ = locate(layout, (me.x, me.y))
@@ -323,7 +313,7 @@ def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
 
     for neighbor, kind in ((lane.left_neighbor, "Change-left"),
                            (lane.right_neighbor, "Change-right")):
-        if neighbor is not None and _headway_ok(state, vehicle_id, layout, neighbor, params):
+        if neighbor is not None and _headway_ok(state, vehicle_id, layout, neighbor):
             out.append(MacroAction(kind))
 
     junctions = junctions_on_chain(layout, chain)
@@ -341,9 +331,6 @@ def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
     if len(junctions) >= 2:
         out.append(MacroAction("Continue-next-exit"))
 
-    if not out:
-        raise NoApplicableActionError(
-            f"no applicable macro action for {vehicle_id!r} on lane {lane_id!r}")
     return sorted(out, key=lambda m: m.name)
 
 
@@ -440,9 +427,9 @@ def expand_macro(macro: MacroAction, state: JointState, vehicle_id: str,
 class _Segment:
     """One manoeuvre's integration state along a reference path.
 
-    Subclasses give desired_speed(v, params), the speed the manoeuvre asks
-    for, and done(); advance_dist(dist) moves up to dist along the path and
-    returns the pose and the distance used.
+    Subclasses give desired_speed(v), the speed the manoeuvre asks for, and
+    done(); advance_dist(dist) moves up to dist along the path and returns
+    the pose and the distance used.
     """
 
     def __init__(self, path: Polyline, x: float, y: float, heading: float):
@@ -474,15 +461,15 @@ class _FollowSegment(_Segment):
         self._hold = hold_entry
         self._entry_v = None
 
-    def desired_speed(self, v, params):
+    def desired_speed(self, v):
         if self._hold:
             if self._entry_v is None:
                 self._entry_v = max(v, self.end_speed)
             cruise = min(self.cruise, self._entry_v)
-            brake = params.brake_approach
+            brake = BRAKE_APPROACH
         else:
             cruise = self.cruise
-            brake = params.brake_comfort
+            brake = BRAKE_COMFORT
         return _envelope(self.path.length - self.s, self.end_speed, cruise, brake)
 
     def done(self):
@@ -497,8 +484,8 @@ class _StopSegment(_Segment):
         self.heading = heading
         self.v_last = None
 
-    def desired_speed(self, v, params):
-        return max(0.0, v - params.brake_comfort * 0.2)  # steady comfortable braking
+    def desired_speed(self, v):
+        return max(0.0, v - BRAKE_COMFORT * 0.2)  # steady comfortable braking
 
     def advance_dist(self, dist):
         self.v_last = dist  # proxy: zero movement means stopped
@@ -511,25 +498,23 @@ class _StopSegment(_Segment):
 
 
 class _LaneChangeSegment(_Segment):
-    """Cubic lateral blend onto the target lane over a fixed duration."""
+    """Cubic lateral blend onto the target lane over LANE_CHANGE_DURATION."""
 
-    def __init__(self, path: Polyline, x: float, y: float, heading: float,
-                 duration: float, cruise: float):
+    def __init__(self, path: Polyline, x: float, y: float, heading: float, cruise: float):
         self.path = path
         self.s, self.lat, _ = path.project((x, y))
         self.lat0 = self.lat
         self.u = 0.0
-        self.duration = duration
         self.cruise = cruise
         self.x, self.y = x, y
         self.heading = heading
 
-    def desired_speed(self, v, params):
-        return _envelope(self.path.length - self.s, 0.0, self.cruise, params.brake_comfort)
+    def desired_speed(self, v):
+        return _envelope(self.path.length - self.s, 0.0, self.cruise, BRAKE_COMFORT)
 
     def advance(self, v, dt):
-        self.u = min(self.u + dt, self.duration)
-        new_lat = self.lat0 * (1.0 - smoothstep(self.u / self.duration))
+        self.u = min(self.u + dt, LANE_CHANGE_DURATION)
+        new_lat = self.lat0 * (1.0 - smoothstep(self.u / LANE_CHANGE_DURATION))
         dlat = new_lat - self.lat
         chord = v * dt
         ds = math.sqrt(max(chord * chord - dlat * dlat, (0.25 * chord) ** 2))
@@ -539,7 +524,7 @@ class _LaneChangeSegment(_Segment):
         n = self.path.normal_at(self.s)
         x = float(base[0] + self.lat * n[0])
         y = float(base[1] + self.lat * n[1])
-        if self.u >= self.duration - 1e-9:
+        if self.u >= LANE_CHANGE_DURATION - 1e-9:
             # Terminated: aligned with the target lane again.
             self.heading = self.path.heading_at(self.s)
         elif chord > 1e-6:
@@ -548,7 +533,7 @@ class _LaneChangeSegment(_Segment):
         return x, y, self.heading
 
     def done(self):
-        return self.u >= self.duration - 1e-9
+        return self.u >= LANE_CHANGE_DURATION - 1e-9
 
 
 class _GiveWaySegment(_Segment):
@@ -558,26 +543,25 @@ class _GiveWaySegment(_Segment):
     """
 
     def __init__(self, path: Polyline, x: float, y: float, heading: float,
-                 conflict: np.ndarray, turn_speed: float, junction: str):
+                 conflict: np.ndarray, cruise: float, junction: str):
         super().__init__(path, x, y, heading)
         self.conflict = conflict
         self.cleared = False
-        self.turn_speed = turn_speed
+        self.cruise = cruise
         self.junction = junction
 
-    def desired_speed(self, v, params):
+    def desired_speed(self, v):
         remaining = self.path.length - self.s
         if self.cleared:
-            return _envelope(remaining, self.turn_speed, params.cruise_speed,
-                             params.brake_approach)
-        return _envelope(remaining, 0.0, params.cruise_speed, params.brake_comfort)
+            return _envelope(remaining, TURN_SPEED, self.cruise, BRAKE_APPROACH)
+        return _envelope(remaining, 0.0, self.cruise, BRAKE_COMFORT)
 
     def done(self):
         return self.cleared and self.path.length - self.s < 0.3
 
 
 def _segment_for(m: Maneuver, x: float, y: float, heading: float, layout: RoadLayout,
-                 params: KinematicParams, end_speed: float) -> _Segment | None:
+                 cruise: float, end_speed: float) -> _Segment | None:
     if m.kind == "lane-follow":
         base = chain_polyline(layout, list(m.lanes),
                               from_s=layout.lanes[m.lanes[0]].midline.project((x, y))[0])
@@ -585,8 +569,7 @@ def _segment_for(m: Maneuver, x: float, y: float, heading: float, layout: RoadLa
             return None
         lat = base.project((x, y))[1]
         path = merged_path(base, lat)
-        return _FollowSegment(path, x, y, heading, params.cruise_speed, end_speed,
-                              hold_entry=m.hold_speed)
+        return _FollowSegment(path, x, y, heading, cruise, end_speed, hold_entry=m.hold_speed)
     if m.kind == "stop":
         base = chain_polyline(layout, list(m.lanes),
                               from_s=layout.lanes[m.lanes[0]].midline.project((x, y))[0])
@@ -598,8 +581,7 @@ def _segment_for(m: Maneuver, x: float, y: float, heading: float, layout: RoadLa
                                          - 1.0, 0.0))
         if base is None:
             raise InapplicableMacroError(f"lane change target {m.target_lane!r} has no room")
-        return _LaneChangeSegment(base, x, y, heading, params.lane_change_duration,
-                                  params.cruise_speed)
+        return _LaneChangeSegment(base, x, y, heading, cruise)
     if m.kind == "give-way":
         incoming = layout.lanes[m.connection[0]].midline
         s_here = incoming.project((x, y))[0]
@@ -610,10 +592,10 @@ def _segment_for(m: Maneuver, x: float, y: float, heading: float, layout: RoadLa
             end = incoming.point_at(incoming.length)
             fwd = np.array([math.cos(heading), math.sin(heading)])
             remaining = Polyline([end - 0.05 * fwd, end + 0.05 * fwd])
-        return _GiveWaySegment(remaining, x, y, heading, conflict, params.turn_speed, m.junction)
+        return _GiveWaySegment(remaining, x, y, heading, conflict, cruise, m.junction)
     if m.kind.startswith("turn-"):
         pts = _connection_curve(layout, m.connection)
-        return _FollowSegment(Polyline(pts), x, y, heading, params.turn_speed, params.turn_speed)
+        return _FollowSegment(Polyline(pts), x, y, heading, TURN_SPEED, TURN_SPEED)
     raise ValueError(f"unknown manoeuvre {m.kind!r}")
 
 
@@ -624,26 +606,25 @@ def _connection_curve(layout: RoadLayout, connection: tuple[str, str]) -> np.nda
                       b.point_at(0.0), b.heading_at(0.0))
 
 
-def _end_speed_for(i: int, maneuvers: list[Maneuver], params: KinematicParams) -> float:
+def _end_speed_for(i: int, maneuvers: list[Maneuver], cruise: float) -> float:
     nxt = maneuvers[i + 1] if i + 1 < len(maneuvers) else None
     if nxt is None:
         kind = maneuvers[i].kind
         if kind.startswith("turn-"):
-            return params.turn_speed
+            return TURN_SPEED
         if kind in ("lane-change-left", "lane-change-right"):
-            return params.cruise_speed
+            return cruise
         return 0.0
     if nxt.kind in ("give-way",) or nxt.kind.startswith("turn-"):
-        return params.turn_speed
-    return params.cruise_speed
+        return TURN_SPEED
+    return cruise
 
 
-def _car_follow_limit(x: float, y: float, v: float, seg, traffic, t: int,
-                      params: KinematicParams, dt: float) -> float:
+def _car_follow_limit(x: float, y: float, v: float, seg, traffic, t: int, dt: float) -> float:
     """Max speed that keeps a safe gap to the nearest leader on the path.
 
     Leaders are vehicles ahead along the segment's reference path whose
-    lateral offset relative to ours is within lead_lateral; the relative
+    lateral offset relative to ours is within LEAD_LATERAL; the relative
     offset keeps adjacent-lane traffic out while still covering vehicles
     cutting in or diverging off the path.
     """
@@ -656,13 +637,13 @@ def _car_follow_limit(x: float, y: float, v: float, seg, traffic, t: int,
     s_me, lat_me, others = projected
     limit = math.inf
     for s_o, lat_o, ov in others:
-        if abs(lat_o - lat_me) > params.lead_lateral:
+        if abs(lat_o - lat_me) > LEAD_LATERAL:
             continue
         ds = s_o - s_me
-        if ds <= 0.0 or ds > params.lead_lookahead:
+        if ds <= 0.0 or ds > LEAD_LOOKAHEAD:
             continue
-        gap = ds - 2.0 * params.collision_radius
-        want = params.follow_min_gap + params.follow_time_gap * v
+        gap = ds - 2.0 * COLLISION_RADIUS
+        want = FOLLOW_MIN_GAP + FOLLOW_TIME_GAP * v
         a = FOLLOW_KG * (gap - want) + FOLLOW_KV * (ov - v)
         limit = min(limit, max(v + a * dt, 0.0))
     return limit
@@ -675,7 +656,7 @@ def _try_clear(seg: _Segment, traffic, t: int) -> None:
 
 
 class ChainStepper:
-    """One vehicle driving a manoeuvre chain, one dt per step.
+    """One vehicle driving a manoeuvre chain at cruise speed `cruise`, one dt per step.
 
     A step cut short by the chain's end or a hold point records the speed
     actually driven, so speeds match displacements. The traffic passed to
@@ -686,11 +667,11 @@ class ChainStepper:
     onto the segment's path, or None when there are no other vehicles.
     """
 
-    def __init__(self, start: VehicleState, layout: RoadLayout, dt: float,
-                 params: KinematicParams, maneuvers: list[Maneuver] = ()):
+    def __init__(self, start: VehicleState, layout: RoadLayout, dt: float, cruise: float,
+                 maneuvers: list[Maneuver] = ()):
         self.layout = layout
         self.dt = dt
-        self.params = params
+        self.cruise = cruise
         self.x, self.y, self.heading, self.v = start.x, start.y, start.heading, start.speed
         self.xs, self.ys, self.hs, self.vs = [self.x], [self.y], [self.heading], [self.v]
         self.follow(maneuvers)
@@ -714,8 +695,8 @@ class ChainStepper:
 
     def _next_segment(self, idx: int, x: float, y: float, heading: float):
         while idx < len(self.maneuvers):
-            built = _segment_for(self.maneuvers[idx], x, y, heading, self.layout, self.params,
-                                 _end_speed_for(idx, self.maneuvers, self.params))
+            built = _segment_for(self.maneuvers[idx], x, y, heading, self.layout, self.cruise,
+                                 _end_speed_for(idx, self.maneuvers, self.cruise))
             if built is not None:
                 return built, idx
             idx += 1  # nothing left to drive in this manoeuvre
@@ -723,12 +704,12 @@ class ChainStepper:
 
     def step(self, traffic, t: int) -> None:
         """Drive one dt of the current segment; `segment()` must not be None."""
-        seg, params, dt, v = self.seg, self.params, self.dt, self.v
+        seg, dt, v = self.seg, self.dt, self.v
         _try_clear(seg, traffic, t)
-        v_des = seg.desired_speed(v, params)
+        v_des = seg.desired_speed(v)
         if traffic is not None:
-            v_des = min(v_des, _car_follow_limit(self.x, self.y, v, seg, traffic, t, params, dt))
-        a = min(max((v_des - v) / dt, -params.brake_max), params.accel_max)
+            v_des = min(v_des, _car_follow_limit(self.x, self.y, v, seg, traffic, t, dt))
+        a = min(max((v_des - v) / dt, -BRAKE_MAX), ACCEL_MAX)
         v_next = max(v + a * dt, 0.0)
 
         if isinstance(seg, _LaneChangeSegment):
@@ -761,7 +742,7 @@ class ChainStepper:
     def coast(self) -> None:
         """No chain left: brake comfortably to a stop in place."""
         self._record(self.x, self.y, self.heading,
-                     max(self.v - self.params.brake_comfort * self.dt, 0.0))
+                     max(self.v - BRAKE_COMFORT * self.dt, 0.0))
 
     def _record(self, x: float, y: float, heading: float, v: float) -> None:
         self.xs.append(x)
@@ -777,7 +758,7 @@ class ChainStepper:
 
 
 def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayout,
-               dt: float, horizon: int, params: KinematicParams | None = None) -> Trajectory:
+               dt: float, horizon: int, cruise: float) -> Trajectory:
     """Traffic-free rollout of a manoeuvre chain (give-way clears at once).
 
     The rollout stops after `horizon` steps and flags the trajectory
@@ -785,7 +766,7 @@ def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayou
     """
     if not maneuvers:
         raise InapplicableMacroError("empty manoeuvre chain")
-    stepper = ChainStepper(start, layout, dt, params or KinematicParams(), maneuvers)
+    stepper = ChainStepper(start, layout, dt, cruise, maneuvers)
     for t in range(horizon):
         if stepper.segment() is None:
             break

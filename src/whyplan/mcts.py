@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioValidationError
-from .maneuvers import (KinematicParams, MacroAction, Trajectory, applicable_macros,
-                        concat_trajectories, extract_features)
+from .maneuvers import (MacroAction, Trajectory, applicable_macros, concat_trajectories,
+                        extract_features)
 from .recognition import FEATURE_WEIGHTS, Predictions
 from .scenario import JointState, Scenario
-from .simulation import (FixedTraffic, MacroStepResult, ProjectionTable, SimulationContext,
-                         simulate_step)
+from .simulation import FixedTraffic, MacroStepResult, ProjectionTable, simulate_step
 
 OUTCOME_KINDS = ("done", "collision", "termination", "dead")
 # Argmax tie-breaking prefers safety-salient outcomes.
@@ -211,19 +210,13 @@ def _select_ucb(node: _Node, actions: list[MacroAction], exploration: float,
 
 
 def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
-             predictions: Predictions, reward_config: RewardConfig | None = None,
-             params: KinematicParams | None = None) -> MctsResult:
+             predictions: Predictions, reward_config: RewardConfig | None = None) -> MctsResult:
     """Plan for the ego with MCTS; returns the plan, tree and full trace log.
 
     `predictions` comes from goal recognition over the observation phase.
     Deterministic for a fixed config.seed.
     """
     reward_config = reward_config or RewardConfig()
-    params = params or KinematicParams(cruise_speed=scenario.target_speed)
-
-    ctx = SimulationContext(layout=scenario.layout, ego_id=scenario.ego_id,
-                            ego_goal=scenario.ego_goal, dt=scenario.dt,
-                            horizon=scenario.horizon, params=params)
     rng = np.random.default_rng(config.seed)
     tree = SearchTree()
     log: list[TraceRecord] = []
@@ -255,7 +248,7 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
             actions = actions_at.get(akey)
             if actions is None:
                 actions = applicable_macros(state, scenario.ego_id, scenario.layout,
-                                            scenario.ego_goal, params)
+                                            scenario.ego_goal)
                 actions_at[akey] = actions
             lo = r_lo if math.isfinite(r_lo) else 0.0
             hi = r_hi if math.isfinite(r_hi) else 1.0
@@ -270,8 +263,8 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
                 if traffic is None:
                     traffic = FixedTraffic(scenario.layout, {
                         vid: predictions[vid].options[g][s].trajectory
-                        for vid, (g, s) in assignment.items()}, params, projections, assignment)
-                step = simulate_step(ctx, state, choice, traffic)
+                        for vid, (g, s) in assignment.items()}, projections, assignment)
+                step = simulate_step(scenario, state, choice, traffic)
             ego_parts.append(step.ego_trajectory)
             if step.outcome is not None or depth + 1 == config.max_depth:
                 outcome = step.outcome or "termination"

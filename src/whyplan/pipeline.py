@@ -21,7 +21,7 @@ from .causal import (CausalSummary, CounterfactualQuery, agent_influences, outco
                      reward_deltas)
 from .errors import RunDirectoryError
 from .grammar import explain as render_explanation
-from .maneuvers import KinematicParams, macro_from_name
+from .maneuvers import macro_from_name
 from .mcts import MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
 from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
@@ -44,8 +44,7 @@ class PipelineResult:
     model: BnModel
 
 
-def true_goal_plans(scenario: Scenario, initial: JointState,
-                    params: KinematicParams) -> tuple[dict, dict]:
+def true_goal_plans(scenario: Scenario, initial: JointState) -> tuple[dict, dict]:
     """Observation-phase plan per vehicle, and every non-ego vehicle's plans.
 
     `from_start` maps each non-ego vehicle to its candidate plans per goal
@@ -60,7 +59,7 @@ def true_goal_plans(scenario: Scenario, initial: JointState,
         if spec.id != scenario.ego_id:
             per_goal = from_start[spec.id] = enumerate_plans(
                 initial.vehicles[spec.id], spec.goals, scenario.layout, scenario.dt,
-                scenario.horizon, params)
+                scenario.horizon, scenario.target_speed)
             if per_goal[0]:
                 names = per_goal[0][0].macros
         plans[spec.id] = [macro_from_name(name) for name in names]
@@ -81,13 +80,11 @@ def run_pipeline(scenario: Scenario, seed: int, planner: PlannerConfig | None = 
     """Full planning run: returns the plan, trace log and Bayes net."""
     planner = planner or planner_config(scenario, seed)
     reward = reward or RewardConfig()
-    params = KinematicParams(cruise_speed=scenario.target_speed)
     initial = sample_initial_states(scenario, seed)
-    plans, from_start = true_goal_plans(scenario, initial, params)
+    plans, from_start = true_goal_plans(scenario, initial)
     prefixes, planning_state = observe(scenario, initial, plans)
-    predictions = predict_all(scenario, prefixes, from_start, params=params)
-    result = run_mcts(scenario, planning_state, planner, predictions, reward_config=reward,
-                      params=params)
+    predictions = predict_all(scenario, prefixes, from_start)
+    result = run_mcts(scenario, planning_state, planner, predictions, reward_config=reward)
     goal_probs, traj_probs, traj_macros, labels = prediction_factors(predictions)
     model = build_bn(result.trace_log, goal_probs, traj_probs, planner.max_depth,
                      traj_macros=traj_macros, labels=labels)

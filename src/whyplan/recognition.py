@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GoalUnreachableError, InapplicableMacroError, NoApplicableActionError,
-                     OffRoadError)
-from .maneuvers import (KinematicParams, Trajectory, TrajectoryFeatures, applicable_macros,
-                        chain_reaches_goal, concat_trajectories, expand_macro,
-                        extract_features, lane_follow_chain, roll_chain, Maneuver)
+from .errors import GoalUnreachableError, InapplicableMacroError, OffRoadError
+from .maneuvers import (Trajectory, TrajectoryFeatures, applicable_macros, chain_reaches_goal,
+                        concat_trajectories, expand_macro, extract_features, lane_follow_chain,
+                        roll_chain, Maneuver)
 from .scenario import Goal, JointState, RoadLayout, Scenario, VehicleState, locate
 
 ENUMERATION_DEPTH = 3
@@ -64,15 +63,14 @@ class GoalPosterior:
 
 
 def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLayout,
-                    dt: float, horizon: int,
-                    params: KinematicParams) -> list[list[PlanCandidate]]:
+                    dt: float, horizon: int, cruise: float) -> list[list[PlanCandidate]]:
     """Goal-reaching macro sequences up to ENUMERATION_DEPTH, one list per goal.
 
     The recursion carries the goals still open on a path: each macro prefix
-    is rolled out once, traffic-free, and offered to every open goal for
-    which the macro is applicable. Applicability is asked once per node;
-    Continue, the only goal-dependent macro, is then decided per goal. A
-    goal closes on a path once the path reaches it.
+    is rolled out once, traffic-free at `cruise`, and offered to every open
+    goal for which the macro is applicable. Applicability is asked once per
+    node; Continue, the only goal-dependent macro, is then decided per goal.
+    A goal closes on a path once the path reaches it.
     """
     vid = "_solo"
     results: list[list[PlanCandidate]] = [[] for _ in goals]
@@ -83,8 +81,8 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
             return
         joint = JointState(t=0, vehicles={vid: cur})
         try:
-            actions = applicable_macros(joint, vid, layout, None, params)
-        except (OffRoadError, NoApplicableActionError):
+            actions = applicable_macros(joint, vid, layout, None)
+        except OffRoadError:
             return
         _inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
         for macro in actions:
@@ -109,7 +107,7 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
                     if not gis:
                         continue
             maneuvers = expand_macro(macro, joint, vid, layout)
-            traj = roll_chain(maneuvers, cur, layout, dt, steps_left, params=params)
+            traj = roll_chain(maneuvers, cur, layout, dt, steps_left, cruise)
             if len(traj) < 2:
                 continue
             new_parts = parts + [traj]
@@ -134,7 +132,7 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
 
 
 def trajectory_options(candidates: list[PlanCandidate], goal: Goal, layout: RoadLayout,
-                       dt: float, horizon: int, params: KinematicParams,
+                       dt: float, horizon: int, cruise: float,
                        beta: float) -> list[TrajectoryOption]:
     """One goal's candidates as predicted trajectories with softmax probabilities."""
     if not candidates:
@@ -143,12 +141,12 @@ def trajectory_options(candidates: list[PlanCandidate], goal: Goal, layout: Road
     e = np.exp(z - z.max())
     probs = e / e.sum()
     return [TrajectoryOption(c.macros, _extend_to_horizon(c.trajectory, layout, dt, horizon,
-                                                          params), float(p))
+                                                          cruise), float(p))
             for c, p in zip(candidates, probs)]
 
 
 def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon: int,
-                       params: KinematicParams) -> Trajectory:
+                       cruise: float) -> Trajectory:
     """Keep driving (lane follow) after the plan completes, then hold in place."""
     parts = [traj]
     total = len(traj) - 1
@@ -158,7 +156,7 @@ def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon:
             lane_id, _, _ = locate(layout, (tail.x, tail.y))
             chain = lane_follow_chain(layout, lane_id)
             ext = roll_chain([Maneuver("lane-follow", lanes=tuple(chain))], tail, layout,
-                             dt, horizon - total, params=params)
+                             dt, horizon - total, cruise)
             if len(ext) > 1:
                 parts.append(ext)
                 total += len(ext) - 1
@@ -241,26 +239,24 @@ class Predictions:
 
 
 def predict_all(scenario: Scenario, prefixes: dict[str, Trajectory],
-                from_start: dict[str, list[list[PlanCandidate]]],
-                params: KinematicParams | None = None) -> Predictions:
+                from_start: dict[str, list[list[PlanCandidate]]]) -> Predictions:
     """Goal posteriors and trajectory distributions for every non-ego vehicle.
 
     `from_start` holds each vehicle's plans per goal from the first state of
     its prefix; only the last state is enumerated here.
     """
-    params = params or KinematicParams(cruise_speed=scenario.target_speed)
-    beta = scenario.rationality_beta
+    beta, cruise = scenario.rationality_beta, scenario.target_speed
     out: dict[str, VehiclePrediction] = {}
     for spec in scenario.vehicles:
         if spec.id == scenario.ego_id:
             continue
         prefix = prefixes[spec.id]
         completions = enumerate_plans(prefix.tail_state(), spec.goals, scenario.layout,
-                                      scenario.dt, scenario.horizon, params)
+                                      scenario.dt, scenario.horizon, cruise)
         posterior = goal_posterior(prefix, spec.goals, from_start[spec.id], completions,
                                    scenario.layout, beta)
         options = {gi: tuple(trajectory_options(completions[gi], goal, scenario.layout,
-                                                scenario.dt, scenario.horizon, params, beta))
+                                                scenario.dt, scenario.horizon, cruise, beta))
                    if posterior.probs[gi] > 0.0 else ()
                    for gi, goal in enumerate(spec.goals)}
         out[spec.id] = VehiclePrediction(spec.id, spec.label, posterior, options)

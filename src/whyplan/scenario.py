@@ -324,6 +324,8 @@ def _validate_scenario(sc: Scenario) -> None:
         raise ScenarioValidationError("timestep_s must be positive")
     if sc.horizon < 1:
         raise ScenarioValidationError("horizon_steps must be >= 1")
+    if sc.observation_steps < 0:
+        raise ScenarioValidationError("observation_steps must be >= 0")
 
     def check_goal(goal: Goal, owner: str) -> None:
         if goal.lane not in sc.layout.lanes:

@@ -25,22 +25,10 @@ import numpy as np
 
 from .errors import InapplicableMacroError
 from .geometry import Polyline
-from .maneuvers import (ChainStepper, KinematicParams, MacroAction, Trajectory, _GiveWaySegment,
-                        expand_macro)
+from .maneuvers import (COLLISION_RADIUS, CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S, ChainStepper,
+                        MacroAction, Trajectory, _GiveWaySegment, expand_macro)
 from .scenario import (JointState, RoadLayout, Scenario, VehicleState, goal_contains,
                        locate)
-
-
-@dataclass(frozen=True)
-class SimulationContext:
-    """Everything a macro-level forward step needs besides the joint state."""
-
-    layout: RoadLayout
-    ego_id: str
-    ego_goal: "object"
-    dt: float
-    horizon: int
-    params: KinematicParams
 
 
 @functools.lru_cache(maxsize=32)
@@ -61,13 +49,12 @@ def _junction_zone(layout: RoadLayout, junction_id: str
     return center, radius, priority
 
 
-def giveway_clear(layout: RoadLayout, seg: _GiveWaySegment, windows,
-                  params: KinematicParams) -> bool:
+def giveway_clear(layout: RoadLayout, seg: _GiveWaySegment, windows) -> bool:
     """Yield while priority traffic is predicted near the conflict path.
 
     `windows` holds per peer its predicted (xs, ys) over the give-way window,
     from its current position. Peers inside the junction region or on a lane
-    with priority there block the path within conflict_clearance of it.
+    with priority there block the path within CONFLICT_CLEARANCE of it.
     """
     conflict_pts = seg.conflict
     center, radius, priority = _junction_zone(layout, seg.junction)
@@ -78,7 +65,7 @@ def giveway_clear(layout: RoadLayout, seg: _GiveWaySegment, windows,
             continue
         d = np.hypot(px[:, None] - conflict_pts[:, 0][None, :],
                      py[:, None] - conflict_pts[:, 1][None, :])
-        if float(d.min()) < params.conflict_clearance:
+        if float(d.min()) < CONFLICT_CLEARANCE:
             return False
     return True
 
@@ -124,11 +111,9 @@ class FixedTraffic:
     """
 
     def __init__(self, layout: RoadLayout, trajectories: dict[str, Trajectory],
-                 params: KinematicParams, table: ProjectionTable | None = None,
-                 assignment: dict | None = None):
+                 table: ProjectionTable | None = None, assignment: dict | None = None):
         self.layout = layout
         self.trajectories = trajectories
-        self.params = params
         self._table = table
         self._assignment = assignment
         # The path whose table entries are bound; held, so `is` cannot match
@@ -173,7 +158,7 @@ class FixedTraffic:
 
     def collider(self, x: float, y: float, t: int) -> str | None:
         """The first vehicle whose disc overlaps one at (x, y) at step t."""
-        radius2 = (2.0 * self.params.collision_radius) ** 2
+        radius2 = (2.0 * COLLISION_RADIUS) ** 2
         for vid, traj in self.trajectories.items():
             k = t if t < len(traj.xs) else len(traj.xs) - 1
             dx, dy = float(traj.xs[k]) - x, float(traj.ys[k]) - y
@@ -186,25 +171,23 @@ class FixedTraffic:
         if not self.trajectories:
             return True
         dt = next(iter(self.trajectories.values())).dt
-        steps = max(int(self.params.giveway_window_s / dt), 1)
+        steps = max(int(GIVEWAY_WINDOW_S / dt), 1)
         windows = []
         for traj in self.trajectories.values():
             k0 = min(t, len(traj) - 1)
             k1 = min(t + steps, len(traj) - 1)
             windows.append((traj.xs[k0:k1 + 1], traj.ys[k0:k1 + 1]))
-        return giveway_clear(self.layout, seg, windows, self.params)
+        return giveway_clear(self.layout, seg, windows)
 
 
 class ExtrapolatedTraffic:
     """Other vehicles as one observed vehicle sees them: their current poses,
     predicted at constant velocity along their current heading."""
 
-    def __init__(self, layout: RoadLayout, peers: list[ChainStepper], dt: float,
-                 params: KinematicParams):
+    def __init__(self, layout: RoadLayout, peers: list[ChainStepper], dt: float):
         self.layout = layout
         self.peers = peers
         self.dt = dt
-        self.params = params
 
     def projected(self, path: Polyline, x: float, y: float, t: int
                   ) -> tuple[float, float, list[tuple[float, float, float]]] | None:
@@ -214,11 +197,11 @@ class ExtrapolatedTraffic:
         return s, lat, [(*path.project((p.x, p.y))[:2], p.v) for p in self.peers]
 
     def giveway_clear(self, seg: _GiveWaySegment, t: int) -> bool:
-        n = max(int(self.params.giveway_window_s / self.dt), 1)
+        n = max(int(GIVEWAY_WINDOW_S / self.dt), 1)
         ts = np.arange(n + 1) * self.dt
         windows = ((p.x + p.v * ts * math.cos(p.heading), p.y + p.v * ts * math.sin(p.heading))
                    for p in self.peers)
-        return giveway_clear(self.layout, seg, windows, self.params)
+        return giveway_clear(self.layout, seg, windows)
 
 
 @dataclass
@@ -232,31 +215,33 @@ class MacroStepResult:
     steps: int
 
 
-def simulate_step(ctx: SimulationContext, state: JointState, macro: MacroAction,
+def simulate_step(scenario: Scenario, state: JointState, macro: MacroAction,
                   traffic: FixedTraffic) -> MacroStepResult:
-    """Advance the ego through one macro while traffic follows fixed paths.
+    """Advance the scenario's ego through one macro while traffic follows fixed paths.
 
     Before each step, in order: horizon exhausted (termination), collision
     (disc overlap), ego goal reached (done). A check that ends the macro
     leaves the state it fired on as the trajectory's last.
     """
-    maneuvers = expand_macro(macro, state, ctx.ego_id, ctx.layout)
-    ego = ChainStepper(state.vehicles[ctx.ego_id], ctx.layout, ctx.dt, ctx.params, maneuvers)
-    for t in range(state.t, ctx.horizon):
+    ego_id, layout = scenario.ego_id, scenario.layout
+    maneuvers = expand_macro(macro, state, ego_id, layout)
+    ego = ChainStepper(state.vehicles[ego_id], layout, scenario.dt, scenario.target_speed,
+                       maneuvers)
+    for t in range(state.t, scenario.horizon):
         if ego.segment() is None:
             break
         collider = traffic.collider(ego.x, ego.y, t)
-        if collider is not None or goal_contains(ctx.layout, ctx.ego_goal, ego.x, ego.y):
+        if collider is not None or goal_contains(layout, scenario.ego_goal, ego.x, ego.y):
             outcome = "done" if collider is None else "collision"
             return MacroStepResult(None, outcome, collider, ego.trajectory(), ego.steps)
         ego.step(traffic, t)
 
     traj = ego.trajectory(truncated=ego.segment() is not None)
     t_end = state.t + ego.steps
-    if t_end >= ctx.horizon:
+    if t_end >= scenario.horizon:
         return MacroStepResult(None, "termination", None, traj, ego.steps)
     vehicles = dict(traffic.states_at(t_end))
-    vehicles[ctx.ego_id] = traj.tail_state()
+    vehicles[ego_id] = traj.tail_state()
     return MacroStepResult(JointState(t=t_end, vehicles=vehicles), None, None, traj, ego.steps)
 
 
@@ -279,8 +264,8 @@ def _plan_segment(vid: str, driver: ChainStepper, plan: list[MacroAction], layou
     return driver.seg
 
 
-def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[MacroAction]],
-            params: KinematicParams | None = None) -> tuple[dict[str, Trajectory], JointState]:
+def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[MacroAction]]
+            ) -> tuple[dict[str, Trajectory], JointState]:
     """Play every vehicle's plan for the scenario's observation window.
 
     Returns the observed per-vehicle trajectory prefixes and the resulting
@@ -288,13 +273,12 @@ def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[Macro
     the others' latest states, so the phase is deterministic. A vehicle whose
     plan is exhausted coasts to a stop in place.
     """
-    params = params or KinematicParams(cruise_speed=scenario.target_speed)
     steps = scenario.observation_steps
     layout, dt = scenario.layout, scenario.dt
-    drivers = {vid: ChainStepper(st, layout, dt, params) for vid, st in initial.vehicles.items()}
+    drivers = {vid: ChainStepper(st, layout, dt, scenario.target_speed)
+               for vid, st in initial.vehicles.items()}
     plan_left = {vid: list(plans[vid]) for vid in drivers}
-    traffic = {vid: ExtrapolatedTraffic(layout, [d for o, d in drivers.items() if o != vid],
-                                        dt, params)
+    traffic = {vid: ExtrapolatedTraffic(layout, [d for o, d in drivers.items() if o != vid], dt)
                for vid in drivers}
     for t in range(steps):
         for vid, driver in drivers.items():

@@ -6,6 +6,7 @@ counting and multiplication; it never touches the model's CPD structures.
 """
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -131,7 +132,8 @@ def random_trace_log(seed, d_max=3, n_vehicles=2, n_goals=2, iterations=20):
     def env_response(akey, prefix):
         key = (akey, prefix)
         if key not in env:
-            sub = np.random.default_rng(abs(hash(key)) % (2 ** 32))
+            # crc32, not hash(): string hashes change with PYTHONHASHSEED.
+            sub = np.random.default_rng(zlib.crc32(repr(key).encode()))
             depth = len(prefix)
             if depth > 0 and (depth >= d_max or sub.random() < 0.35 + 0.2 * depth):
                 outcome = ["done", "collision", "termination"][int(sub.integers(0, 3))]

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,19 @@ from conftest import (make_record, oracle_expected_reward, oracle_query, oracle_
 
 def single_vehicle_probs(goal_probs, options):
     return {"v1": goal_probs}, {"v1": options}
+
+
+def test_random_trace_log_is_independent_of_hash_seed():
+    # Tests built on random_trace_log must see the same log in every process.
+    src = os.path.dirname(os.path.dirname(bayes_net_mod.__file__))
+    code = "from conftest import random_trace_log; print(repr(random_trace_log(0)))"
+    logs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
+        logs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert logs[0] == logs[1] and "TraceRecord" in logs[0]
 
 
 def test_empty_trace_log_is_rejected():

@@ -335,6 +335,24 @@ def test_plan_into_an_existing_file_exits_with_run_dir_code(mini_scenario_path, 
     assert "cannot write run directory" in err and "unexpected error" not in err
 
 
+def test_batch_out_to_a_directory_exits_with_run_dir_code(mini_scenario_path, tmp_path,
+                                                          capsys):
+    code, _, err = run_cli(["batch", "--scenario", mini_scenario_path, "--runs", "1",
+                            "--queries", "omega1=Continue", *FAST, "--out", str(tmp_path)],
+                           capsys)
+    assert code == 7
+    assert f"cannot write output file {tmp_path}" in err and "unexpected error" not in err
+
+
+def test_dump_causal_to_a_directory_exits_with_run_dir_code(mini_scenario_path, tmp_path,
+                                                           capsys):
+    out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
+    code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue",
+                            "--dump-causal", str(tmp_path)], capsys)
+    assert code == 7
+    assert f"cannot write output file {tmp_path}" in err and "unexpected error" not in err
+
+
 # --- run directories whose trace log disagrees with run.json or predictions.json ------
 
 

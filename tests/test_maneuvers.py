@@ -6,9 +6,9 @@ import pytest
 
 from whyplan.errors import InapplicableMacroError, OffRoadError
 from whyplan.geometry import Polyline, turn_curve
-from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, applicable_macros,
-                               expand_macro, extract_features, macro_from_name,
-                               roll_chain)
+from whyplan.maneuvers import (LANE_CHANGE_DURATION, MacroAction, Trajectory,
+                               applicable_macros, expand_macro, extract_features,
+                               macro_from_name, roll_chain)
 from whyplan.pipeline import true_goal_plans
 from whyplan.scenario import (Goal, JointState, VehicleState, goal_contains, lane_point_state,
                               load_scenario, locate, sample_initial_states,
@@ -17,7 +17,7 @@ from whyplan.simulation import observe
 
 from conftest import mini_scenario_dict, spec_of
 
-PARAMS = KinematicParams()
+CRUISE = 10.0
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
@@ -59,7 +59,7 @@ def test_maneuver_parameter_consistency():
 
 def test_mid_lane_with_left_neighbor_offers_change_left_and_continue(sc):
     acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
-                                   sc.ego_goal, PARAMS))
+                                   sc.ego_goal))
     assert "Change-left" in acts
     assert "Continue" in acts
     assert "Stop" in acts
@@ -67,13 +67,13 @@ def test_mid_lane_with_left_neighbor_offers_change_left_and_continue(sc):
 
 def test_rightmost_lane_has_no_change_right(sc):
     acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
-                                   sc.ego_goal, PARAMS))
+                                   sc.ego_goal))
     assert "Change-right" not in acts
 
 
 def test_junction_ahead_offers_exit_right(sc):
     acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
-                                   sc.ego_goal, PARAMS))
+                                   sc.ego_goal))
     assert "Exit-right" in acts
 
 
@@ -81,25 +81,25 @@ def test_headway_blocks_lane_change(sc):
     me = lane_point_state(sc.layout, "right", 20.0, 10.0)
     blocker = lane_point_state(sc.layout, "left", 25.0, 10.0)  # 0.5 s ahead
     state = JointState(t=0, vehicles={"me": me, "other": blocker})
-    acts = names(applicable_macros(state, "me", sc.layout, sc.ego_goal, PARAMS))
+    acts = names(applicable_macros(state, "me", sc.layout, sc.ego_goal))
     assert "Change-left" not in acts
     far = lane_point_state(sc.layout, "left", 60.0, 10.0)  # 4 s ahead
     state = JointState(t=0, vehicles={"me": me, "other": far})
-    acts = names(applicable_macros(state, "me", sc.layout, sc.ego_goal, PARAMS))
+    acts = names(applicable_macros(state, "me", sc.layout, sc.ego_goal))
     assert "Change-left" in acts
 
 
 def test_continue_requires_goal_on_lane_keep_path(sc):
     # From the exit lane there is no path back to the ego goal.
     acts = names(applicable_macros(joint_on(sc, "exit", 5.0), "me", sc.layout,
-                                   sc.ego_goal, PARAMS))
+                                   sc.ego_goal))
     assert "Continue" not in acts
     assert "Stop" in acts  # never empty
 
 
 def test_continue_next_exit_needs_two_junctions(sc):
     acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
-                                   sc.ego_goal, PARAMS))
+                                   sc.ego_goal))
     assert "Continue-next-exit" not in acts
 
 
@@ -116,7 +116,7 @@ def test_continue_next_exit_on_two_junction_road():
     ]})
     sc = scenario_from_dict(raw)
     acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
-                                   sc.ego_goal, PARAMS))
+                                   sc.ego_goal))
     assert "Continue-next-exit" in acts
     chain = expand_macro(MacroAction("Continue-next-exit"), joint_on(sc, "right", 10.0),
                          "me", sc.layout)
@@ -140,7 +140,7 @@ def test_continue_and_stop_expand_to_single_manoeuvres(sc):
 
 def test_expand_never_returns_empty_chain(sc):
     state = joint_on(sc, "right", 10.0)
-    for macro in applicable_macros(state, "me", sc.layout, sc.ego_goal, PARAMS):
+    for macro in applicable_macros(state, "me", sc.layout, sc.ego_goal):
         assert len(expand_macro(macro, state, "me", sc.layout)) >= 1
 
 
@@ -174,7 +174,7 @@ def test_vehicle_inside_a_junction_finishes_its_crossing():
     assert [m.kind for m in chain] == ["turn-left"]
     with pytest.raises(InapplicableMacroError):
         expand_macro(MacroAction("Continue"), turning, "me", s2.layout)
-    traj = roll_chain(chain, turning.vehicles["me"], s2.layout, s2.dt, 100, PARAMS)
+    traj = roll_chain(chain, turning.vehicles["me"], s2.layout, s2.dt, 100, CRUISE)
     assert not traj.truncated
     assert goal_contains(s2.layout, goal, traj.xs[-1], traj.ys[-1])
 
@@ -208,7 +208,7 @@ def test_constant_speed_lane_follow_reaches_lane_end():
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
     chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     # Cruise equals start speed until the end-of-road braking envelope binds.
     assert abs(len(traj) - 1 - 117) < 25
     assert traj.xs[-1] == pytest.approx(100.0, abs=0.5)
@@ -221,10 +221,10 @@ def test_lane_change_realigns_heading_and_moves_one_width():
     start = lane_point_state(sc.layout, "lane", 10.0, 8.0)
     chain = expand_macro(MacroAction("Change-left"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     assert traj.ys[-1] - traj.ys[0] == pytest.approx(3.5, abs=0.01)
     assert abs(traj.headings[-1]) < 1e-3
-    assert len(traj) - 1 == pytest.approx(PARAMS.lane_change_duration / 0.1, abs=1)
+    assert len(traj) - 1 == pytest.approx(LANE_CHANGE_DURATION / 0.1, abs=1)
 
 
 def test_stop_manoeuvre_reaches_zero_speed():
@@ -232,7 +232,7 @@ def test_stop_manoeuvre_reaches_zero_speed():
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
     chain = expand_macro(MacroAction("Stop"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     assert traj.speeds[-1] == pytest.approx(0.0, abs=1e-6)
     assert not traj.truncated
 
@@ -242,7 +242,7 @@ def test_horizon_truncation_is_flagged_not_raised():
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
     chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = roll_chain(chain, start, sc.layout, 0.1, 30, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 30, CRUISE)
     assert traj.truncated
     assert len(traj) == 31
 
@@ -254,12 +254,11 @@ def consistency_inputs():
     for macro in ("Continue", "Change-left", "Exit-right"):
         chain = expand_macro(macro_from_name(macro), JointState(t=0, vehicles={"me": start}),
                              "me", sc.layout)
-        yield macro, roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
+        yield macro, roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     s2 = load_scenario(os.path.join(SCENARIOS, "s2.json"))
-    params = KinematicParams(cruise_speed=s2.target_speed)
     for seed in range(10):
         initial = sample_initial_states(s2, seed)
-        prefixes, _ = observe(s2, initial, true_goal_plans(s2, initial, params)[0])
+        prefixes, _ = observe(s2, initial, true_goal_plans(s2, initial)[0])
         for vid, traj in prefixes.items():
             yield f"s2 seed {seed} observed {vid}", traj
 
@@ -320,7 +319,7 @@ def test_features_invariant_to_rigid_translation():
     start = lane_point_state(sc.layout, "right", 5.0, 9.0)
     chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
                          "me", sc.layout)
-    traj = roll_chain(chain, start, sc.layout, 0.1, 400, PARAMS)
+    traj = roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     f0 = extract_features(traj, sc.ego_goal, sc.layout)
 
     shifted = mini_scenario_dict()

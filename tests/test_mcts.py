@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -8,20 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import whyplan.mcts as mcts_mod
+import whyplan.pipeline as pipeline_mod
+import whyplan.recognition as recognition_mod
 from whyplan.errors import ScenarioValidationError
-from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, applicable_macros,
+from whyplan.maneuvers import (MacroAction, Trajectory, applicable_macros,
                                concat_trajectories, macro_from_name)
 from whyplan.mcts import (PlannerConfig, RewardConfig, SearchTree, TraceRecord, run_mcts,
                           terminal_reward)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
-from whyplan.recognition import predict_all
+from whyplan.recognition import enumerate_plans, predict_all
 from whyplan.scenario import (JointState, lane_point_state, load_scenario,
                               sample_initial_states, scenario_from_dict)
-from whyplan.simulation import FixedTraffic, SimulationContext, observe, simulate_step
+from whyplan.simulation import FixedTraffic, observe, simulate_step
 
 from conftest import mini_scenario_dict
-
-PARAMS = KinematicParams()
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +48,9 @@ def test_single_applicable_macro_gets_all_visits(monkeypatch):
     monkeypatch.setattr(mcts_mod, "applicable_macros",
                         lambda *a, **k: [MacroAction("Continue")])
     init = sample_initial_states(sc, 0)
-    plans, from_start = true_goal_plans(sc, init, PARAMS)
+    plans, from_start = true_goal_plans(sc, init)
     prefixes, _ = observe(sc, init, plans)
-    predictions = predict_all(sc, prefixes, from_start, PARAMS)
+    predictions = predict_all(sc, prefixes, from_start)
     res = run_mcts(sc, init, PlannerConfig(iterations=25, max_depth=1, seed=0), predictions)
     root = res.tree.nodes[()]
     assert set(root.actions) == {"Continue"}
@@ -127,17 +128,14 @@ def assert_records_match_uncached_rollouts(pipe, start, trace_log):
     """Replay every record without memo or projection table, one fresh
     table-less `FixedTraffic` per record, and compare what it observed."""
     sc = pipe.scenario
-    params = KinematicParams(cruise_speed=sc.target_speed)
-    ctx = SimulationContext(layout=sc.layout, ego_id=sc.ego_id, ego_goal=sc.ego_goal,
-                            dt=sc.dt, horizon=sc.horizon, params=params)
     for rec in trace_log:
         traffic = FixedTraffic(sc.layout, {
             vid: pipe.predictions[vid].options[g][s].trajectory
-            for vid, (g, s) in rec.assignment.items()}, params)
+            for vid, (g, s) in rec.assignment.items()})
         state, parts, step = start, [], None
         for macro in rec.macros:
             assert step is None or step.outcome is None
-            step = simulate_step(ctx, state, macro_from_name(macro), traffic)
+            step = simulate_step(sc, state, macro_from_name(macro), traffic)
             parts.append(step.ego_trajectory)
             state = step.next_state
         outcome = step.outcome or "termination"
@@ -174,8 +172,7 @@ def test_memoised_records_match_uncached_rollouts_from_generated_starts(data):
                        vehicles={**pipe.planning_state.vehicles, sc.ego_id: ego})
     config = PlannerConfig(iterations=24, max_depth=3, seed=data.draw(st.integers(0, 3)),
                            exploration=pipe.planner.exploration)
-    res = run_mcts(sc, start, config, pipe.predictions, reward_config=pipe.reward,
-                   params=KinematicParams(cruise_speed=sc.target_speed))
+    res = run_mcts(sc, start, config, pipe.predictions, reward_config=pipe.reward)
     assert_records_match_uncached_rollouts(pipe, start, res.trace_log)
 
 
@@ -235,17 +232,14 @@ def head_on_traffic(sc, ego_state, dt):
     xs = np.linspace(ego_state.x + 30.0, ego_state.x + 30.0 - 0.8 * n, n + 1)
     traj = Trajectory(dt=dt, xs=xs, ys=np.zeros(n + 1), headings=np.full(n + 1, math.pi),
                       speeds=np.full(n + 1, 8.0), vehicle_id="v1")
-    return FixedTraffic(sc.layout, {"v1": traj}, PARAMS)
+    return FixedTraffic(sc.layout, {"v1": traj})
 
 
 def test_simulate_step_detects_collision_and_collider():
     sc = scenario_from_dict(mini_scenario_dict())
     ego = lane_point_state(sc.layout, "right", 10.0, 10.0)
     state = JointState(t=0, vehicles={"ego": ego})
-    ctx = SimulationContext(layout=sc.layout, ego_id="ego", ego_goal=sc.ego_goal,
-                            dt=sc.dt, horizon=sc.horizon, params=PARAMS)
-    res = simulate_step(ctx, state, MacroAction("Continue"),
-                        head_on_traffic(sc, ego, sc.dt))
+    res = simulate_step(sc, state, MacroAction("Continue"), head_on_traffic(sc, ego, sc.dt))
     assert res.outcome == "collision"
     assert res.collider == "v1"
 
@@ -254,10 +248,7 @@ def test_simulate_step_reaches_goal():
     sc = scenario_from_dict(mini_scenario_dict())
     ego = lane_point_state(sc.layout, "right", 10.0, 10.0)
     state = JointState(t=0, vehicles={"ego": ego})
-    ctx = SimulationContext(layout=sc.layout, ego_id="ego", ego_goal=sc.ego_goal,
-                            dt=sc.dt, horizon=sc.horizon, params=PARAMS)
-    res = simulate_step(ctx, state, MacroAction("Continue"),
-                        FixedTraffic(sc.layout, {}, PARAMS))
+    res = simulate_step(sc, state, MacroAction("Continue"), FixedTraffic(sc.layout, {}))
     assert res.outcome == "done"
 
 
@@ -265,11 +256,48 @@ def test_horizon_exhaustion_is_termination():
     sc = scenario_from_dict(mini_scenario_dict())
     ego = lane_point_state(sc.layout, "right", 10.0, 10.0)
     state = JointState(t=0, vehicles={"ego": ego})
-    ctx = SimulationContext(layout=sc.layout, ego_id="ego", ego_goal=sc.ego_goal,
-                            dt=sc.dt, horizon=40, params=PARAMS)  # too short to reach
-    res = simulate_step(ctx, state, MacroAction("Continue"),
-                        FixedTraffic(sc.layout, {}, PARAMS))
+    short = dataclasses.replace(sc, horizon=40)  # too short to reach
+    res = simulate_step(short, state, MacroAction("Continue"), FixedTraffic(short.layout, {}))
     assert res.outcome == "termination"
+
+
+@pytest.mark.parametrize("target", [6.0, 10.0])
+def test_target_speed_reaches_every_integrator(monkeypatch, target):
+    """Observation, recognition and MCTS rollouts all cruise at the scenario's
+    target speed: at 6 m/s no trajectory of any kind is faster, at 10 m/s
+    each kind is."""
+    raw = mini_scenario_dict()
+    raw["target_speed_mps"] = target
+    raw["observation_steps"] = 30
+    for spec in raw["vehicles"]:
+        spec["speed_range_mps"] = [3.0, 6.0]
+    sc = scenario_from_dict(raw)
+    candidates, rollouts = [], []
+
+    def recording_enumerate(*args):
+        per_goal = enumerate_plans(*args)
+        candidates.extend(c.trajectory for cands in per_goal for c in cands)
+        return per_goal
+
+    def recording_step(*args):
+        step = simulate_step(*args)
+        rollouts.append(step.ego_trajectory)
+        return step
+
+    monkeypatch.setattr(recognition_mod, "enumerate_plans", recording_enumerate)
+    monkeypatch.setattr(pipeline_mod, "enumerate_plans", recording_enumerate)
+    monkeypatch.setattr(mcts_mod, "simulate_step", recording_step)
+    pipe = run_pipeline(sc, 0, planner=PlannerConfig(iterations=30, max_depth=3, seed=0))
+    options = [o.trajectory for pred in pipe.predictions.vehicles.values()
+               for opts in pred.options.values() for o in opts]
+    for kind, trajs in (("observed", list(pipe.prefixes.values())), ("candidate", candidates),
+                        ("predicted", options), ("rollout", rollouts)):
+        assert trajs, kind
+        top = max(float(traj.speeds.max()) for traj in trajs)
+        if target == 6.0:
+            assert top <= 6.0 + 1e-9, kind
+        else:
+            assert top > 6.5, kind
 
 
 # --- terminal rewards -------------------------------------------------------------

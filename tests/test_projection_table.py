@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import whyplan.maneuvers as maneuvers_mod
 from whyplan.geometry import Polyline
-from whyplan.maneuvers import ChainStepper, KinematicParams, Trajectory, merged_path
+from whyplan.maneuvers import ChainStepper, Trajectory, merged_path
 from whyplan.mcts import run_mcts
 from whyplan.pipeline import planner_config, run_pipeline
 from whyplan.scenario import load_scenario
@@ -21,7 +21,6 @@ from whyplan.simulation import FixedTraffic, ProjectionTable
 
 DENSE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "scenarios",
                      "dense.json")
-PARAMS = KinematicParams()
 
 
 def ref_peer(path, traj, t):
@@ -109,7 +108,7 @@ def test_table_answers_equal_direct_projection(session):
     table = ProjectionTable()
     for chosen, queries in samples:
         trajs = {vid: pool[vid] for vid in chosen}
-        traffic = FixedTraffic(None, trajs, PARAMS, table, options)
+        traffic = FixedTraffic(None, trajs, table, options)
         path = None
         for spec, t, (x, y) in queries:
             if spec is not None:
@@ -126,12 +125,12 @@ def test_rebuilt_path_with_equal_points_is_answered_without_projecting(monkeypat
     traj = Trajectory(dt=0.1, xs=np.array([3.0, 4.0]), ys=np.array([0.5, 0.6]),
                       headings=np.zeros(2), speeds=np.array([5.0, 5.0]))
     table = ProjectionTable()
-    first = FixedTraffic(None, {"v1": traj}, PARAMS, table, {"v1": (0, 0)})
+    first = FixedTraffic(None, {"v1": traj}, table, {"v1": (0, 0)})
     want = first.projected(Polyline(pts), 1.0, 2.0, 7)
 
     calls = []
     monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(p))
-    again = FixedTraffic(None, {"v1": traj}, PARAMS, table, {"v1": (0, 0)})
+    again = FixedTraffic(None, {"v1": traj}, table, {"v1": (0, 0)})
     # Step 9 clamps to the same last state as step 7.
     assert again.projected(Polyline(pts), 1.0, 2.0, 9) == want
     assert calls == []
@@ -177,14 +176,13 @@ def test_search_projects_each_car_following_key_once(monkeypatch):
     monkeypatch.setattr(ChainStepper, "step", recording_step)
     monkeypatch.setattr(maneuvers_mod, "_car_follow_limit", in_car_following)
     monkeypatch.setattr(Polyline, "project", counting_project)
-    params = KinematicParams(cruise_speed=sc.target_speed)
     counts = []
     for _ in range(2):
         peer_keys.clear()
         ego_keys.clear()
         projected.clear()
         res = run_mcts(sc, pipe.planning_state, pipe.planner, pipe.predictions,
-                       reward_config=pipe.reward, params=params)
+                       reward_config=pipe.reward)
         assert res.trace_log == pipe.mcts.trace_log
         ego_calls = [p for p in projected if p in ego_keys]
         assert (len(ego_calls), len(set(ego_calls))) == (len(ego_keys),) * 2

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import whyplan.pipeline as pipeline_mod
 import whyplan.recognition as recognition_mod
-from whyplan.errors import GoalUnreachableError, NoApplicableActionError, OffRoadError
-from whyplan.maneuvers import (KinematicParams, Trajectory, applicable_macros,
+from whyplan.errors import GoalUnreachableError, OffRoadError
+from whyplan.maneuvers import (BRAKE_APPROACH, Trajectory, applicable_macros,
                                concat_trajectories, expand_macro, extract_features, roll_chain)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
 from whyplan.recognition import (ENUMERATION_DEPTH, enumerate_plans, goal_posterior,
@@ -19,7 +19,7 @@ from whyplan.simulation import observe
 
 from conftest import mini_scenario_dict, spec_of
 
-PARAMS = KinematicParams()
+CRUISE = 10.0
 DT, HORIZON = 0.1, 300
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCENARIO_PATHS = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
@@ -30,15 +30,15 @@ SCENARIOS = {name: load_scenario(path) for name, path in SCENARIO_PATHS.items()}
 
 def posterior(prefix, goals, layout, beta=1.0):
     """`goal_posterior` over the plans from the prefix's first and last states."""
-    from_start = enumerate_plans(prefix.state_at(0), goals, layout, DT, HORIZON, PARAMS)
-    from_current = enumerate_plans(prefix.tail_state(), goals, layout, DT, HORIZON, PARAMS)
+    from_start = enumerate_plans(prefix.state_at(0), goals, layout, DT, HORIZON, CRUISE)
+    from_current = enumerate_plans(prefix.tail_state(), goals, layout, DT, HORIZON, CRUISE)
     return goal_posterior(prefix, goals, from_start, from_current, layout, beta)
 
 
 def options_to(start, goal, layout, beta=1.0):
     """`trajectory_options` over the plans from `start` to one goal."""
-    [candidates] = enumerate_plans(start, (goal,), layout, DT, HORIZON, PARAMS)
-    return trajectory_options(candidates, goal, layout, DT, HORIZON, PARAMS, beta)
+    [candidates] = enumerate_plans(start, (goal,), layout, DT, HORIZON, CRUISE)
+    return trajectory_options(candidates, goal, layout, DT, HORIZON, CRUISE, beta)
 
 
 def prefix_from_states(states, dt=DT):
@@ -132,7 +132,7 @@ def test_decelerating_near_right_turn_junction_favors_turn_goal():
     sc = scenario_from_dict(raw)
     goals = (Goal("exit", 0.0, 10.0, "the right exit"),
              Goal("left", 140.0, 150.0, "the end of the road", lateral_tolerance=5.5))
-    prefix = decel_prefix(sc, "right", 58.0, 9.0, steps=20, decel=PARAMS.brake_approach)
+    prefix = decel_prefix(sc, "right", 58.0, 9.0, steps=20, decel=BRAKE_APPROACH)
     post = posterior(prefix, goals, sc.layout, beta=1.0)
     assert post.probs[0] > post.probs[1]
 
@@ -146,7 +146,7 @@ def test_posterior_never_rises_for_goal_with_growing_detour():
     goals = (Goal("exit", 0.0, 10.0, "the right exit"),
              Goal("left", 140.0, 150.0, "straight on", lateral_tolerance=5.5))
     start = lane_point_state(sc.layout, "right", 58.0, 9.0)
-    plan = enumerate_plans(start, goals, sc.layout, DT, HORIZON, PARAMS)[0][0]
+    plan = enumerate_plans(start, goals, sc.layout, DT, HORIZON, CRUISE)[0][0]
     full = plan.trajectory
     last = None
     for steps in (5, 15, 25):
@@ -177,7 +177,7 @@ def test_trajectory_distribution_normalizes_and_ranks_by_reward():
     assert len(options) >= 2
     # Softmax weighting: strictly better plans get strictly more probability.
     rewards = {c.macros: c.reward
-               for c in enumerate_plans(start, (goal,), sc.layout, DT, HORIZON, PARAMS)[0]}
+               for c in enumerate_plans(start, (goal,), sc.layout, DT, HORIZON, CRUISE)[0]}
     for a in options:
         for b in options:
             if rewards[a.macros] > rewards[b.macros]:
@@ -225,12 +225,11 @@ def _raise(exc):
 
 def test_enumeration_skips_typed_errors_and_propagates_others(fork, monkeypatch):
     start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
-    for typed in (OffRoadError("off"), NoApplicableActionError("none")):
-        monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(typed))
-        assert enumerate_plans(start, fork_goals(), fork.layout, DT, HORIZON, PARAMS) == [[], []]
+    monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(OffRoadError("off")))
+    assert enumerate_plans(start, fork_goals(), fork.layout, DT, HORIZON, CRUISE) == [[], []]
     monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
-        enumerate_plans(start, fork_goals(), fork.layout, DT, HORIZON, PARAMS)
+        enumerate_plans(start, fork_goals(), fork.layout, DT, HORIZON, CRUISE)
 
 
 def test_horizon_extension_skips_typed_errors_and_propagates_others(fork, monkeypatch):
@@ -248,7 +247,7 @@ def test_enumeration_prunes_reverted_lane_changes():
     sc = scenario_from_dict(raw)
     start = lane_point_state(sc.layout, "right", 10.0, 8.0)
     goal = Goal("right_far", 40.0, 55.0, "end", lateral_tolerance=5.0)
-    [cands] = enumerate_plans(start, (goal,), sc.layout, DT, HORIZON, PARAMS)
+    [cands] = enumerate_plans(start, (goal,), sc.layout, DT, HORIZON, CRUISE)
     for cand in cands:
         for a, b in zip(cand.macros, cand.macros[1:]):
             assert {a, b} != {"Change-left", "Change-right"}
@@ -267,9 +266,9 @@ def test_recognition_is_deterministic():
 def test_predict_all_covers_non_egos_and_normalizes():
     sc = scenario_from_dict(mini_scenario_dict())
     init = sample_initial_states(sc, 3)
-    plans, from_start = true_goal_plans(sc, init, PARAMS)
+    plans, from_start = true_goal_plans(sc, init)
     prefixes, _ = observe(sc, init, plans)
-    preds = predict_all(sc, prefixes, from_start, params=PARAMS)
+    preds = predict_all(sc, prefixes, from_start)
     assert set(preds.vehicles) == {"v1"}
     pred = preds["v1"]
     assert sum(pred.posterior.probs) == pytest.approx(1.0, abs=1e-9)
@@ -295,9 +294,9 @@ def test_predict_all_enumerates_each_state_and_goal_once(monkeypatch):
         enumerations.append((state, goals))
         return enumerate_plans(state, goals, *args)
 
-    def counting_roll(maneuvers, start, layout, dt, horizon, **kwargs):
+    def counting_roll(maneuvers, start, layout, dt, horizon, cruise):
         rollouts.append((tuple(maneuvers), start, horizon))
-        return roll_chain(maneuvers, start, layout, dt, horizon, **kwargs)
+        return roll_chain(maneuvers, start, layout, dt, horizon, cruise)
 
     monkeypatch.setattr(recognition_mod, "enumerate_plans", counting_enumerate)
     monkeypatch.setattr(pipeline_mod, "enumerate_plans", counting_enumerate)
@@ -346,7 +345,7 @@ REFERENCE_WEIGHTS = {"time": -1.0, "jerk": -0.1, "angular_acceleration": -0.1,
                      "curvature": -0.1}
 
 
-def reference_enumerate(state, goal, layout, dt, horizon, params):
+def reference_enumerate(state, goal, layout, dt, horizon, cruise):
     """Every goal-reaching macro sequence to one goal, each prefix rolled out
     for this goal alone, the reward recomputed from the finished trajectory."""
     w = REFERENCE_WEIGHTS
@@ -363,8 +362,8 @@ def reference_enumerate(state, goal, layout, dt, horizon, params):
             return
         joint = JointState(t=0, vehicles={"_solo": cur})
         try:
-            actions = applicable_macros(joint, "_solo", layout, goal, params)
-        except (OffRoadError, NoApplicableActionError):
+            actions = applicable_macros(joint, "_solo", layout, goal)
+        except OffRoadError:
             return
         inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
         for macro in actions:
@@ -375,7 +374,7 @@ def reference_enumerate(state, goal, layout, dt, horizon, params):
             if macros and inverse.get(macro.name) == macros[-1]:
                 continue
             maneuvers = expand_macro(macro, joint, "_solo", layout)
-            traj = roll_chain(maneuvers, cur, layout, dt, steps_left, params=params)
+            traj = roll_chain(maneuvers, cur, layout, dt, steps_left, cruise)
             if len(traj) < 2:
                 continue
             new_parts = parts + [traj]
@@ -394,11 +393,10 @@ def reference_enumerate(state, goal, layout, dt, horizon, params):
 
 
 def assert_matches_reference(sc, state, goals, label):
-    params = KinematicParams(cruise_speed=sc.target_speed)
-    merged = enumerate_plans(state, goals, sc.layout, sc.dt, sc.horizon, params)
+    merged = enumerate_plans(state, goals, sc.layout, sc.dt, sc.horizon, sc.target_speed)
     assert len(merged) == len(goals), label
     for goal, got in zip(goals, merged):
-        want = reference_enumerate(state, goal, sc.layout, sc.dt, sc.horizon, params)
+        want = reference_enumerate(state, goal, sc.layout, sc.dt, sc.horizon, sc.target_speed)
         assert [c.macros for c in got] == [m for m, _, _ in want], (label, goal.label)
         assert [c.reward for c in got] == [r for _, _, r in want], (label, goal.label)
         for c, (_, traj, _) in zip(got, want):
@@ -416,9 +414,8 @@ def scenario_goals(sc):
 @pytest.mark.parametrize("seed", range(5))
 def test_enumeration_matches_single_goal_reference_on_run_states(name, seed):
     sc = SCENARIOS[name]
-    params = KinematicParams(cruise_speed=sc.target_speed)
     initial = sample_initial_states(sc, seed)
-    plans, _ = true_goal_plans(sc, initial, params)
+    plans, _ = true_goal_plans(sc, initial)
     prefixes, _ = observe(sc, initial, plans)
     for vid in sc.non_ego_ids:
         goals = spec_of(sc, vid).goals

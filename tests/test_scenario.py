@@ -41,6 +41,13 @@ def test_missing_ego_goal_is_rejected():
         scenario_from_dict(raw)
 
 
+def test_negative_observation_steps_is_rejected():
+    raw = mini_scenario_dict()
+    raw["observation_steps"] = -5
+    with pytest.raises(ScenarioValidationError, match="observation_steps must be >= 0"):
+        scenario_from_dict(raw)
+
+
 def test_single_point_midline_is_rejected():
     raw = mini_scenario_dict()
     raw["layout"]["lanes"][0]["midline"] = [[0.0, 0.0]]

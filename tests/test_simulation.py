@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whyplan.maneuvers import (KinematicParams, MacroAction, Trajectory, _GiveWaySegment,
-                               _segment_for, expand_macro)
+from whyplan.maneuvers import (CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S, TURN_SPEED, MacroAction,
+                               Trajectory, _GiveWaySegment, _segment_for, expand_macro)
 from whyplan.scenario import JointState, lane_point_state, load_scenario
 from whyplan.simulation import ExtrapolatedTraffic, FixedTraffic
 
 S2 = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "s2.json"))
-PARAMS = KinematicParams(cruise_speed=S2.target_speed)
 DT = S2.dt
 
 
@@ -54,7 +53,7 @@ def _nearest_lane(layout, position):
     return best_lane
 
 
-def ref_recorded(layout, trajectories, params, seg, t):
+def ref_recorded(layout, trajectories, seg, t):
     """Planning's predicate: peers predicted by their recorded trajectories."""
     conflict_pts = seg.conflict
     if conflict_pts is None or seg.junction is None or not trajectories:
@@ -62,7 +61,7 @@ def ref_recorded(layout, trajectories, params, seg, t):
     center, radius = _junction_region(layout, seg.junction)
     priority = _priority_lanes(layout, seg.junction)
     dt = next(iter(trajectories.values())).dt
-    steps = max(int(params.giveway_window_s / dt), 1)
+    steps = max(int(GIVEWAY_WINDOW_S / dt), 1)
     for traj in trajectories.values():
         here = traj.state_at(t)
         inside = np.linalg.norm(np.array([here.x, here.y]) - center) <= radius
@@ -74,19 +73,19 @@ def ref_recorded(layout, trajectories, params, seg, t):
         py = traj.ys[k0:k1 + 1]
         d = np.hypot(px[:, None] - conflict_pts[:, 0][None, :],
                      py[:, None] - conflict_pts[:, 1][None, :])
-        if float(d.min()) < params.conflict_clearance:
+        if float(d.min()) < CONFLICT_CLEARANCE:
             return False
     return True
 
 
-def ref_extrapolated(layout, peers, dt, params, seg):
+def ref_extrapolated(layout, peers, dt, seg):
     """Observation's predicate: peers extrapolated at constant velocity."""
     conflict_pts = seg.conflict
     if conflict_pts is None or seg.junction is None:
         return True
     priority = _priority_lanes(layout, seg.junction)
     center, radius = _junction_region(layout, seg.junction)
-    n = max(int(params.giveway_window_s / dt), 1)
+    n = max(int(GIVEWAY_WINDOW_S / dt), 1)
     for peer in peers:
         inside = np.linalg.norm(np.array([peer.x, peer.y]) - center) <= radius
         if not inside and _nearest_lane(layout, (peer.x, peer.y)) not in priority:
@@ -96,7 +95,7 @@ def ref_extrapolated(layout, peers, dt, params, seg):
         py = peer.y + peer.v * ts * math.sin(peer.heading)
         d = np.hypot(px[:, None] - conflict_pts[:, 0][None, :],
                      py[:, None] - conflict_pts[:, 1][None, :])
-        if float(d.min()) < params.conflict_clearance:
+        if float(d.min()) < CONFLICT_CLEARANCE:
             return False
     return True
 
@@ -108,7 +107,7 @@ def giveway_segment(lane, s, direction) -> _GiveWaySegment:
     me = lane_point_state(S2.layout, lane, s, 6.0)
     chain = expand_macro(MacroAction("Exit", direction), JointState(t=0, vehicles={"me": me}),
                          "me", S2.layout)
-    seg = _segment_for(chain[1], me.x, me.y, me.heading, S2.layout, PARAMS, PARAMS.turn_speed)
+    seg = _segment_for(chain[1], me.x, me.y, me.heading, S2.layout, S2.target_speed, TURN_SPEED)
     assert isinstance(seg, _GiveWaySegment)
     return seg
 
@@ -139,17 +138,16 @@ def recorded(draw):
 def test_recorded_prediction_matches_planning_reference(seg_index, trajs, t):
     seg = SEGMENTS[seg_index]
     trajectories = {f"v{i}": traj for i, traj in enumerate(trajs)}
-    traffic = FixedTraffic(S2.layout, trajectories, PARAMS)
-    assert traffic.giveway_clear(seg, t) == ref_recorded(S2.layout, trajectories, PARAMS,
-                                                         seg, t)
+    traffic = FixedTraffic(S2.layout, trajectories)
+    assert traffic.giveway_clear(seg, t) == ref_recorded(S2.layout, trajectories, seg, t)
 
 
 @settings(max_examples=300, deadline=None)
 @given(seg_index=st.integers(0, len(SEGMENTS) - 1), peers=st.lists(peer, max_size=3))
 def test_extrapolated_prediction_matches_observation_reference(seg_index, peers):
     seg = SEGMENTS[seg_index]
-    traffic = ExtrapolatedTraffic(S2.layout, peers, DT, PARAMS)
-    assert traffic.giveway_clear(seg, 0) == ref_extrapolated(S2.layout, peers, DT, PARAMS, seg)
+    traffic = ExtrapolatedTraffic(S2.layout, peers, DT)
+    assert traffic.giveway_clear(seg, 0) == ref_extrapolated(S2.layout, peers, DT, seg)
 
 
 @pytest.mark.parametrize("x,y,heading,v,clear", [
@@ -161,9 +159,9 @@ def test_extrapolated_prediction_matches_observation_reference(seg_index, peers)
 def test_both_predictors_agree_on_fixed_cases(x, y, heading, v, clear):
     seg = SEGMENTS[0]
     here = SimpleNamespace(x=x, y=y, heading=heading, v=v)
-    assert ExtrapolatedTraffic(S2.layout, [here], DT, PARAMS).giveway_clear(seg, 0) is clear
-    n = int(PARAMS.giveway_window_s / DT) + 1
+    assert ExtrapolatedTraffic(S2.layout, [here], DT).giveway_clear(seg, 0) is clear
+    n = int(GIVEWAY_WINDOW_S / DT) + 1
     ts = np.arange(n) * DT
     traj = Trajectory(dt=DT, xs=x + v * ts * math.cos(heading), ys=y + v * ts * math.sin(heading),
                       headings=np.full(n, heading), speeds=np.full(n, v))
-    assert FixedTraffic(S2.layout, {"v": traj}, PARAMS).giveway_clear(seg, 0) is clear
+    assert FixedTraffic(S2.layout, {"v": traj}).giveway_clear(seg, 0) is clear
