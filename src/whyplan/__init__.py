@@ -17,8 +17,8 @@ from .errors import (EmptyTraceLogError, GoalUnreachableError, InapplicableMacro
                      WhyplanError)
 from .grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw, load_style,
                       post_process, realize_macros, to_grammar_input)
-from .maneuvers import (MacroAction, Maneuver, Trajectory, TrajectoryFeatures,
-                        applicable_macros, expand_macro, extract_features, macro_from_name)
+from .maneuvers import (Maneuver, Trajectory, TrajectoryFeatures, applicable_macros,
+                        expand_macro, extract_features)
 from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
                    run_mcts, terminal_reward)
 from .pipeline import (PipelineResult, explain_query, load_run, run_pipeline, save_run)

@@ -145,24 +145,25 @@ def _batch_worker(job: tuple) -> list[dict]:
 def cmd_batch(args) -> int:
     if args.runs < 1:
         raise ScenarioValidationError("--runs must be >= 1")
-    load_scenario(args.scenario)  # fail fast on bad files
+    # Fail fast on a bad scenario file or planner setting.
+    planner_config(load_scenario(args.scenario), args.seed, iterations=args.iterations,
+                   max_depth=args.max_depth, exploration=args.exploration)
     query_exprs = [q.strip() for q in args.queries.split(";") if q.strip()]
     jobs = [(args.scenario, args.seed + i, i, args.iterations, args.max_depth,
              args.exploration, query_exprs, args.n_causes, args.n_effects, args.style)
             for i in range(args.runs)]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_batch_worker, jobs))
-    else:
-        results = [_batch_worker(job) for job in jobs]
-    fieldnames = ["run", "seed", "plan", "query", "outcome", "probability", "explanation"]
-    out = _open_output(args.out, newline="") if args.out else sys.stdout
+    out = _open_output(args.out, newline="") if args.out else sys.stdout  # before any run
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+        if args.workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+                results = list(pool.map(_batch_worker, jobs))
+        else:
+            results = [_batch_worker(job) for job in jobs]
+        writer = csv.DictWriter(out, lineterminator="\n", fieldnames=[
+            "run", "seed", "plan", "query", "outcome", "probability", "explanation"])
         writer.writeheader()
         for rows in results:
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
     finally:
         if args.out:
             out.close()

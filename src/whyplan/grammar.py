@@ -193,7 +193,7 @@ def adverb(p: float | None) -> str:
 
 
 def realize_macros(macros, tense: str, style: dict | None = None) -> str:
-    """Textual form of a macro sequence, joined with "then".
+    """Textual form of a sequence of macro names, joined with "then".
 
     tense "ego" uses the conditional-perfect table, "nonego" the present
     table (causes pick their own tense internally).
@@ -209,7 +209,7 @@ def realize_macros(macros, tense: str, style: dict | None = None) -> str:
         table = style["nonego_macros_perfect"]
     else:
         raise ValueError(f"unknown tense {tense!r}")
-    return " then ".join(table.get(str(m), str(m)) for m in macros)
+    return " then ".join(table.get(m, m) for m in macros)
 
 
 def _rel(delta: float) -> str:

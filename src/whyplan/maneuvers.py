@@ -1,7 +1,8 @@
 """Macro actions, manoeuvres, the one vehicle integrator and trajectory features.
 
-Macro actions (Continue, Change-left/right, Exit, Continue-next-exit, Stop)
-expand into chains of manoeuvres (lane-follow, lane-change, give-way, turn,
+A macro action is its name, one of `ALL_MACRO_NAMES` (Continue,
+Change-left/right, Exit-left/right/straight, Continue-next-exit, Stop); it
+expands into a chain of manoeuvres (lane-follow, lane-change, give-way, turn,
 stop). `ChainStepper` drives a chain for recognition (`roll_chain`), MCTS
 rollouts and observation alike: a constant-acceleration point mass following
 lane midlines, cubic lateral blends for lane changes, give-way segments that
@@ -18,7 +19,6 @@ from .geometry import Polyline, normalize_angle, smoothstep, turn_curve
 from .scenario import (OFFROAD_MARGIN_M, Goal, JointState, RoadLayout, VehicleState,
                        goal_contains, locate)
 
-MACRO_KINDS = ("Continue", "Change-left", "Change-right", "Exit", "Continue-next-exit", "Stop")
 MANEUVER_KINDS = ("lane-follow", "lane-change-left", "lane-change-right",
                   "turn-left", "turn-right", "turn-straight", "give-way", "stop")
 
@@ -42,36 +42,6 @@ LEAD_LOOKAHEAD = 60.0
 # PD follower gains: gap error (1/s^2) and closing-speed error (1/s).
 FOLLOW_KG = 0.6
 FOLLOW_KV = 1.2
-
-
-@dataclass(frozen=True)
-class MacroAction:
-    """High-level action; Exit additionally carries a turn direction."""
-
-    kind: str
-    direction: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in MACRO_KINDS:
-            raise ValueError(f"unknown macro kind {self.kind!r}")
-        if self.kind == "Exit":
-            if self.direction not in ("left", "right", "straight"):
-                raise ValueError(f"Exit needs a direction, got {self.direction!r}")
-        elif self.direction is not None:
-            raise ValueError(f"{self.kind} takes no direction")
-
-    @property
-    def name(self) -> str:
-        return f"Exit-{self.direction}" if self.kind == "Exit" else self.kind
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def macro_from_name(name: str) -> MacroAction:
-    if name.startswith("Exit-"):
-        return MacroAction("Exit", name.split("-", 1)[1])
-    return MacroAction(name)
 
 
 ALL_MACRO_NAMES = ("Change-left", "Change-right", "Continue", "Continue-next-exit",
@@ -112,7 +82,6 @@ class Trajectory:
     ys: np.ndarray
     headings: np.ndarray
     speeds: np.ndarray
-    vehicle_id: str = ""
     truncated: bool = False
 
     def __len__(self) -> int:
@@ -142,7 +111,6 @@ def concat_trajectories(parts: list[Trajectory]) -> Trajectory:
         dt=parts[0].dt,
         xs=np.concatenate(xs), ys=np.concatenate(ys), headings=np.concatenate(hs),
         speeds=np.concatenate(vs),
-        vehicle_id=parts[0].vehicle_id,
         truncated=parts[-1].truncated,
     )
 
@@ -291,8 +259,8 @@ def _headway_ok(state: JointState, vehicle_id: str, layout: RoadLayout,
 
 
 def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
-                      goal: Goal | None) -> list[MacroAction]:
-    """Macro actions whose first manoeuvre is applicable, sorted by name.
+                      goal: Goal | None) -> list[str]:
+    """Names of the macro actions whose first manoeuvre is applicable, sorted.
 
     On a lane, Continue applies when the lane-follow chain reaches `goal`
     (`chain_reaches_goal`); with goal None it is offered for the caller to
@@ -306,15 +274,15 @@ def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
         return [_crossing(layout, me)[0]]
     lane = layout.lanes[lane_id]
     chain = lane_follow_chain(layout, lane_id)
-    out: list[MacroAction] = [MacroAction("Stop")]
+    out = {"Stop"}
 
     if goal is None or chain_reaches_goal(layout, chain, s, goal):
-        out.append(MacroAction("Continue"))
+        out.add("Continue")
 
-    for neighbor, kind in ((lane.left_neighbor, "Change-left"),
+    for neighbor, name in ((lane.left_neighbor, "Change-left"),
                            (lane.right_neighbor, "Change-right")):
         if neighbor is not None and _headway_ok(state, vehicle_id, layout, neighbor):
-            out.append(MacroAction(kind))
+            out.add(name)
 
     junctions = junctions_on_chain(layout, chain)
     if junctions:
@@ -325,16 +293,14 @@ def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
                 continue
             if conn.direction == "straight" and conn.has_priority:
                 continue  # priority straights belong to Continue
-            macro = MacroAction("Exit", conn.direction)
-            if macro not in out:
-                out.append(macro)
+            out.add(f"Exit-{conn.direction}")
     if len(junctions) >= 2:
-        out.append(MacroAction("Continue-next-exit"))
+        out.add("Continue-next-exit")
 
-    return sorted(out, key=lambda m: m.name)
+    return sorted(out)
 
 
-def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[MacroAction, list[Maneuver]]:
+def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[str, list[Maneuver]]:
     """The macro a vehicle off every lane is driving, and what is left of it.
 
     Such a vehicle is crossing a junction, on the connection curve nearest
@@ -355,70 +321,72 @@ def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[MacroAction, list[M
     _, jid, conn = best
     if conn.direction == "straight" and conn.has_priority:
         chain = lane_follow_chain(layout, conn.from_lane)
-        return MacroAction("Continue"), [Maneuver("lane-follow", lanes=tuple(chain))]
-    return MacroAction("Exit", conn.direction), [
+        return "Continue", [Maneuver("lane-follow", lanes=tuple(chain))]
+    return f"Exit-{conn.direction}", [
         Maneuver(f"turn-{conn.direction}", lanes=(conn.to_lane,), junction=jid,
                  connection=(conn.from_lane, conn.to_lane))]
 
 
-def expand_macro(macro: MacroAction, state: JointState, vehicle_id: str,
-                 layout: RoadLayout) -> list[Maneuver]:
-    """Expand a macro action into its manoeuvre chain at the current state."""
-    me = state.vehicles[vehicle_id]
+def expand_macro(macro: str, me: VehicleState, layout: RoadLayout) -> list[Maneuver]:
+    """Expand the named macro action into its manoeuvre chain from state `me`.
+
+    Raises ValueError for a name outside ALL_MACRO_NAMES and
+    InapplicableMacroError for a macro that does not apply at `me`.
+    """
+    if macro not in ALL_MACRO_NAMES:
+        raise ValueError(f"unknown macro action {macro!r}")
     try:
         lane_id, _, _ = locate(layout, (me.x, me.y))
     except OffRoadError:
         crossing, rest = _crossing(layout, me)
         if macro != crossing:
-            raise InapplicableMacroError(f"{macro.name}: vehicle is crossing a junction "
-                                         f"by {crossing.name}") from None
+            raise InapplicableMacroError(f"{macro}: vehicle is crossing a junction "
+                                         f"by {crossing}") from None
         return rest
     lane = layout.lanes[lane_id]
     chain = lane_follow_chain(layout, lane_id)
 
-    if macro.kind == "Continue":
+    if macro == "Continue":
         return [Maneuver("lane-follow", lanes=tuple(chain))]
 
-    if macro.kind == "Stop":
+    if macro == "Stop":
         return [Maneuver("stop", lanes=tuple(chain))]
 
-    if macro.kind in ("Change-left", "Change-right"):
-        target = lane.left_neighbor if macro.kind == "Change-left" else lane.right_neighbor
+    if macro in ("Change-left", "Change-right"):
+        target = lane.left_neighbor if macro == "Change-left" else lane.right_neighbor
         if target is None:
-            raise InapplicableMacroError(f"{macro.name}: no neighbor lane from {lane_id!r}")
-        kind = "lane-change-left" if macro.kind == "Change-left" else "lane-change-right"
+            raise InapplicableMacroError(f"{macro}: no neighbor lane from {lane_id!r}")
+        kind = "lane-change-left" if macro == "Change-left" else "lane-change-right"
         return [Maneuver(kind, lanes=(lane_id,), target_lane=target)]
 
-    if macro.kind in ("Exit", "Continue-next-exit"):
-        junctions = junctions_on_chain(layout, chain)
-        want_index = 0 if macro.kind == "Exit" else 1
-        if len(junctions) <= want_index:
-            raise InapplicableMacroError(f"{macro.name}: no junction ahead on lane {lane_id!r}")
-        jid, arrival = junctions[want_index]
-        junction = layout.junctions[jid]
-        conns = [c for c in junction.connections if c.from_lane == arrival]
-        if macro.kind == "Exit":
-            conns = [c for c in conns if c.direction == macro.direction
-                     and not (c.direction == "straight" and c.has_priority)]
-            if not conns:
-                raise InapplicableMacroError(
-                    f"{macro.name}: junction {jid!r} has no {macro.direction} connection "
-                    f"from {arrival!r}")
-            conn = conns[0]
-        else:
-            by_pref = {d: i for i, d in enumerate(("right", "straight", "left"))}
-            conns = [c for c in conns if not (c.direction == "straight" and c.has_priority)] or conns
-            conn = sorted(conns, key=lambda c: by_pref[c.direction])[0]
-        approach = chain[:chain.index(arrival) + 1]
-        return [
-            Maneuver("lane-follow", lanes=tuple(approach), hold_speed=True),
-            Maneuver("give-way", lanes=(arrival,), junction=jid,
-                     connection=(conn.from_lane, conn.to_lane)),
-            Maneuver(f"turn-{conn.direction}", lanes=(conn.to_lane,), junction=jid,
-                     connection=(conn.from_lane, conn.to_lane)),
-        ]
-
-    raise InapplicableMacroError(f"cannot expand {macro.name}")
+    # Exit-<direction> or Continue-next-exit
+    direction = macro[len("Exit-"):] if macro.startswith("Exit-") else None
+    junctions = junctions_on_chain(layout, chain)
+    want_index = 0 if direction else 1
+    if len(junctions) <= want_index:
+        raise InapplicableMacroError(f"{macro}: no junction ahead on lane {lane_id!r}")
+    jid, arrival = junctions[want_index]
+    junction = layout.junctions[jid]
+    conns = [c for c in junction.connections if c.from_lane == arrival]
+    if direction:
+        conns = [c for c in conns if c.direction == direction
+                 and not (c.direction == "straight" and c.has_priority)]
+        if not conns:
+            raise InapplicableMacroError(
+                f"{macro}: junction {jid!r} has no {direction} connection from {arrival!r}")
+        conn = conns[0]
+    else:
+        by_pref = {d: i for i, d in enumerate(("right", "straight", "left"))}
+        conns = [c for c in conns if not (c.direction == "straight" and c.has_priority)] or conns
+        conn = sorted(conns, key=lambda c: by_pref[c.direction])[0]
+    approach = chain[:chain.index(arrival) + 1]
+    return [
+        Maneuver("lane-follow", lanes=tuple(approach), hold_speed=True),
+        Maneuver("give-way", lanes=(arrival,), junction=jid,
+                 connection=(conn.from_lane, conn.to_lane)),
+        Maneuver(f"turn-{conn.direction}", lanes=(conn.to_lane,), junction=jid,
+                 connection=(conn.from_lane, conn.to_lane)),
+    ]
 
 
 # --- rollout -----------------------------------------------------------------
@@ -751,10 +719,10 @@ class ChainStepper:
         self.vs.append(v)
         self.x, self.y, self.heading, self.v = x, y, heading, v
 
-    def trajectory(self, truncated: bool = False, vehicle_id: str = "") -> Trajectory:
+    def trajectory(self, truncated: bool = False) -> Trajectory:
         return Trajectory(dt=self.dt, xs=np.asarray(self.xs), ys=np.asarray(self.ys),
                           headings=np.asarray(self.hs), speeds=np.asarray(self.vs),
-                          vehicle_id=vehicle_id, truncated=truncated)
+                          truncated=truncated)
 
 
 def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayout,

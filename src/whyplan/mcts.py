@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioValidationError
-from .maneuvers import (MacroAction, Trajectory, applicable_macros, concat_trajectories,
-                        extract_features)
+from .maneuvers import Trajectory, applicable_macros, concat_trajectories, extract_features
 from .recognition import FEATURE_WEIGHTS, Predictions
 from .scenario import JointState, Scenario
 from .simulation import FixedTraffic, MacroStepResult, ProjectionTable, simulate_step
@@ -82,6 +81,9 @@ class PlannerConfig:
             raise ScenarioValidationError("iterations must be >= 1")
         if self.max_depth < 1:
             raise ScenarioValidationError("max_depth must be >= 1")
+        if not 0.0 <= self.exploration < math.inf:  # also rejects NaN
+            raise ScenarioValidationError(
+                f"exploration must be finite and >= 0, got {self.exploration}")
 
 
 def components_for(outcome: str, traj: Trajectory, goal, layout) -> dict:
@@ -191,18 +193,18 @@ class MctsResult:
     trace_log: list[TraceRecord]
 
 
-def _select_ucb(node: _Node, actions: list[MacroAction], exploration: float,
-                r_lo: float, r_hi: float) -> MacroAction:
-    ordered = sorted(actions, key=lambda a: SELECTION_ORDER.get(a.name, 99))
+def _select_ucb(node: _Node, actions: list[str], exploration: float,
+                r_lo: float, r_hi: float) -> str:
+    ordered = sorted(actions, key=lambda a: SELECTION_ORDER[a])
     for a in ordered:  # untried first
-        if a.name not in node.actions or node.actions[a.name][0] == 0:
+        if a not in node.actions or node.actions[a][0] == 0:
             return a
     span = max(r_hi - r_lo, 1e-9)
-    total = sum(node.actions[a.name][0] for a in actions)
+    total = sum(node.actions[a][0] for a in actions)
     log_total = math.log(max(total, 2))
     best, best_score = None, -math.inf
     for a in ordered:
-        n, q = node.actions[a.name]
+        n, q = node.actions[a]
         score = (q - r_lo) / span + exploration * math.sqrt(log_total / n)
         if score > best_score + 1e-12:
             best, best_score = a, score
@@ -226,7 +228,7 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
     # at a prefix, the step to a prefix the rollout goes on from, and
     # (outcome, collider, reward, components, steps) at a prefix where it
     # ends. Ending steps keep no trajectory, which keeps peak memory flat.
-    actions_at: dict[tuple, list[MacroAction]] = {}
+    actions_at: dict[tuple, list[str]] = {}
     step_at: dict[tuple, MacroStepResult] = {}
     end_at: dict[tuple, tuple] = {}
     # Car-following projections recur across joint samples that share a
@@ -253,7 +255,7 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
             lo = r_lo if math.isfinite(r_lo) else 0.0
             hi = r_hi if math.isfinite(r_hi) else 1.0
             choice = _select_ucb(tree.node(macros), actions, config.exploration, lo, hi)
-            macros = macros + (choice.name,)
+            macros = macros + (choice,)
             key = (sample, macros)
             end = end_at.get(key)
             if end is not None:

@@ -21,7 +21,6 @@ from .causal import (CausalSummary, CounterfactualQuery, agent_influences, outco
                      reward_deltas)
 from .errors import RunDirectoryError
 from .grammar import explain as render_explanation
-from .maneuvers import macro_from_name
 from .mcts import MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
 from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
@@ -62,15 +61,15 @@ def true_goal_plans(scenario: Scenario, initial: JointState) -> tuple[dict, dict
                 scenario.horizon, scenario.target_speed)
             if per_goal[0]:
                 names = per_goal[0][0].macros
-        plans[spec.id] = [macro_from_name(name) for name in names]
+        plans[spec.id] = list(names)
     return plans, from_start
 
 
 def planner_config(scenario: Scenario, seed: int, iterations: int = 300, max_depth: int = 3,
                    exploration: float | None = None) -> PlannerConfig:
-    """Planner settings with the scenario's calibration overrides applied."""
+    """Planner settings; `exploration` defaults to the scenario's, else sqrt 2."""
     if exploration is None:
-        exploration = float(scenario.planner_overrides.get("exploration", math.sqrt(2.0)))
+        exploration = scenario.exploration if scenario.exploration is not None else math.sqrt(2.0)
     return PlannerConfig(iterations=iterations, max_depth=max_depth,
                          exploration=exploration, seed=seed)
 

@@ -86,16 +86,16 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
             return
         _inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
         for macro in actions:
-            if macro.kind == "Stop":
+            if macro == "Stop":
                 continue
-            if macro.kind == "Continue" and macros and macros[-1] == "Continue":
+            if macro == "Continue" and macros and macros[-1] == "Continue":
                 continue
             # An immediately reverted lane change is never on an efficient
             # path (Continue covers the stay-in-lane alternative).
-            if macros and _inverse.get(macro.name) == macros[-1]:
+            if macros and _inverse.get(macro) == macros[-1]:
                 continue
             gis = open_goals
-            if macro.kind == "Continue":
+            if macro == "Continue":
                 try:
                     lane_id, s, _ = locate(layout, (cur.x, cur.y))
                 except OffRoadError:
@@ -106,12 +106,12 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
                            if chain_reaches_goal(layout, chain, s, goals[gi])]
                     if not gis:
                         continue
-            maneuvers = expand_macro(macro, joint, vid, layout)
+            maneuvers = expand_macro(macro, cur, layout)
             traj = roll_chain(maneuvers, cur, layout, dt, steps_left, cruise)
             if len(traj) < 2:
                 continue
             new_parts = parts + [traj]
-            new_macros = macros + (macro.name,)
+            new_macros = macros + (macro,)
             full = concat_trajectories(new_parts)
             still_open = []
             for gi in gis:
@@ -172,7 +172,7 @@ def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon:
             ys=np.concatenate([out.ys, np.full(pad, last.y)]),
             headings=np.concatenate([out.headings, np.full(pad, last.heading)]),
             speeds=np.concatenate([out.speeds, np.zeros(pad)]),
-            vehicle_id=out.vehicle_id, truncated=out.truncated,
+            truncated=out.truncated,
         )
     return out
 

@@ -9,7 +9,7 @@ load; sampling takes an explicit seed and is pure.
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,9 +184,8 @@ class Scenario:
     observation_steps: int = 10
     rationality_beta: float = 1.0
     target_speed: float = 10.0
-    # Optional per-scenario planner calibration (e.g. exploration constant),
-    # applied by the harness unless overridden on the command line.
-    planner_overrides: dict = field(default_factory=dict)
+    # The scenario's UCB1 exploration constant, unless the command line sets one.
+    exploration: float | None = None
 
     @property
     def non_ego_ids(self) -> list[str]:
@@ -326,6 +325,8 @@ def _validate_scenario(sc: Scenario) -> None:
         raise ScenarioValidationError("horizon_steps must be >= 1")
     if sc.observation_steps < 0:
         raise ScenarioValidationError("observation_steps must be >= 0")
+    if sc.target_speed <= 0:
+        raise ScenarioValidationError("target_speed_mps must be positive")
 
     def check_goal(goal: Goal, owner: str) -> None:
         if goal.lane not in sc.layout.lanes:
@@ -381,6 +382,10 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
                         for g in _require(vr, "goals", ctx, list, [])),
         ))
     planner = _require(raw, "planner", "scenario", dict, {})
+    for key in planner:
+        if key != "exploration":
+            raise ScenarioParseError(
+                f"planner: unknown key {key!r} (the only key is 'exploration')")
     sc = Scenario(
         name=_require(raw, "name", "scenario", str, name),
         layout=layout,
@@ -392,7 +397,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
         observation_steps=_require(raw, "observation_steps", "scenario", int, 10),
         rationality_beta=_require(raw, "rationality_beta", "scenario", float, 1.0),
         target_speed=_require(raw, "target_speed_mps", "scenario", float, 10.0),
-        planner_overrides={key: _require(planner, key, "planner", float) for key in planner},
+        exploration=_require(planner, "exploration", "planner", float, None),
     )
     _validate_scenario(sc)
     return sc

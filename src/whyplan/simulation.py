@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InapplicableMacroError
 from .geometry import Polyline
 from .maneuvers import (COLLISION_RADIUS, CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S, ChainStepper,
-                        MacroAction, Trajectory, _GiveWaySegment, expand_macro)
+                        Trajectory, _GiveWaySegment, expand_macro)
 from .scenario import (JointState, RoadLayout, Scenario, VehicleState, goal_contains,
                        locate)
 
@@ -215,7 +215,7 @@ class MacroStepResult:
     steps: int
 
 
-def simulate_step(scenario: Scenario, state: JointState, macro: MacroAction,
+def simulate_step(scenario: Scenario, state: JointState, macro: str,
                   traffic: FixedTraffic) -> MacroStepResult:
     """Advance the scenario's ego through one macro while traffic follows fixed paths.
 
@@ -224,9 +224,9 @@ def simulate_step(scenario: Scenario, state: JointState, macro: MacroAction,
     leaves the state it fired on as the trajectory's last.
     """
     ego_id, layout = scenario.ego_id, scenario.layout
-    maneuvers = expand_macro(macro, state, ego_id, layout)
-    ego = ChainStepper(state.vehicles[ego_id], layout, scenario.dt, scenario.target_speed,
-                       maneuvers)
+    me = state.vehicles[ego_id]
+    ego = ChainStepper(me, layout, scenario.dt, scenario.target_speed,
+                       expand_macro(macro, me, layout))
     for t in range(state.t, scenario.horizon):
         if ego.segment() is None:
             break
@@ -248,7 +248,7 @@ def simulate_step(scenario: Scenario, state: JointState, macro: MacroAction,
 # --- observation phase -------------------------------------------------------
 
 
-def _plan_segment(vid: str, driver: ChainStepper, plan: list[MacroAction], layout: RoadLayout):
+def _plan_segment(driver: ChainStepper, plan: list[str], layout: RoadLayout):
     """The driver's segment, expanding its next plan macros once its chain is done.
 
     A macro expands at whatever state the vehicle has actually reached and
@@ -257,14 +257,13 @@ def _plan_segment(vid: str, driver: ChainStepper, plan: list[MacroAction], layou
     while driver.segment() is None and plan:
         here = VehicleState(driver.x, driver.y, driver.heading, max(driver.v, 0.0))
         try:
-            driver.follow(expand_macro(plan.pop(0), JointState(t=0, vehicles={vid: here}), vid,
-                                       layout))
+            driver.follow(expand_macro(plan.pop(0), here, layout))
         except InapplicableMacroError:
             continue
     return driver.seg
 
 
-def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[MacroAction]]
+def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[str]]
             ) -> tuple[dict[str, Trajectory], JointState]:
     """Play every vehicle's plan for the scenario's observation window.
 
@@ -282,10 +281,10 @@ def observe(scenario: Scenario, initial: JointState, plans: dict[str, list[Macro
                for vid in drivers}
     for t in range(steps):
         for vid, driver in drivers.items():
-            if _plan_segment(vid, driver, plan_left[vid], layout) is None:
+            if _plan_segment(driver, plan_left[vid], layout) is None:
                 driver.coast()
             else:
                 driver.step(traffic[vid], t)
-    prefixes = {vid: d.trajectory(vehicle_id=vid) for vid, d in drivers.items()}
+    prefixes = {vid: d.trajectory() for vid, d in drivers.items()}
     final = JointState(t=steps, vehicles={vid: p.tail_state() for vid, p in prefixes.items()})
     return prefixes, final

@@ -6,6 +6,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import whyplan.cli as cli
 from whyplan.cli import main, parse_query
 from whyplan.errors import QueryParseError
 
@@ -69,6 +70,28 @@ def test_zero_iterations_exits_with_validation_code(mini_scenario_path, tmp_path
                             "--out", str(tmp_path / "x")], capsys)
     assert code == 3
     assert "iterations" in err
+
+
+BAD_EXPLORATION = {  # case -> (--exploration argument or None, planner.exploration)
+    "nan-flag": ("nan", 0.5),
+    "inf-flag": ("inf", 0.5),
+    "negative-flag": ("-5", 0.5),
+    "negative-in-file": (None, -5.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXPLORATION))
+def test_bad_exploration_exits_with_validation_code(tmp_path, capsys, case):
+    flag, in_file = BAD_EXPLORATION[case]
+    raw = mini_scenario_dict()
+    raw["planner"]["exploration"] = in_file
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    args = ["plan", "--scenario", str(scenario), *FAST, "--out", str(tmp_path / "run")]
+    code, _, err = run_cli(args + (["--exploration", flag] if flag else []), capsys)
+    assert code == 3, err
+    assert "exploration must be finite and >= 0" in err
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_explain_from_run_directory(mini_scenario_path, tmp_path, capsys):
@@ -304,6 +327,7 @@ MALFORMED_SCENARIOS = {  # case -> (path to the edited value, its new value)
     "integer-connection": (("layout", "junctions", 0, "connections", 0), 7),
     "string-in-interval": (("vehicles", 1, "goals", 0, "interval", 1), "ten"),
     "string-exploration": (("planner", "exploration"), "high"),
+    "misspelt-planner-key": (("planner", "exploraton"), 0.5),
     "fractional-horizon": (("horizon_steps",), 2.5),
     "directory": None,
 }
@@ -342,6 +366,18 @@ def test_batch_out_to_a_directory_exits_with_run_dir_code(mini_scenario_path, tm
                            capsys)
     assert code == 7
     assert f"cannot write output file {tmp_path}" in err and "unexpected error" not in err
+
+
+def test_batch_opens_out_before_planning(mini_scenario_path, tmp_path, capsys, monkeypatch):
+    def no_planning(job):
+        raise AssertionError("planned before --out was opened")
+
+    monkeypatch.setattr(cli, "_batch_worker", no_planning)
+    code, _, err = run_cli(["batch", "--scenario", mini_scenario_path, "--runs", "2",
+                            "--queries", "omega1=Continue", *FAST, "--out", str(tmp_path)],
+                           capsys)
+    assert code == 7, err
+    assert f"cannot write output file {tmp_path}" in err
 
 
 def test_dump_causal_to_a_directory_exits_with_run_dir_code(mini_scenario_path, tmp_path,

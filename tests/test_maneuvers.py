@@ -6,9 +6,10 @@ import pytest
 
 from whyplan.errors import InapplicableMacroError, OffRoadError
 from whyplan.geometry import Polyline, turn_curve
-from whyplan.maneuvers import (LANE_CHANGE_DURATION, MacroAction, Trajectory,
-                               applicable_macros, expand_macro, extract_features,
-                               macro_from_name, roll_chain)
+from whyplan.grammar import DEFAULT_STYLE
+from whyplan.maneuvers import (ALL_MACRO_NAMES, LANE_CHANGE_DURATION, Trajectory,
+                               applicable_macros, expand_macro, extract_features, roll_chain)
+from whyplan.mcts import SELECTION_ORDER
 from whyplan.pipeline import true_goal_plans
 from whyplan.scenario import (Goal, JointState, VehicleState, goal_contains, lane_point_state,
                               load_scenario, locate, sample_initial_states,
@@ -32,17 +33,18 @@ def sc():
     return scenario_from_dict(mini_scenario_dict())
 
 
-def names(actions):
-    return {a.name for a in actions}
+def test_macro_action_validation(sc):
+    me = lane_point_state(sc.layout, "right", 10.0, 8.0)
+    for name in ("Exit", "Exit-up", "Continue-left"):
+        with pytest.raises(ValueError, match="unknown macro action"):
+            expand_macro(name, me, sc.layout)
 
 
-def test_macro_action_validation():
-    with pytest.raises(ValueError):
-        MacroAction("Exit")
-    with pytest.raises(ValueError):
-        MacroAction("Continue", direction="left")
-    assert macro_from_name("Exit-right") == MacroAction("Exit", "right")
-    assert str(MacroAction("Exit", "straight")) == "Exit-straight"
+def test_macro_vocabulary_is_one_list():
+    vocabulary = set(ALL_MACRO_NAMES)
+    assert set(SELECTION_ORDER) == vocabulary
+    for table in ("ego_macros", "nonego_macros_present", "nonego_macros_perfect"):
+        assert set(DEFAULT_STYLE[table]) == vocabulary, table
 
 
 def test_maneuver_parameter_consistency():
@@ -58,7 +60,7 @@ def test_maneuver_parameter_consistency():
 
 
 def test_mid_lane_with_left_neighbor_offers_change_left_and_continue(sc):
-    acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
+    acts = set(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
                                    sc.ego_goal))
     assert "Change-left" in acts
     assert "Continue" in acts
@@ -66,13 +68,13 @@ def test_mid_lane_with_left_neighbor_offers_change_left_and_continue(sc):
 
 
 def test_rightmost_lane_has_no_change_right(sc):
-    acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
+    acts = set(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
                                    sc.ego_goal))
     assert "Change-right" not in acts
 
 
 def test_junction_ahead_offers_exit_right(sc):
-    acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
+    acts = set(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
                                    sc.ego_goal))
     assert "Exit-right" in acts
 
@@ -81,24 +83,24 @@ def test_headway_blocks_lane_change(sc):
     me = lane_point_state(sc.layout, "right", 20.0, 10.0)
     blocker = lane_point_state(sc.layout, "left", 25.0, 10.0)  # 0.5 s ahead
     state = JointState(t=0, vehicles={"me": me, "other": blocker})
-    acts = names(applicable_macros(state, "me", sc.layout, sc.ego_goal))
+    acts = set(applicable_macros(state, "me", sc.layout, sc.ego_goal))
     assert "Change-left" not in acts
     far = lane_point_state(sc.layout, "left", 60.0, 10.0)  # 4 s ahead
     state = JointState(t=0, vehicles={"me": me, "other": far})
-    acts = names(applicable_macros(state, "me", sc.layout, sc.ego_goal))
+    acts = set(applicable_macros(state, "me", sc.layout, sc.ego_goal))
     assert "Change-left" in acts
 
 
 def test_continue_requires_goal_on_lane_keep_path(sc):
     # From the exit lane there is no path back to the ego goal.
-    acts = names(applicable_macros(joint_on(sc, "exit", 5.0), "me", sc.layout,
+    acts = set(applicable_macros(joint_on(sc, "exit", 5.0), "me", sc.layout,
                                    sc.ego_goal))
     assert "Continue" not in acts
     assert "Stop" in acts  # never empty
 
 
 def test_continue_next_exit_needs_two_junctions(sc):
-    acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
+    acts = set(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
                                    sc.ego_goal))
     assert "Continue-next-exit" not in acts
 
@@ -115,41 +117,38 @@ def test_continue_next_exit_on_two_junction_road():
         {"from": "right_far", "to": "exit2", "direction": "right", "has_priority": True},
     ]})
     sc = scenario_from_dict(raw)
-    acts = names(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
+    acts = set(applicable_macros(joint_on(sc, "right", 10.0), "me", sc.layout,
                                    sc.ego_goal))
     assert "Continue-next-exit" in acts
-    chain = expand_macro(MacroAction("Continue-next-exit"), joint_on(sc, "right", 10.0),
-                         "me", sc.layout)
+    chain = expand_macro("Continue-next-exit", lane_point_state(sc.layout, "right", 10.0, 8.0),
+                         sc.layout)
     assert [m.kind for m in chain] == ["lane-follow", "give-way", "turn-right"]
     assert chain[1].junction == "j2"
 
 
 def test_exit_expands_to_three_manoeuvres(sc):
-    chain = expand_macro(MacroAction("Exit", "right"), joint_on(sc, "right", 10.0),
-                         "me", sc.layout)
+    chain = expand_macro("Exit-right", lane_point_state(sc.layout, "right", 10.0, 8.0),
+                         sc.layout)
     assert [m.kind for m in chain] == ["lane-follow", "give-way", "turn-right"]
 
 
 def test_continue_and_stop_expand_to_single_manoeuvres(sc):
-    state = joint_on(sc, "right", 10.0)
-    assert [m.kind for m in expand_macro(MacroAction("Continue"), state, "me", sc.layout)] \
-        == ["lane-follow"]
-    assert [m.kind for m in expand_macro(MacroAction("Stop"), state, "me", sc.layout)] \
-        == ["stop"]
+    me = lane_point_state(sc.layout, "right", 10.0, 8.0)
+    assert [m.kind for m in expand_macro("Continue", me, sc.layout)] == ["lane-follow"]
+    assert [m.kind for m in expand_macro("Stop", me, sc.layout)] == ["stop"]
 
 
 def test_expand_never_returns_empty_chain(sc):
     state = joint_on(sc, "right", 10.0)
     for macro in applicable_macros(state, "me", sc.layout, sc.ego_goal):
-        assert len(expand_macro(macro, state, "me", sc.layout)) >= 1
+        assert len(expand_macro(macro, state.vehicles["me"], sc.layout)) >= 1
 
 
 def test_inapplicable_macro_raises(sc):
-    state = joint_on(sc, "left", 10.0)
+    with pytest.raises(InapplicableMacroError):  # no left neighbor
+        expand_macro("Change-left", lane_point_state(sc.layout, "left", 10.0, 8.0), sc.layout)
     with pytest.raises(InapplicableMacroError):
-        expand_macro(MacroAction("Change-left"), state, "me", sc.layout)  # no left neighbor
-    with pytest.raises(InapplicableMacroError):
-        expand_macro(MacroAction("Exit", "left"), joint_on(sc, "right", 10.0), "me", sc.layout)
+        expand_macro("Exit-left", lane_point_state(sc.layout, "right", 10.0, 8.0), sc.layout)
 
 
 def mid_connection(layout, from_lane, to_lane, speed=3.0):
@@ -169,18 +168,18 @@ def test_vehicle_inside_a_junction_finishes_its_crossing():
     turning = mid_connection(s2.layout, "w_in", "n_out")
     with pytest.raises(OffRoadError):
         locate(s2.layout, (turning.vehicles["me"].x, turning.vehicles["me"].y))
-    assert applicable_macros(turning, "me", s2.layout, goal) == [MacroAction("Exit", "left")]
-    chain = expand_macro(MacroAction("Exit", "left"), turning, "me", s2.layout)
+    assert applicable_macros(turning, "me", s2.layout, goal) == ["Exit-left"]
+    chain = expand_macro("Exit-left", turning.vehicles["me"], s2.layout)
     assert [m.kind for m in chain] == ["turn-left"]
     with pytest.raises(InapplicableMacroError):
-        expand_macro(MacroAction("Continue"), turning, "me", s2.layout)
+        expand_macro("Continue", turning.vehicles["me"], s2.layout)
     traj = roll_chain(chain, turning.vehicles["me"], s2.layout, s2.dt, 100, CRUISE)
     assert not traj.truncated
     assert goal_contains(s2.layout, goal, traj.xs[-1], traj.ys[-1])
 
     straight = mid_connection(s2.layout, "w_in", "e_out")  # priority: lane keeping
-    assert applicable_macros(straight, "me", s2.layout, goal) == [MacroAction("Continue")]
-    chain = expand_macro(MacroAction("Continue"), straight, "me", s2.layout)
+    assert applicable_macros(straight, "me", s2.layout, goal) == ["Continue"]
+    chain = expand_macro("Continue", straight.vehicles["me"], s2.layout)
     assert chain[0].lanes == ("w_in", "e_out")
 
 
@@ -206,8 +205,7 @@ def straight_lane_sc():
 def test_constant_speed_lane_follow_reaches_lane_end():
     sc = straight_lane_sc()
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
-    chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
-                         "me", sc.layout)
+    chain = expand_macro("Continue", start, sc.layout)
     traj = roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     # Cruise equals start speed until the end-of-road braking envelope binds.
     assert abs(len(traj) - 1 - 117) < 25
@@ -219,8 +217,7 @@ def test_constant_speed_lane_follow_reaches_lane_end():
 def test_lane_change_realigns_heading_and_moves_one_width():
     sc = straight_lane_sc()
     start = lane_point_state(sc.layout, "lane", 10.0, 8.0)
-    chain = expand_macro(MacroAction("Change-left"), JointState(t=0, vehicles={"me": start}),
-                         "me", sc.layout)
+    chain = expand_macro("Change-left", start, sc.layout)
     traj = roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     assert traj.ys[-1] - traj.ys[0] == pytest.approx(3.5, abs=0.01)
     assert abs(traj.headings[-1]) < 1e-3
@@ -230,8 +227,7 @@ def test_lane_change_realigns_heading_and_moves_one_width():
 def test_stop_manoeuvre_reaches_zero_speed():
     sc = straight_lane_sc()
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
-    chain = expand_macro(MacroAction("Stop"), JointState(t=0, vehicles={"me": start}),
-                         "me", sc.layout)
+    chain = expand_macro("Stop", start, sc.layout)
     traj = roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     assert traj.speeds[-1] == pytest.approx(0.0, abs=1e-6)
     assert not traj.truncated
@@ -240,8 +236,7 @@ def test_stop_manoeuvre_reaches_zero_speed():
 def test_horizon_truncation_is_flagged_not_raised():
     sc = straight_lane_sc()
     start = lane_point_state(sc.layout, "lane", 0.0, 10.0)
-    chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
-                         "me", sc.layout)
+    chain = expand_macro("Continue", start, sc.layout)
     traj = roll_chain(chain, start, sc.layout, 0.1, 30, CRUISE)
     assert traj.truncated
     assert len(traj) == 31
@@ -252,8 +247,7 @@ def consistency_inputs():
     sc = scenario_from_dict(mini_scenario_dict())
     start = lane_point_state(sc.layout, "right", 5.0, 9.0)
     for macro in ("Continue", "Change-left", "Exit-right"):
-        chain = expand_macro(macro_from_name(macro), JointState(t=0, vehicles={"me": start}),
-                             "me", sc.layout)
+        chain = expand_macro(macro, start, sc.layout)
         yield macro, roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     s2 = load_scenario(os.path.join(SCENARIOS, "s2.json"))
     for seed in range(10):
@@ -317,8 +311,7 @@ def test_features_invariant_to_rigid_translation():
     raw = mini_scenario_dict()
     sc = scenario_from_dict(raw)
     start = lane_point_state(sc.layout, "right", 5.0, 9.0)
-    chain = expand_macro(MacroAction("Continue"), JointState(t=0, vehicles={"me": start}),
-                         "me", sc.layout)
+    chain = expand_macro("Continue", start, sc.layout)
     traj = roll_chain(chain, start, sc.layout, 0.1, 400, CRUISE)
     f0 = extract_features(traj, sc.ego_goal, sc.layout)
 

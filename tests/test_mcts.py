@@ -12,8 +12,7 @@ import whyplan.mcts as mcts_mod
 import whyplan.pipeline as pipeline_mod
 import whyplan.recognition as recognition_mod
 from whyplan.errors import ScenarioValidationError
-from whyplan.maneuvers import (MacroAction, Trajectory, applicable_macros,
-                               concat_trajectories, macro_from_name)
+from whyplan.maneuvers import Trajectory, applicable_macros, concat_trajectories
 from whyplan.mcts import (PlannerConfig, RewardConfig, SearchTree, TraceRecord, run_mcts,
                           terminal_reward)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
@@ -46,7 +45,7 @@ def test_config_validation():
 def test_single_applicable_macro_gets_all_visits(monkeypatch):
     sc = scenario_from_dict(mini_scenario_dict())
     monkeypatch.setattr(mcts_mod, "applicable_macros",
-                        lambda *a, **k: [MacroAction("Continue")])
+                        lambda *a, **k: ["Continue"])
     init = sample_initial_states(sc, 0)
     plans, from_start = true_goal_plans(sc, init)
     prefixes, _ = observe(sc, init, plans)
@@ -135,7 +134,7 @@ def assert_records_match_uncached_rollouts(pipe, start, trace_log):
         state, parts, step = start, [], None
         for macro in rec.macros:
             assert step is None or step.outcome is None
-            step = simulate_step(sc, state, macro_from_name(macro), traffic)
+            step = simulate_step(sc, state, macro, traffic)
             parts.append(step.ego_trajectory)
             state = step.next_state
         outcome = step.outcome or "termination"
@@ -231,7 +230,7 @@ def head_on_traffic(sc, ego_state, dt):
     n = 200
     xs = np.linspace(ego_state.x + 30.0, ego_state.x + 30.0 - 0.8 * n, n + 1)
     traj = Trajectory(dt=dt, xs=xs, ys=np.zeros(n + 1), headings=np.full(n + 1, math.pi),
-                      speeds=np.full(n + 1, 8.0), vehicle_id="v1")
+                      speeds=np.full(n + 1, 8.0))
     return FixedTraffic(sc.layout, {"v1": traj})
 
 
@@ -239,7 +238,7 @@ def test_simulate_step_detects_collision_and_collider():
     sc = scenario_from_dict(mini_scenario_dict())
     ego = lane_point_state(sc.layout, "right", 10.0, 10.0)
     state = JointState(t=0, vehicles={"ego": ego})
-    res = simulate_step(sc, state, MacroAction("Continue"), head_on_traffic(sc, ego, sc.dt))
+    res = simulate_step(sc, state, "Continue", head_on_traffic(sc, ego, sc.dt))
     assert res.outcome == "collision"
     assert res.collider == "v1"
 
@@ -248,7 +247,7 @@ def test_simulate_step_reaches_goal():
     sc = scenario_from_dict(mini_scenario_dict())
     ego = lane_point_state(sc.layout, "right", 10.0, 10.0)
     state = JointState(t=0, vehicles={"ego": ego})
-    res = simulate_step(sc, state, MacroAction("Continue"), FixedTraffic(sc.layout, {}))
+    res = simulate_step(sc, state, "Continue", FixedTraffic(sc.layout, {}))
     assert res.outcome == "done"
 
 
@@ -257,7 +256,7 @@ def test_horizon_exhaustion_is_termination():
     ego = lane_point_state(sc.layout, "right", 10.0, 10.0)
     state = JointState(t=0, vehicles={"ego": ego})
     short = dataclasses.replace(sc, horizon=40)  # too short to reach
-    res = simulate_step(short, state, MacroAction("Continue"), FixedTraffic(short.layout, {}))
+    res = simulate_step(short, state, "Continue", FixedTraffic(short.layout, {}))
     assert res.outcome == "termination"
 
 

@@ -72,7 +72,7 @@ def peer_trajectories(draw):
                                         max_size=length)))
         vid = f"v{i}"
         trajs[vid] = Trajectory(dt=0.1, xs=xs, ys=ys, headings=np.zeros(length),
-                                speeds=speeds, vehicle_id=vid)
+                                speeds=speeds)
         options[vid] = (draw(st.integers(0, 1)), draw(st.integers(0, 2)))
     return trajs, options
 

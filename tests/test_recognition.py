@@ -367,18 +367,18 @@ def reference_enumerate(state, goal, layout, dt, horizon, cruise):
             return
         inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
         for macro in actions:
-            if macro.kind == "Stop":
+            if macro == "Stop":
                 continue
-            if macro.kind == "Continue" and macros and macros[-1] == "Continue":
+            if macro == "Continue" and macros and macros[-1] == "Continue":
                 continue
-            if macros and inverse.get(macro.name) == macros[-1]:
+            if macros and inverse.get(macro) == macros[-1]:
                 continue
-            maneuvers = expand_macro(macro, joint, "_solo", layout)
+            maneuvers = expand_macro(macro, cur, layout)
             traj = roll_chain(maneuvers, cur, layout, dt, steps_left, cruise)
             if len(traj) < 2:
                 continue
             new_parts = parts + [traj]
-            new_macros = macros + (macro.name,)
+            new_macros = macros + (macro,)
             full = concat_trajectories(new_parts)
             if extract_features(full, goal, layout).reached_goal:
                 results.append((new_macros, full, reward(full)))

@@ -48,6 +48,21 @@ def test_negative_observation_steps_is_rejected():
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("speed", [0.0, -3.0])
+def test_non_positive_target_speed_is_rejected(speed):
+    raw = mini_scenario_dict()
+    raw["target_speed_mps"] = speed
+    with pytest.raises(ScenarioValidationError, match="target_speed_mps must be positive"):
+        scenario_from_dict(raw)
+
+
+def test_unknown_planner_key_is_rejected():
+    raw = mini_scenario_dict()
+    raw["planner"] = {"exploraton": 0.5}
+    with pytest.raises(ScenarioParseError, match="planner: unknown key 'exploraton'"):
+        scenario_from_dict(raw)
+
+
 def test_single_point_midline_is_rejected():
     raw = mini_scenario_dict()
     raw["layout"]["lanes"][0]["midline"] = [[0.0, 0.0]]

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whyplan.maneuvers import (CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S, TURN_SPEED, MacroAction,
-                               Trajectory, _GiveWaySegment, _segment_for, expand_macro)
-from whyplan.scenario import JointState, lane_point_state, load_scenario
+from whyplan.maneuvers import (CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S, TURN_SPEED, Trajectory,
+                               _GiveWaySegment, _segment_for, expand_macro)
+from whyplan.scenario import lane_point_state, load_scenario
 from whyplan.simulation import ExtrapolatedTraffic, FixedTraffic
 
 S2 = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "s2.json"))
@@ -105,8 +105,7 @@ def ref_extrapolated(layout, peers, dt, seg):
 
 def giveway_segment(lane, s, direction) -> _GiveWaySegment:
     me = lane_point_state(S2.layout, lane, s, 6.0)
-    chain = expand_macro(MacroAction("Exit", direction), JointState(t=0, vehicles={"me": me}),
-                         "me", S2.layout)
+    chain = expand_macro(f"Exit-{direction}", me, S2.layout)
     seg = _segment_for(chain[1], me.x, me.y, me.heading, S2.layout, S2.target_speed, TURN_SPEED)
     assert isinstance(seg, _GiveWaySegment)
     return seg
