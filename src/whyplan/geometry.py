@@ -7,6 +7,9 @@ lateral offsets signed left-positive relative to travel direction.
 `Polyline.project` is a scalar loop over per-segment float rows that
 reproduces the vectorised numpy arithmetic (dot product, clip, norm, first
 argmin) bit for bit, without numpy's per-call overhead on short lines.
+`Polyline.frame_at` gives pose, normal and heading as floats from one segment
+lookup, so the integrator step (`maneuvers.ChainStepper`) reads floats only;
+a "done" rollout is not rescanned for goal entry, which the step checks.
 """
 
 import bisect
@@ -74,10 +77,14 @@ class Polyline:
         row = self._rows[self._segment_index(min(max(s, 0.0), self.length))]
         return math.atan2(row[3], row[2])
 
-    def normal_at(self, s: float) -> np.ndarray:
-        """Unit left normal of the segment containing s."""
-        _, _, dx, dy, _, sl, _ = self._rows[self._segment_index(min(max(s, 0.0), self.length))]
-        return np.array([-(dy / sl), dx / sl])
+    def frame_at(self, s: float) -> tuple[float, float, float, float, float]:
+        """(x, y, nx, ny, heading) at arc length s, clamped to [0, length], as
+        floats from one segment lookup: the point, the unit left normal of its
+        segment and that segment's heading."""
+        s = min(max(s, 0.0), self.length)
+        ax, ay, dx, dy, _, sl, cs = self._rows[self._segment_index(s)]
+        t = (s - cs) / sl
+        return ax + t * dx, ay + t * dy, -(dy / sl), dx / sl, math.atan2(dy, dx)
 
     def project(self, point) -> tuple[float, float, float]:
         """Project a point onto the polyline.

@@ -208,7 +208,8 @@ def merged_path(base: Polyline, lat0: float, step: float = 0.5) -> Polyline:
     s = 0.0
     while s < merge_len:
         off = lat0 * (1.0 - smoothstep(s / merge_len))
-        pts.append(base.point_at(s) + off * base.normal_at(s))
+        x, y, nx, ny, _ = base.frame_at(s)
+        pts.append((x + off * nx, y + off * ny))
         s += step
     for i, cs in enumerate(base.cum_s):
         if cs >= merge_len:
@@ -408,10 +409,10 @@ class _Segment:
     def advance_dist(self, dist: float) -> tuple[float, float, float, float]:
         used = min(dist, self.path.length - self.s)
         self.s += used
-        x, y = self.path.point_at(self.s)
+        x, y, _, _, heading = self.path.frame_at(self.s)
         if used > 1e-9:
-            self.heading = self.path.heading_at(self.s)
-        return float(x), float(y), self.heading, used
+            self.heading = heading
+        return x, y, self.heading, used
 
 
 def _envelope(remaining: float, end_speed: float, cruise: float, brake: float) -> float:
@@ -488,13 +489,12 @@ class _LaneChangeSegment(_Segment):
         ds = math.sqrt(max(chord * chord - dlat * dlat, (0.25 * chord) ** 2))
         self.s = min(self.s + ds, self.path.length)
         self.lat = new_lat
-        base = self.path.point_at(self.s)
-        n = self.path.normal_at(self.s)
-        x = float(base[0] + self.lat * n[0])
-        y = float(base[1] + self.lat * n[1])
+        bx, by, nx, ny, heading = self.path.frame_at(self.s)
+        x = bx + self.lat * nx
+        y = by + self.lat * ny
         if self.u >= LANE_CHANGE_DURATION - 1e-9:
             # Terminated: aligned with the target lane again.
-            self.heading = self.path.heading_at(self.s)
+            self.heading = heading
         elif chord > 1e-6:
             self.heading = math.atan2(y - self.y, x - self.x)
         self.x, self.y = x, y
@@ -745,11 +745,13 @@ def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayou
 # --- features ----------------------------------------------------------------
 
 
-def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout) -> TrajectoryFeatures:
+def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout,
+                     start: int = 0) -> TrajectoryFeatures:
     """Reward-relevant trajectory features.
 
     time_to_goal is dt times the first state index inside the goal region,
-    or the full duration when the goal is never entered. Jerk is the second
+    or the full duration when the goal is never entered; the caller vouches
+    that no state before index `start` is inside it. Jerk is the second
     finite difference of speed, angular acceleration the second difference of
     heading, curvature heading change over arc length; all reported as mean
     absolute values.
@@ -759,7 +761,7 @@ def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout) -> Trajec
         raise ValueError("empty trajectory")
     reached = False
     idx = n - 1
-    for k in range(n):
+    for k in range(start, n):
         if goal_contains(layout, goal, float(traj.xs[k]), float(traj.ys[k])):
             reached = True
             idx = k
@@ -771,8 +773,8 @@ def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout) -> Trajec
 
     v = traj.speeds
     jerk = np.abs(np.diff(v, 2)) / traj.dt ** 2
-    dtheta = np.array([normalize_angle(float(traj.headings[i + 1] - traj.headings[i]))
-                       for i in range(n - 1)])
+    hs = traj.headings.tolist()
+    dtheta = np.array([normalize_angle(b - a) for a, b in zip(hs, hs[1:])])
     angacc = np.abs(np.diff(dtheta)) / traj.dt ** 2
     ds = np.hypot(np.diff(traj.xs), np.diff(traj.ys))
     moving = ds > 0.01

@@ -87,10 +87,12 @@ class PlannerConfig:
 
 
 def components_for(outcome: str, traj: Trajectory, goal, layout) -> dict:
-    """Reward components of a terminal trajectory; absent components are None."""
+    """Reward components of a terminal trajectory; absent components are None.
+    A "done" trajectory first enters the goal at its last state (`simulate_step`
+    checks the goal before every step), so only that state is scanned."""
     comps: dict = {c: None for c in REWARD_COMPONENTS}
     if outcome == "done":
-        f = extract_features(traj, goal, layout)
+        f = extract_features(traj, goal, layout, start=len(traj) - 1)
         comps["time"] = f.time_to_goal
         comps["jerk"] = f.jerk
         comps["angular_acceleration"] = f.angular_acceleration

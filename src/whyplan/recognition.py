@@ -115,7 +115,8 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
             full = concat_trajectories(new_parts)
             still_open = []
             for gi in gis:
-                feats = extract_features(full, goals[gi], layout)
+                # An open goal was not reached on the prefix: scan the new part only.
+                feats = extract_features(full, goals[gi], layout, start=len(full) - len(traj))
                 if feats.reached_goal:
                     results[gi].append(PlanCandidate(new_macros, full, plan_reward(feats)))
                 else:

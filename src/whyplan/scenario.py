@@ -327,6 +327,8 @@ def _validate_scenario(sc: Scenario) -> None:
         raise ScenarioValidationError("observation_steps must be >= 0")
     if sc.target_speed <= 0:
         raise ScenarioValidationError("target_speed_mps must be positive")
+    if sc.rationality_beta < 0:
+        raise ScenarioValidationError("rationality_beta must be >= 0")
 
     def check_goal(goal: Goal, owner: str) -> None:
         if goal.lane not in sc.layout.lanes:

@@ -70,10 +70,11 @@ def giveway_clear(layout: RoadLayout, seg: _GiveWaySegment, windows) -> bool:
     return True
 
 
-def _project_peer(path: Polyline, traj: Trajectory, k: int) -> tuple[float, float, float]:
-    """(s, lateral, speed) of a trajectory's state k on the path."""
-    s, lat, _ = path.project((float(traj.xs[k]), float(traj.ys[k])))
-    return s, lat, float(traj.speeds[k])
+def _project_peer(path: Polyline, track: tuple, k: int) -> tuple[float, float, float]:
+    """(s, lateral, speed) of a `FixedTraffic` track's state k on the path."""
+    _, xs, ys, vs, _ = track
+    s, lat, _ = path.project((xs[k], ys[k]))
+    return s, lat, vs[k]
 
 
 class ProjectionTable:
@@ -116,6 +117,9 @@ class FixedTraffic:
         self.trajectories = trajectories
         self._table = table
         self._assignment = assignment
+        # Per vehicle (id, xs, ys, speeds, last index), as floats for the step to read.
+        self._tracks = [(vid, traj.xs.tolist(), traj.ys.tolist(), traj.speeds.tolist(),
+                         len(traj.xs) - 1) for vid, traj in trajectories.items()]
         # The path whose table entries are bound; held, so `is` cannot match
         # a later path that reuses its address.
         self._path = None
@@ -126,9 +130,8 @@ class FixedTraffic:
     def _bind(self, path: Polyline) -> None:
         """Find the path's entries once: a segment asks along one path for many steps."""
         by_option, self._ego_at = self._table.entries(path)
-        self._peer_at = [(by_option.setdefault((vid, *self._assignment[vid]), {}), traj,
-                          len(traj.xs) - 1)
-                         for vid, traj in self.trajectories.items()]
+        self._peer_at = [(by_option.setdefault((track[0], *self._assignment[track[0]]), {}),
+                          track) for track in self._tracks]
         self._path = path
 
     def projected(self, path: Polyline, x: float, y: float, t: int
@@ -139,16 +142,17 @@ class FixedTraffic:
             return None
         if self._table is None:
             s, lat, _ = path.project((x, y))
-            return s, lat, [_project_peer(path, traj, min(t, len(traj.xs) - 1))
-                            for traj in self.trajectories.values()]
+            return s, lat, [_project_peer(path, track, min(t, track[4]))
+                            for track in self._tracks]
         if path is not self._path:
             self._bind(path)
         peers = []
-        for at, traj, last in self._peer_at:
+        for at, track in self._peer_at:
+            last = track[4]
             k = t if t < last else last
             hit = at.get(k)
             if hit is None:
-                hit = at[k] = _project_peer(path, traj, k)
+                hit = at[k] = _project_peer(path, track, k)
             peers.append(hit)
         key = (x, y)
         me = self._ego_at.get(key)
@@ -159,9 +163,9 @@ class FixedTraffic:
     def collider(self, x: float, y: float, t: int) -> str | None:
         """The first vehicle whose disc overlaps one at (x, y) at step t."""
         radius2 = (2.0 * COLLISION_RADIUS) ** 2
-        for vid, traj in self.trajectories.items():
-            k = t if t < len(traj.xs) else len(traj.xs) - 1
-            dx, dy = float(traj.xs[k]) - x, float(traj.ys[k]) - y
+        for vid, xs, ys, _, last in self._tracks:
+            k = t if t < last else last
+            dx, dy = xs[k] - x, ys[k] - y
             if dx * dx + dy * dy <= radius2:
                 return vid
         return None

@@ -139,8 +139,12 @@ def test_lookups_match_searchsorted_at_every_breakpoint(line, data):
         assert line._segment_index(s) == ref_segment_index(line, s)
         assert np.array_equal(line.point_at(s), ref_point_at(line, s))
         assert line.heading_at(s) == ref_heading_at(line, s)
-        assert np.array_equal(line.normal_at(s), ref_normal_at(line, s))
         assert isinstance(line.point_at(s), np.ndarray)
+        # frame_at: the same floats, down to the sign of zero.
+        frame = line.frame_at(s)
+        want = (*ref_point_at(line, s), *ref_normal_at(line, s), ref_heading_at(line, s))
+        assert all(type(v) is float for v in frame)
+        assert [v.hex() for v in frame] == [float.hex(v) for v in want]
 
 
 def test_cum_s_matches_numpy_cumsum():

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ import whyplan.mcts as mcts_mod
 import whyplan.pipeline as pipeline_mod
 import whyplan.recognition as recognition_mod
 from whyplan.errors import ScenarioValidationError
-from whyplan.maneuvers import Trajectory, applicable_macros, concat_trajectories
+from whyplan.maneuvers import (Trajectory, applicable_macros, concat_trajectories,
+                               extract_features)
 from whyplan.mcts import (PlannerConfig, RewardConfig, SearchTree, TraceRecord, run_mcts,
                           terminal_reward)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
 from whyplan.recognition import enumerate_plans, predict_all
-from whyplan.scenario import (JointState, lane_point_state, load_scenario,
+from whyplan.scenario import (JointState, goal_contains, lane_point_state, load_scenario,
                               sample_initial_states, scenario_from_dict)
 from whyplan.simulation import FixedTraffic, observe, simulate_step
 
@@ -123,9 +125,18 @@ def shipped_pipe(name, seed, iterations=60):
     return run_pipeline(sc, seed, planner=planner_config(sc, seed, iterations=iterations))
 
 
+def full_scan_features(traj, goal, layout, start=0):
+    """`extract_features` scanning for the goal from the first state, whatever the start."""
+    return extract_features(traj, goal, layout)
+
+
 def assert_records_match_uncached_rollouts(pipe, start, trace_log):
     """Replay every record without memo or projection table, one fresh
-    table-less `FixedTraffic` per record, and compare what it observed."""
+    table-less `FixedTraffic` per record, and compare what it observed.
+
+    The replay's reward scans the whole trajectory for the goal, and a "done"
+    rollout must enter the goal first at its last state: the search scans
+    only that state."""
     sc = pipe.scenario
     for rec in trace_log:
         traffic = FixedTraffic(sc.layout, {
@@ -139,7 +150,12 @@ def assert_records_match_uncached_rollouts(pipe, start, trace_log):
             state = step.next_state
         outcome = step.outcome or "termination"
         traj = concat_trajectories(parts)
-        reward, comps = terminal_reward(traj, outcome, pipe.reward, sc.ego_goal, sc.layout)
+        with mock.patch.object(mcts_mod, "extract_features", full_scan_features):
+            reward, comps = terminal_reward(traj, outcome, pipe.reward, sc.ego_goal, sc.layout)
+        if outcome == "done":
+            inside = [goal_contains(sc.layout, sc.ego_goal, x, y)
+                      for x, y in zip(traj.xs.tolist(), traj.ys.tolist())]
+            assert inside.index(True) == len(traj) - 1, rec.index
         assert (outcome, step.collider, len(traj) - 1, reward, comps) == (
             rec.outcome, rec.collider, rec.steps, rec.reward, rec.components), rec.index
 

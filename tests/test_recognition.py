@@ -347,7 +347,8 @@ REFERENCE_WEIGHTS = {"time": -1.0, "jerk": -0.1, "angular_acceleration": -0.1,
 
 def reference_enumerate(state, goal, layout, dt, horizon, cruise):
     """Every goal-reaching macro sequence to one goal, each prefix rolled out
-    for this goal alone, the reward recomputed from the finished trajectory."""
+    for this goal alone, the reward recomputed from the finished trajectory.
+    Each goal check scans the whole trajectory from its first state."""
     w = REFERENCE_WEIGHTS
     results = []
 

@@ -56,6 +56,15 @@ def test_non_positive_target_speed_is_rejected(speed):
         scenario_from_dict(raw)
 
 
+def test_negative_rationality_beta_is_rejected():
+    raw = mini_scenario_dict()
+    raw["rationality_beta"] = -4.0
+    with pytest.raises(ScenarioValidationError, match="rationality_beta must be >= 0"):
+        scenario_from_dict(raw)
+    raw["rationality_beta"] = 0.0  # a flat goal posterior stays valid
+    assert scenario_from_dict(raw).rationality_beta == 0.0
+
+
 def test_unknown_planner_key_is_rejected():
     raw = mini_scenario_dict()
     raw["planner"] = {"exploraton": 0.5}

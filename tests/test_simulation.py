@@ -1,10 +1,14 @@
-"""The one give-way predicate against the two it replaced.
+"""The one give-way predicate against the two it replaced, and the rollout step.
 
 Planning (`FixedTraffic`, recorded trajectories) and observation
 (`ExtrapolatedTraffic`, constant-velocity extrapolation) used to carry their
 own copies of the give-way test. Both copies are kept here as references,
 and the merged predicate must give the same answer as the matching one for
 generated traffic around s2's junction.
+
+The rollout step reads plain floats: `ChainStepper` records floats only, and
+`FixedTraffic.collider`, which reads its float tracks, must agree with a disc
+overlap over the trajectories it was built from.
 """
 
 import math
@@ -15,12 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whyplan.maneuvers import (CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S, TURN_SPEED, Trajectory,
-                               _GiveWaySegment, _segment_for, expand_macro)
+from whyplan.maneuvers import (COLLISION_RADIUS, CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S,
+                               TURN_SPEED, ChainStepper, Trajectory, _GiveWaySegment,
+                               _LaneChangeSegment, _segment_for, expand_macro)
 from whyplan.scenario import lane_point_state, load_scenario
-from whyplan.simulation import ExtrapolatedTraffic, FixedTraffic
+from whyplan.simulation import ExtrapolatedTraffic, FixedTraffic, ProjectionTable
 
-S2 = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "s2.json"))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+S1 = load_scenario(os.path.join(ROOT, "scenarios", "s1.json"))
+S2 = load_scenario(os.path.join(ROOT, "scenarios", "s2.json"))
 DT = S2.dt
 
 
@@ -164,3 +171,67 @@ def test_both_predictors_agree_on_fixed_cases(x, y, heading, v, clear):
     traj = Trajectory(dt=DT, xs=x + v * ts * math.cos(heading), ys=y + v * ts * math.sin(heading),
                       headings=np.full(n, heading), speeds=np.full(n, v))
     assert FixedTraffic(S2.layout, {"v": traj}).giveway_clear(seg, 0) is clear
+
+
+# --- the rollout step in floats ----------------------------------------------------
+
+
+def lane_track(sc, lane, s0, v, n=300):
+    """A peer driving straight on from a lane point at constant speed."""
+    here = lane_point_state(sc.layout, lane, s0, v)
+    ds = v * sc.dt * np.arange(n)
+    return Trajectory(dt=sc.dt, xs=here.x + ds * math.cos(here.heading),
+                      ys=here.y + ds * math.sin(here.heading),
+                      headings=np.full(n, here.heading), speeds=np.full(n, v))
+
+
+# (scenario, ego lane and arc length, macro, peer lane and arc length, segment it must drive)
+CHAINS = {
+    "lane-follow": (S1, "right_a", 10.0, "Continue", "right_a", 40.0, None),
+    "lane-change": (S1, "right_a", 10.0, "Change-left", "left_a", 45.0, _LaneChangeSegment),
+    # Priority traffic from the west holds the ego at the stop line for a while.
+    "give-way-exit": (S2, "s_in", 20.0, "Exit-left", "w_in", 10.0, _GiveWaySegment),
+}
+
+
+@pytest.mark.parametrize("with_table", [False, True])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_chain_stepper_records_floats_only(chain, with_table):
+    sc, lane, s, macro, peer_lane, peer_s, kind = CHAINS[chain]
+    me = lane_point_state(sc.layout, lane, s, 8.0)
+    traffic = FixedTraffic(sc.layout, {"v": lane_track(sc, peer_lane, peer_s, 8.0)},
+                           *((ProjectionTable(), {"v": (0, 0)}) if with_table else ()))
+    ego = ChainStepper(me, sc.layout, sc.dt, sc.target_speed, expand_macro(macro, me, sc.layout))
+    driven = set()
+    for t in range(250):
+        if ego.segment() is None:
+            break
+        driven.add(type(ego.seg))
+        ego.step(traffic, t)
+    assert ego.steps > 20
+    assert kind is None or kind in driven
+    for field in (ego.xs, ego.ys, ego.hs, ego.vs):
+        assert all(type(v) is float for v in field)
+
+
+def ref_collider(trajectories, x, y, t):
+    """The first vehicle whose state at step t, read through `state_at`, overlaps (x, y)."""
+    for vid, traj in trajectories.items():
+        here = traj.state_at(t)
+        if (here.x - x) ** 2 + (here.y - y) ** 2 <= (2.0 * COLLISION_RADIUS) ** 2:
+            return vid
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(trajs=st.lists(recorded(), min_size=1, max_size=3), data=st.data())
+def test_collider_matches_disc_overlap_reference(trajs, data):
+    trajectories = {f"v{i}": traj for i, traj in enumerate(trajs)}
+    traffic = FixedTraffic(S2.layout, trajectories)
+    offset = st.floats(-2.0 * COLLISION_RADIUS - 0.5, 2.0 * COLLISION_RADIUS + 0.5)
+    for traj in trajs:
+        # Before, at and past the trajectory's end.
+        for t in sorted({0, len(traj) - 2, len(traj) - 1, len(traj), len(traj) + 7} - {-1}):
+            here = traj.state_at(t)
+            x, y = here.x + data.draw(offset), here.y + data.draw(offset)
+            assert traffic.collider(x, y, t) == ref_collider(trajectories, x, y, t)
