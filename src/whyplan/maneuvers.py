@@ -1,14 +1,19 @@
 """Macro actions, manoeuvres, the one vehicle integrator and trajectory features.
 
 A macro action is its name, one of `ALL_MACRO_NAMES` (Continue,
-Change-left/right, Exit-left/right/straight, Continue-next-exit, Stop); it
-expands into a chain of manoeuvres (lane-follow, lane-change, give-way, turn,
-stop). `ChainStepper` drives a chain for recognition (`roll_chain`), MCTS
+Change-left/right, Exit-left/right/straight, Continue-next-exit, Stop).
+`macro_table` maps each macro that applies at a vehicle state to its chain of
+manoeuvres (lane-follow, lane-change, give-way, turn, stop). On a lane it is
+the lane's table, built once per lane; off every lane it holds only the
+junction crossing being driven. `applicable_macros` filters it by headway
+and Continue's goal test, `expand_macro` reads one chain, and recognition
+reads it whole. `ChainStepper` drives a chain for recognition (`roll_chain`), MCTS
 rollouts and observation alike: a constant-acceleration point mass following
 lane midlines, cubic lateral blends for lane changes, give-way segments that
 hold zero speed until their yield predicate clears.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,6 +134,12 @@ class TrajectoryFeatures:
 # --- lane-follow chains ------------------------------------------------------
 
 
+def _is_priority_straight(conn) -> bool:
+    """Priority straights belong to Continue (lane keeping); any other
+    connection is an Exit."""
+    return conn.direction == "straight" and conn.has_priority
+
+
 def lane_follow_chain(layout: RoadLayout, lane_id: str) -> list[str]:
     """Lanes reachable by pure lane keeping.
 
@@ -143,24 +154,13 @@ def lane_follow_chain(layout: RoadLayout, lane_id: str) -> list[str]:
         lane = layout.lanes[cur]
         nxt = lane.successors[0] if lane.successors else None
         if nxt is None:
-            straight = [c for _, c in layout.connections_from(cur)
-                        if c.direction == "straight" and c.has_priority]
+            straight = [c for _, c in layout.connections_from(cur) if _is_priority_straight(c)]
             nxt = straight[0].to_lane if straight else None
         if nxt is None or nxt in seen:
             return chain
         chain.append(nxt)
         seen.add(nxt)
         cur = nxt
-
-
-def junctions_on_chain(layout: RoadLayout, chain: list[str]) -> list[tuple[str, str]]:
-    """(junction id, arrival lane id) pairs in chain order."""
-    out = []
-    for lane_id in chain:
-        for junction, _ in layout.connections_from(lane_id):
-            if (junction.id, lane_id) not in out:
-                out.append((junction.id, lane_id))
-    return out
 
 
 def chain_polyline(layout: RoadLayout, chain: list[str], from_s: float = 0.0) -> Polyline | None:
@@ -225,8 +225,7 @@ def merged_path(base: Polyline, lat0: float, step: float = 0.5) -> Polyline:
 def chain_reaches_goal(layout: RoadLayout, chain: list[str], from_s: float, goal: Goal) -> bool:
     for i, lane_id in enumerate(chain):
         mid = layout.lanes[lane_id].midline
-        start = from_s if i == 0 else 0.0
-        s = start
+        s = from_s if i == 0 else 0.0
         while s <= mid.length:
             x, y = mid.point_at(s)
             if goal_contains(layout, goal, float(x), float(y)):
@@ -259,49 +258,85 @@ def _headway_ok(state: JointState, vehicle_id: str, layout: RoadLayout,
     return True
 
 
-def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
-                      goal: Goal | None) -> list[str]:
-    """Names of the macro actions whose first manoeuvre is applicable, sorted.
+def _exit_chain(chain: tuple[str, ...], jid: str, conn) -> tuple[Maneuver, ...]:
+    """Approach the arrival lane holding speed, give way, then turn through `conn`."""
+    approach = chain[:chain.index(conn.from_lane) + 1]
+    link = (conn.from_lane, conn.to_lane)
+    return (Maneuver("lane-follow", lanes=approach, hold_speed=True),
+            Maneuver("give-way", lanes=(conn.from_lane,), junction=jid, connection=link),
+            Maneuver(f"turn-{conn.direction}", lanes=(conn.to_lane,), junction=jid,
+                     connection=link))
 
-    On a lane, Continue applies when the lane-follow chain reaches `goal`
-    (`chain_reaches_goal`); with goal None it is offered for the caller to
-    decide per goal, the only goal-dependent test. Inside a junction only
-    the crossing being driven applies. Stop always applies on a lane.
+
+@functools.lru_cache(maxsize=256)
+def lane_macros(layout: RoadLayout, lane_id: str) -> dict[str, tuple[Maneuver, ...]]:
+    """The macros that apply anywhere on a lane, by name, with their chains.
+
+    An Exit takes the first connection its way at the lane-follow chain's
+    first junction, Continue-next-exit the preferred one at its second. The
+    dict is built once per (layout, lane) and shared: callers only read it.
     """
-    me = state.vehicles[vehicle_id]
+    lane = layout.lanes[lane_id]
+    chain = tuple(lane_follow_chain(layout, lane_id))
+    table = {"Continue": (Maneuver("lane-follow", lanes=chain),),
+             "Stop": (Maneuver("stop", lanes=chain),)}
+    for target, side in ((lane.left_neighbor, "left"), (lane.right_neighbor, "right")):
+        if target is not None:
+            table[f"Change-{side}"] = (Maneuver(f"lane-change-{side}", lanes=(lane_id,),
+                                                target_lane=target),)
+    junctions = list(dict.fromkeys((junction.id, arrival) for arrival in chain
+                                   for junction, _ in layout.connections_from(arrival)))
+    for i, (jid, arrival) in enumerate(junctions[:2]):
+        conns = [c for c in layout.junctions[jid].connections if c.from_lane == arrival]
+        exits = [c for c in conns if not _is_priority_straight(c)]
+        if i == 0:
+            for conn in exits:
+                table.setdefault(f"Exit-{conn.direction}", _exit_chain(chain, jid, conn))
+        else:
+            conn = min(exits or conns,
+                       key=lambda c: ("right", "straight", "left").index(c.direction))
+            table["Continue-next-exit"] = _exit_chain(chain, jid, conn)
+    return dict(sorted(table.items()))
+
+
+def macro_table(me: VehicleState, layout: RoadLayout
+                ) -> tuple[dict[str, tuple[Maneuver, ...]], float | None]:
+    """The macros that apply at `me` before traffic and goals are asked, by name
+    with their chains, and `me`'s arc length on its lane.
+
+    On a lane that is the lane's table; off every lane, only the junction
+    crossing being driven, and arc length None. Raises OffRoadError when `me`
+    is on no lane or connection.
+    """
     try:
         lane_id, s, _ = locate(layout, (me.x, me.y))
     except OffRoadError:
-        return [_crossing(layout, me)[0]]
-    lane = layout.lanes[lane_id]
-    chain = lane_follow_chain(layout, lane_id)
-    out = {"Stop"}
-
-    if goal is None or chain_reaches_goal(layout, chain, s, goal):
-        out.add("Continue")
-
-    for neighbor, name in ((lane.left_neighbor, "Change-left"),
-                           (lane.right_neighbor, "Change-right")):
-        if neighbor is not None and _headway_ok(state, vehicle_id, layout, neighbor):
-            out.add(name)
-
-    junctions = junctions_on_chain(layout, chain)
-    if junctions:
-        jid, arrival = junctions[0]
-        junction = layout.junctions[jid]
-        for conn in junction.connections:
-            if conn.from_lane != arrival:
-                continue
-            if conn.direction == "straight" and conn.has_priority:
-                continue  # priority straights belong to Continue
-            out.add(f"Exit-{conn.direction}")
-    if len(junctions) >= 2:
-        out.add("Continue-next-exit")
-
-    return sorted(out)
+        name, rest = _crossing(layout, me)
+        return {name: rest}, None
+    return lane_macros(layout, lane_id), s
 
 
-def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[str, list[Maneuver]]:
+def continue_reaches_goal(table: dict[str, tuple[Maneuver, ...]], s: float | None,
+                          layout: RoadLayout, goal: Goal) -> bool:
+    """Continue's goal test: its chain reaches `goal` from arc length `s`;
+    finishing a junction crossing (`s` None) always does."""
+    return s is None or chain_reaches_goal(layout, table["Continue"][0].lanes, s, goal)
+
+
+def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
+                      goal: Goal) -> list[str]:
+    """Names of the macro actions that apply for `vehicle_id` heading to `goal`, sorted:
+    its `macro_table`, less a lane change without headway and a Continue
+    that does not reach `goal`.
+    """
+    table, s = macro_table(state.vehicles[vehicle_id], layout)
+    return [name for name, chain in table.items()
+            if (name != "Continue" or continue_reaches_goal(table, s, layout, goal))
+            and (not name.startswith("Change-")
+                 or _headway_ok(state, vehicle_id, layout, chain[0].target_lane))]
+
+
+def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[str, tuple[Maneuver, ...]]:
     """The macro a vehicle off every lane is driving, and what is left of it.
 
     Such a vehicle is crossing a junction, on the connection curve nearest
@@ -320,74 +355,26 @@ def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[str, list[Maneuver]
     if best is None or best[0] > layout.lanes[best[2].to_lane].width / 2.0 + OFFROAD_MARGIN_M:
         raise OffRoadError(f"position ({me.x:.2f}, {me.y:.2f}) is on no lane or connection")
     _, jid, conn = best
-    if conn.direction == "straight" and conn.has_priority:
+    if _is_priority_straight(conn):
         chain = lane_follow_chain(layout, conn.from_lane)
-        return "Continue", [Maneuver("lane-follow", lanes=tuple(chain))]
-    return f"Exit-{conn.direction}", [
+        return "Continue", (Maneuver("lane-follow", lanes=tuple(chain)),)
+    return f"Exit-{conn.direction}", (
         Maneuver(f"turn-{conn.direction}", lanes=(conn.to_lane,), junction=jid,
-                 connection=(conn.from_lane, conn.to_lane))]
+                 connection=(conn.from_lane, conn.to_lane)),)
 
 
 def expand_macro(macro: str, me: VehicleState, layout: RoadLayout) -> list[Maneuver]:
-    """Expand the named macro action into its manoeuvre chain from state `me`.
-
-    Raises ValueError for a name outside ALL_MACRO_NAMES and
-    InapplicableMacroError for a macro that does not apply at `me`.
+    """The named macro action's manoeuvre chain from state `me`, read from its
+    `macro_table`. Raises ValueError for a name outside ALL_MACRO_NAMES and
+    InapplicableMacroError for a macro the table lacks.
     """
     if macro not in ALL_MACRO_NAMES:
         raise ValueError(f"unknown macro action {macro!r}")
-    try:
-        lane_id, _, _ = locate(layout, (me.x, me.y))
-    except OffRoadError:
-        crossing, rest = _crossing(layout, me)
-        if macro != crossing:
-            raise InapplicableMacroError(f"{macro}: vehicle is crossing a junction "
-                                         f"by {crossing}") from None
-        return rest
-    lane = layout.lanes[lane_id]
-    chain = lane_follow_chain(layout, lane_id)
-
-    if macro == "Continue":
-        return [Maneuver("lane-follow", lanes=tuple(chain))]
-
-    if macro == "Stop":
-        return [Maneuver("stop", lanes=tuple(chain))]
-
-    if macro in ("Change-left", "Change-right"):
-        target = lane.left_neighbor if macro == "Change-left" else lane.right_neighbor
-        if target is None:
-            raise InapplicableMacroError(f"{macro}: no neighbor lane from {lane_id!r}")
-        kind = "lane-change-left" if macro == "Change-left" else "lane-change-right"
-        return [Maneuver(kind, lanes=(lane_id,), target_lane=target)]
-
-    # Exit-<direction> or Continue-next-exit
-    direction = macro[len("Exit-"):] if macro.startswith("Exit-") else None
-    junctions = junctions_on_chain(layout, chain)
-    want_index = 0 if direction else 1
-    if len(junctions) <= want_index:
-        raise InapplicableMacroError(f"{macro}: no junction ahead on lane {lane_id!r}")
-    jid, arrival = junctions[want_index]
-    junction = layout.junctions[jid]
-    conns = [c for c in junction.connections if c.from_lane == arrival]
-    if direction:
-        conns = [c for c in conns if c.direction == direction
-                 and not (c.direction == "straight" and c.has_priority)]
-        if not conns:
-            raise InapplicableMacroError(
-                f"{macro}: junction {jid!r} has no {direction} connection from {arrival!r}")
-        conn = conns[0]
-    else:
-        by_pref = {d: i for i, d in enumerate(("right", "straight", "left"))}
-        conns = [c for c in conns if not (c.direction == "straight" and c.has_priority)] or conns
-        conn = sorted(conns, key=lambda c: by_pref[c.direction])[0]
-    approach = chain[:chain.index(arrival) + 1]
-    return [
-        Maneuver("lane-follow", lanes=tuple(approach), hold_speed=True),
-        Maneuver("give-way", lanes=(arrival,), junction=jid,
-                 connection=(conn.from_lane, conn.to_lane)),
-        Maneuver(f"turn-{conn.direction}", lanes=(conn.to_lane,), junction=jid,
-                 connection=(conn.from_lane, conn.to_lane)),
-    ]
+    table, _ = macro_table(me, layout)
+    if macro not in table:
+        raise InapplicableMacroError(f"{macro} does not apply at ({me.x:.2f}, {me.y:.2f}); "
+                                     f"applicable: {', '.join(table)}")
+    return list(table[macro])
 
 
 # --- rollout -----------------------------------------------------------------

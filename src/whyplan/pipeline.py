@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .bayes_net import BnModel, build_bn, model_to_dict
 from .causal import (CausalSummary, CounterfactualQuery, agent_influences, outcome_given_cf,
                      reward_deltas)
-from .errors import RunDirectoryError
+from .errors import RunDirectoryError, ScenarioValidationError
 from .grammar import explain as render_explanation
 from .mcts import MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
 from .recognition import Predictions, enumerate_plans, predict_all
@@ -210,6 +210,16 @@ def _read_artifact(run_dir: str, name: str):
         raise RunDirectoryError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _number(value, where: tuple, lo: float = -math.inf, hi: float = math.inf):
+    """`value` if it is a finite JSON number in [lo, hi]; else RunDirectoryError naming
+    `where`, whose parts are joined only then (a run holds thousands of values)."""
+    if type(value) not in (int, float) or not math.isfinite(value) or not lo <= value <= hi:
+        bounds = f" in [{lo}, {hi}]" if math.isfinite(lo) else ""
+        raise RunDirectoryError(f"{' '.join(map(str, where))} is {value!r}, "
+                                f"not a finite number{bounds}")
+    return value
+
+
 def _check_trace_log(records: list[TraceRecord], traj_probs: dict, d_max: int) -> None:
     """Records indexed 0..n-1, no deeper than max_depth, each sampling one of
     the options `predictions.json` lists for every vehicle it predicts."""
@@ -232,10 +242,12 @@ def load_run(run_dir: str) -> LoadedRun:
     """Rebuild the model from persisted artifacts, without re-planning.
 
     Raises RunDirectoryError when the directory or an artifact is missing or
-    unreadable, is not JSON, or lacks an entry the model is built from, when
-    `run.json` lacks `format_version` or has another than RUN_FORMAT_VERSION,
-    and when the trace log disagrees with `run.json` or `predictions.json` (see
-    `_check_trace_log`).
+    unreadable, is not JSON, or lacks an entry the model is built from or
+    holds a malformed value (`RewardConfig` and `TraceRecord` reject it, or a
+    component or probability is not a number, a probability outside [0, 1]),
+    when `run.json` lacks `format_version` or has another than
+    RUN_FORMAT_VERSION, and when the trace log disagrees with `run.json` or
+    `predictions.json` (see `_check_trace_log`).
     """
     if not os.path.isdir(run_dir):
         raise RunDirectoryError(f"run directory {run_dir} does not exist")
@@ -251,27 +263,31 @@ def load_run(run_dir: str) -> LoadedRun:
                 index=r["index"],
                 assignment={vid: tuple(gs) for vid, gs in r["assignment"].items()},
                 macros=tuple(r["macros"]),
-                components={k: v for k, v in r["components"].items()},
+                components={k: v if v is None else
+                            _number(v, ("tracelog.json record", i, "component", k))
+                            for k, v in r["components"].items()},
                 outcome=r["outcome"],
                 collider=r["collider"],
                 reward=r["reward"],
                 steps=r["steps"],
             )
-            for r in raw_log
+            for i, r in enumerate(raw_log)
         ]
         goal_probs, traj_probs, traj_macros, labels = {}, {}, {}, {}
         for vid, d in raw_pred.items():
             labels[vid] = d["label"]
-            goal_probs[vid] = {int(g): p for g, p in d["goals"].items()}
+            goal_probs[vid] = {int(g): _number(p, ("predictions.json", vid, "goal", g), 0.0, 1.0)
+                               for g, p in d["goals"].items()}
             traj_probs[vid], traj_macros[vid] = {}, {}
             for key, od in d["options"].items():
                 gi, si = (int(part) for part in key.split("/"))
-                traj_probs[vid][(gi, si)] = od["p"]
-                traj_macros[vid][(gi, si)] = od["macros"]
+                traj_probs[vid][(gi, si)] = _number(od["p"], ("predictions.json", vid, "option",
+                                                              key, "p"), 0.0, 1.0)
+                traj_macros[vid][(gi, si)] = tuple(od["macros"])
         reward = RewardConfig(weights=meta["reward_weights"])
         plan, d_max = tuple(meta["plan"]), meta["max_depth"]
         _check_trace_log(records, traj_probs, d_max)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ScenarioValidationError) as exc:
         raise RunDirectoryError(f"malformed run directory {run_dir}: "
                                 f"{type(exc).__name__} {exc}") from exc
     model = build_bn(records, goal_probs, traj_probs, d_max,

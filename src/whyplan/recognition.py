@@ -4,7 +4,8 @@ trajectory distributions per goal.
 A vehicle's candidate plans are enumerated as macro-action sequences
 (bounded depth, traffic-free rollouts) for all of its goals at once, from two
 start states: where it was first observed (its observation plan and r_star)
-and where it is now (the completions of the observed prefix). The goal
+and where it is now (the completions of the observed prefix). Each node of
+the enumeration reads its macro table (`maneuvers.macro_table`) once. The goal
 posterior weighs how much reward the observed prefix has already given up
 relative to the optimal plan for each goal; trajectory probabilities are a
 softmax over candidate plan rewards.
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GoalUnreachableError, InapplicableMacroError, OffRoadError
-from .maneuvers import (Trajectory, TrajectoryFeatures, applicable_macros, chain_reaches_goal,
-                        concat_trajectories, expand_macro, extract_features, lane_follow_chain,
-                        roll_chain, Maneuver)
-from .scenario import Goal, JointState, RoadLayout, Scenario, VehicleState, locate
+from .maneuvers import (Trajectory, TrajectoryFeatures, concat_trajectories, continue_reaches_goal,
+                        extract_features, lane_macros, macro_table, roll_chain)
+from .scenario import Goal, RoadLayout, Scenario, VehicleState, goal_contains, locate
 
 ENUMERATION_DEPTH = 3
 
@@ -68,24 +68,22 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
 
     The recursion carries the goals still open on a path: each macro prefix
     is rolled out once, traffic-free at `cruise`, and offered to every open
-    goal for which the macro is applicable. Applicability is asked once per
-    node; Continue, the only goal-dependent macro, is then decided per goal.
+    goal for which the macro is applicable. A node reads its `macro_table`
+    once; Continue, the only goal-dependent macro, is then decided per goal.
     A goal closes on a path once the path reaches it.
     """
-    vid = "_solo"
     results: list[list[PlanCandidate]] = [[] for _ in goals]
 
     def recurse(cur: VehicleState, open_goals: list[int], macros: tuple[str, ...],
                 parts: list[Trajectory], steps_left: int, depth: int):
         if depth >= ENUMERATION_DEPTH or steps_left <= 0:
             return
-        joint = JointState(t=0, vehicles={vid: cur})
         try:
-            actions = applicable_macros(joint, vid, layout, None)
+            table, s = macro_table(cur, layout)
         except OffRoadError:
             return
         _inverse = {"Change-left": "Change-right", "Change-right": "Change-left"}
-        for macro in actions:
+        for macro, maneuvers in table.items():
             if macro == "Stop":
                 continue
             if macro == "Continue" and macros and macros[-1] == "Continue":
@@ -96,17 +94,10 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
                 continue
             gis = open_goals
             if macro == "Continue":
-                try:
-                    lane_id, s, _ = locate(layout, (cur.x, cur.y))
-                except OffRoadError:
-                    pass  # finishing a junction crossing serves every goal
-                else:
-                    chain = lane_follow_chain(layout, lane_id)
-                    gis = [gi for gi in open_goals
-                           if chain_reaches_goal(layout, chain, s, goals[gi])]
-                    if not gis:
-                        continue
-            maneuvers = expand_macro(macro, cur, layout)
+                gis = [gi for gi in open_goals
+                       if continue_reaches_goal(table, s, layout, goals[gi])]
+                if not gis:
+                    continue
             traj = roll_chain(maneuvers, cur, layout, dt, steps_left, cruise)
             if len(traj) < 2:
                 continue
@@ -148,16 +139,15 @@ def trajectory_options(candidates: list[PlanCandidate], goal: Goal, layout: Road
 
 def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon: int,
                        cruise: float) -> Trajectory:
-    """Keep driving (lane follow) after the plan completes, then hold in place."""
+    """Keep driving (Continue) after the plan completes, then hold in place."""
     parts = [traj]
     total = len(traj) - 1
     if total < horizon and not traj.truncated:
         tail = traj.tail_state()
         try:
             lane_id, _, _ = locate(layout, (tail.x, tail.y))
-            chain = lane_follow_chain(layout, lane_id)
-            ext = roll_chain([Maneuver("lane-follow", lanes=tuple(chain))], tail, layout,
-                             dt, horizon - total, cruise)
+            ext = roll_chain(lane_macros(layout, lane_id)["Continue"], tail, layout, dt,
+                             horizon - total, cruise)
             if len(ext) > 1:
                 parts.append(ext)
                 total += len(ext) - 1
@@ -200,8 +190,13 @@ def goal_posterior(observed: Trajectory, goals: tuple[Goal, ...],
         if not start_plans or not tail_plans:
             scores.append(None)
             continue
+        # Goal entry is first looked for on the prefix, once per goal, and
+        # past it only in each plan's own states.
+        entry = next((k for k in range(len(observed)) if goal_contains(
+            layout, goal, float(observed.xs[k]), float(observed.ys[k]))), len(observed))
         r_hat = max(plan_reward(extract_features(concat_trajectories([observed, c.trajectory]),
-                                                 goal, layout)) for c in tail_plans)
+                                                 goal, layout, start=entry))
+                    for c in tail_plans)
         scores.append(r_hat - start_plans[0].reward)
     if all(s is None for s in scores):
         raise GoalUnreachableError("all goals unreachable")

@@ -431,6 +431,56 @@ def test_record_naming_unpredicted_option_exits_with_run_dir_code(mini_scenario_
     assert "record 0" in err and "('v1', (0, 99))" in err
 
 
+def _first_vehicle(pred):
+    return pred[sorted(pred)[0]]
+
+
+def _first_option(pred):
+    options = _first_vehicle(pred)["options"]
+    return options[sorted(options)[0]]
+
+
+def _misfit_components(log):
+    # A termination component on a record of another outcome, or a collision
+    # component on a termination record.
+    rec = log[0]
+    rec["components"]["collision" if rec["outcome"] == "termination" else "termination"] = 1.0
+
+
+# Each edit puts one malformed value into a run directory artifact.
+MALFORMED_RUN_VALUES = {
+    "positive-collision-weight": ("run.json",
+                                  lambda run: run["reward_weights"].update(collision=5.0)),
+    "missing-reward-weight": ("run.json", lambda run: run["reward_weights"].pop("jerk")),
+    "unknown-outcome": ("tracelog.json", lambda log: log[0].update(outcome="crash")),
+    "components-misfit-outcome": ("tracelog.json", _misfit_components),
+    "non-numeric-component": ("tracelog.json", lambda log: next(
+        r for r in log if r["outcome"] == "done")["components"].update(time="fast")),
+    "non-numeric-option-p": ("predictions.json",
+                             lambda pred: _first_option(pred).update(p="high")),
+    "null-goal-probability": ("predictions.json",
+                              lambda pred: _first_vehicle(pred)["goals"].update({"0": None})),
+    "option-macros-not-a-list": ("predictions.json",
+                                 lambda pred: _first_option(pred).update(macros=5)),
+    "negative-goal-probability": ("predictions.json",
+                                  lambda pred: _first_vehicle(pred)["goals"].update({"0": -0.5})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RUN_VALUES))
+def test_malformed_run_value_exits_with_run_dir_code(mini_scenario_path, tmp_path, capsys,
+                                                     case):
+    name, edit = MALFORMED_RUN_VALUES[case]
+    out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
+    path = os.path.join(out, name)
+    payload = json.load(open(path))
+    edit(payload)
+    json.dump(payload, open(path, "w"))
+    code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
+    assert code == 7, err
+    assert "unexpected error" not in err
+
+
 @pytest.mark.parametrize("reindex", ["duplicate", "gap"])
 def test_bad_record_indices_exit_with_run_dir_code(mini_scenario_path, tmp_path, capsys,
                                                    reindex):

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import whyplan.maneuvers as maneuvers_mod
 import whyplan.pipeline as pipeline_mod
 import whyplan.recognition as recognition_mod
 from whyplan.errors import GoalUnreachableError, OffRoadError
 from whyplan.maneuvers import (BRAKE_APPROACH, Trajectory, applicable_macros,
-                               concat_trajectories, expand_macro, extract_features, roll_chain)
+                               concat_trajectories, expand_macro, extract_features, macro_table,
+                               roll_chain)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
 from whyplan.recognition import (ENUMERATION_DEPTH, enumerate_plans, goal_posterior,
                                  predict_all, trajectory_options)
-from whyplan.scenario import (Goal, JointState, lane_point_state, load_scenario,
-                              sample_initial_states, scenario_from_dict)
+from whyplan.scenario import (Goal, JointState, goal_contains, lane_point_state,
+                              load_scenario, locate, sample_initial_states, scenario_from_dict)
 from whyplan.simulation import observe
 
 from conftest import mini_scenario_dict, spec_of
@@ -225,9 +227,9 @@ def _raise(exc):
 
 def test_enumeration_skips_typed_errors_and_propagates_others(fork, monkeypatch):
     start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
-    monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(OffRoadError("off")))
+    monkeypatch.setattr(recognition_mod, "macro_table", _raise(OffRoadError("off")))
     assert enumerate_plans(start, fork_goals(), fork.layout, DT, HORIZON, CRUISE) == [[], []]
-    monkeypatch.setattr(recognition_mod, "applicable_macros", _raise(RuntimeError("bug")))
+    monkeypatch.setattr(recognition_mod, "macro_table", _raise(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         enumerate_plans(start, fork_goals(), fork.layout, DT, HORIZON, CRUISE)
 
@@ -317,26 +319,90 @@ def test_predict_all_enumerates_each_state_and_goal_once(monkeypatch):
 
 def test_enumeration_asks_applicability_once_per_node(monkeypatch):
     # Only Continue depends on the goal, so a node with several open goals
-    # still asks applicable_macros once.
-    asked = []  # per enumerate_plans call: the states applicability was asked at
+    # still reads its macro table once.
+    asked = []  # per enumerate_plans call: the states the table was read at
 
     def counting_enumerate(*args):
         asked.append([])
         return enumerate_plans(*args)
 
-    def counting_applicable(state, vehicle_id, *args, **kwargs):
-        asked[-1].append(state.vehicles[vehicle_id])
-        return applicable_macros(state, vehicle_id, *args, **kwargs)
+    def counting_table(state, layout):
+        asked[-1].append(state)
+        return macro_table(state, layout)
 
     monkeypatch.setattr(recognition_mod, "enumerate_plans", counting_enumerate)
     monkeypatch.setattr(pipeline_mod, "enumerate_plans", counting_enumerate)
-    monkeypatch.setattr(recognition_mod, "applicable_macros", counting_applicable)
+    monkeypatch.setattr(recognition_mod, "macro_table", counting_table)
     for name, sc in SCENARIOS.items():
         asked.clear()
         run_pipeline(sc, 0, planner=planner_config(sc, 0, iterations=5))
         assert asked, name
         for states in asked:
             assert states and len(set(states)) == len(states), name
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_enumeration_locates_each_node_once(name, monkeypatch):
+    # Applicability, Continue's goal test and every expansion at a node read
+    # one table, so the node's state is matched to a lane once.
+    sc = SCENARIOS[name]
+    initial = sample_initial_states(sc, 0)
+    plans, _ = true_goal_plans(sc, initial)
+    prefixes, _ = observe(sc, initial, plans)
+    located = []
+
+    def counting_locate(layout, position, *args, **kwargs):
+        located.append(tuple(position))
+        return locate(layout, position, *args, **kwargs)
+
+    monkeypatch.setattr(maneuvers_mod, "locate", counting_locate)
+    monkeypatch.setattr(recognition_mod, "locate", counting_locate)
+    for vid in sc.non_ego_ids:
+        for state in (initial.vehicles[vid], prefixes[vid].tail_state()):
+            located.clear()
+            enumerate_plans(state, spec_of(sc, vid).goals, sc.layout, sc.dt, sc.horizon,
+                            sc.target_speed)
+            assert located and len(set(located)) == len(located), (name, vid)
+
+
+def assert_posterior_equals_full_scan(sc, prefix, goals, from_start, monkeypatch):
+    """`goal_posterior` is exactly the same as with every goal check scanning
+    from the prefix's first state."""
+    current = enumerate_plans(prefix.tail_state(), goals, sc.layout, sc.dt, sc.horizon,
+                              sc.target_speed)
+    args = (prefix, goals, from_start, current, sc.layout, sc.rationality_beta)
+    got = goal_posterior(*args)
+    with monkeypatch.context() as m:
+        m.setattr(recognition_mod, "extract_features",
+                  lambda traj, goal, layout, start=0: extract_features(traj, goal, layout))
+        assert got == goal_posterior(*args)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_goal_posterior_equals_full_scan_on_run_prefixes(name, monkeypatch):
+    sc = SCENARIOS[name]
+    for seed in range(3):
+        initial = sample_initial_states(sc, seed)
+        plans, from_start = true_goal_plans(sc, initial)
+        prefixes, _ = observe(sc, initial, plans)
+        for vid in sc.non_ego_ids:
+            assert_posterior_equals_full_scan(sc, prefixes[vid], spec_of(sc, vid).goals,
+                                              from_start[vid], monkeypatch)
+
+
+def test_goal_posterior_equals_full_scan_on_a_prefix_inside_a_goal(monkeypatch):
+    # The prefix enters the near band before its last state; the far end
+    # stays open, so both goals keep a share of the posterior.
+    sc = scenario_from_dict(mini_scenario_dict())
+    goals = (Goal("left", 20.0, 35.0, "near band"), Goal("left", 140.0, 150.0, "far end"))
+    start = lane_point_state(sc.layout, "left", 5.0, 8.0)
+    prefix = roll_chain(expand_macro("Continue", start, sc.layout), start, sc.layout, sc.dt,
+                        25, sc.target_speed)
+    assert goal_contains(sc.layout, goals[0], prefix.xs[-2], prefix.ys[-2])
+    from_start = enumerate_plans(start, goals, sc.layout, sc.dt, sc.horizon, sc.target_speed)
+    post = assert_posterior_equals_full_scan(sc, prefix, goals, from_start, monkeypatch)
+    assert all(0.0 < p < 1.0 for p in post.probs)
 
 
 # --- enumeration oracle: the single-goal enumeration, one goal at a time ----------
