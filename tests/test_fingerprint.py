@@ -2,7 +2,7 @@
 
 Pins the SHA-256 of `tracelog.json`, `bn.json` and `predictions.json`, as
 `save_run` writes them, for s1, s2 and the benchmark's dense scenario at
-seed 0 and 60 MCTS iterations. dense is the one scenario whose rollouts
+seeds 0 and 1 and 60 MCTS iterations. dense is the one scenario whose rollouts
 differ per joint sample. A change that moves a hash changes planning or
 recognition behaviour, or the run-directory format, and must say why in
 CHANGES.md.
@@ -30,6 +30,15 @@ PINNED = {
     ("dense", 0): ("8bd5e8402c25db81bc46fd203dbc24c8791bb195b7059c09bd2bd1ae0a3a8c18",
                    "95d613ff3439890800f9145ba4983a1f796ca8559e04311b07a02d8bc0e1e9a0",
                    "d39830ab6e193f826fa0e6c0392ca6c3d301155971ed99c08ff505050028c672"),
+    ("s1", 1): ("ef7b33c01e1b4f45b1ac9c03cacfdb29152752f8d82864dca24b4978c04dfb81",
+                "8d005265dbebd3a81ffbab487da015ccab27c8900084631a444e03bcad252000",
+                "3dd16eddf62adb372ca4575deb4e05c5cadca45798b57ea0d869fe346437aa9f"),
+    ("s2", 1): ("754943fb03d1b7dd7e88619305a2184fbf2fc8aaae279e5221b5ef741a34bb56",
+                "030707c7af4560c22b1c6f882aef7f5d4517d354fa9d3b65f249001bccd2a730",
+                "290d9b16bd4c5b7fb3718d016f994ce37019b87ab32b442b523a50f725dd1e6f"),
+    ("dense", 1): ("7b35b6571a27124b80c4a216a02e13813ff24006c2005a50dead4054aa64daad",
+                   "2505dd3835afcd0c2a57d53c4120a6e10c0235a08bf186f09089ff086e191f6c",
+                   "3c77b3571fb5d1439c8ae0036ec1c3ee4472a421bcf5aab985adbd3c703000c0"),
 }
 
 
