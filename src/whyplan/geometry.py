@@ -10,6 +10,8 @@ argmin) bit for bit, without numpy's per-call overhead on short lines.
 `Polyline.frame_at` gives pose, normal and heading as floats from one segment
 lookup, so the integrator step (`maneuvers.ChainStepper`) reads floats only;
 a "done" rollout is not rescanned for goal entry, which the step checks.
+`normalize_angles` wraps a whole array with the floats `normalize_angle`
+gives each element.
 """
 
 import bisect
@@ -27,6 +29,12 @@ def normalize_angle(a: float) -> float:
     elif a <= -math.pi:
         a += 2.0 * math.pi
     return a
+
+
+def normalize_angles(a: np.ndarray) -> np.ndarray:
+    """`normalize_angle` elementwise on finite angles, with the same floats."""
+    a = np.fmod(a, 2.0 * math.pi)
+    return np.where(a > math.pi, a - 2.0 * math.pi, np.where(a <= -math.pi, a + 2.0 * math.pi, a))
 
 
 class Polyline:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InapplicableMacroError, OffRoadError
-from .geometry import Polyline, normalize_angle, smoothstep, turn_curve
+from .geometry import Polyline, normalize_angle, normalize_angles, smoothstep, turn_curve
 from .scenario import (OFFROAD_MARGIN_M, Goal, JointState, RoadLayout, VehicleState,
-                       goal_contains, locate)
+                       goal_box, goal_contains, locate)
 
 MANEUVER_KINDS = ("lane-follow", "lane-change-left", "lane-change-right",
                   "turn-left", "turn-right", "turn-straight", "give-way", "stop")
@@ -223,16 +223,25 @@ def merged_path(base: Polyline, lat0: float, step: float = 0.5) -> Polyline:
 
 
 def chain_reaches_goal(layout: RoadLayout, chain: list[str], from_s: float, goal: Goal) -> bool:
+    """Whether the chain's midlines, sampled every 2 m from `from_s` on the first
+    lane and at each lane's end, enter `goal`. Lanes that miss the goal's box
+    (`goal_box`) are skipped, however long they are."""
+    (x_lo, x_hi, y_lo, y_hi), lanes = goal_box(layout, goal)
+
+    def inside(mid: Polyline, s: float) -> bool:
+        x, y = mid.point_at(s).tolist()
+        return x_lo <= x <= x_hi and y_lo <= y <= y_hi and goal_contains(layout, goal, x, y)
+
     for i, lane_id in enumerate(chain):
+        if lane_id not in lanes:
+            continue
         mid = layout.lanes[lane_id].midline
         s = from_s if i == 0 else 0.0
         while s <= mid.length:
-            x, y = mid.point_at(s)
-            if goal_contains(layout, goal, float(x), float(y)):
+            if inside(mid, s):
                 return True
             s += 2.0
-        x, y = mid.point_at(mid.length)
-        if goal_contains(layout, goal, float(x), float(y)):
+        if inside(mid, mid.length):
             return True
     return False
 
@@ -394,7 +403,8 @@ class _Segment:
         self.heading = heading
 
     def advance_dist(self, dist: float) -> tuple[float, float, float, float]:
-        used = min(dist, self.path.length - self.s)
+        left = self.path.length - self.s
+        used = left if left < dist else dist  # min(dist, left), as a comparison
         self.s += used
         x, y, _, _, heading = self.path.frame_at(self.s)
         if used > 1e-9:
@@ -581,7 +591,8 @@ def _car_follow_limit(x: float, y: float, v: float, seg, traffic, t: int, dt: fl
     Leaders are vehicles ahead along the segment's reference path whose
     lateral offset relative to ours is within LEAD_LATERAL; the relative
     offset keeps adjacent-lane traffic out while still covering vehicles
-    cutting in or diverging off the path.
+    cutting in or diverging off the path. The peers are read in one pass; the
+    clamps are comparisons with the ties and NaNs of `min`/`max`.
     """
     path = getattr(seg, "path", None)
     if path is None:
@@ -590,17 +601,17 @@ def _car_follow_limit(x: float, y: float, v: float, seg, traffic, t: int, dt: fl
     if projected is None:
         return math.inf
     s_me, lat_me, others = projected
+    want = FOLLOW_MIN_GAP + FOLLOW_TIME_GAP * v
     limit = math.inf
     for s_o, lat_o, ov in others:
-        if abs(lat_o - lat_me) > LEAD_LATERAL:
-            continue
         ds = s_o - s_me
-        if ds <= 0.0 or ds > LEAD_LOOKAHEAD:
+        if ds <= 0.0 or ds > LEAD_LOOKAHEAD or abs(lat_o - lat_me) > LEAD_LATERAL:
             continue
         gap = ds - 2.0 * COLLISION_RADIUS
-        want = FOLLOW_MIN_GAP + FOLLOW_TIME_GAP * v
-        a = FOLLOW_KG * (gap - want) + FOLLOW_KV * (ov - v)
-        limit = min(limit, max(v + a * dt, 0.0))
+        cap = v + (FOLLOW_KG * (gap - want) + FOLLOW_KV * (ov - v)) * dt
+        cap = 0.0 if cap < 0.0 else cap
+        if cap < limit:
+            limit = cap
     return limit
 
 
@@ -618,8 +629,9 @@ class ChainStepper:
     `step` is None on an empty road (give-way clears at once, no car
     following) or provides `giveway_clear(segment, t)` and, for car
     following, `projected(path, x, y, t)`: this vehicle's (s, lateral) and
-    the other vehicles' (s, lateral, speed) at step t, already projected
-    onto the segment's path, or None when there are no other vehicles.
+    an iterable, read once, over the other vehicles' (s, lateral, speed) at
+    step t, already projected onto the segment's path, or None when there
+    are no other vehicles.
     """
 
     def __init__(self, start: VehicleState, layout: RoadLayout, dt: float, cruise: float,
@@ -663,9 +675,14 @@ class ChainStepper:
         _try_clear(seg, traffic, t)
         v_des = seg.desired_speed(v)
         if traffic is not None:
-            v_des = min(v_des, _car_follow_limit(self.x, self.y, v, seg, traffic, t, dt))
-        a = min(max((v_des - v) / dt, -BRAKE_MAX), ACCEL_MAX)
-        v_next = max(v + a * dt, 0.0)
+            cap = _car_follow_limit(self.x, self.y, v, seg, traffic, t, dt)
+            if cap < v_des:
+                v_des = cap
+        # Clamps as comparisons, with the ties and NaNs of min/max.
+        a = (v_des - v) / dt
+        a = -BRAKE_MAX if a < -BRAKE_MAX else ACCEL_MAX if a > ACCEL_MAX else a
+        v_next = v + a * dt
+        v_next = 0.0 if v_next < 0.0 else v_next
 
         if isinstance(seg, _LaneChangeSegment):
             x, y, heading = seg.advance(v, dt)
@@ -686,7 +703,8 @@ class ChainStepper:
                 # driven is what the consistency contract must reflect.
                 v_eff = used / dt
                 self.vs[-1] = v_eff
-                v_next = min(v_next, v_eff)
+                if v_eff < v_next:
+                    v_next = v_eff
         self._record(x, y, heading, v_next)
         if seg.done():
             self.seg = None
@@ -732,36 +750,41 @@ def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayou
 # --- features ----------------------------------------------------------------
 
 
+def goal_entry(traj: Trajectory, goal: Goal, layout: RoadLayout, start: int = 0) -> int | None:
+    """Index of the first state from `start` inside `goal`, or None. Only
+    states inside the goal's box (`goal_box`) are projected."""
+    (x_lo, x_hi, y_lo, y_hi), _ = goal_box(layout, goal)
+    for k, (x, y) in enumerate(zip(traj.xs[start:].tolist(), traj.ys[start:].tolist()), start):
+        if x_lo <= x <= x_hi and y_lo <= y <= y_hi and goal_contains(layout, goal, x, y):
+            return k
+    return None
+
+
 def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout,
                      start: int = 0) -> TrajectoryFeatures:
     """Reward-relevant trajectory features.
 
-    time_to_goal is dt times the first state index inside the goal region,
-    or the full duration when the goal is never entered; the caller vouches
-    that no state before index `start` is inside it. Jerk is the second
-    finite difference of speed, angular acceleration the second difference of
-    heading, curvature heading change over arc length; all reported as mean
-    absolute values.
+    time_to_goal is dt times the first state index inside the goal region
+    (`goal_entry`), or the full duration when the goal is never entered; the
+    caller vouches that no state before index `start` is inside it. Jerk is
+    the second finite difference of speed, angular acceleration the second
+    difference of heading (each step's change wrapped by `normalize_angles`),
+    curvature heading change over arc length; all reported as mean absolute
+    values.
     """
     n = len(traj)
     if n == 0:
         raise ValueError("empty trajectory")
-    reached = False
-    idx = n - 1
-    for k in range(start, n):
-        if goal_contains(layout, goal, float(traj.xs[k]), float(traj.ys[k])):
-            reached = True
-            idx = k
-            break
-    time_to_goal = idx * traj.dt
+    entry = goal_entry(traj, goal, layout, start)
+    time_to_goal = (n - 1 if entry is None else entry) * traj.dt
+    reached = entry is not None
 
     if n < 3:
         return TrajectoryFeatures(time_to_goal, 0.0, 0.0, 0.0, reached)
 
     v = traj.speeds
     jerk = np.abs(np.diff(v, 2)) / traj.dt ** 2
-    hs = traj.headings.tolist()
-    dtheta = np.array([normalize_angle(b - a) for a, b in zip(hs, hs[1:])])
+    dtheta = normalize_angles(np.diff(traj.headings))
     angacc = np.abs(np.diff(dtheta)) / traj.dt ** 2
     ds = np.hypot(np.diff(traj.xs), np.diff(traj.ys))
     moving = ds > 0.01

@@ -21,6 +21,7 @@ from .causal import (CausalSummary, CounterfactualQuery, agent_influences, outco
                      reward_deltas)
 from .errors import RunDirectoryError, ScenarioValidationError
 from .grammar import explain as render_explanation
+from .maneuvers import ALL_MACRO_NAMES
 from .mcts import MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
 from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
@@ -210,6 +211,9 @@ def _read_artifact(run_dir: str, name: str):
         raise RunDirectoryError(f"{path} is not valid JSON: {exc}") from exc
 
 
+_MACRO_NAMES = frozenset(ALL_MACRO_NAMES)
+
+
 def _number(value, where: tuple, lo: float = -math.inf, hi: float = math.inf):
     """`value` if it is a finite JSON number in [lo, hi]; else RunDirectoryError naming
     `where`, whose parts are joined only then (a run holds thousands of values)."""
@@ -218,6 +222,22 @@ def _number(value, where: tuple, lo: float = -math.inf, hi: float = math.inf):
         raise RunDirectoryError(f"{' '.join(map(str, where))} is {value!r}, "
                                 f"not a finite number{bounds}")
     return value
+
+
+def _typed(value, kinds: tuple, where: tuple, what: str):
+    """`value` if its type is one of `kinds`; else RunDirectoryError naming `where`."""
+    if type(value) not in kinds:
+        raise RunDirectoryError(f"{' '.join(map(str, where))} is {value!r}, not {what}")
+    return value
+
+
+def _macros(value, where: tuple) -> tuple[str, ...]:
+    """A JSON list of macro names as a tuple; else RunDirectoryError naming `where`
+    (a nested list raises TypeError, which `load_run` maps to the same)."""
+    if type(value) is not list or not _MACRO_NAMES.issuperset(value):
+        raise RunDirectoryError(f"{' '.join(map(str, where))} is {value!r}, "
+                                f"not a list of macro names")
+    return tuple(value)
 
 
 def _check_trace_log(records: list[TraceRecord], traj_probs: dict, d_max: int) -> None:
@@ -243,8 +263,10 @@ def load_run(run_dir: str) -> LoadedRun:
 
     Raises RunDirectoryError when the directory or an artifact is missing or
     unreadable, is not JSON, or lacks an entry the model is built from or
-    holds a malformed value (`RewardConfig` and `TraceRecord` reject it, or a
-    component or probability is not a number, a probability outside [0, 1]),
+    holds a malformed value (`RewardConfig` and `TraceRecord` reject it, a
+    component, reward or probability is not a number, a probability lies
+    outside [0, 1], macros are not a list of macro names, or a collider,
+    step count or label has the wrong JSON type),
     when `run.json` lacks `format_version` or has another than
     RUN_FORMAT_VERSION, and when the trace log disagrees with `run.json` or
     `predictions.json` (see `_check_trace_log`).
@@ -262,20 +284,23 @@ def load_run(run_dir: str) -> LoadedRun:
             TraceRecord(
                 index=r["index"],
                 assignment={vid: tuple(gs) for vid, gs in r["assignment"].items()},
-                macros=tuple(r["macros"]),
+                macros=_macros(r["macros"], ("tracelog.json record", i, "macros")),
                 components={k: v if v is None else
                             _number(v, ("tracelog.json record", i, "component", k))
                             for k, v in r["components"].items()},
                 outcome=r["outcome"],
-                collider=r["collider"],
-                reward=r["reward"],
-                steps=r["steps"],
+                collider=_typed(r["collider"], (str, type(None)),
+                                ("tracelog.json record", i, "collider"), "a vehicle id or null"),
+                reward=_number(r["reward"], ("tracelog.json record", i, "reward")),
+                steps=_typed(r["steps"], (int,), ("tracelog.json record", i, "steps"),
+                             "an integer"),
             )
             for i, r in enumerate(raw_log)
         ]
         goal_probs, traj_probs, traj_macros, labels = {}, {}, {}, {}
         for vid, d in raw_pred.items():
-            labels[vid] = d["label"]
+            labels[vid] = _typed(d["label"], (str,), ("predictions.json", vid, "label"),
+                                 "a string")
             goal_probs[vid] = {int(g): _number(p, ("predictions.json", vid, "goal", g), 0.0, 1.0)
                                for g, p in d["goals"].items()}
             traj_probs[vid], traj_macros[vid] = {}, {}
@@ -283,7 +308,8 @@ def load_run(run_dir: str) -> LoadedRun:
                 gi, si = (int(part) for part in key.split("/"))
                 traj_probs[vid][(gi, si)] = _number(od["p"], ("predictions.json", vid, "option",
                                                               key, "p"), 0.0, 1.0)
-                traj_macros[vid][(gi, si)] = tuple(od["macros"])
+                traj_macros[vid][(gi, si)] = _macros(od["macros"], ("predictions.json", vid,
+                                                                    "option", key, "macros"))
         reward = RewardConfig(weights=meta["reward_weights"])
         plan, d_max = tuple(meta["plan"]), meta["max_depth"]
         _check_trace_log(records, traj_probs, d_max)

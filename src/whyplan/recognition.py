@@ -11,6 +11,9 @@ relative to the optimal plan for each goal; trajectory probabilities are a
 softmax over candidate plan rewards.
 """
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +21,8 @@ import numpy as np
 
 from .errors import GoalUnreachableError, InapplicableMacroError, OffRoadError
 from .maneuvers import (Trajectory, TrajectoryFeatures, concat_trajectories, continue_reaches_goal,
-                        extract_features, lane_macros, macro_table, roll_chain)
-from .scenario import Goal, RoadLayout, Scenario, VehicleState, goal_contains, locate
+                        extract_features, goal_entry, lane_macros, macro_table, roll_chain)
+from .scenario import Goal, RoadLayout, Scenario, VehicleState, locate
 
 ENUMERATION_DEPTH = 3
 
@@ -192,8 +195,8 @@ def goal_posterior(observed: Trajectory, goals: tuple[Goal, ...],
             continue
         # Goal entry is first looked for on the prefix, once per goal, and
         # past it only in each plan's own states.
-        entry = next((k for k in range(len(observed)) if goal_contains(
-            layout, goal, float(observed.xs[k]), float(observed.ys[k]))), len(observed))
+        entry = goal_entry(observed, goal, layout)
+        entry = len(observed) if entry is None else entry
         r_hat = max(plan_reward(extract_features(concat_trajectories([observed, c.trajectory]),
                                                  goal, layout, start=entry))
                     for c in tail_plans)
@@ -212,6 +215,17 @@ def goal_posterior(observed: Trajectory, goals: tuple[Goal, ...],
 # --- whole-scenario prediction -------------------------------------------------
 
 
+def choice_table(probs) -> list[float]:
+    """The cumulative table `Generator.choice(len(probs), p=probs)` draws from:
+    choice's index is the table's `bisect_right` of one `rng.random()`. Raises
+    ValueError, as choice does, unless the probabilities are non-negative and
+    sum to 1 within sqrt(float64 eps)."""
+    cdf = list(itertools.accumulate(float(p) for p in probs))
+    if not cdf or min(probs) < 0.0 or not abs(math.fsum(probs) - 1.0) <= 2.0 ** -26:
+        raise ValueError(f"{list(probs)} is not a probability vector")
+    return [c / cdf[-1] for c in cdf]
+
+
 @dataclass(frozen=True)
 class VehiclePrediction:
     vehicle_id: str
@@ -219,11 +233,20 @@ class VehiclePrediction:
     posterior: GoalPosterior
     options: dict[int, tuple[TrajectoryOption, ...]]  # goal index -> options
 
+    @functools.cached_property
+    def _tables(self) -> tuple[list[float], dict[int, list[float]]]:
+        """The goal table and each goal's option table (`choice_table`)."""
+        return choice_table(self.posterior.probs), {
+            g: choice_table([o.probability for o in opts]) for g, opts in self.options.items()
+            if opts}
+
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        g = int(rng.choice(len(self.posterior.goals), p=np.asarray(self.posterior.probs)))
-        opts = self.options[g]
-        k = int(rng.choice(len(opts), p=np.asarray([o.probability for o in opts])))
-        return g, k
+        """A goal, then one of its options, drawn as `Generator.choice` draws
+        them from the same generator, from `rng.random()` and tables built on
+        the first draw."""
+        goals, options = self._tables
+        g = bisect.bisect_right(goals, rng.random())
+        return g, bisect.bisect_right(options[g], rng.random())
 
 
 @dataclass(frozen=True)

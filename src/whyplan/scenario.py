@@ -6,6 +6,7 @@ Scenario files are JSON with top-level keys `layout.lanes[]`,
 load; sampling takes an explicit seed and is pure.
 """
 
+import functools
 import json
 import os
 import sys
@@ -199,10 +200,32 @@ def goal_tolerance(layout: RoadLayout, goal: Goal) -> float:
 
 
 def goal_contains(layout: RoadLayout, goal: Goal, x: float, y: float) -> bool:
-    """True when (x, y) falls inside the goal's arc interval and tolerance."""
+    """True when (x, y) falls inside the goal's arc interval and tolerance.
+    Loops over many points test `goal_box` first, which saves the projection."""
     lane = layout.lanes[goal.lane]
     s, _, dist = lane.midline.project((x, y))
     return goal.start_s - 1e-9 <= s <= goal.end_s + 1e-9 and dist <= goal_tolerance(layout, goal)
+
+
+@functools.lru_cache(maxsize=256)
+def goal_box(layout: RoadLayout, goal: Goal
+             ) -> tuple[tuple[float, float, float, float], frozenset[str]]:
+    """A box (x_lo, x_hi, y_lo, y_hi) around every point `goal_contains` accepts,
+    and the lanes whose midline meets it: the goal lane's midline over the goal
+    interval, widened by the tolerance and a pad far above a projection's
+    rounding, so testing it first changes no answer."""
+    mid = layout.lanes[goal.lane].midline
+    lo, hi = goal.start_s - 1e-9, goal.end_s + 1e-9
+    pts = np.asarray([mid.point_at(lo), mid.point_at(hi)]
+                     + [p for p, s in zip(mid.pts, mid.cum_s) if lo <= s <= hi])
+    tol = goal_tolerance(layout, goal)
+    pad = tol + 1e-6 * (1.0 + tol + mid.length + float(np.abs(mid.pts).max()))
+    x_lo, y_lo = (pts.min(axis=0) - pad).tolist()
+    x_hi, y_hi = (pts.max(axis=0) + pad).tolist()
+    lanes = frozenset(lane.id for lane in layout.lanes.values()
+                      if np.all(lane.midline.pts.min(axis=0) <= (x_hi, y_hi))
+                      and np.all(lane.midline.pts.max(axis=0) >= (x_lo, y_lo)))
+    return (x_lo, x_hi, y_lo, y_hi), lanes
 
 
 def locate(layout: RoadLayout, position, margin: float = OFFROAD_MARGIN_M

@@ -14,12 +14,19 @@ For car following, traffic answers with the other vehicles already projected
 onto the stepping vehicle's path. One search's rollouts replay a handful of
 predicted options from the same root state, so the same (path, option, step)
 projections recur across joint samples; `FixedTraffic` reads them from the
-search's `ProjectionTable`, which computes each once.
+search's `ProjectionTable`, which computes each once and also holds each
+option's trajectory as float lists. The car-following leader rule
+(`maneuvers._car_follow_limit`) reads the table entries in one pass, and the
+rollout step projects onto the goal lane only inside the goal's box
+(`scenario.goal_box`).
 """
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
+from operator import getitem
 
 import numpy as np
 
@@ -27,8 +34,8 @@ from .errors import InapplicableMacroError
 from .geometry import Polyline
 from .maneuvers import (COLLISION_RADIUS, CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S, ChainStepper,
                         Trajectory, _GiveWaySegment, expand_macro)
-from .scenario import (JointState, RoadLayout, Scenario, VehicleState, goal_contains,
-                       locate)
+from .scenario import (JointState, RoadLayout, Scenario, VehicleState, goal_box,
+                       goal_contains, locate)
 
 
 @functools.lru_cache(maxsize=32)
@@ -70,32 +77,48 @@ def giveway_clear(layout: RoadLayout, seg: _GiveWaySegment, windows) -> bool:
     return True
 
 
-def _project_peer(path: Polyline, track: tuple, k: int) -> tuple[float, float, float]:
-    """(s, lateral, speed) of a `FixedTraffic` track's state k on the path."""
-    _, xs, ys, vs, _ = track
-    s, lat, _ = path.project((xs[k], ys[k]))
-    return s, lat, vs[k]
+class _PeerSteps(dict):
+    """One option's car-following answers on one path: step -> (s, lateral,
+    speed), each projected on first use. A step past the option's last state
+    answers as that state, which is projected once."""
+
+    def __init__(self, path: Polyline, track: tuple):
+        super().__init__()
+        self.path, self.track = path, track
+
+    def __missing__(self, t: int) -> tuple[float, float, float]:
+        _, xs, ys, vs, last = self.track
+        if t > last:
+            hit = self[last]
+        else:
+            s, lat, _ = self.path.project((xs[t], ys[t]))
+            hit = (s, lat, vs[t])
+        self[t] = hit
+        return hit
 
 
 class ProjectionTable:
-    """The car-following projections of one search, each computed once.
+    """The car-following projections of one search, each computed once, and
+    each predicted option's float track.
 
-    Peer entries are keyed by path content, predicted option (vehicle, goal
-    index, trajectory index) and step clamped to the trajectory's end, and
-    hold (s, lateral, speed); ego entries are keyed by path content and
-    (x, y), and hold (s, lateral). Segment paths are rebuilt for every
-    rollout segment, so paths are keyed by their points, not by identity.
-    Every entry is the `Polyline.project` answer for the same floats, so
-    reading it changes no result. `FixedTraffic` fills entries on first use;
-    they live as long as the table, which `run_mcts` makes per search.
+    Peer entries are keyed by path content and predicted option (vehicle,
+    goal index, trajectory index) and map a step to (s, lateral, speed); ego
+    entries are keyed by path content and (x, y), and hold (s, lateral).
+    Segment paths are rebuilt for every rollout segment, so paths are keyed
+    by their points, not by identity. Every entry is the `Polyline.project`
+    answer for the same floats, so reading it changes no result.
+    `FixedTraffic` fills entries on first use; they live as long as the
+    table, which `run_mcts` makes per search.
     """
 
     def __init__(self):
         self._paths: dict[bytes, tuple[dict, dict]] = {}
+        # option -> (vehicle id, xs, ys, speeds as float lists, last index)
+        self.tracks: dict[tuple, tuple] = {}
 
     def entries(self, path: Polyline) -> tuple[dict, dict]:
-        """The path's peer entries, option -> {step: (s, lateral, speed)}, and
-        its ego entries, (x, y) -> (s, lateral)."""
+        """The path's peer entries, option -> `_PeerSteps`, and its ego
+        entries, (x, y) -> (s, lateral)."""
         entries = self._paths.get(path.content_key)
         if entries is None:
             entries = self._paths[path.content_key] = ({}, {})
@@ -106,20 +129,24 @@ class FixedTraffic:
     """Non-ego vehicles following fixed, pre-sampled trajectories.
 
     Given the search's `table` and the `assignment` (vehicle id -> (goal
-    index, trajectory index)) the trajectories were drawn by, car following
-    reads its projections from the table; without a table it projects
-    directly.
+    index, trajectory index)) the trajectories were drawn by, the traffic
+    shares its tracks and car-following projections with every other sample
+    of the search; without them it keeps its own table.
     """
 
     def __init__(self, layout: RoadLayout, trajectories: dict[str, Trajectory],
                  table: ProjectionTable | None = None, assignment: dict | None = None):
         self.layout = layout
         self.trajectories = trajectories
-        self._table = table
-        self._assignment = assignment
-        # Per vehicle (id, xs, ys, speeds, last index), as floats for the step to read.
-        self._tracks = [(vid, traj.xs.tolist(), traj.ys.tolist(), traj.speeds.tolist(),
-                         len(traj.xs) - 1) for vid, traj in trajectories.items()]
+        self._table = table if table is not None else ProjectionTable()
+        self._options = [(vid, *assignment[vid]) if assignment is not None else (vid,)
+                         for vid in trajectories]
+        tracks = self._table.tracks
+        for option, traj in zip(self._options, trajectories.values()):
+            if option not in tracks:
+                tracks[option] = (option[0], traj.xs.tolist(), traj.ys.tolist(),
+                                  traj.speeds.tolist(), len(traj.xs) - 1)
+        self._tracks = [tracks[option] for option in self._options]
         # The path whose table entries are bound; held, so `is` cannot match
         # a later path that reuses its address.
         self._path = None
@@ -130,35 +157,24 @@ class FixedTraffic:
     def _bind(self, path: Polyline) -> None:
         """Find the path's entries once: a segment asks along one path for many steps."""
         by_option, self._ego_at = self._table.entries(path)
-        self._peer_at = [(by_option.setdefault((track[0], *self._assignment[track[0]]), {}),
-                          track) for track in self._tracks]
+        self._steps = [by_option.setdefault(option, _PeerSteps(path, track))
+                       for option, track in zip(self._options, self._tracks)]
         self._path = path
 
     def projected(self, path: Polyline, x: float, y: float, t: int
-                  ) -> tuple[float, float, list[tuple[float, float, float]]] | None:
-        """(s, lateral) of (x, y) and every vehicle's (s, lateral, speed) at step
-        t on the path; None with no vehicles."""
-        if not self.trajectories:
+                  ) -> tuple[float, float, Iterator[tuple[float, float, float]]] | None:
+        """(s, lateral) of (x, y) on the path and an iterator, read once, over
+        every vehicle's (s, lateral, speed) there at step t; None with no
+        vehicles."""
+        if not self._tracks:
             return None
-        if self._table is None:
-            s, lat, _ = path.project((x, y))
-            return s, lat, [_project_peer(path, track, min(t, track[4]))
-                            for track in self._tracks]
         if path is not self._path:
             self._bind(path)
-        peers = []
-        for at, track in self._peer_at:
-            last = track[4]
-            k = t if t < last else last
-            hit = at.get(k)
-            if hit is None:
-                hit = at[k] = _project_peer(path, track, k)
-            peers.append(hit)
         key = (x, y)
         me = self._ego_at.get(key)
         if me is None:
             me = self._ego_at[key] = path.project(key)[:2]
-        return me[0], me[1], peers
+        return me[0], me[1], map(getitem, self._steps, repeat(t))
 
     def collider(self, x: float, y: float, t: int) -> str | None:
         """The first vehicle whose disc overlaps one at (x, y) at step t."""
@@ -227,15 +243,18 @@ def simulate_step(scenario: Scenario, state: JointState, macro: str,
     (disc overlap), ego goal reached (done). A check that ends the macro
     leaves the state it fired on as the trajectory's last.
     """
-    ego_id, layout = scenario.ego_id, scenario.layout
+    ego_id, layout, goal = scenario.ego_id, scenario.layout, scenario.ego_goal
+    (x_lo, x_hi, y_lo, y_hi), _ = goal_box(layout, goal)
     me = state.vehicles[ego_id]
     ego = ChainStepper(me, layout, scenario.dt, scenario.target_speed,
                        expand_macro(macro, me, layout))
     for t in range(state.t, scenario.horizon):
         if ego.segment() is None:
             break
-        collider = traffic.collider(ego.x, ego.y, t)
-        if collider is not None or goal_contains(layout, scenario.ego_goal, ego.x, ego.y):
+        x, y = ego.x, ego.y
+        collider = traffic.collider(x, y, t)
+        if collider is not None or (x_lo <= x <= x_hi and y_lo <= y <= y_hi
+                                    and goal_contains(layout, goal, x, y)):
             outcome = "done" if collider is None else "collision"
             return MacroStepResult(None, outcome, collider, ego.trajectory(), ego.steps)
         ego.step(traffic, t)

@@ -464,6 +464,13 @@ MALFORMED_RUN_VALUES = {
                                  lambda pred: _first_option(pred).update(macros=5)),
     "negative-goal-probability": ("predictions.json",
                                   lambda pred: _first_vehicle(pred)["goals"].update({"0": -0.5})),
+    "collider-a-list": ("tracelog.json", lambda log: log[0].update(collider=["v1"])),
+    "macros-nested-list": ("tracelog.json", lambda log: log[0].update(macros=[["Continue"]])),
+    "macros-not-names": ("tracelog.json", lambda log: log[0].update(macros=[7])),
+    "steps-a-string": ("tracelog.json", lambda log: log[0].update(steps="many")),
+    "reward-a-string": ("tracelog.json", lambda log: log[0].update(reward="high")),
+    "label-a-list": ("predictions.json",
+                     lambda pred: _first_vehicle(pred).update(label=["the car"])),
 }
 
 

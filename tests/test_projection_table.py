@@ -23,6 +23,12 @@ DENSE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "scenar
                      "dense.json")
 
 
+def answered(traffic, path, x, y, t):
+    """`FixedTraffic.projected` with its peers, an iterator read once, as a list."""
+    s, lat, peers = traffic.projected(path, x, y, t)
+    return s, lat, list(peers)
+
+
 def ref_peer(path, traj, t):
     k = min(t, len(traj.xs) - 1)
     s, lat, _ = path.project((float(traj.xs[k]), float(traj.ys[k])))
@@ -115,9 +121,9 @@ def test_table_answers_equal_direct_projection(session):
                 del path  # the rebuilt path may reuse the freed object
                 path = build(spec)
             want = (*path.project((x, y))[:2], [ref_peer(path, trajs[v], t) for v in chosen])
-            assert traffic.projected(path, x, y, t) == want
+            assert answered(traffic, path, x, y, t) == want
             # Reading the entries again answers the same.
-            assert traffic.projected(path, x, y, t) == want
+            assert answered(traffic, path, x, y, t) == want
 
 
 def test_rebuilt_path_with_equal_points_is_answered_without_projecting(monkeypatch):
@@ -126,13 +132,13 @@ def test_rebuilt_path_with_equal_points_is_answered_without_projecting(monkeypat
                       headings=np.zeros(2), speeds=np.array([5.0, 5.0]))
     table = ProjectionTable()
     first = FixedTraffic(None, {"v1": traj}, table, {"v1": (0, 0)})
-    want = first.projected(Polyline(pts), 1.0, 2.0, 7)
+    want = answered(first, Polyline(pts), 1.0, 2.0, 7)
 
     calls = []
     monkeypatch.setattr(Polyline, "project", lambda self, p: calls.append(p))
     again = FixedTraffic(None, {"v1": traj}, table, {"v1": (0, 0)})
     # Step 9 clamps to the same last state as step 7.
-    assert again.projected(Polyline(pts), 1.0, 2.0, 9) == want
+    assert answered(again, Polyline(pts), 1.0, 2.0, 9) == want
     assert calls == []
 
 
