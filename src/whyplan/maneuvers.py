@@ -404,7 +404,7 @@ class _Segment:
 
     def advance_dist(self, dist: float) -> tuple[float, float, float, float]:
         left = self.path.length - self.s
-        used = left if left < dist else dist  # min(dist, left), as a comparison
+        used = left if left < dist else dist  # min(dist, left) without the builtin call
         self.s += used
         x, y, _, _, heading = self.path.frame_at(self.s)
         if used > 1e-9:

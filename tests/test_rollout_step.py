@@ -87,7 +87,8 @@ def edge_points(layout, goal):
         for turn in (0.0, math.pi / 4, -math.pi / 4, math.pi / 2):
             ux = out * math.cos(heading + turn)
             uy = out * math.sin(heading + turn)
-            points += [(x + tol * f * ux, y + tol * f * uy) for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+            points += [(x + tol * f * ux, y + tol * f * uy)
+                       for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
     return points
 
 
