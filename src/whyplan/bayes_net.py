@@ -11,7 +11,9 @@ so queries never touch never-realized presence patterns.
 The model is immutable after build, so what a query reads is computed once
 per model: CPD counts in one pass per (sample, trace) signature, each node's
 reward means when the build ends, and the rows matching an evidence, with
-their total weight, the first time that evidence is asked.
+their total weight, the first time that evidence is asked. The build reads
+each `TraceRecord` once, and sorts each distinct joint sample into its key
+once, finding it by the assignment's items.
 """
 
 from dataclasses import dataclass, field
@@ -96,17 +98,24 @@ class BnModel:
     def _build_counts(self) -> None:
         # Records that share a (sample, trace) signature walk the same CPD
         # keys, so each signature walks them once and adds its record count.
+        # A record holds exactly the components its outcome requires.
         members: dict = {}  # (akey, omega) -> [record index], first-seen order
+        akeys: dict = {}  # assignment items -> sorted assignment key
+        nodes = self.nodes
         for rec in self.trace_log:
-            members.setdefault((rec.assignment_key(), rec.macros), []).append(rec.index)
-            node = self.nodes.get(rec.macros)
+            items = tuple(rec.assignment.items())
+            akey = akeys.get(items)
+            if akey is None:
+                akey = akeys[items] = rec.assignment_key()
+            omega, outcome, components = rec.macros, rec.outcome, rec.components
+            members.setdefault((akey, omega), []).append(rec.index)
+            node = nodes.get(omega)
             if node is None:
-                node = self.nodes[rec.macros] = _NodeStats()
+                node = nodes[omega] = _NodeStats()
             node.total += 1
-            for comp, val in rec.components.items():
-                if val is not None:
-                    node.values[comp].append(float(val))
-            node.outcomes[rec.outcome] = node.outcomes.get(rec.outcome, 0) + 1
+            for comp in OUTCOME_REQUIRED[outcome]:
+                node.values[comp].append(float(components[comp]))
+            node.outcomes[outcome] = node.outcomes.get(outcome, 0) + 1
             if rec.collider is not None:
                 node.colliders[rec.collider] = node.colliders.get(rec.collider, 0) + 1
         for node in self.nodes.values():

@@ -56,9 +56,12 @@ class Polyline:
         seg_len = np.linalg.norm(seg, axis=1)
         self.cum_s = np.concatenate([[0.0], np.cumsum(seg_len)]).tolist()
         self.length = self.cum_s[-1]
-        # One row of plain floats per segment: (ax, ay, dx, dy, len^2, len, s_start).
-        self._rows = list(zip(*self.pts[:-1].T.tolist(), *seg.T.tolist(),
-                              (seg_len ** 2).tolist(), seg_len.tolist(), self.cum_s[:-1]))
+        # One row of plain floats per segment: (ax, ay, dx, dy, len^2, len,
+        # s_start, then the unit left normal and the heading `frame_at` returns).
+        self._rows = [(ax, ay, dx, dy, l2, sl, cs, -(dy / sl), dx / sl, math.atan2(dy, dx))
+                      for ax, ay, dx, dy, l2, sl, cs in zip(
+                          *self.pts[:-1].T.tolist(), *seg.T.tolist(),
+                          (seg_len ** 2).tolist(), seg_len.tolist(), self.cum_s[:-1])]
         # Scalar fast path for the ubiquitous straight, two-point midline.
         self._simple = len(seg) == 1
         if self._simple:
@@ -72,27 +75,25 @@ class Polyline:
 
     def _segment_index(self, s: float) -> int:
         idx = bisect.bisect_right(self.cum_s, s) - 1
-        return min(max(idx, 0), len(self._rows) - 1)
+        return 0 if idx < 0 else (idx if idx < len(self._rows) else len(self._rows) - 1)
 
     def point_at(self, s: float) -> np.ndarray:
         """Point at arc length s, clamped to [0, length]."""
-        s = min(max(s, 0.0), self.length)
-        ax, ay, dx, dy, _, sl, cs = self._rows[self._segment_index(s)]
-        t = (s - cs) / sl
-        return np.array([ax + t * dx, ay + t * dy])
+        return np.array(self.frame_at(s)[:2])
 
     def heading_at(self, s: float) -> float:
-        row = self._rows[self._segment_index(min(max(s, 0.0), self.length))]
-        return math.atan2(row[3], row[2])
+        return self.frame_at(s)[4]
 
     def frame_at(self, s: float) -> tuple[float, float, float, float, float]:
         """(x, y, nx, ny, heading) at arc length s, clamped to [0, length], as
         floats from one segment lookup: the point, the unit left normal of its
-        segment and that segment's heading."""
-        s = min(max(s, 0.0), self.length)
-        ax, ay, dx, dy, _, sl, cs = self._rows[self._segment_index(s)]
+        segment and that segment's heading, both built with the polyline."""
+        # min(max(s, 0.0), length) as comparisons, with the same NaN and -0.0.
+        s = 0.0 if s < 0.0 else (self.length if self.length < s else s)
+        ax, ay, dx, dy, _, sl, cs, nx, ny, heading = self._rows[
+            0 if self._simple else self._segment_index(s)]
         t = (s - cs) / sl
-        return ax + t * dx, ay + t * dy, -(dy / sl), dx / sl, math.atan2(dy, dx)
+        return ax + t * dx, ay + t * dy, nx, ny, heading
 
     def project(self, point) -> tuple[float, float, float]:
         """Project a point onto the polyline.
@@ -127,7 +128,7 @@ class Polyline:
                 dist, best, tb, ox, oy = d, row, t, rx, ry
         if best is None:  # non-finite point: every distance is NaN
             return math.nan, math.nan, math.nan
-        _, _, dx, dy, _, sl, cs = best
+        _, _, dx, dy, _, sl, cs = best[:7]
         s = cs + tb * sl
         lateral = (dx / sl) * oy - (dy / sl) * ox
         # Preserve the sign convention even when the point is off the ends.

@@ -415,7 +415,8 @@ class _Segment:
 def _envelope(remaining: float, end_speed: float, cruise: float, brake: float) -> float:
     if remaining <= 0.0:
         return end_speed
-    return min(cruise, math.sqrt(end_speed * end_speed + 2.0 * brake * remaining))
+    v = math.sqrt(end_speed * end_speed + 2.0 * brake * remaining)
+    return v if v < cruise else cruise  # min(cruise, v), ties and NaN included
 
 
 class _FollowSegment(_Segment):
@@ -431,7 +432,7 @@ class _FollowSegment(_Segment):
         if self._hold:
             if self._entry_v is None:
                 self._entry_v = max(v, self.end_speed)
-            cruise = min(self.cruise, self._entry_v)
+            cruise = self._entry_v if self._entry_v < self.cruise else self.cruise
             brake = BRAKE_APPROACH
         else:
             cruise = self.cruise

@@ -14,6 +14,7 @@ the same as without it.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,12 +107,14 @@ def components_for(outcome: str, traj: Trajectory, goal, layout) -> dict:
     return comps
 
 
+_REQUIRED_SETS = {kind: frozenset(required) for kind, required in OUTCOME_REQUIRED.items()}
+
+
 def check_components(outcome: str, comps: dict) -> None:
-    required = OUTCOME_REQUIRED[outcome]
     present = {c for c, v in comps.items() if v is not None}
-    if set(required) != present:
-        raise ScenarioValidationError(
-            f"outcome {outcome!r} requires exactly components {required}, got {sorted(present)}")
+    if present != _REQUIRED_SETS[outcome]:
+        raise ScenarioValidationError(f"outcome {outcome!r} requires exactly components "
+                                      f"{OUTCOME_REQUIRED[outcome]}, got {sorted(present)}")
 
 
 def terminal_reward(traj: Trajectory, outcome: str, reward_config: RewardConfig,
@@ -125,10 +128,7 @@ def terminal_reward(traj: Trajectory, outcome: str, reward_config: RewardConfig,
     return float(scalar), comps
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """Everything one MCTS iteration decided and observed."""
-
+class _TraceFields(NamedTuple):
     index: int
     assignment: dict  # vehicle id -> (goal index, trajectory index)
     macros: tuple[str, ...]
@@ -138,10 +138,25 @@ class TraceRecord:
     reward: float
     steps: int
 
-    def __post_init__(self):
-        if self.outcome not in OUTCOME_KINDS:
-            raise ScenarioValidationError(f"unknown outcome {self.outcome!r}")
-        check_components(self.outcome, self.components)
+
+class TraceRecord(_TraceFields):
+    """Everything one MCTS iteration decided and observed.
+
+    A named tuple, so that a search or `load_run` builds a record as cheaply
+    as a tuple, with no per-instance `__dict__` for the garbage collector to
+    track; fields are read-only and records compare equal field by field. The
+    constructor rejects an unknown outcome or components that do not fit it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, assignment: dict, macros: tuple[str, ...], components: dict,
+                outcome: str, collider: str | None, reward: float, steps: int):
+        if outcome not in OUTCOME_KINDS:
+            raise ScenarioValidationError(f"unknown outcome {outcome!r}")
+        check_components(outcome, components)
+        return tuple.__new__(cls, (index, assignment, macros, components, outcome, collider,
+                                   reward, steps))
 
     def assignment_key(self) -> tuple:
         return _assignment_key(self.assignment)

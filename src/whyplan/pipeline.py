@@ -135,9 +135,10 @@ def explain_query(model: BnModel, plan: tuple[str, ...], reward: RewardConfig,
 
 
 def _dump(path: str, payload) -> None:
+    # One write: json.dump would make one per token, for the same bytes.
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def file_sha256(path) -> str:
@@ -240,36 +241,71 @@ def _macros(value, where: tuple) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _check_trace_log(records: list[TraceRecord], traj_probs: dict, d_max: int) -> None:
-    """Records indexed 0..n-1, no deeper than max_depth, each sampling one of
-    the options `predictions.json` lists for every vehicle it predicts."""
-    if [rec.index for rec in records] != list(range(len(records))):
-        raise RunDirectoryError("tracelog.json indices are not 0, 1, ..., n-1 in order")
-    options = {(vid, gs) for vid, opts in traj_probs.items() for gs in opts}
-    for rec in records:
-        if len(rec.macros) > d_max:
-            raise RunDirectoryError(f"tracelog.json record {rec.index} has {len(rec.macros)} "
-                                    f"macros, more than max_depth {d_max} in run.json")
-        # Keys are distinct, so this covers each predicted vehicle exactly once.
-        if len(rec.assignment) != len(traj_probs) or not options.issuperset(
-                rec.assignment.items()):
-            raise RunDirectoryError(f"tracelog.json record {rec.index} samples "
-                                    f"{sorted(rec.assignment.items())}, which are not "
-                                    f"options listed in predictions.json")
+_RECORD = "tracelog.json record"
+
+
+def _trace_records(raw_log, traj_probs: dict, d_max) -> list[TraceRecord]:
+    """`tracelog.json` as records, in the one checking pass `load_run` describes."""
+    options = {(vid, gs): gs for vid, opts in traj_probs.items() for gs in opts}
+    shared: dict = {}  # macro tuple -> itself, once its names and depth are checked
+    records = []
+    for i, r in enumerate(raw_log):
+        index, assignment, raw_macros = r["index"], r["assignment"], r["macros"]
+        if index != i:
+            raise RunDirectoryError("tracelog.json indices are not 0, 1, ..., n-1 in order")
+        found = 0
+        for vid, gs in assignment.items():
+            option = options.get((vid, tuple(gs)))  # TypeError if gs is not iterable
+            if option is not None:
+                assignment[vid] = option
+                found += 1
+        if found != len(assignment) or found != len(traj_probs):
+            sample = sorted({vid: tuple(gs) for vid, gs in assignment.items()}.items())
+            raise RunDirectoryError(f"{_RECORD} {i} samples {sample}, which are not options "
+                                    f"listed in predictions.json")
+        macros = shared.get(tuple(raw_macros)) if type(raw_macros) is list else None
+        if macros is None:
+            macros = _macros(raw_macros, (_RECORD, i, "macros"))
+            if len(macros) > d_max:
+                raise RunDirectoryError(f"{_RECORD} {i} has {len(macros)} macros, more than "
+                                        f"max_depth {d_max} in run.json")
+            shared[macros] = macros
+        components = r["components"]
+        for k, v in components.items():
+            # v - v is 0.0 for a finite float, NaN for an infinite or NaN one.
+            if v is not None and (type(v) is not float or v - v != 0.0):
+                _number(v, (_RECORD, i, "component", k))
+        collider, reward, steps = r["collider"], r["reward"], r["steps"]
+        if collider is not None and type(collider) is not str:
+            _typed(collider, (str,), (_RECORD, i, "collider"), "a vehicle id or null")
+        if type(reward) is not float or reward - reward != 0.0:
+            _number(reward, (_RECORD, i, "reward"))
+        if type(steps) is not int:
+            _typed(steps, (int,), (_RECORD, i, "steps"), "an integer")
+        records.append(TraceRecord(index=i, assignment=assignment, macros=macros,
+                                   components=components, outcome=r["outcome"],
+                                   collider=collider, reward=reward, steps=steps))
+    return records
 
 
 def load_run(run_dir: str) -> LoadedRun:
     """Rebuild the model from persisted artifacts, without re-planning.
 
-    Raises RunDirectoryError when the directory or an artifact is missing or
-    unreadable, is not JSON, or lacks an entry the model is built from or
-    holds a malformed value (`RewardConfig` and `TraceRecord` reject it, a
-    component, reward or probability is not a number, a probability lies
-    outside [0, 1], macros are not a list of macro names, or a collider,
-    step count or label has the wrong JSON type),
-    when `run.json` lacks `format_version` or has another than
-    RUN_FORMAT_VERSION, and when the trace log disagrees with `run.json` or
-    `predictions.json` (see `_check_trace_log`).
+    Reads `run.json` and `predictions.json`, then checks each `tracelog.json`
+    record in one pass with inline type tests (`_number`, `_typed` and
+    `_macros` run only to raise for a value that fails): its index is its
+    position; components and reward are finite numbers; macros are macro
+    names, at most `max_depth`; the collider is a string or null, steps an
+    integer; outcome and components fit (`TraceRecord`); and it samples an
+    option `predictions.json` lists for each predicted vehicle. Decoded
+    values are kept: assignment values become their options' shared tuples,
+    and records with equal macros share one tuple.
+
+    Raises RunDirectoryError for any such fault, when the directory or an
+    artifact is missing, unreadable or not JSON, when an entry is missing,
+    when `RewardConfig` rejects the weights, a probability is not a number in
+    [0, 1], option macros are not macro names or a label is not a string, and
+    when `format_version` is missing or not RUN_FORMAT_VERSION.
     """
     if not os.path.isdir(run_dir):
         raise RunDirectoryError(f"run directory {run_dir} does not exist")
@@ -280,23 +316,6 @@ def load_run(run_dir: str) -> LoadedRun:
         if version != RUN_FORMAT_VERSION:
             raise RunDirectoryError(f"{os.path.join(run_dir, 'run.json')} has format_version "
                                     f"{version!r}; this version reads {RUN_FORMAT_VERSION}")
-        records = [
-            TraceRecord(
-                index=r["index"],
-                assignment={vid: tuple(gs) for vid, gs in r["assignment"].items()},
-                macros=_macros(r["macros"], ("tracelog.json record", i, "macros")),
-                components={k: v if v is None else
-                            _number(v, ("tracelog.json record", i, "component", k))
-                            for k, v in r["components"].items()},
-                outcome=r["outcome"],
-                collider=_typed(r["collider"], (str, type(None)),
-                                ("tracelog.json record", i, "collider"), "a vehicle id or null"),
-                reward=_number(r["reward"], ("tracelog.json record", i, "reward")),
-                steps=_typed(r["steps"], (int,), ("tracelog.json record", i, "steps"),
-                             "an integer"),
-            )
-            for i, r in enumerate(raw_log)
-        ]
         goal_probs, traj_probs, traj_macros, labels = {}, {}, {}, {}
         for vid, d in raw_pred.items():
             labels[vid] = _typed(d["label"], (str,), ("predictions.json", vid, "label"),
@@ -312,8 +331,9 @@ def load_run(run_dir: str) -> LoadedRun:
                                                                     "option", key, "macros"))
         reward = RewardConfig(weights=meta["reward_weights"])
         plan, d_max = tuple(meta["plan"]), meta["max_depth"]
-        _check_trace_log(records, traj_probs, d_max)
-    except (KeyError, TypeError, ValueError, AttributeError, ScenarioValidationError) as exc:
+        records = _trace_records(raw_log, traj_probs, d_max)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            ScenarioValidationError) as exc:
         raise RunDirectoryError(f"malformed run directory {run_dir}: "
                                 f"{type(exc).__name__} {exc}") from exc
     model = build_bn(records, goal_probs, traj_probs, d_max,

@@ -234,7 +234,7 @@ def locate(layout: RoadLayout, position, margin: float = OFFROAD_MARGIN_M
 
     Returns (lane id, arc length of the foot point, signed lateral offset,
     left positive). Raises OffRoadError when the nearest offset exceeds that
-    lane's half width plus `margin`.
+    lane's half width plus `margin`, or is NaN (a non-finite position).
     """
     best = None
     for lane in layout.lanes.values():
@@ -242,7 +242,7 @@ def locate(layout: RoadLayout, position, margin: float = OFFROAD_MARGIN_M
         if best is None or dist < best[3]:
             best = (lane, s, lateral, dist)
     lane, s, lateral, dist = best
-    if dist > lane.width / 2.0 + margin:
+    if not dist <= lane.width / 2.0 + margin:  # a NaN distance is off-road too
         raise OffRoadError(
             f"position {tuple(float(v) for v in position)} is off-road: "
             f"{dist:.2f} m from lane {lane.id!r}")

@@ -440,44 +440,97 @@ def _first_option(pred):
     return options[sorted(options)[0]]
 
 
-def _misfit_components(log):
-    # A termination component on a record of another outcome, or a collision
-    # component on a termination record.
-    rec = log[0]
-    rec["components"]["collision" if rec["outcome"] == "termination" else "termination"] = 1.0
+def _rename_vehicle(log):
+    log[0]["assignment"]["v9"] = log[0]["assignment"].pop("v1")
 
 
-# Each edit puts one malformed value into a run directory artifact.
+NOT_OPTIONS = "which are not options listed in predictions.json"
+INDICES = "tracelog.json indices are not 0, 1, ..., n-1 in order"
+MALFORMED = "malformed run directory {out}: "
+
+# Each edit puts one malformed value into an artifact of the mini run at seed 3
+# (record 0 is a "done" record sampling v1's option 0/0; v1's first option is
+# 0/0), and `explain` must exit 7 with exactly this message ({out} is the run
+# directory).
 MALFORMED_RUN_VALUES = {
-    "positive-collision-weight": ("run.json",
-                                  lambda run: run["reward_weights"].update(collision=5.0)),
-    "missing-reward-weight": ("run.json", lambda run: run["reward_weights"].pop("jerk")),
-    "unknown-outcome": ("tracelog.json", lambda log: log[0].update(outcome="crash")),
-    "components-misfit-outcome": ("tracelog.json", _misfit_components),
-    "non-numeric-component": ("tracelog.json", lambda log: next(
-        r for r in log if r["outcome"] == "done")["components"].update(time="fast")),
-    "non-numeric-option-p": ("predictions.json",
-                             lambda pred: _first_option(pred).update(p="high")),
-    "null-goal-probability": ("predictions.json",
-                              lambda pred: _first_vehicle(pred)["goals"].update({"0": None})),
-    "option-macros-not-a-list": ("predictions.json",
-                                 lambda pred: _first_option(pred).update(macros=5)),
-    "negative-goal-probability": ("predictions.json",
-                                  lambda pred: _first_vehicle(pred)["goals"].update({"0": -0.5})),
-    "collider-a-list": ("tracelog.json", lambda log: log[0].update(collider=["v1"])),
-    "macros-nested-list": ("tracelog.json", lambda log: log[0].update(macros=[["Continue"]])),
-    "macros-not-names": ("tracelog.json", lambda log: log[0].update(macros=[7])),
-    "steps-a-string": ("tracelog.json", lambda log: log[0].update(steps="many")),
-    "reward-a-string": ("tracelog.json", lambda log: log[0].update(reward="high")),
-    "label-a-list": ("predictions.json",
-                     lambda pred: _first_vehicle(pred).update(label=["the car"])),
+    "positive-collision-weight": (
+        "run.json", lambda run: run["reward_weights"].update(collision=5.0),
+        MALFORMED + "ScenarioValidationError reward weight collision must be negative"),
+    "missing-reward-weight": (
+        "run.json", lambda run: run["reward_weights"].pop("jerk"),
+        MALFORMED + "ScenarioValidationError reward weights must cover exactly ('time', "
+        "'jerk', 'angular_acceleration', 'curvature', 'collision', 'termination'); "
+        "missing ['jerk'], extra []"),
+    "unknown-outcome": (
+        "tracelog.json", lambda log: log[0].update(outcome="crash"),
+        MALFORMED + "ScenarioValidationError unknown outcome 'crash'"),
+    "components-misfit-outcome": (
+        "tracelog.json", lambda log: log[0].update(outcome="collision"),
+        MALFORMED + "ScenarioValidationError outcome 'collision' requires exactly components "
+        "('collision',), got ['angular_acceleration', 'curvature', 'jerk', 'time']"),
+    "non-numeric-component": (
+        "tracelog.json", lambda log: log[0]["components"].update(time="fast"),
+        "tracelog.json record 0 component time is 'fast', not a finite number"),
+    "infinite-component": (
+        "tracelog.json", lambda log: log[0]["components"].update(time=float("inf")),
+        "tracelog.json record 0 component time is inf, not a finite number"),
+    "non-numeric-option-p": (
+        "predictions.json", lambda pred: _first_option(pred).update(p="high"),
+        "predictions.json v1 option 0/0 p is 'high', not a finite number in [0.0, 1.0]"),
+    "null-goal-probability": (
+        "predictions.json", lambda pred: _first_vehicle(pred)["goals"].update({"0": None}),
+        "predictions.json v1 goal 0 is None, not a finite number in [0.0, 1.0]"),
+    "option-macros-not-a-list": (
+        "predictions.json", lambda pred: _first_option(pred).update(macros=5),
+        "predictions.json v1 option 0/0 macros is 5, not a list of macro names"),
+    "negative-goal-probability": (
+        "predictions.json", lambda pred: _first_vehicle(pred)["goals"].update({"0": -0.5}),
+        "predictions.json v1 goal 0 is -0.5, not a finite number in [0.0, 1.0]"),
+    "collider-a-list": (
+        "tracelog.json", lambda log: log[0].update(collider=["v1"]),
+        "tracelog.json record 0 collider is ['v1'], not a vehicle id or null"),
+    "macros-nested-list": (
+        "tracelog.json", lambda log: log[0].update(macros=[["Continue"]]),
+        MALFORMED + "TypeError unhashable type: 'list'"),
+    "macros-not-names": (
+        "tracelog.json", lambda log: log[0].update(macros=[7]),
+        "tracelog.json record 0 macros is [7], not a list of macro names"),
+    "macros-deeper-than-max-depth": (
+        "tracelog.json", lambda log: log[0].update(macros=["Continue"] * 3),
+        "tracelog.json record 0 has 3 macros, more than max_depth 2 in run.json"),
+    "steps-a-string": (
+        "tracelog.json", lambda log: log[0].update(steps="many"),
+        "tracelog.json record 0 steps is 'many', not an integer"),
+    "reward-a-string": (
+        "tracelog.json", lambda log: log[0].update(reward="high"),
+        "tracelog.json record 0 reward is 'high', not a finite number"),
+    "reward-nan": (
+        "tracelog.json", lambda log: log[0].update(reward=float("nan")),
+        "tracelog.json record 0 reward is nan, not a finite number"),
+    "reward-too-large-for-a-float": (
+        "tracelog.json", lambda log: log[0].update(reward=10 ** 400),
+        MALFORMED + "OverflowError int too large to convert to float"),
+    "label-a-list": (
+        "predictions.json", lambda pred: _first_vehicle(pred).update(label=["the car"]),
+        "predictions.json v1 label is ['the car'], not a string"),
+    "unpredicted-vehicle": (
+        "tracelog.json", _rename_vehicle,
+        f"tracelog.json record 0 samples [('v9', (0, 0))], {NOT_OPTIONS}"),
+    "unsampled-vehicle": (
+        "tracelog.json", lambda log: log[0]["assignment"].pop("v1"),
+        f"tracelog.json record 0 samples [], {NOT_OPTIONS}"),
+    "unpredicted-option": (
+        "tracelog.json", lambda log: log[0]["assignment"].update(v1=[0, 99]),
+        f"tracelog.json record 0 samples [('v1', (0, 99))], {NOT_OPTIONS}"),
+    "duplicate-index": ("tracelog.json", lambda log: log[1].update(index=0), INDICES),
+    "gapped-index": ("tracelog.json", lambda log: log[1].update(index=len(log) + 5), INDICES),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RUN_VALUES))
 def test_malformed_run_value_exits_with_run_dir_code(mini_scenario_path, tmp_path, capsys,
                                                      case):
-    name, edit = MALFORMED_RUN_VALUES[case]
+    name, edit, message = MALFORMED_RUN_VALUES[case]
     out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
     path = os.path.join(out, name)
     payload = json.load(open(path))
@@ -485,7 +538,7 @@ def test_malformed_run_value_exits_with_run_dir_code(mini_scenario_path, tmp_pat
     json.dump(payload, open(path, "w"))
     code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
     assert code == 7, err
-    assert "unexpected error" not in err
+    assert err == f"error: {message.format(out=out)}\n"
 
 
 @pytest.mark.parametrize("reindex", ["duplicate", "gap"])

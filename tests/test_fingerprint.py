@@ -6,13 +6,16 @@ seeds 0 and 1 and 60 MCTS iterations. dense is the one scenario whose rollouts
 differ per joint sample. A change that moves a hash changes planning or
 recognition behaviour, or the run-directory format, and must say why in
 CHANGES.md.
+
+Also checks that `load_run` rebuilds, from the run directory alone, the
+model the planning run built in memory.
 """
 
 import os
 
 import pytest
 
-from whyplan.pipeline import file_sha256, planner_config, run_pipeline, save_run
+from whyplan.pipeline import file_sha256, load_run, planner_config, run_pipeline, save_run
 from whyplan.scenario import load_scenario
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -51,3 +54,19 @@ def test_run_artifacts_match_pinned_sha256(tmp_path, name, seed):
     got = tuple(file_sha256(tmp_path / name)
                 for name in ("tracelog.json", "bn.json", "predictions.json"))
     assert got == PINNED[(name, seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_reloaded_model_equals_the_in_memory_model(tmp_path, name, seed):
+    path = SCENARIOS[name]
+    scenario = load_scenario(path)
+    pipe = run_pipeline(scenario, seed, planner=planner_config(scenario, seed, iterations=60))
+    save_run(str(tmp_path), path, pipe)
+    run = load_run(str(tmp_path))
+    assert run.plan == pipe.mcts.plan and run.reward == pipe.reward
+    got, want = run.model, pipe.model
+    assert got.trace_log == want.trace_log
+    for attr in ("sel", "reach", "support", "nodes", "_signatures", "trace_weights", "rows",
+                 "omega_support"):
+        assert getattr(got, attr) == getattr(want, attr), attr

@@ -233,9 +233,30 @@ def test_invalid_trace_record_is_rejected():
     comps = {c: None for c in mcts_mod.REWARD_COMPONENTS}
     comps["collision"] = 1.0
     comps["time"] = 3.0  # collision excludes everything else
-    with pytest.raises(ScenarioValidationError):
+    with pytest.raises(ScenarioValidationError, match="requires exactly components"):
         TraceRecord(index=0, assignment={}, macros=("Continue",), components=comps,
                     outcome="collision", collider=None, reward=-100.0, steps=5)
+    with pytest.raises(ScenarioValidationError, match="unknown outcome 'crash'"):
+        TraceRecord(index=0, assignment={}, macros=("Continue",), components=comps,
+                    outcome="crash", collider=None, reward=-100.0, steps=5)
+
+
+def test_trace_record_is_a_read_only_value():
+    comps = {c: None for c in mcts_mod.REWARD_COMPONENTS}
+    comps["termination"] = 1.0
+    fields = dict(index=3, assignment={"v1": (0, 1)}, macros=("Continue", "Stop"),
+                  components=comps, outcome="termination", collider=None, reward=-50.0,
+                  steps=40)
+    rec = TraceRecord(**fields)
+    assert {name: getattr(rec, name) for name in fields} == fields
+    assert rec.assignment_key() == (("v1", 0, 1),)
+    assert rec == TraceRecord(**{**fields, "components": dict(comps)})
+    assert rec != TraceRecord(**{**fields, "steps": 41})
+    assert repr(rec).startswith("TraceRecord(index=3, assignment={'v1': (0, 1)}, ")
+    with pytest.raises(AttributeError):
+        rec.steps = 41
+    with pytest.raises(AttributeError):
+        rec.note = "x"  # no per-instance __dict__
 
 
 # --- simulate_step ---------------------------------------------------------------

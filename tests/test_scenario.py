@@ -240,6 +240,23 @@ def test_locate_off_road(mini_scenario):
         locate(mini_scenario.layout, (10.0, 60.0))
 
 
+NON_FINITE = [(math.nan, math.nan), (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+              (-math.inf, 0.0), (0.0, math.inf), (0.0, -math.inf), (math.inf, math.inf),
+              (-math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("path", [S1_PATH, "scenarios/s2.json", "benchmarks/scenarios/dense.json"])
+def test_locate_rejects_non_finite_positions(path):
+    layout = load_scenario(path).layout
+    for position in NON_FINITE:
+        with pytest.raises(OffRoadError, match="off-road"):
+            locate(layout, position)
+        if math.isnan(position[0]) or math.isnan(position[1]):
+            # A NaN distance is off-road even with no margin bound (give-way's call).
+            with pytest.raises(OffRoadError, match="off-road"):
+                locate(layout, position, margin=math.inf)
+
+
 def test_locate_round_trip(mini_scenario):
     rng = np.random.default_rng(0)
     lanes = list(mini_scenario.layout.lanes.values())
