@@ -86,7 +86,8 @@ def load_style(path: str | None = None) -> dict:
     """Default style, optionally overlaid with a JSON config file.
 
     The file may be given explicitly or through the WHYPLAN_STYLE environment
-    variable; top-level mapping keys merge entry-wise.
+    variable; top-level mapping keys merge entry-wise. The merged style must
+    have the defaults' shape (`_check_style`), else StyleError.
     """
     style = copy.deepcopy(DEFAULT_STYLE)
     path = path or os.environ.get(STYLE_ENV_VAR)
@@ -105,8 +106,30 @@ def load_style(path: str | None = None) -> dict:
                 style[key].update(value)
             else:
                 style[key] = value
-    _check_postprocess(style["postprocess"])
+    _check_style(style)
     return style
+
+
+def _check_style(style: dict) -> None:
+    """Every key is a default key and holds what its default holds: a table an
+    object of strings, a text entry a string, a `suppress_*` flag a boolean;
+    `cause_tense` is perfect or present, and the post-processing table holds
+    string pairs and is idempotent."""
+    unknown = sorted(set(style) - set(DEFAULT_STYLE))
+    if unknown:
+        raise StyleError(f"unknown style keys {unknown}")
+    for key, default in DEFAULT_STYLE.items():
+        value = style[key]
+        if isinstance(default, dict) and not (
+                isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
+            raise StyleError(f"style {key} must be an object of strings, got {value!r}")
+        if isinstance(default, (str, bool)) and type(value) is not type(default):
+            what = "a string" if isinstance(default, str) else "true or false"
+            raise StyleError(f"style {key} must be {what}, got {value!r}")
+    if style["cause_tense"] not in ("perfect", "present"):
+        raise StyleError(f"style cause_tense must be perfect or present, "
+                         f"got {style['cause_tense']!r}")
+    _check_postprocess(style["postprocess"])
 
 
 def _check_postprocess(table) -> None:

@@ -80,13 +80,14 @@ class Maneuver:
 
 @dataclass
 class Trajectory:
-    """State sequence at fixed dt; adjacent states differ by one step."""
+    """State sequence at fixed dt; adjacent states differ by one step. The
+    library builds each field as a list of Python floats."""
 
     dt: float
-    xs: np.ndarray
-    ys: np.ndarray
-    headings: np.ndarray
-    speeds: np.ndarray
+    xs: list[float]
+    ys: list[float]
+    headings: list[float]
+    speeds: list[float]
     truncated: bool = False
 
     def __len__(self) -> int:
@@ -94,8 +95,7 @@ class Trajectory:
 
     def state_at(self, k: int) -> VehicleState:
         k = min(max(k, 0), len(self.xs) - 1)
-        return VehicleState(float(self.xs[k]), float(self.ys[k]), float(self.headings[k]),
-                            max(float(self.speeds[k]), 0.0))
+        return VehicleState(self.xs[k], self.ys[k], self.headings[k], max(self.speeds[k], 0.0))
 
     def tail_state(self) -> VehicleState:
         return self.state_at(len(self.xs) - 1)
@@ -106,18 +106,15 @@ def concat_trajectories(parts: list[Trajectory]) -> Trajectory:
     parts = [p for p in parts if len(p) > 0]
     if not parts:
         raise ValueError("nothing to concatenate")
-    xs, ys, hs, vs = [parts[0].xs], [parts[0].ys], [parts[0].headings], [parts[0].speeds]
+    first = parts[0]
+    xs, ys, hs, vs = list(first.xs), list(first.ys), list(first.headings), list(first.speeds)
     for p in parts[1:]:
-        xs.append(p.xs[1:])
-        ys.append(p.ys[1:])
-        hs.append(p.headings[1:])
-        vs.append(p.speeds[1:])
-    return Trajectory(
-        dt=parts[0].dt,
-        xs=np.concatenate(xs), ys=np.concatenate(ys), headings=np.concatenate(hs),
-        speeds=np.concatenate(vs),
-        truncated=parts[-1].truncated,
-    )
+        xs.extend(p.xs[1:])
+        ys.extend(p.ys[1:])
+        hs.extend(p.headings[1:])
+        vs.extend(p.speeds[1:])
+    return Trajectory(dt=first.dt, xs=xs, ys=ys, headings=hs, speeds=vs,
+                      truncated=parts[-1].truncated)
 
 
 @dataclass(frozen=True)
@@ -726,9 +723,8 @@ class ChainStepper:
         self.x, self.y, self.heading, self.v = x, y, heading, v
 
     def trajectory(self, truncated: bool = False) -> Trajectory:
-        return Trajectory(dt=self.dt, xs=np.asarray(self.xs), ys=np.asarray(self.ys),
-                          headings=np.asarray(self.hs), speeds=np.asarray(self.vs),
-                          truncated=truncated)
+        return Trajectory(dt=self.dt, xs=list(self.xs), ys=list(self.ys), headings=list(self.hs),
+                          speeds=list(self.vs), truncated=truncated)
 
 
 def roll_chain(maneuvers: list[Maneuver], start: VehicleState, layout: RoadLayout,
@@ -755,7 +751,7 @@ def goal_entry(traj: Trajectory, goal: Goal, layout: RoadLayout, start: int = 0)
     """Index of the first state from `start` inside `goal`, or None. Only
     states inside the goal's box (`goal_box`) are projected."""
     (x_lo, x_hi, y_lo, y_hi), _ = goal_box(layout, goal)
-    for k, (x, y) in enumerate(zip(traj.xs[start:].tolist(), traj.ys[start:].tolist()), start):
+    for k, (x, y) in enumerate(zip(traj.xs[start:], traj.ys[start:]), start):
         if x_lo <= x <= x_hi and y_lo <= y <= y_hi and goal_contains(layout, goal, x, y):
             return k
     return None

@@ -70,6 +70,12 @@ class RewardConfig:
                 raise ScenarioValidationError(f"reward weight {k} must be negative")
 
 
+# The deepest search a planner config or run directory may ask for. The Bayes
+# net makes one Omega_d variable per depth up to max_depth, reached or not, so
+# the depth must be bounded; every shipped run and the benchmark use 3.
+MAX_DEPTH_BOUND = 16
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     iterations: int = 300
@@ -80,8 +86,9 @@ class PlannerConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ScenarioValidationError("iterations must be >= 1")
-        if self.max_depth < 1:
-            raise ScenarioValidationError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH_BOUND:
+            raise ScenarioValidationError(
+                f"max_depth must be in [1, {MAX_DEPTH_BOUND}], got {self.max_depth}")
         if not 0.0 <= self.exploration < math.inf:  # also rejects NaN
             raise ScenarioValidationError(
                 f"exploration must be finite and >= 0, got {self.exploration}")

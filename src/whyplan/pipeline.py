@@ -22,7 +22,7 @@ from .causal import (CausalSummary, CounterfactualQuery, agent_influences, outco
 from .errors import RunDirectoryError, ScenarioValidationError
 from .grammar import explain as render_explanation
 from .maneuvers import ALL_MACRO_NAMES
-from .mcts import MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
+from .mcts import MAX_DEPTH_BOUND, MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
 from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
 from .simulation import observe
@@ -291,7 +291,9 @@ def _trace_records(raw_log, traj_probs: dict, d_max) -> list[TraceRecord]:
 def load_run(run_dir: str) -> LoadedRun:
     """Rebuild the model from persisted artifacts, without re-planning.
 
-    Reads `run.json` and `predictions.json`, then checks each `tracelog.json`
+    Reads `run.json`, whose `max_depth` is an integer in [1, MAX_DEPTH_BOUND]
+    and whose `plan` is a list of at most `max_depth` macro names, and
+    `predictions.json`, then checks each `tracelog.json`
     record in one pass with inline type tests (`_number`, `_typed` and
     `_macros` run only to raise for a value that fails): its index is its
     position; components and reward are finite numbers; macros are macro
@@ -330,7 +332,14 @@ def load_run(run_dir: str) -> LoadedRun:
                 traj_macros[vid][(gi, si)] = _macros(od["macros"], ("predictions.json", vid,
                                                                     "option", key, "macros"))
         reward = RewardConfig(weights=meta["reward_weights"])
-        plan, d_max = tuple(meta["plan"]), meta["max_depth"]
+        d_max = meta["max_depth"]
+        if type(d_max) is not int or not 1 <= d_max <= MAX_DEPTH_BOUND:
+            raise RunDirectoryError(f"run.json max_depth is {d_max!r}, not an integer in "
+                                    f"[1, {MAX_DEPTH_BOUND}]")
+        plan = _macros(meta["plan"], ("run.json", "plan"))
+        if len(plan) > d_max:
+            raise RunDirectoryError(f"run.json plan has {len(plan)} macros, more than "
+                                    f"max_depth {d_max}")
         records = _trace_records(raw_log, traj_probs, d_max)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
             ScenarioValidationError) as exc:

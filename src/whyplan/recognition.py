@@ -160,14 +160,9 @@ def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon:
     if total < horizon:
         pad = horizon - total
         last = out.tail_state()
-        out = Trajectory(
-            dt=dt,
-            xs=np.concatenate([out.xs, np.full(pad, last.x)]),
-            ys=np.concatenate([out.ys, np.full(pad, last.y)]),
-            headings=np.concatenate([out.headings, np.full(pad, last.heading)]),
-            speeds=np.concatenate([out.speeds, np.zeros(pad)]),
-            truncated=out.truncated,
-        )
+        out = Trajectory(dt=dt, xs=list(out.xs) + [last.x] * pad, ys=list(out.ys) + [last.y] * pad,
+                         headings=list(out.headings) + [last.heading] * pad,
+                         speeds=list(out.speeds) + [0.0] * pad, truncated=out.truncated)
     return out
 
 

@@ -251,9 +251,8 @@ def locate(layout: RoadLayout, position, margin: float = OFFROAD_MARGIN_M
 
 def lane_point_state(layout: RoadLayout, lane_id: str, s: float, speed: float) -> VehicleState:
     """Vehicle state sitting on a lane midline at arc length s."""
-    lane = layout.lanes[lane_id]
-    x, y = lane.midline.point_at(s)
-    return VehicleState(float(x), float(y), lane.midline.heading_at(s), speed)
+    x, y, _, _, heading = layout.lanes[lane_id].midline.frame_at(float(s))
+    return VehicleState(x, y, heading, speed)
 
 
 # --- file loading -----------------------------------------------------------

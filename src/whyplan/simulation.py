@@ -14,11 +14,11 @@ For car following, traffic answers with the other vehicles already projected
 onto the stepping vehicle's path. One search's rollouts replay a handful of
 predicted options from the same root state, so the same (path, option, step)
 projections recur across joint samples; `FixedTraffic` reads them from the
-search's `ProjectionTable`, which computes each once and also holds each
-option's trajectory as float lists. The car-following leader rule
-(`maneuvers._car_follow_limit`) reads the table entries in one pass, and the
-rollout step projects onto the goal lane only inside the goal's box
-(`scenario.goal_box`).
+search's `ProjectionTable`, which computes each once. Positions and speeds
+are read straight from each trajectory's float lists. The car-following
+leader rule (`maneuvers._car_follow_limit`) reads the table entries in one
+pass, and the rollout step projects onto the goal lane only inside the
+goal's box (`scenario.goal_box`).
 """
 
 import functools
@@ -66,6 +66,7 @@ def giveway_clear(layout: RoadLayout, seg: _GiveWaySegment, windows) -> bool:
     conflict_pts = seg.conflict
     center, radius, priority = _junction_zone(layout, seg.junction)
     for px, py in windows:
+        px, py = np.asarray(px), np.asarray(py)
         x, y = float(px[0]), float(py[0])
         inside = np.linalg.norm(np.array([x, y]) - center) <= radius
         if not inside and locate(layout, (x, y), margin=math.inf)[0] not in priority:
@@ -98,8 +99,7 @@ class _PeerSteps(dict):
 
 
 class ProjectionTable:
-    """The car-following projections of one search, each computed once, and
-    each predicted option's float track.
+    """The car-following projections of one search, each computed once.
 
     Peer entries are keyed by path content and predicted option (vehicle,
     goal index, trajectory index) and map a step to (s, lateral, speed); ego
@@ -108,13 +108,12 @@ class ProjectionTable:
     by their points, not by identity. Every entry is the `Polyline.project`
     answer for the same floats, so reading it changes no result.
     `FixedTraffic` fills entries on first use; they live as long as the
-    table, which `run_mcts` makes per search.
+    table, which `run_mcts` makes per search. The table keeps no copy of a
+    trajectory: peers are projected from each trajectory's own float lists.
     """
 
     def __init__(self):
         self._paths: dict[bytes, tuple[dict, dict]] = {}
-        # option -> (vehicle id, xs, ys, speeds as float lists, last index)
-        self.tracks: dict[tuple, tuple] = {}
 
     def entries(self, path: Polyline) -> tuple[dict, dict]:
         """The path's peer entries, option -> `_PeerSteps`, and its ego
@@ -130,8 +129,8 @@ class FixedTraffic:
 
     Given the search's `table` and the `assignment` (vehicle id -> (goal
     index, trajectory index)) the trajectories were drawn by, the traffic
-    shares its tracks and car-following projections with every other sample
-    of the search; without them it keeps its own table.
+    shares its car-following projections with every other sample of the
+    search; without them it keeps its own table.
     """
 
     def __init__(self, layout: RoadLayout, trajectories: dict[str, Trajectory],
@@ -141,12 +140,9 @@ class FixedTraffic:
         self._table = table if table is not None else ProjectionTable()
         self._options = [(vid, *assignment[vid]) if assignment is not None else (vid,)
                          for vid in trajectories]
-        tracks = self._table.tracks
-        for option, traj in zip(self._options, trajectories.values()):
-            if option not in tracks:
-                tracks[option] = (option[0], traj.xs.tolist(), traj.ys.tolist(),
-                                  traj.speeds.tolist(), len(traj.xs) - 1)
-        self._tracks = [tracks[option] for option in self._options]
+        # (vehicle id, xs, ys, speeds, last index) per vehicle
+        self._tracks = [(vid, traj.xs, traj.ys, traj.speeds, len(traj) - 1)
+                        for vid, traj in trajectories.items()]
         # The path whose table entries are bound; held, so `is` cannot match
         # a later path that reuses its address.
         self._path = None
@@ -232,7 +228,6 @@ class MacroStepResult:
     outcome: str | None          # collision | done | termination, None if non-terminal
     collider: str | None
     ego_trajectory: Trajectory
-    steps: int
 
 
 def simulate_step(scenario: Scenario, state: JointState, macro: str,
@@ -256,16 +251,16 @@ def simulate_step(scenario: Scenario, state: JointState, macro: str,
         if collider is not None or (x_lo <= x <= x_hi and y_lo <= y <= y_hi
                                     and goal_contains(layout, goal, x, y)):
             outcome = "done" if collider is None else "collision"
-            return MacroStepResult(None, outcome, collider, ego.trajectory(), ego.steps)
+            return MacroStepResult(None, outcome, collider, ego.trajectory())
         ego.step(traffic, t)
 
     traj = ego.trajectory(truncated=ego.segment() is not None)
     t_end = state.t + ego.steps
     if t_end >= scenario.horizon:
-        return MacroStepResult(None, "termination", None, traj, ego.steps)
+        return MacroStepResult(None, "termination", None, traj)
     vehicles = dict(traffic.states_at(t_end))
     vehicles[ego_id] = traj.tail_state()
-    return MacroStepResult(JointState(t=t_end, vehicles=vehicles), None, None, traj, ego.steps)
+    return MacroStepResult(JointState(t=t_end, vehicles=vehicles), None, None, traj)
 
 
 # --- observation phase -------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import whyplan.cli as cli
 from whyplan.cli import main, parse_query
 from whyplan.errors import QueryParseError
+from whyplan.mcts import MAX_DEPTH_BOUND
 
 from conftest import mini_scenario_dict
 
@@ -289,6 +290,18 @@ def test_run_json_format_version_other_than_1_exits_with_run_dir_code(
     assert f"format_version {version!r}" in err and "unexpected" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["plan"], ["batch", "--runs", "1", "--queries", "omega1=Continue"]], ids=["plan", "batch"])
+def test_max_depth_above_bound_exits_with_validation_code(mini_scenario_path, tmp_path,
+                                                          capsys, command):
+    code, _, err = run_cli([*command, "--scenario", mini_scenario_path, "--iterations", "5",
+                            "--max-depth", str(MAX_DEPTH_BOUND + 1),
+                            "--out", str(tmp_path / "out")], capsys)
+    assert code == 3
+    assert f"max_depth must be in [1, {MAX_DEPTH_BOUND}]" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_malformed_style_file_exits_with_parse_code(mini_scenario_path, tmp_path, capsys):
     out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
     style = tmp_path / "style.json"
@@ -447,6 +460,7 @@ def _rename_vehicle(log):
 NOT_OPTIONS = "which are not options listed in predictions.json"
 INDICES = "tracelog.json indices are not 0, 1, ..., n-1 in order"
 MALFORMED = "malformed run directory {out}: "
+DEPTH_RANGE = f"not an integer in [1, {MAX_DEPTH_BOUND}]"
 
 # Each edit puts one malformed value into an artifact of the mini run at seed 3
 # (record 0 is a "done" record sampling v1's option 0/0; v1's first option is
@@ -524,6 +538,36 @@ MALFORMED_RUN_VALUES = {
         f"tracelog.json record 0 samples [('v1', (0, 99))], {NOT_OPTIONS}"),
     "duplicate-index": ("tracelog.json", lambda log: log[1].update(index=0), INDICES),
     "gapped-index": ("tracelog.json", lambda log: log[1].update(index=len(log) + 5), INDICES),
+    "max-depth-a-float": (
+        "run.json", lambda run: run.update(max_depth=1e9),
+        f"run.json max_depth is 1000000000.0, {DEPTH_RANGE}"),
+    "max-depth-infinite": (
+        "run.json", lambda run: run.update(max_depth=float("inf")),
+        f"run.json max_depth is inf, {DEPTH_RANGE}"),
+    "max-depth-nan": (
+        "run.json", lambda run: run.update(max_depth=float("nan")),
+        f"run.json max_depth is nan, {DEPTH_RANGE}"),
+    "max-depth-huge": (
+        "run.json", lambda run: run.update(max_depth=10 ** 400),
+        f"run.json max_depth is {10 ** 400}, {DEPTH_RANGE}"),
+    "max-depth-above-bound": (
+        "run.json", lambda run: run.update(max_depth=MAX_DEPTH_BOUND + 1),
+        f"run.json max_depth is {MAX_DEPTH_BOUND + 1}, {DEPTH_RANGE}"),
+    "max-depth-a-bool": (
+        "run.json", lambda run: run.update(max_depth=True),
+        f"run.json max_depth is True, {DEPTH_RANGE}"),
+    "plan-deeper-than-max-depth": (
+        "run.json", lambda run: run.update(plan=["Continue"] * 5),
+        "run.json plan has 5 macros, more than max_depth 2"),
+    "plan-a-string": (
+        "run.json", lambda run: run.update(plan="Exit-right"),
+        "run.json plan is 'Exit-right', not a list of macro names"),
+    "plan-nested-list": (
+        "run.json", lambda run: run.update(plan=[["Continue"]]),
+        MALFORMED + "TypeError unhashable type: 'list'"),
+    "plan-not-names": (
+        "run.json", lambda run: run.update(plan=["x"]),
+        "run.json plan is ['x'], not a list of macro names"),
 }
 
 

@@ -1,0 +1,143 @@
+"""A fixed-seed fuzz gate: `whyplan explain` maps every bad input it is given
+to a documented exit code, never to 1 ("unexpected error").
+
+Three kinds of input are mutated: the leaves of one small run directory's
+`run.json`, of the first records of its `tracelog.json` and of its
+`predictions.json`; every key and table entry of a style file; and query
+strings built from an atom alphabet. The run directory is planned once per
+module, and every case is drawn from a seeded `random.Random`, so the cases
+are the same on every run.
+"""
+
+import copy
+import json
+import math
+import os
+import random
+
+import pytest
+
+from whyplan import cli
+from whyplan.grammar import DEFAULT_STYLE
+
+from conftest import mini_scenario_dict
+
+DOCUMENTED = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_PLANNING,
+              cli.EXIT_INFERENCE, cli.EXIT_UNEXPLORED, cli.EXIT_RUN_DIR}
+ARTIFACTS = ("run.json", "tracelog.json", "predictions.json")
+FIRST_RECORDS = 3
+RUN_CASES = 600
+QUERY_CASES = 500
+
+# Values a mutated leaf takes: wrong JSON types, out-of-range and non-finite
+# numbers, an integer too large for a float, macro names in the wrong place.
+VALUES = [None, 0, 1, -1, 2.5, -2.5, 1e9, -1e9, math.inf, -math.inf, math.nan, 10 ** 400,
+          "", "x", "Continue", [], {}, [1], ["Continue"], [["Continue"]], {"a": 1}, True]
+DELETE = object()
+
+# A query joins pieces with commas; most pieces are whole terms, so that many
+# queries parse and reach the causal layer.
+QUERY_TERMS = [f"omega{depth}={action}" for depth in (0, 1, 2, 3)
+               for action in ("Continue", "Change-right", "Exit-right", "Stop", "x")]
+QUERY_ATOMS = ["omega", "omega1", "omega-1", "omega1e9", "Omega1", "=", "==", ",", " ",
+               "Continue", "continue", "x", "1", "-", "\t", "ω", ""]
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    scenario = root / "mini.json"
+    scenario.write_text(json.dumps(mini_scenario_dict()))
+    out = str(root / "run")
+    assert cli.main(["plan", "--scenario", str(scenario), "--seed", "3", "--iterations", "40",
+                     "--max-depth", "2", "--out", out]) == 0
+    return out
+
+
+def explain(run: str, *extra: str) -> int:
+    return cli.main(["explain", "--run", run, *extra])
+
+
+def leaves(node, path=()):
+    """The path of every value below `node`; lists and objects count too."""
+    if path:
+        yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, path + (i,))
+
+
+def mutated(payload, path, value):
+    payload = copy.deepcopy(payload)
+    *parents, last = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return payload
+
+
+def run_dir_cases(originals: dict, rng: random.Random):
+    """(artifact, path, value) cases over the leaves a loader reads first."""
+    paths = [("run.json", p) for p in leaves(originals["run.json"])]
+    paths += [("tracelog.json", p) for p in leaves(originals["tracelog.json"][:FIRST_RECORDS])]
+    paths += [("predictions.json", p) for p in leaves(originals["predictions.json"])]
+    for _ in range(RUN_CASES):
+        name, path = rng.choice(paths)
+        yield name, path, rng.choice(VALUES + [DELETE])
+
+
+def test_mutated_run_directory_exits_with_a_documented_code(run_dir, tmp_path, capsys):
+    originals = {}
+    for name in ARTIFACTS:
+        with open(os.path.join(run_dir, name)) as fh:
+            originals[name] = json.load(fh)
+    case_dir = str(tmp_path / "case")
+    os.makedirs(case_dir)
+    for name in ARTIFACTS:
+        with open(os.path.join(case_dir, name), "w") as fh:
+            json.dump(originals[name], fh)
+    for name, path, value in run_dir_cases(originals, random.Random(0)):
+        with open(os.path.join(case_dir, name), "w") as fh:
+            json.dump(mutated(originals[name], path, value), fh)
+        code = explain(case_dir, "--query", "omega1=Continue")
+        err = capsys.readouterr().err
+        assert code in DOCUMENTED, (name, path, value, err)
+        with open(os.path.join(case_dir, name), "w") as fh:
+            json.dump(originals[name], fh)
+
+
+def style_cases():
+    """Every style key, and the first two entries of every table, set to each value."""
+    for key, default in DEFAULT_STYLE.items():
+        for value in VALUES:
+            yield {key: value}
+            if isinstance(default, dict):
+                for entry in list(default)[:2]:
+                    yield {key: {entry: value}}
+
+
+def test_mutated_style_file_exits_with_a_documented_code(run_dir, tmp_path, capsys):
+    style = str(tmp_path / "style.json")
+    for overlay in style_cases():
+        with open(style, "w") as fh:
+            json.dump(overlay, fh)
+        code = explain(run_dir, "--query", "omega1=Continue", "--style", style)
+        err = capsys.readouterr().err
+        assert code in DOCUMENTED, (overlay, err)
+
+
+def test_generated_query_exits_with_a_documented_code(run_dir, capsys):
+    rng = random.Random(0)
+    for _ in range(QUERY_CASES):
+        query = ",".join(rng.choice(QUERY_TERMS if rng.random() < 0.6 else QUERY_ATOMS)
+                         for _ in range(rng.randint(1, 4)))
+        code = explain(run_dir, f"--query={query}")
+        err = capsys.readouterr().err
+        assert code in DOCUMENTED, (query, err)

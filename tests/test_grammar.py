@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -169,6 +170,35 @@ def test_malformed_postprocess_table_is_a_style_error(tmp_path, table):
     style_path = tmp_path / "style.json"
     style_path.write_text(json.dumps({"postprocess": table}))
     with pytest.raises(StyleError, match="string pairs"):
+        load_style(str(style_path))
+
+
+# Each overlay puts a value of the wrong shape into a style file, which
+# `load_style` must reject with this message.
+MALFORMED_STYLES = {
+    "unknown-key": ({"colour": "red"}, "unknown style keys ['colour']"),
+    "table-a-number": ({"outcomes": 5}, "outcomes must be an object of strings"),
+    "table-a-list": ({"ego_macros": ["gone"]}, "ego_macros must be an object of strings"),
+    "table-entry-null": ({"outcomes": {"done": None}}, "outcomes must be an object of strings"),
+    "table-entry-a-number": ({"components": {"jerk": 2}},
+                             "components must be an object of strings"),
+    "text-a-number": ({"ego_subject": 1}, "ego_subject must be a string"),
+    "text-null": ({"cause_aux": None}, "cause_aux must be a string"),
+    "suppress-a-string": ({"suppress_certain_adverb": "yes"},
+                          "suppress_certain_adverb must be true or false"),
+    "suppress-a-number": ({"suppress_empty_because": 0},
+                          "suppress_empty_because must be true or false"),
+    "tense-unknown": ({"cause_tense": "future"}, "cause_tense must be perfect or present"),
+    "tense-a-number": ({"cause_tense": 3}, "cause_tense must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STYLES))
+def test_malformed_style_value_is_a_style_error(tmp_path, case):
+    overlay, message = MALFORMED_STYLES[case]
+    style_path = tmp_path / "style.json"
+    style_path.write_text(json.dumps(overlay))
+    with pytest.raises(StyleError, match=re.escape(message)):
         load_style(str(style_path))
 
 

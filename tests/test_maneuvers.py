@@ -211,7 +211,7 @@ def test_constant_speed_lane_follow_reaches_lane_end():
     assert abs(len(traj) - 1 - 117) < 25
     assert traj.xs[-1] == pytest.approx(100.0, abs=0.5)
     mid = len(traj) // 3
-    assert np.all(np.abs(traj.speeds[:mid] - 10.0) < 1e-6)
+    assert all(abs(v - 10.0) < 1e-6 for v in traj.speeds[:mid])
 
 
 def test_lane_change_realigns_heading_and_moves_one_width():
@@ -320,8 +320,8 @@ def test_features_invariant_to_rigid_translation():
     for lane in shifted["layout"]["lanes"]:
         lane["midline"] = [[x + dx, y + dy] for x, y in lane["midline"]]
     sc2 = scenario_from_dict(shifted)
-    traj2 = Trajectory(dt=traj.dt, xs=traj.xs + dx, ys=traj.ys + dy, headings=traj.headings,
-                       speeds=traj.speeds)
+    traj2 = Trajectory(dt=traj.dt, xs=[x + dx for x in traj.xs], ys=[y + dy for y in traj.ys],
+                       headings=traj.headings, speeds=traj.speeds)
     f1 = extract_features(traj2, sc2.ego_goal, sc2.layout)
     for name in ("time_to_goal", "jerk", "angular_acceleration", "curvature"):
         assert getattr(f0, name) == pytest.approx(getattr(f1, name), abs=1e-9)

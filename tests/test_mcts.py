@@ -15,8 +15,8 @@ import whyplan.recognition as recognition_mod
 from whyplan.errors import ScenarioValidationError
 from whyplan.maneuvers import (Trajectory, applicable_macros, concat_trajectories,
                                extract_features)
-from whyplan.mcts import (PlannerConfig, RewardConfig, SearchTree, TraceRecord, run_mcts,
-                          terminal_reward)
+from whyplan.mcts import (MAX_DEPTH_BOUND, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
+                          run_mcts, terminal_reward)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
 from whyplan.recognition import enumerate_plans, predict_all
 from whyplan.scenario import (JointState, goal_contains, lane_point_state, load_scenario,
@@ -38,6 +38,9 @@ def test_config_validation():
         PlannerConfig(iterations=0)
     with pytest.raises(ScenarioValidationError):
         PlannerConfig(max_depth=0)
+    PlannerConfig(max_depth=MAX_DEPTH_BOUND)
+    with pytest.raises(ScenarioValidationError, match="max_depth must be in"):
+        PlannerConfig(max_depth=MAX_DEPTH_BOUND + 1)
     with pytest.raises(ScenarioValidationError):
         RewardConfig(weights={"time": -1.0})
     with pytest.raises(ScenarioValidationError):
@@ -154,7 +157,7 @@ def assert_records_match_uncached_rollouts(pipe, start, trace_log):
             reward, comps = terminal_reward(traj, outcome, pipe.reward, sc.ego_goal, sc.layout)
         if outcome == "done":
             inside = [goal_contains(sc.layout, sc.ego_goal, x, y)
-                      for x, y in zip(traj.xs.tolist(), traj.ys.tolist())]
+                      for x, y in zip(traj.xs, traj.ys)]
             assert inside.index(True) == len(traj) - 1, rec.index
         assert (outcome, step.collider, len(traj) - 1, reward, comps) == (
             rec.outcome, rec.collider, rec.steps, rec.reward, rec.components), rec.index
@@ -329,7 +332,7 @@ def test_target_speed_reaches_every_integrator(monkeypatch, target):
     for kind, trajs in (("observed", list(pipe.prefixes.values())), ("candidate", candidates),
                         ("predicted", options), ("rollout", rollouts)):
         assert trajs, kind
-        top = max(float(traj.speeds.max()) for traj in trajs)
+        top = max(max(traj.speeds) for traj in trajs)
         if target == 6.0:
             assert top <= 6.0 + 1e-9, kind
         else:

@@ -6,9 +6,10 @@ own copies of the give-way test. Both copies are kept here as references,
 and the merged predicate must give the same answer as the matching one for
 generated traffic around s2's junction.
 
-The rollout step reads plain floats: `ChainStepper` records floats only, and
-`FixedTraffic.collider`, which reads its float tracks, must agree with a disc
-overlap over the trajectories it was built from.
+The rollout step reads plain floats: `ChainStepper` records floats only, every
+trajectory the library builds holds float lists, and `FixedTraffic.collider`,
+which reads those lists, must agree with a disc overlap over the trajectories
+it was built from.
 """
 
 import math
@@ -19,9 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import whyplan.mcts as mcts_mod
 from whyplan.maneuvers import (COLLISION_RADIUS, CONFLICT_CLEARANCE, GIVEWAY_WINDOW_S,
                                TURN_SPEED, ChainStepper, Trajectory, _GiveWaySegment,
-                               _LaneChangeSegment, _segment_for, expand_macro)
+                               _LaneChangeSegment, _segment_for, applicable_macros, expand_macro,
+                               roll_chain)
+from whyplan.pipeline import planner_config, run_pipeline
 from whyplan.scenario import lane_point_state, load_scenario
 from whyplan.simulation import ExtrapolatedTraffic, FixedTraffic, ProjectionTable
 
@@ -179,10 +183,10 @@ def test_both_predictors_agree_on_fixed_cases(x, y, heading, v, clear):
 def lane_track(sc, lane, s0, v, n=300):
     """A peer driving straight on from a lane point at constant speed."""
     here = lane_point_state(sc.layout, lane, s0, v)
-    ds = v * sc.dt * np.arange(n)
-    return Trajectory(dt=sc.dt, xs=here.x + ds * math.cos(here.heading),
-                      ys=here.y + ds * math.sin(here.heading),
-                      headings=np.full(n, here.heading), speeds=np.full(n, v))
+    ds = [v * sc.dt * k for k in range(n)]
+    return Trajectory(dt=sc.dt, xs=[here.x + d * math.cos(here.heading) for d in ds],
+                      ys=[here.y + d * math.sin(here.heading) for d in ds],
+                      headings=[here.heading] * n, speeds=[v] * n)
 
 
 # (scenario, ego lane and arc length, macro, peer lane and arc length, segment it must drive)
@@ -212,6 +216,41 @@ def test_chain_stepper_records_floats_only(chain, with_table):
     assert kind is None or kind in driven
     for field in (ego.xs, ego.ys, ego.hs, ego.vs):
         assert all(type(v) is float for v in field)
+
+
+def test_library_trajectories_hold_float_lists(monkeypatch):
+    """Every trajectory the library builds holds each field as a list of
+    Python floats: observed prefixes, predicted options, traffic-free
+    rollouts, MCTS rollout steps and their concatenation."""
+    built = {"rollout step": [], "joined": []}
+    real_step, real_concat = mcts_mod.simulate_step, mcts_mod.concat_trajectories
+
+    def step(*args):
+        result = real_step(*args)
+        built["rollout step"].append(result.ego_trajectory)
+        return result
+
+    def concat(parts):
+        joined = real_concat(parts)
+        built["joined"].append(joined)
+        return joined
+
+    monkeypatch.setattr(mcts_mod, "simulate_step", step)
+    monkeypatch.setattr(mcts_mod, "concat_trajectories", concat)
+    pipe = run_pipeline(S2, 0, planner=planner_config(S2, 0, iterations=10))
+    built["observed"] = list(pipe.prefixes.values())
+    built["predicted"] = [o.trajectory for pred in pipe.predictions.vehicles.values()
+                          for opts in pred.options.values() for o in opts]
+    me = pipe.planning_state.vehicles[S2.ego_id]
+    built["empty road"] = [roll_chain(expand_macro(macro, me, S2.layout), me, S2.layout, DT,
+                                      S2.horizon, S2.target_speed)
+                           for macro in applicable_macros(pipe.planning_state, S2.ego_id,
+                                                          S2.layout, S2.ego_goal)]
+    for kind, trajs in built.items():
+        assert trajs, kind
+        for traj in trajs:
+            for field in (traj.xs, traj.ys, traj.headings, traj.speeds):
+                assert type(field) is list and all(type(v) is float for v in field), kind
 
 
 def ref_collider(trajectories, x, y, t):
