@@ -9,10 +9,10 @@ scenarios/present_style.json).
 """
 
 import copy
-import json
 import os
 from dataclasses import dataclass
 
+from . import checks
 from .causal import CausalSummary
 from .errors import StyleError
 
@@ -92,15 +92,7 @@ def load_style(path: str | None = None) -> dict:
     style = copy.deepcopy(DEFAULT_STYLE)
     path = path or os.environ.get(STYLE_ENV_VAR)
     if path:
-        try:
-            with open(path) as fh:
-                overlay = json.load(fh)
-        except OSError as exc:
-            raise StyleError(f"cannot read style file {path}: {exc.strerror}") from exc
-        except ValueError as exc:
-            raise StyleError(f"style file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(overlay, dict):
-            raise StyleError(f"style file {path} must hold a JSON object")
+        overlay = checks.typed(checks.read_json(path, StyleError), (path,), StyleError, dict)
         for key, value in overlay.items():
             if isinstance(value, dict) and isinstance(style.get(key), dict):
                 style[key].update(value)
@@ -115,28 +107,22 @@ def _check_style(style: dict) -> None:
     object of strings, a text entry a string, a `suppress_*` flag a boolean;
     `cause_tense` is perfect or present, and the post-processing table holds
     string pairs and is idempotent."""
-    unknown = sorted(set(style) - set(DEFAULT_STYLE))
-    if unknown:
-        raise StyleError(f"unknown style keys {unknown}")
+    for key in style:
+        checks.member(key, ("style key",), StyleError, DEFAULT_STYLE, "a key of the default style")
     for key, default in DEFAULT_STYLE.items():
-        value = style[key]
-        if isinstance(default, dict) and not (
-                isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
-            raise StyleError(f"style {key} must be an object of strings, got {value!r}")
-        if isinstance(default, (str, bool)) and type(value) is not type(default):
-            what = "a string" if isinstance(default, str) else "true or false"
-            raise StyleError(f"style {key} must be {what}, got {value!r}")
-    if style["cause_tense"] not in ("perfect", "present"):
-        raise StyleError(f"style cause_tense must be perfect or present, "
-                         f"got {style['cause_tense']!r}")
-    _check_postprocess(style["postprocess"])
-
-
-def _check_postprocess(table) -> None:
+        if isinstance(default, dict):
+            for entry, text in checks.typed(style[key], ("style", key), StyleError, dict).items():
+                checks.typed(text, ("style", key, entry), StyleError, str)
+        elif isinstance(default, (str, bool)):
+            checks.typed(style[key], ("style", key), StyleError, type(default))
+    checks.member(style["cause_tense"], ("style", "cause_tense"), StyleError,
+                  ("perfect", "present"), "perfect or present")
+    table = style["postprocess"]
     if not isinstance(table, list) or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2
             and all(isinstance(part, str) for part in pair) for pair in table):
-        raise StyleError("postprocess must be a list of [pattern, replacement] string pairs")
+        checks.fail(table, ("style", "postprocess"),
+                    "a list of [pattern, replacement] string pairs", StyleError)
     lhs = [pair[0] for pair in table]
     for _, out in table:
         for pattern in lhs:

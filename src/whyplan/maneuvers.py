@@ -131,12 +131,6 @@ class TrajectoryFeatures:
 # --- lane-follow chains ------------------------------------------------------
 
 
-def _is_priority_straight(conn) -> bool:
-    """Priority straights belong to Continue (lane keeping); any other
-    connection is an Exit."""
-    return conn.direction == "straight" and conn.has_priority
-
-
 def lane_follow_chain(layout: RoadLayout, lane_id: str) -> list[str]:
     """Lanes reachable by pure lane keeping.
 
@@ -151,7 +145,7 @@ def lane_follow_chain(layout: RoadLayout, lane_id: str) -> list[str]:
         lane = layout.lanes[cur]
         nxt = lane.successors[0] if lane.successors else None
         if nxt is None:
-            straight = [c for _, c in layout.connections_from(cur) if _is_priority_straight(c)]
+            straight = [c for _, c in layout.connections_from(cur) if c.priority_straight]
             nxt = straight[0].to_lane if straight else None
         if nxt is None or nxt in seen:
             return chain
@@ -294,14 +288,16 @@ def lane_macros(layout: RoadLayout, lane_id: str) -> dict[str, tuple[Maneuver, .
                                    for junction, _ in layout.connections_from(arrival)))
     for i, (jid, arrival) in enumerate(junctions[:2]):
         conns = [c for c in layout.junctions[jid].connections if c.from_lane == arrival]
-        exits = [c for c in conns if not _is_priority_straight(c)]
+        exits = [c for c in conns if not c.priority_straight]
         if i == 0:
             for conn in exits:
                 table.setdefault(f"Exit-{conn.direction}", _exit_chain(chain, jid, conn))
-        else:
-            conn = min(exits or conns,
-                       key=lambda c: ("right", "straight", "left").index(c.direction))
-            table["Continue-next-exit"] = _exit_chain(chain, jid, conn)
+        else:  # a priority straight whose lanes meet has no curve to turn through
+            drivable = exits or [c for c in conns if layout.curves[c.from_lane, c.to_lane]]
+            if drivable:
+                conn = min(drivable,
+                           key=lambda c: ("right", "straight", "left").index(c.direction))
+                table["Continue-next-exit"] = _exit_chain(chain, jid, conn)
     return dict(sorted(table.items()))
 
 
@@ -353,7 +349,10 @@ def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[str, tuple[Maneuver
     best = None
     for junction in layout.junctions.values():
         for conn in junction.connections:
-            curve = Polyline(_connection_curve(layout, (conn.from_lane, conn.to_lane)))
+            stored = layout.curves[conn.from_lane, conn.to_lane]
+            if stored is None:  # lanes that meet: a vehicle there is on a lane
+                continue
+            curve = stored[1]
             s, _, dist = curve.project((me.x, me.y))
             if abs(normalize_angle(curve.heading_at(s) - me.heading)) < math.pi / 2 and (
                     best is None or dist < best[0]):
@@ -361,7 +360,7 @@ def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[str, tuple[Maneuver
     if best is None or best[0] > layout.lanes[best[2].to_lane].width / 2.0 + OFFROAD_MARGIN_M:
         raise OffRoadError(f"position ({me.x:.2f}, {me.y:.2f}) is on no lane or connection")
     _, jid, conn = best
-    if _is_priority_straight(conn):
+    if conn.priority_straight:
         chain = lane_follow_chain(layout, conn.from_lane)
         return "Continue", (Maneuver("lane-follow", lanes=tuple(chain)),)
     return f"Exit-{conn.direction}", (
@@ -549,7 +548,7 @@ def _segment_for(m: Maneuver, x: float, y: float, heading: float, layout: RoadLa
         incoming = layout.lanes[m.connection[0]].midline
         s_here = incoming.project((x, y))[0]
         remaining = chain_polyline(layout, [m.connection[0]], from_s=s_here)
-        conflict = _connection_curve(layout, m.connection)
+        conflict = layout.curves[m.connection][0]
         if remaining is None:
             # Already at the stop point; a minimal stub keeps the hold logic alive.
             end = incoming.point_at(incoming.length)
@@ -557,16 +556,9 @@ def _segment_for(m: Maneuver, x: float, y: float, heading: float, layout: RoadLa
             remaining = Polyline([end - 0.05 * fwd, end + 0.05 * fwd])
         return _GiveWaySegment(remaining, x, y, heading, conflict, cruise, m.junction)
     if m.kind.startswith("turn-"):
-        pts = _connection_curve(layout, m.connection)
-        return _FollowSegment(Polyline(pts), x, y, heading, TURN_SPEED, TURN_SPEED)
+        return _FollowSegment(layout.curves[m.connection][1], x, y, heading, TURN_SPEED,
+                              TURN_SPEED)
     raise ValueError(f"unknown manoeuvre {m.kind!r}")
-
-
-def _connection_curve(layout: RoadLayout, connection: tuple[str, str]) -> np.ndarray:
-    a = layout.lanes[connection[0]].midline
-    b = layout.lanes[connection[1]].midline
-    return turn_curve(a.point_at(a.length), a.heading_at(a.length),
-                      b.point_at(0.0), b.heading_at(0.0))
 
 
 def _end_speed_for(i: int, maneuvers: list[Maneuver], cruise: float) -> float:

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import checks
 from .errors import ScenarioValidationError
 from .maneuvers import Trajectory, applicable_macros, concat_trajectories, extract_features
 from .recognition import FEATURE_WEIGHTS, Predictions
@@ -63,11 +64,11 @@ class RewardConfig:
                 f"reward weights must cover exactly {REWARD_COMPONENTS}; "
                 f"missing {sorted(missing)}, extra {sorted(extra)}")
         for k, v in self.weights.items():
-            if not math.isfinite(v):
-                raise ScenarioValidationError(f"reward weight {k} not finite")
+            checks.number(v, ("reward weight", k), ScenarioValidationError)
         for k in ("collision", "termination"):
             if self.weights[k] >= 0:
-                raise ScenarioValidationError(f"reward weight {k} must be negative")
+                checks.fail(self.weights[k], ("reward weight", k), "negative",
+                            ScenarioValidationError)
 
 
 # The deepest search a planner config or run directory may ask for. The Bayes
@@ -84,14 +85,10 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ScenarioValidationError("iterations must be >= 1")
-        if not 1 <= self.max_depth <= MAX_DEPTH_BOUND:
-            raise ScenarioValidationError(
-                f"max_depth must be in [1, {MAX_DEPTH_BOUND}], got {self.max_depth}")
-        if not 0.0 <= self.exploration < math.inf:  # also rejects NaN
-            raise ScenarioValidationError(
-                f"exploration must be finite and >= 0, got {self.exploration}")
+        checks.integer(self.iterations, ("iterations",), ScenarioValidationError, 1)
+        checks.integer(self.max_depth, ("max_depth",), ScenarioValidationError, 1,
+                       MAX_DEPTH_BOUND)
+        checks.number(self.exploration, ("exploration",), ScenarioValidationError, 0.0)
 
 
 def components_for(outcome: str, traj: Trajectory, goal, layout) -> dict:

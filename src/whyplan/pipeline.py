@@ -16,13 +16,14 @@ import math
 import os
 from dataclasses import dataclass
 
+from . import checks
 from .bayes_net import BnModel, build_bn, model_to_dict
 from .causal import (CausalSummary, CounterfactualQuery, agent_influences, outcome_given_cf,
                      reward_deltas)
 from .errors import RunDirectoryError, ScenarioValidationError
 from .grammar import explain as render_explanation
 from .maneuvers import ALL_MACRO_NAMES
-from .mcts import MAX_DEPTH_BOUND, MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
+from .mcts import MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
 from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
 from .simulation import observe
@@ -201,46 +202,7 @@ class LoadedRun:
     model: BnModel
 
 
-def _read_artifact(run_dir: str, name: str):
-    path = os.path.join(run_dir, name)
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise RunDirectoryError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise RunDirectoryError(f"{path} is not valid JSON: {exc}") from exc
-
-
 _MACRO_NAMES = frozenset(ALL_MACRO_NAMES)
-
-
-def _number(value, where: tuple, lo: float = -math.inf, hi: float = math.inf):
-    """`value` if it is a finite JSON number in [lo, hi]; else RunDirectoryError naming
-    `where`, whose parts are joined only then (a run holds thousands of values)."""
-    if type(value) not in (int, float) or not math.isfinite(value) or not lo <= value <= hi:
-        bounds = f" in [{lo}, {hi}]" if math.isfinite(lo) else ""
-        raise RunDirectoryError(f"{' '.join(map(str, where))} is {value!r}, "
-                                f"not a finite number{bounds}")
-    return value
-
-
-def _typed(value, kinds: tuple, where: tuple, what: str):
-    """`value` if its type is one of `kinds`; else RunDirectoryError naming `where`."""
-    if type(value) not in kinds:
-        raise RunDirectoryError(f"{' '.join(map(str, where))} is {value!r}, not {what}")
-    return value
-
-
-def _macros(value, where: tuple) -> tuple[str, ...]:
-    """A JSON list of macro names as a tuple; else RunDirectoryError naming `where`
-    (a nested list raises TypeError, which `load_run` maps to the same)."""
-    if type(value) is not list or not _MACRO_NAMES.issuperset(value):
-        raise RunDirectoryError(f"{' '.join(map(str, where))} is {value!r}, "
-                                f"not a list of macro names")
-    return tuple(value)
-
-
 _RECORD = "tracelog.json record"
 
 
@@ -265,23 +227,22 @@ def _trace_records(raw_log, traj_probs: dict, d_max) -> list[TraceRecord]:
                                     f"listed in predictions.json")
         macros = shared.get(tuple(raw_macros)) if type(raw_macros) is list else None
         if macros is None:
-            macros = _macros(raw_macros, (_RECORD, i, "macros"))
-            if len(macros) > d_max:
-                raise RunDirectoryError(f"{_RECORD} {i} has {len(macros)} macros, more than "
-                                        f"max_depth {d_max} in run.json")
+            macros = checks.names(raw_macros, (_RECORD, i, "macros"), RunDirectoryError,
+                                  _MACRO_NAMES, "macro names", d_max)
             shared[macros] = macros
         components = r["components"]
         for k, v in components.items():
             # v - v is 0.0 for a finite float, NaN for an infinite or NaN one.
             if v is not None and (type(v) is not float or v - v != 0.0):
-                _number(v, (_RECORD, i, "component", k))
+                checks.number(v, (_RECORD, i, "component", k), RunDirectoryError)
         collider, reward, steps = r["collider"], r["reward"], r["steps"]
         if collider is not None and type(collider) is not str:
-            _typed(collider, (str,), (_RECORD, i, "collider"), "a vehicle id or null")
+            checks.fail(collider, (_RECORD, i, "collider"), "a vehicle id or null",
+                        RunDirectoryError)
         if type(reward) is not float or reward - reward != 0.0:
-            _number(reward, (_RECORD, i, "reward"))
+            checks.number(reward, (_RECORD, i, "reward"), RunDirectoryError)
         if type(steps) is not int:
-            _typed(steps, (int,), (_RECORD, i, "steps"), "an integer")
+            checks.integer(steps, (_RECORD, i, "steps"), RunDirectoryError)
         records.append(TraceRecord(index=i, assignment=assignment, macros=macros,
                                    components=components, outcome=r["outcome"],
                                    collider=collider, reward=reward, steps=steps))
@@ -291,28 +252,29 @@ def _trace_records(raw_log, traj_probs: dict, d_max) -> list[TraceRecord]:
 def load_run(run_dir: str) -> LoadedRun:
     """Rebuild the model from persisted artifacts, without re-planning.
 
-    Reads `run.json`, whose `max_depth` is an integer in [1, MAX_DEPTH_BOUND]
-    and whose `plan` is a list of at most `max_depth` macro names, and
-    `predictions.json`, then checks each `tracelog.json`
-    record in one pass with inline type tests (`_number`, `_typed` and
-    `_macros` run only to raise for a value that fails): its index is its
-    position; components and reward are finite numbers; macros are macro
-    names, at most `max_depth`; the collider is a string or null, steps an
-    integer; outcome and components fit (`TraceRecord`); and it samples an
-    option `predictions.json` lists for each predicted vehicle. Decoded
-    values are kept: assignment values become their options' shared tuples,
-    and records with equal macros share one tuple.
+    Reads `run.json`, whose reward weights and planner settings must pass
+    `RewardConfig` and `PlannerConfig` (so `max_depth` is an integer in [1,
+    MAX_DEPTH_BOUND]) and whose `plan` is a list of at most `max_depth` macro
+    names, and `predictions.json`, then checks each `tracelog.json` record in
+    one pass with inline type tests (a leaf of `checks` runs only to raise
+    for a value that fails): its index is its position; components and
+    reward are finite numbers; macros are macro names, at most `max_depth`;
+    the collider is a string or null, steps an integer; outcome and
+    components fit (`TraceRecord`); and it samples an option
+    `predictions.json` lists for each predicted vehicle. Decoded values are
+    kept: assignment values become their options' shared tuples, and records
+    with equal macros share one tuple.
 
     Raises RunDirectoryError for any such fault, when the directory or an
-    artifact is missing, unreadable or not JSON, when an entry is missing,
-    when `RewardConfig` rejects the weights, a probability is not a number in
-    [0, 1], option macros are not macro names or a label is not a string, and
-    when `format_version` is missing or not RUN_FORMAT_VERSION.
+    artifact is missing, unreadable or not JSON, when an entry is missing, a
+    probability is not a number in [0, 1], option macros are not macro names
+    or a label is not a string, and when `format_version` is missing or not
+    RUN_FORMAT_VERSION.
     """
     if not os.path.isdir(run_dir):
         raise RunDirectoryError(f"run directory {run_dir} does not exist")
-    meta, raw_log, raw_pred = (_read_artifact(run_dir, name) for name in
-                               ("run.json", "tracelog.json", "predictions.json"))
+    meta, raw_log, raw_pred = (checks.read_json(os.path.join(run_dir, name), RunDirectoryError)
+                               for name in ("run.json", "tracelog.json", "predictions.json"))
     try:
         version = meta.get("format_version")
         if version != RUN_FORMAT_VERSION:
@@ -320,28 +282,30 @@ def load_run(run_dir: str) -> LoadedRun:
                                     f"{version!r}; this version reads {RUN_FORMAT_VERSION}")
         goal_probs, traj_probs, traj_macros, labels = {}, {}, {}, {}
         for vid, d in raw_pred.items():
-            labels[vid] = _typed(d["label"], (str,), ("predictions.json", vid, "label"),
-                                 "a string")
-            goal_probs[vid] = {int(g): _number(p, ("predictions.json", vid, "goal", g), 0.0, 1.0)
+            where = ("predictions.json", vid)
+            labels[vid] = checks.typed(d["label"], where + ("label",), RunDirectoryError, str)
+            goal_probs[vid] = {int(g): checks.number(p, where + ("goal", g), RunDirectoryError,
+                                                     0.0, 1.0)
                                for g, p in d["goals"].items()}
             traj_probs[vid], traj_macros[vid] = {}, {}
             for key, od in d["options"].items():
                 gi, si = (int(part) for part in key.split("/"))
-                traj_probs[vid][(gi, si)] = _number(od["p"], ("predictions.json", vid, "option",
-                                                              key, "p"), 0.0, 1.0)
-                traj_macros[vid][(gi, si)] = _macros(od["macros"], ("predictions.json", vid,
-                                                                    "option", key, "macros"))
-        reward = RewardConfig(weights=meta["reward_weights"])
-        d_max = meta["max_depth"]
-        if type(d_max) is not int or not 1 <= d_max <= MAX_DEPTH_BOUND:
-            raise RunDirectoryError(f"run.json max_depth is {d_max!r}, not an integer in "
-                                    f"[1, {MAX_DEPTH_BOUND}]")
-        plan = _macros(meta["plan"], ("run.json", "plan"))
-        if len(plan) > d_max:
-            raise RunDirectoryError(f"run.json plan has {len(plan)} macros, more than "
-                                    f"max_depth {d_max}")
+                option = where + ("option", key)
+                traj_probs[vid][(gi, si)] = checks.number(od["p"], option + ("p",),
+                                                          RunDirectoryError, 0.0, 1.0)
+                traj_macros[vid][(gi, si)] = checks.names(
+                    od["macros"], option + ("macros",), RunDirectoryError, _MACRO_NAMES,
+                    "macro names")
+        try:
+            reward = RewardConfig(weights=meta["reward_weights"])
+            d_max = PlannerConfig(iterations=meta["iterations"], max_depth=meta["max_depth"],
+                                  exploration=meta["exploration"], seed=meta["seed"]).max_depth
+        except ScenarioValidationError as exc:
+            raise RunDirectoryError(f"run.json {exc}") from exc
+        plan = checks.names(meta["plan"], ("run.json", "plan"), RunDirectoryError,
+                            _MACRO_NAMES, "macro names", d_max)
         records = _trace_records(raw_log, traj_probs, d_max)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+    except (KeyError, TypeError, ValueError, AttributeError,
             ScenarioValidationError) as exc:
         raise RunDirectoryError(f"malformed run directory {run_dir}: "
                                 f"{type(exc).__name__} {exc}") from exc

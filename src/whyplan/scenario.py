@@ -7,21 +7,27 @@ load; sampling takes an explicit seed and is pure.
 """
 
 import functools
-import json
+import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .errors import OffRoadError, ScenarioParseError, ScenarioValidationError
-from .geometry import Polyline, normalize_angle
+from .geometry import Polyline, normalize_angle, turn_curve
 
 TURN_DIRECTIONS = ("left", "right", "straight")
 
 # How far beyond half a lane width a position may sit before locate() calls
 # it off-road. Generous enough for mid-lane-change states.
 OFFROAD_MARGIN_M = 1.5
+
+# The longest gap, end to start, that a junction connection or a successor may
+# bridge between two lanes. The bridging curve is sampled every 0.5 m and its
+# control polygon is at most 9 times the gap, so this also caps a curve at
+# 18,000 points.
+MAX_CONNECTION_M = 1000.0
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,11 @@ class Connection:
     direction: str  # left | right | straight
     has_priority: bool
 
+    @property
+    def priority_straight(self) -> bool:
+        """Lane keeping drives a priority straight; any other connection is an Exit."""
+        return self.direction == "straight" and self.has_priority
+
 
 @dataclass(frozen=True)
 class Junction:
@@ -53,45 +64,58 @@ class Junction:
 
 
 class RoadLayout:
-    """Immutable lane graph: polyline midlines plus adjacency and junctions."""
+    """Immutable lane graph: polyline midlines plus adjacency and junctions.
+    `curves` maps each connection (from lane, to lane) to its curve, built and
+    checked here: the sampled points give-way yields on and the Polyline a turn
+    drives, or None for a priority straight whose lanes meet."""
 
     def __init__(self, lanes: list[Lane], junctions: list[Junction]):
         self.lanes: dict[str, Lane] = {lane.id: lane for lane in lanes}
         self.junctions: dict[str, Junction] = {j.id: j for j in junctions}
+        self.curves: dict[tuple[str, str], tuple[np.ndarray, Polyline] | None] = {}
         self._validate()
 
+    def _ends(self, from_lane: str, to_lane: str, where: tuple) -> tuple[tuple, tuple]:
+        """The frames at `from_lane`'s end and `to_lane`'s start, checked to be at
+        most MAX_CONNECTION_M apart."""
+        a, b = self.lanes[from_lane].midline, self.lanes[to_lane].midline
+        start, end = a.frame_at(a.length), b.frame_at(0.0)
+        checks.number(math.dist(start[:2], end[:2]), where + ("length",),
+                      ScenarioValidationError, 0.0, MAX_CONNECTION_M)
+        return start, end
+
     def _validate(self) -> None:
+        invalid = ScenarioValidationError
         for lane in self.lanes.values():
-            for ref, name in ((lane.left_neighbor, "left"), (lane.right_neighbor, "right")):
-                if ref is not None and ref not in self.lanes:
-                    raise ScenarioValidationError(
-                        f"lane {lane.id!r}: {name} neighbor {ref!r} does not exist")
-            for succ in lane.successors:
-                if succ not in self.lanes:
-                    raise ScenarioValidationError(
-                        f"lane {lane.id!r}: successor {succ!r} does not exist")
-        for lane in self.lanes.values():
-            if lane.left_neighbor is not None:
-                other = self.lanes[lane.left_neighbor]
-                if other.right_neighbor != lane.id:
-                    raise ScenarioValidationError(
-                        f"asymmetric neighbors: {lane.id!r}.left is {other.id!r} "
-                        f"but {other.id!r}.right is {other.right_neighbor!r}")
-            if lane.right_neighbor is not None:
-                other = self.lanes[lane.right_neighbor]
-                if other.left_neighbor != lane.id:
-                    raise ScenarioValidationError(
-                        f"asymmetric neighbors: {lane.id!r}.right is {other.id!r} "
-                        f"but {other.id!r}.left is {other.left_neighbor!r}")
+            where = ("lane", lane.id)
+            for side, ref, back in (("left_neighbor", lane.left_neighbor, "right_neighbor"),
+                                    ("right_neighbor", lane.right_neighbor, "left_neighbor")):
+                if ref is not None:
+                    checks.member(ref, where + (side,), invalid, self.lanes, "a lane id")
+                    if getattr(self.lanes[ref], back) != lane.id:
+                        checks.fail(ref, where + (side,), f"a lane whose {back} is {lane.id!r}",
+                                    invalid)
+            for succ in checks.names(list(lane.successors), where + ("successors",), invalid,
+                                     self.lanes, "lane ids"):
+                self._ends(lane.id, succ, where + ("successor", succ))
         for junction in self.junctions.values():
             for conn in junction.connections:
-                for ref in (conn.from_lane, conn.to_lane):
-                    if ref not in self.lanes:
-                        raise ScenarioValidationError(
-                            f"junction {junction.id!r} references missing lane {ref!r}")
-                if conn.direction not in TURN_DIRECTIONS:
-                    raise ScenarioValidationError(
-                        f"junction {junction.id!r}: bad turn direction {conn.direction!r}")
+                where = ("junction", junction.id, "connection", conn.from_lane, "->",
+                         conn.to_lane)
+                checks.names([conn.from_lane, conn.to_lane], where, invalid, self.lanes,
+                             "lane ids")
+                checks.member(conn.direction, where + ("direction",), invalid, TURN_DIRECTIONS,
+                              "left, right or straight")
+                start, end = self._ends(conn.from_lane, conn.to_lane, where)
+                pts = turn_curve(start[:2], start[4], end[:2], end[4])
+                try:
+                    curve = pts, Polyline(pts)
+                except ValueError:  # the lanes meet
+                    if not conn.priority_straight:
+                        checks.fail(0.0, where + ("length",), "positive (a turn needs a curve)",
+                                    invalid)
+                    curve = None
+                self.curves[conn.from_lane, conn.to_lane] = curve
 
     def connections_from(self, lane_id: str) -> list[tuple[Junction, Connection]]:
         out = []
@@ -258,170 +282,139 @@ def lane_point_state(layout: RoadLayout, lane_id: str, s: float, speed: float) -
 # --- file loading -----------------------------------------------------------
 
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-          float: "a finite number", bool: "true or false", tuple: "a list of two numbers"}
 _REQUIRED = object()
 
 
-def _check(value, kind: type, where: str):
-    """`value` as JSON type `kind`, or ScenarioParseError. float takes any
-    finite number (a boolean is none), tuple a list of two, as floats."""
-    if kind is tuple:
-        if len(_check(value, list, where)) != 2:
-            raise ScenarioParseError(f"{where} must be {_KINDS[tuple]}")
-        return _check(value[0], float, where), _check(value[1], float, where)
-    if (not isinstance(value, (int, float) if kind is float else kind)
-            or isinstance(value, bool) and kind is not bool
-            or kind is float and not abs(value) <= sys.float_info.max):
-        raise ScenarioParseError(f"{where} must be {_KINDS[kind]}")
-    return float(value) if kind is float else value
-
-
-def _require(mapping: dict, key: str, context: str, kind: type, default=_REQUIRED):
-    """mapping[key] as `kind`; a key with a default may be absent or null."""
-    if _check(mapping, dict, context).get(key) is None and default is not _REQUIRED:
+def _require(mapping, key: str, where: tuple, check, default=_REQUIRED):
+    """mapping[key] through `check`, a JSON type or a leaf of `checks`, else
+    ScenarioParseError; a key with a default may be absent or null."""
+    value = checks.typed(mapping, where, ScenarioParseError, dict).get(key)
+    if value is None and default is not _REQUIRED:
         return default
     if key not in mapping:
-        raise ScenarioParseError(f"{context}: missing required key {key!r}")
-    return _check(mapping[key], kind, f"{context}.{key}")
+        checks.missing(where + (key,), ScenarioParseError)
+    if isinstance(check, type):
+        return checks.typed(value, where + (key,), ScenarioParseError, check)
+    return check(value, where + (key,), ScenarioParseError)
 
 
-def _parse_goal(raw: dict, context: str) -> Goal:
-    lane = _require(raw, "lane", context, str)
-    start_s, end_s = _require(raw, "interval", context, tuple)
+def _parse_goal(raw: dict, where: tuple) -> Goal:
+    lane = _require(raw, "lane", where, str)
+    start_s, end_s = _require(raw, "interval", where, checks.pair)
     interval = raw["interval"]
     return Goal(lane, start_s, end_s,
-                label=_require(raw, "label", context, str, f"{lane}[{interval[0]},{interval[1]}]"),
-                lateral_tolerance=_require(raw, "lateral_tolerance_m", context, float, None))
+                label=_require(raw, "label", where, str, f"{lane}[{interval[0]},{interval[1]}]"),
+                lateral_tolerance=_require(raw, "lateral_tolerance_m", where, checks.number,
+                                           None))
 
 
 def _parse_layout(raw: dict) -> RoadLayout:
     lanes = []
-    for i, lr in enumerate(_require(raw, "lanes", "layout", list)):
-        ctx = f"layout.lanes[{i}]"
-        midline_pts = [_check(pt, tuple, f"{ctx}.midline")
-                       for pt in _require(lr, "midline", ctx, list)]
-        if len(midline_pts) < 2:
-            raise ScenarioValidationError(f"{ctx}: degenerate midline (needs >= 2 points)")
+    for i, lr in enumerate(_require(raw, "lanes", ("layout",), list)):
+        where = ("layout", "lanes", i)
+        midline_pts = [checks.pair(pt, where + ("midline", k), ScenarioParseError)
+                       for k, pt in enumerate(_require(lr, "midline", where, list))]
         try:
             midline = Polyline(midline_pts)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{ctx}: degenerate midline ({exc})") from exc
-        width = _require(lr, "width_m", ctx, float)
-        if width <= 0:
-            raise ScenarioValidationError(f"{ctx}: width must be positive")
+        except ValueError:  # fewer than two distinct points
+            checks.fail(lr["midline"], where + ("midline",), "a polyline of positive length",
+                        ScenarioValidationError)
+        width = _require(lr, "width_m", where, checks.number)
+        if not width > 0:
+            checks.fail(width, where + ("width_m",), "positive", ScenarioValidationError)
         lanes.append(Lane(
-            id=_require(lr, "id", ctx, str),
+            id=_require(lr, "id", where, str),
             midline=midline,
             width=width,
-            left_neighbor=_require(lr, "left_neighbor", ctx, str, None),
-            right_neighbor=_require(lr, "right_neighbor", ctx, str, None),
-            successors=tuple(_check(succ, str, f"{ctx}.successors")
-                             for succ in _require(lr, "successors", ctx, list, [])),
+            left_neighbor=_require(lr, "left_neighbor", where, str, None),
+            right_neighbor=_require(lr, "right_neighbor", where, str, None),
+            successors=tuple(checks.typed(succ, where + ("successors", k), ScenarioParseError, str)
+                             for k, succ in enumerate(_require(lr, "successors", where, list, []))),
         ))
     junctions = []
-    for i, jr in enumerate(_require(raw, "junctions", "layout", list, [])):
-        ctx = f"layout.junctions[{i}]"
+    for i, jr in enumerate(_require(raw, "junctions", ("layout",), list, [])):
+        where = ("layout", "junctions", i)
         conns = []
-        for k, cr in enumerate(_require(jr, "connections", ctx, list)):
-            cctx = f"{ctx}.connections[{k}]"
+        for k, cr in enumerate(_require(jr, "connections", where, list)):
+            cwhere = where + ("connections", k)
             conns.append(Connection(
-                from_lane=_require(cr, "from", cctx, str),
-                to_lane=_require(cr, "to", cctx, str),
-                direction=_require(cr, "direction", cctx, str),
-                has_priority=_require(cr, "has_priority", cctx, bool, False),
+                from_lane=_require(cr, "from", cwhere, str),
+                to_lane=_require(cr, "to", cwhere, str),
+                direction=_require(cr, "direction", cwhere, str),
+                has_priority=_require(cr, "has_priority", cwhere, bool, False),
             ))
-        junctions.append(Junction(id=_require(jr, "id", ctx, str), connections=tuple(conns)))
+        junctions.append(Junction(id=_require(jr, "id", where, str), connections=tuple(conns)))
     return RoadLayout(lanes, junctions)
 
 
 def _validate_scenario(sc: Scenario) -> None:
+    invalid, lanes = ScenarioValidationError, sc.layout.lanes
     ids = [v.id for v in sc.vehicles]
     if len(set(ids)) != len(ids):
-        raise ScenarioValidationError("vehicle ids are not unique")
-    if sc.ego_id not in ids:
-        raise ScenarioValidationError(f"ego id {sc.ego_id!r} absent from vehicles[]")
-    if sc.dt <= 0:
-        raise ScenarioValidationError("timestep_s must be positive")
-    if sc.horizon < 1:
-        raise ScenarioValidationError("horizon_steps must be >= 1")
-    if sc.observation_steps < 0:
-        raise ScenarioValidationError("observation_steps must be >= 0")
-    if sc.target_speed <= 0:
-        raise ScenarioValidationError("target_speed_mps must be positive")
-    if sc.rationality_beta < 0:
-        raise ScenarioValidationError("rationality_beta must be >= 0")
-
-    def check_goal(goal: Goal, owner: str) -> None:
-        if goal.lane not in sc.layout.lanes:
-            raise ScenarioValidationError(f"{owner}: goal lane {goal.lane!r} does not exist")
-        lane = sc.layout.lanes[goal.lane]
-        if not (0.0 <= goal.start_s <= goal.end_s <= lane.length + 1e-9):
-            raise ScenarioValidationError(
-                f"{owner}: goal interval [{goal.start_s}, {goal.end_s}] outside lane "
-                f"length {lane.length:.2f}")
-
-    check_goal(sc.ego_goal, "ego")
+        checks.fail(ids, ("vehicle ids",), "unique", invalid)
+    checks.member(sc.ego_id, ("ego", "id"), invalid, ids, "a vehicle id")
+    for key, value in (("timestep_s", sc.dt), ("target_speed_mps", sc.target_speed)):
+        if not value > 0:
+            checks.fail(value, ("scenario", key), "positive", invalid)
+    checks.integer(sc.horizon, ("scenario", "horizon_steps"), invalid, 1)
+    checks.integer(sc.observation_steps, ("scenario", "observation_steps"), invalid, 0)
+    checks.number(sc.rationality_beta, ("scenario", "rationality_beta"), invalid, 0.0)
     for v in sc.vehicles:
-        if v.lane not in sc.layout.lanes:
-            raise ScenarioValidationError(f"vehicle {v.id!r}: lane {v.lane!r} does not exist")
-        lane = sc.layout.lanes[v.lane]
-        if not (0.0 <= v.nominal_s <= lane.length + 1e-9):
-            raise ScenarioValidationError(
-                f"vehicle {v.id!r}: nominal_s {v.nominal_s} outside lane length")
-        if v.spawn_range < 0:
-            raise ScenarioValidationError(f"vehicle {v.id!r}: spawn range must be >= 0")
+        where = ("vehicle", v.id)
+        lane = lanes[checks.member(v.lane, where + ("lane",), invalid, lanes, "a lane id")]
+        checks.number(v.nominal_s, where + ("nominal_s",), invalid, 0.0, lane.length + 1e-9)
+        checks.number(v.spawn_range, where + ("spawn_range_m",), invalid, 0.0)
         lo, hi = v.speed_range
-        if lo < 0 or hi < lo:
-            raise ScenarioValidationError(f"vehicle {v.id!r}: bad speed range [{lo}, {hi}]")
+        checks.number(lo, where + ("speed_range_mps", 0), invalid, 0.0, hi)
         if v.id != sc.ego_id and not v.goals:
-            raise ScenarioValidationError(f"vehicle {v.id!r}: needs at least one goal")
+            checks.fail([], where + ("goals",), "a list of at least one goal", invalid)
         reachable = sc.layout.reachable_lanes(v.lane)
-        goals = list(v.goals) + ([sc.ego_goal] if v.id == sc.ego_id else [])
-        for g in goals:
-            check_goal(g, f"vehicle {v.id!r}")
-            if g.lane not in reachable:
-                raise ScenarioValidationError(
-                    f"vehicle {v.id!r}: goal {g.label!r} unreachable from lane {v.lane!r}")
+        goals = [(where + ("goals", k), g) for k, g in enumerate(v.goals)]
+        for gwhere, g in goals + ([(("ego", "goal"), sc.ego_goal)] if v.id == sc.ego_id else []):
+            glane = lanes[checks.member(g.lane, gwhere + ("lane",), invalid, lanes, "a lane id")]
+            checks.number(g.start_s, gwhere + ("interval", 0), invalid, 0.0, g.end_s)
+            checks.number(g.end_s, gwhere + ("interval", 1), invalid, 0.0, glane.length + 1e-9)
+            checks.member(g.lane, gwhere + ("lane",), invalid, reachable,
+                          f"a lane reachable from {v.lane!r}")
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    layout = _parse_layout(_require(raw, "layout", "scenario", dict))
-    ego_raw = _require(raw, "ego", "scenario", dict)
+    top = ("scenario",)
+    layout = _parse_layout(_require(raw, "layout", top, dict))
+    ego_raw = _require(raw, "ego", top, dict)
     if "goal" not in ego_raw:
-        raise ScenarioValidationError("ego goal absent")
-    ego_goal = _parse_goal(ego_raw["goal"], "ego.goal")
+        checks.missing(("ego", "goal"), ScenarioValidationError)
+    ego_goal = _parse_goal(ego_raw["goal"], ("ego", "goal"))
     vehicles = []
-    for i, vr in enumerate(_require(raw, "vehicles", "scenario", list)):
-        ctx = f"vehicles[{i}]"
-        vid = _require(vr, "id", ctx, str)
+    for i, vr in enumerate(_require(raw, "vehicles", top, list)):
+        where = ("vehicles", i)
+        vid = _require(vr, "id", where, str)
         vehicles.append(VehicleSpec(
             id=vid,
-            label=_require(vr, "label", ctx, str, vid),
-            lane=_require(vr, "lane", ctx, str),
-            nominal_s=_require(vr, "nominal_s", ctx, float),
-            spawn_range=_require(vr, "spawn_range_m", ctx, float, 0.0),
-            speed_range=_require(vr, "speed_range_mps", ctx, tuple),
-            goals=tuple(_parse_goal(g, f"{ctx}.goals")
-                        for g in _require(vr, "goals", ctx, list, [])),
+            label=_require(vr, "label", where, str, vid),
+            lane=_require(vr, "lane", where, str),
+            nominal_s=_require(vr, "nominal_s", where, checks.number),
+            spawn_range=_require(vr, "spawn_range_m", where, checks.number, 0.0),
+            speed_range=_require(vr, "speed_range_mps", where, checks.pair),
+            goals=tuple(_parse_goal(g, where + ("goals", k))
+                        for k, g in enumerate(_require(vr, "goals", where, list, []))),
         ))
-    planner = _require(raw, "planner", "scenario", dict, {})
+    planner = _require(raw, "planner", top, dict, {})
     for key in planner:
-        if key != "exploration":
-            raise ScenarioParseError(
-                f"planner: unknown key {key!r} (the only key is 'exploration')")
+        checks.member(key, ("planner", "key"), ScenarioParseError, ("exploration",),
+                      "'exploration'")
     sc = Scenario(
-        name=_require(raw, "name", "scenario", str, name),
+        name=_require(raw, "name", top, str, name),
         layout=layout,
-        ego_id=_require(ego_raw, "id", "ego", str),
+        ego_id=_require(ego_raw, "id", ("ego",), str),
         ego_goal=ego_goal,
         vehicles=tuple(vehicles),
-        dt=_require(raw, "timestep_s", "scenario", float),
-        horizon=_require(raw, "horizon_steps", "scenario", int),
-        observation_steps=_require(raw, "observation_steps", "scenario", int, 10),
-        rationality_beta=_require(raw, "rationality_beta", "scenario", float, 1.0),
-        target_speed=_require(raw, "target_speed_mps", "scenario", float, 10.0),
-        exploration=_require(planner, "exploration", "planner", float, None),
+        dt=_require(raw, "timestep_s", top, checks.number),
+        horizon=_require(raw, "horizon_steps", top, checks.integer),
+        observation_steps=_require(raw, "observation_steps", top, checks.integer, 10),
+        rationality_beta=_require(raw, "rationality_beta", top, checks.number, 1.0),
+        target_speed=_require(raw, "target_speed_mps", top, checks.number, 10.0),
+        exploration=_require(planner, "exploration", ("planner",), checks.number, None),
     )
     _validate_scenario(sc)
     return sc
@@ -429,15 +422,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ScenarioParseError(f"scenario file not found: {path}") from exc
-    except (OSError, ValueError) as exc:  # a directory, invalid JSON, not UTF-8
-        raise ScenarioParseError(f"{path} is not a readable JSON file: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioParseError(f"{path}: top level must be an object")
+    raw = checks.typed(checks.read_json(path, ScenarioParseError), (path,), ScenarioParseError,
+                       dict)
     return scenario_from_dict(raw, name=os.path.splitext(os.path.basename(str(path)))[0])
 
 

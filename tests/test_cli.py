@@ -63,7 +63,7 @@ def test_bad_scenario_path_exits_with_parse_code(tmp_path, capsys):
     code, _, err = run_cli(["plan", "--scenario", str(tmp_path / "missing.json"),
                             "--out", str(tmp_path / "x")], capsys)
     assert code == 2
-    assert "not found" in err
+    assert f"cannot read {tmp_path / 'missing.json'}: No such file or directory" in err
 
 
 def test_zero_iterations_exits_with_validation_code(mini_scenario_path, tmp_path, capsys):
@@ -91,7 +91,7 @@ def test_bad_exploration_exits_with_validation_code(tmp_path, capsys, case):
     args = ["plan", "--scenario", str(scenario), *FAST, "--out", str(tmp_path / "run")]
     code, _, err = run_cli(args + (["--exploration", flag] if flag else []), capsys)
     assert code == 3, err
-    assert "exploration must be finite and >= 0" in err
+    assert "exploration is " in err and "not a finite number in [0.0, inf]" in err
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -298,7 +298,7 @@ def test_max_depth_above_bound_exits_with_validation_code(mini_scenario_path, tm
                             "--max-depth", str(MAX_DEPTH_BOUND + 1),
                             "--out", str(tmp_path / "out")], capsys)
     assert code == 3
-    assert f"max_depth must be in [1, {MAX_DEPTH_BOUND}]" in err
+    assert f"max_depth is {MAX_DEPTH_BOUND + 1}, not an integer in [1, {MAX_DEPTH_BOUND}]" in err
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -317,7 +317,7 @@ def test_missing_style_file_exits_with_parse_code(mini_scenario_path, tmp_path, 
     code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue",
                             "--style", str(tmp_path / "missing.json")], capsys)
     assert code == 2
-    assert "cannot read style file" in err
+    assert f"cannot read {tmp_path / 'missing.json'}" in err
 
 
 def test_goal_less_vehicle_exits_with_validation_code(tmp_path, capsys):
@@ -328,29 +328,39 @@ def test_goal_less_vehicle_exits_with_validation_code(tmp_path, capsys):
     code, _, err = run_cli(["plan", "--scenario", str(path), *FAST,
                             "--out", str(tmp_path / "run")], capsys)
     assert code == 3
-    assert "'v1'" in err and "at least one goal" in err
+    assert "vehicle v1 goals is [], not a list of at least one goal" in err
     assert not os.path.exists(tmp_path / "run")
 
 
-MALFORMED_SCENARIOS = {  # case -> (path to the edited value, its new value)
-    "string-timestep": (("timestep_s",), "fast"),
-    "one-element-speed-range": (("vehicles", 1, "speed_range_mps"), [5.0]),
-    "number-for-lanes": (("layout", "lanes"), 5),
-    "number-for-vehicles": (("vehicles",), 5),
-    "integer-connection": (("layout", "junctions", 0, "connections", 0), 7),
-    "string-in-interval": (("vehicles", 1, "goals", 0, "interval", 1), "ten"),
-    "string-exploration": (("planner", "exploration"), "high"),
-    "misspelt-planner-key": (("planner", "exploraton"), 0.5),
-    "fractional-horizon": (("horizon_steps",), 2.5),
-    "directory": None,
+# Each edit puts one malformed value into the mini scenario, and `plan` must
+# exit 2 with exactly this message, which names the value's path and the value
+# ({dir} is the test's directory, which the last case passes as the scenario).
+MALFORMED_SCENARIOS = {  # case -> (path to the edited value, its new value, message)
+    "string-timestep": (("timestep_s",), "fast",
+                        "scenario timestep_s is 'fast', not a finite number"),
+    "one-element-speed-range": (("vehicles", 1, "speed_range_mps"), [5.0],
+                                "vehicles 1 speed_range_mps is [5.0], not a list of two numbers"),
+    "number-for-lanes": (("layout", "lanes"), 5, "layout lanes is 5, not a list"),
+    "number-for-vehicles": (("vehicles",), 5, "scenario vehicles is 5, not a list"),
+    "integer-connection": (("layout", "junctions", 0, "connections", 0), 7,
+                           "layout junctions 0 connections 0 is 7, not an object"),
+    "string-in-interval": (("vehicles", 1, "goals", 0, "interval", 1), "ten",
+                           "vehicles 1 goals 0 interval 1 is 'ten', not a finite number"),
+    "string-exploration": (("planner", "exploration"), "high",
+                           "planner exploration is 'high', not a finite number"),
+    "misspelt-planner-key": (("planner", "exploraton"), 0.5,
+                             "planner key is 'exploraton', not 'exploration'"),
+    "fractional-horizon": (("horizon_steps",), 2.5,
+                           "scenario horizon_steps is 2.5, not an integer"),
+    "directory": (None, None, "cannot read {dir}: Is a directory"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
 def test_malformed_scenario_exits_with_parse_code(tmp_path, capsys, case):
+    path, value, message = MALFORMED_SCENARIOS[case]
     scenario = tmp_path
-    if MALFORMED_SCENARIOS[case] is not None:
-        path, value = MALFORMED_SCENARIOS[case]
+    if path is not None:
         raw = mini_scenario_dict()
         functools.reduce(operator.getitem, path[:-1], raw)[path[-1]] = value
         scenario = tmp_path / "malformed.json"
@@ -358,7 +368,7 @@ def test_malformed_scenario_exits_with_parse_code(tmp_path, capsys, case):
     code, _, err = run_cli(["plan", "--scenario", str(scenario), *FAST,
                             "--out", str(tmp_path / "run")], capsys)
     assert code == 2, err
-    assert "unexpected error" not in err
+    assert err == f"error: {message.format(dir=tmp_path)}\n"
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -421,7 +431,7 @@ def test_record_deeper_than_max_depth_exits_with_run_dir_code(mini_scenario_path
 
     code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, deepen)
     assert code == 7
-    assert "record 0" in err and "max_depth 2" in err
+    assert "record 0" in err and "not a list of at most 2 macro names" in err
 
 
 def test_record_naming_unpredicted_vehicle_exits_with_run_dir_code(mini_scenario_path,
@@ -461,6 +471,7 @@ NOT_OPTIONS = "which are not options listed in predictions.json"
 INDICES = "tracelog.json indices are not 0, 1, ..., n-1 in order"
 MALFORMED = "malformed run directory {out}: "
 DEPTH_RANGE = f"not an integer in [1, {MAX_DEPTH_BOUND}]"
+MACRO_NAMES = "not a list of at most 2 macro names"  # the mini run's max_depth
 
 # Each edit puts one malformed value into an artifact of the mini run at seed 3
 # (record 0 is a "done" record sampling v1's option 0/0; v1's first option is
@@ -469,10 +480,10 @@ DEPTH_RANGE = f"not an integer in [1, {MAX_DEPTH_BOUND}]"
 MALFORMED_RUN_VALUES = {
     "positive-collision-weight": (
         "run.json", lambda run: run["reward_weights"].update(collision=5.0),
-        MALFORMED + "ScenarioValidationError reward weight collision must be negative"),
+        "run.json reward weight collision is 5.0, not negative"),
     "missing-reward-weight": (
         "run.json", lambda run: run["reward_weights"].pop("jerk"),
-        MALFORMED + "ScenarioValidationError reward weights must cover exactly ('time', "
+        "run.json reward weights must cover exactly ('time', "
         "'jerk', 'angular_acceleration', 'curvature', 'collision', 'termination'); "
         "missing ['jerk'], extra []"),
     "unknown-outcome": (
@@ -508,10 +519,10 @@ MALFORMED_RUN_VALUES = {
         MALFORMED + "TypeError unhashable type: 'list'"),
     "macros-not-names": (
         "tracelog.json", lambda log: log[0].update(macros=[7]),
-        "tracelog.json record 0 macros is [7], not a list of macro names"),
+        f"tracelog.json record 0 macros is [7], {MACRO_NAMES}"),
     "macros-deeper-than-max-depth": (
         "tracelog.json", lambda log: log[0].update(macros=["Continue"] * 3),
-        "tracelog.json record 0 has 3 macros, more than max_depth 2 in run.json"),
+        f"tracelog.json record 0 macros is ['Continue', 'Continue', 'Continue'], {MACRO_NAMES}"),
     "steps-a-string": (
         "tracelog.json", lambda log: log[0].update(steps="many"),
         "tracelog.json record 0 steps is 'many', not an integer"),
@@ -523,7 +534,7 @@ MALFORMED_RUN_VALUES = {
         "tracelog.json record 0 reward is nan, not a finite number"),
     "reward-too-large-for-a-float": (
         "tracelog.json", lambda log: log[0].update(reward=10 ** 400),
-        MALFORMED + "OverflowError int too large to convert to float"),
+        f"tracelog.json record 0 reward is {10 ** 400}, not a finite number"),
     "label-a-list": (
         "predictions.json", lambda pred: _first_vehicle(pred).update(label=["the car"]),
         "predictions.json v1 label is ['the car'], not a string"),
@@ -558,16 +569,16 @@ MALFORMED_RUN_VALUES = {
         f"run.json max_depth is True, {DEPTH_RANGE}"),
     "plan-deeper-than-max-depth": (
         "run.json", lambda run: run.update(plan=["Continue"] * 5),
-        "run.json plan has 5 macros, more than max_depth 2"),
+        f"run.json plan is {['Continue'] * 5}, {MACRO_NAMES}"),
     "plan-a-string": (
         "run.json", lambda run: run.update(plan="Exit-right"),
-        "run.json plan is 'Exit-right', not a list of macro names"),
+        f"run.json plan is 'Exit-right', {MACRO_NAMES}"),
     "plan-nested-list": (
         "run.json", lambda run: run.update(plan=[["Continue"]]),
-        MALFORMED + "TypeError unhashable type: 'list'"),
+        f"run.json plan is [['Continue']], {MACRO_NAMES}"),
     "plan-not-names": (
         "run.json", lambda run: run.update(plan=["x"]),
-        "run.json plan is ['x'], not a list of macro names"),
+        f"run.json plan is ['x'], {MACRO_NAMES}"),
 }
 
 

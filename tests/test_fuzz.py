@@ -1,12 +1,14 @@
-"""A fixed-seed fuzz gate: `whyplan explain` maps every bad input it is given
-to a documented exit code, never to 1 ("unexpected error").
+"""A fixed-seed fuzz gate: `whyplan plan` and `whyplan explain` map every bad
+input they are given to a documented exit code, never to 1 ("unexpected
+error").
 
-Three kinds of input are mutated: the leaves of one small run directory's
-`run.json`, of the first records of its `tracelog.json` and of its
-`predictions.json`; every key and table entry of a style file; and query
-strings built from an atom alphabet. The run directory is planned once per
-module, and every case is drawn from a seeded `random.Random`, so the cases
-are the same on every run.
+Four kinds of input are mutated: the leaves of the shipped scenario files
+`s1.json` and `s2.json`, each planned at 5 iterations within a time bound per
+case; the leaves of one small run directory's `run.json`, of the first
+records of its `tracelog.json` and of its `predictions.json`; every key and
+table entry of a style file; and query strings built from an atom alphabet.
+The run directory is planned once per module, and every case is drawn from a
+seeded `random.Random`, so the cases are the same on every run.
 """
 
 import copy
@@ -14,6 +16,7 @@ import json
 import math
 import os
 import random
+import signal
 
 import pytest
 
@@ -25,6 +28,9 @@ from conftest import mini_scenario_dict
 DOCUMENTED = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_PLANNING,
               cli.EXIT_INFERENCE, cli.EXIT_UNEXPLORED, cli.EXIT_RUN_DIR}
 ARTIFACTS = ("run.json", "tracelog.json", "predictions.json")
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SCENARIO_CASES = 300
+CASE_SECONDS = 5.0
 FIRST_RECORDS = 3
 RUN_CASES = 600
 QUERY_CASES = 500
@@ -41,6 +47,17 @@ QUERY_TERMS = [f"omega{depth}={action}" for depth in (0, 1, 2, 3)
                for action in ("Continue", "Change-right", "Exit-right", "Stop", "x")]
 QUERY_ATOMS = ["omega", "omega1", "omega-1", "omega1e9", "Omega1", "=", "==", ",", " ",
                "Continue", "continue", "x", "1", "-", "\t", "ω", ""]
+
+# Two junction-connection cases that once ended as exit 1. Lane 1's first point
+# far north puts a vehicle off every lane, where s1's priority straight, whose
+# lanes meet, has no curve; lane 2's first point far east makes the
+# connection into it 1e9 m long, a curve of 2e9 samples.
+CONNECTION_CASES = [("s1.json", ("layout", "lanes", 1, "midline", 0, 1), 1e9),
+                    ("s1.json", ("layout", "lanes", 2, "midline", 0, 0), 1e9)]
+
+
+class CaseTimeout(BaseException):
+    """Raised in a scenario case that runs longer than CASE_SECONDS."""
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +108,43 @@ def run_dir_cases(originals: dict, rng: random.Random):
     for _ in range(RUN_CASES):
         name, path = rng.choice(paths)
         yield name, path, rng.choice(VALUES + [DELETE])
+
+
+def scenario_cases(originals: dict, rng: random.Random):
+    """The connection cases, then (file, path, value) cases over every leaf."""
+    yield from CONNECTION_CASES
+    paths = [(name, p) for name in originals for p in leaves(originals[name])]
+    for _ in range(SCENARIO_CASES):
+        name, path = rng.choice(paths)
+        yield name, path, rng.choice(VALUES + [DELETE])
+
+
+def test_mutated_scenario_plans_with_a_documented_code(tmp_path, capsys):
+    originals = {}
+    for name in ("s1.json", "s2.json"):
+        with open(os.path.join(SCENARIOS, name)) as fh:
+            originals[name] = json.load(fh)
+    scenario, out = tmp_path / "scenario.json", str(tmp_path / "run")
+
+    def time_out(signum, frame):
+        raise CaseTimeout
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    try:
+        for name, path, value in scenario_cases(originals, random.Random(0)):
+            scenario.write_text(json.dumps(mutated(originals[name], path, value)))
+            signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+            try:
+                code = cli.main(["plan", "--scenario", str(scenario), "--iterations", "5",
+                                 "--out", out])
+            except CaseTimeout:
+                pytest.fail(f"{name} {path} = {value!r} ran over {CASE_SECONDS} s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            err = capsys.readouterr().err
+            assert code in DOCUMENTED, (name, path, value, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_mutated_run_directory_exits_with_a_documented_code(run_dir, tmp_path, capsys):

@@ -176,20 +176,21 @@ def test_malformed_postprocess_table_is_a_style_error(tmp_path, table):
 # Each overlay puts a value of the wrong shape into a style file, which
 # `load_style` must reject with this message.
 MALFORMED_STYLES = {
-    "unknown-key": ({"colour": "red"}, "unknown style keys ['colour']"),
-    "table-a-number": ({"outcomes": 5}, "outcomes must be an object of strings"),
-    "table-a-list": ({"ego_macros": ["gone"]}, "ego_macros must be an object of strings"),
-    "table-entry-null": ({"outcomes": {"done": None}}, "outcomes must be an object of strings"),
+    "unknown-key": ({"colour": "red"}, "style key is 'colour', not a key of the default style"),
+    "table-a-number": ({"outcomes": 5}, "style outcomes is 5, not an object"),
+    "table-a-list": ({"ego_macros": ["gone"]}, "style ego_macros is ['gone'], not an object"),
+    "table-entry-null": ({"outcomes": {"done": None}}, "style outcomes done is None, not a string"),
     "table-entry-a-number": ({"components": {"jerk": 2}},
-                             "components must be an object of strings"),
-    "text-a-number": ({"ego_subject": 1}, "ego_subject must be a string"),
-    "text-null": ({"cause_aux": None}, "cause_aux must be a string"),
+                             "style components jerk is 2, not a string"),
+    "text-a-number": ({"ego_subject": 1}, "style ego_subject is 1, not a string"),
+    "text-null": ({"cause_aux": None}, "style cause_aux is None, not a string"),
     "suppress-a-string": ({"suppress_certain_adverb": "yes"},
-                          "suppress_certain_adverb must be true or false"),
+                          "style suppress_certain_adverb is 'yes', not true or false"),
     "suppress-a-number": ({"suppress_empty_because": 0},
-                          "suppress_empty_because must be true or false"),
-    "tense-unknown": ({"cause_tense": "future"}, "cause_tense must be perfect or present"),
-    "tense-a-number": ({"cause_tense": 3}, "cause_tense must be a string"),
+                          "style suppress_empty_because is 0, not true or false"),
+    "tense-unknown": ({"cause_tense": "future"},
+                      "style cause_tense is 'future', not perfect or present"),
+    "tense-a-number": ({"cause_tense": 3}, "style cause_tense is 3, not a string"),
 }
 
 

@@ -126,6 +126,26 @@ def test_continue_next_exit_on_two_junction_road():
     assert chain[1].junction == "j2"
 
 
+@pytest.mark.parametrize("gap", [0.0, 4.0])
+def test_continue_next_exit_falls_back_to_a_straight_with_a_curve(gap):
+    """A second junction with only a priority straight: Continue-next-exit turns
+    through it when its lanes are apart, and is not offered when they meet,
+    which leaves no curve to turn through."""
+    raw = mini_scenario_dict()
+    raw["layout"]["lanes"].append({"id": "right_far2", "width_m": 3.5, "successors": [],
+                                   "midline": [[150.0 + gap, 0.0], [200.0, 0.0]]})
+    raw["layout"]["junctions"].append({"id": "j2", "connections": [
+        {"from": "right_far", "to": "right_far2", "direction": "straight", "has_priority": True},
+    ]})
+    sc = scenario_from_dict(raw)
+    state = joint_on(sc, "right", 10.0)
+    acts = applicable_macros(state, "me", sc.layout, sc.ego_goal)
+    assert ("Continue-next-exit" in acts) == (gap > 0.0)
+    for macro in acts:
+        chain = expand_macro(macro, state.vehicles["me"], sc.layout)
+        assert not roll_chain(chain, state.vehicles["me"], sc.layout, sc.dt, 300, CRUISE).truncated
+
+
 def test_exit_expands_to_three_manoeuvres(sc):
     chain = expand_macro("Exit-right", lane_point_state(sc.layout, "right", 10.0, 8.0),
                          sc.layout)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 import json
 import math
 import os
@@ -39,7 +40,8 @@ def test_config_validation():
     with pytest.raises(ScenarioValidationError):
         PlannerConfig(max_depth=0)
     PlannerConfig(max_depth=MAX_DEPTH_BOUND)
-    with pytest.raises(ScenarioValidationError, match="max_depth must be in"):
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            f"max_depth is {MAX_DEPTH_BOUND + 1}, not an integer in [1, {MAX_DEPTH_BOUND}]")):
         PlannerConfig(max_depth=MAX_DEPTH_BOUND + 1)
     with pytest.raises(ScenarioValidationError):
         RewardConfig(weights={"time": -1.0})

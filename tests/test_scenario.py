@@ -4,12 +4,14 @@ import json
 import math
 import operator
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from whyplan.errors import OffRoadError, ScenarioParseError, ScenarioValidationError
+from whyplan.geometry import Polyline, turn_curve
 from whyplan.scenario import (Goal, VehicleState, goal_contains, lane_point_state,
                               load_scenario, locate, sample_initial_states,
                               scenario_from_dict)
@@ -37,14 +39,15 @@ def test_s2_file_loads():
 def test_missing_ego_goal_is_rejected():
     raw = mini_scenario_dict()
     del raw["ego"]["goal"]
-    with pytest.raises(ScenarioValidationError, match="ego goal absent"):
+    with pytest.raises(ScenarioValidationError, match="^ego goal is missing$"):
         scenario_from_dict(raw)
 
 
 def test_negative_observation_steps_is_rejected():
     raw = mini_scenario_dict()
     raw["observation_steps"] = -5
-    with pytest.raises(ScenarioValidationError, match="observation_steps must be >= 0"):
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            "scenario observation_steps is -5, not an integer in [0, inf]")):
         scenario_from_dict(raw)
 
 
@@ -52,14 +55,16 @@ def test_negative_observation_steps_is_rejected():
 def test_non_positive_target_speed_is_rejected(speed):
     raw = mini_scenario_dict()
     raw["target_speed_mps"] = speed
-    with pytest.raises(ScenarioValidationError, match="target_speed_mps must be positive"):
+    with pytest.raises(ScenarioValidationError,
+                       match=f"^scenario target_speed_mps is {speed}, not positive$"):
         scenario_from_dict(raw)
 
 
 def test_negative_rationality_beta_is_rejected():
     raw = mini_scenario_dict()
     raw["rationality_beta"] = -4.0
-    with pytest.raises(ScenarioValidationError, match="rationality_beta must be >= 0"):
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            "scenario rationality_beta is -4.0, not a finite number in [0.0, inf]")):
         scenario_from_dict(raw)
     raw["rationality_beta"] = 0.0  # a flat goal posterior stays valid
     assert scenario_from_dict(raw).rationality_beta == 0.0
@@ -68,35 +73,40 @@ def test_negative_rationality_beta_is_rejected():
 def test_unknown_planner_key_is_rejected():
     raw = mini_scenario_dict()
     raw["planner"] = {"exploraton": 0.5}
-    with pytest.raises(ScenarioParseError, match="planner: unknown key 'exploraton'"):
+    with pytest.raises(ScenarioParseError, match="planner key is 'exploraton', not 'exploration'"):
         scenario_from_dict(raw)
 
 
 def test_single_point_midline_is_rejected():
     raw = mini_scenario_dict()
     raw["layout"]["lanes"][0]["midline"] = [[0.0, 0.0]]
-    with pytest.raises(ScenarioValidationError, match="degenerate midline"):
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            "layout lanes 0 midline is [[0.0, 0.0]], not a polyline of positive length")):
         scenario_from_dict(raw)
 
 
 def test_asymmetric_neighbors_are_rejected():
     raw = mini_scenario_dict()
     raw["layout"]["lanes"][1]["right_neighbor"] = None
-    with pytest.raises(ScenarioValidationError, match="asymmetric"):
+    with pytest.raises(ScenarioValidationError, match="^lane right left_neighbor is 'left', "
+                       "not a lane whose right_neighbor is 'right'$"):
         scenario_from_dict(raw)
 
 
 def test_junction_with_unknown_lane_is_rejected():
     raw = mini_scenario_dict()
     raw["layout"]["junctions"][0]["connections"][0]["to"] = "nowhere"
-    with pytest.raises(ScenarioValidationError, match="nowhere"):
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            "junction j1 connection right -> nowhere is ['right', 'nowhere'], "
+            "not a list of lane ids")):
         scenario_from_dict(raw)
 
 
 def test_goal_interval_outside_lane_is_rejected():
     raw = mini_scenario_dict()
     raw["ego"]["goal"]["interval"] = [0.0, 9999.0]
-    with pytest.raises(ScenarioValidationError, match="interval"):
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            "ego goal interval 1 is 9999.0, not a finite number in [0.0, 60.000000001]")):
         scenario_from_dict(raw)
 
 
@@ -106,12 +116,13 @@ def test_unreachable_goal_is_rejected():
                                    "width_m": 3.5, "successors": []})
     raw["vehicles"][1]["goals"].append(
         {"lane": "island", "interval": [0.0, 10.0], "label": "unreachable island"})
-    with pytest.raises(ScenarioValidationError, match="unreachable"):
+    with pytest.raises(ScenarioValidationError, match="^vehicle v1 goals 2 lane is 'island', "
+                       "not a lane reachable from 'left'$"):
         scenario_from_dict(raw)
 
 
 def test_missing_file_and_bad_json(tmp_path):
-    with pytest.raises(ScenarioParseError, match="not found"):
+    with pytest.raises(ScenarioParseError, match="cannot read .*: No such file or directory"):
         load_scenario(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")
@@ -159,6 +170,49 @@ def test_one_field_of_another_type_or_deleted_fails_typed(path, data):
         scenario_from_dict(raw, name="s1")
     except (ScenarioParseError, ScenarioValidationError):
         pass
+
+
+def test_connection_curves_are_built_once_at_load_from_the_lane_ends():
+    for path in (S1_PATH, "scenarios/s2.json", "benchmarks/scenarios/dense.json"):
+        layout = load_scenario(path).layout
+        for junction in layout.junctions.values():
+            for conn in junction.connections:
+                a = layout.lanes[conn.from_lane].midline
+                b = layout.lanes[conn.to_lane].midline
+                pts = turn_curve(a.point_at(a.length), a.heading_at(a.length),
+                                 b.point_at(0.0), b.heading_at(0.0))
+                curve = layout.curves[conn.from_lane, conn.to_lane]
+                if curve is None:  # s1's priority straight: its lanes meet
+                    assert conn.priority_straight and np.all(pts == pts[0])
+                else:
+                    assert np.array_equal(curve[0], pts)
+                    assert np.array_equal(curve[1].pts, Polyline(pts).pts)
+
+
+TOO_FAR = "not a finite number in [0.0, 1000.0]"
+
+# Each case moves points of s1's lanes (lane index, point index, axis, value);
+# loading must fail with this message, before any curve is sampled.
+BAD_CONNECTIONS = {
+    "connection-too-long": ([(2, 0, 0, 1e9)],
+                            f"junction j1 connection right_a -> right_b length is 999999905.0, "
+                            f"{TOO_FAR}"),
+    "successor-too-far": ([(3, 0, 0, 1e9)],
+                          f"lane left_a successor left_b length is 999999905.0, {TOO_FAR}"),
+    "turn-of-zero-length": ([(4, 0, 0, 95.0), (4, 0, 1, 0.0)],
+                            "junction j1 connection right_a -> exit_lane length is 0.0, "
+                            "not positive (a turn needs a curve)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONNECTIONS))
+def test_connection_geometry_is_checked_before_sampling(case):
+    edits, message = BAD_CONNECTIONS[case]
+    raw = copy.deepcopy(S1_RAW)
+    for lane, point, axis, value in edits:
+        raw["layout"]["lanes"][lane]["midline"][point][axis] = value
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(raw)
 
 
 def test_loading_is_pure():
