@@ -20,7 +20,7 @@ from .grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw
 from .maneuvers import (Maneuver, Trajectory, TrajectoryFeatures, applicable_macros,
                         expand_macro, extract_features)
 from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
-                   run_mcts, terminal_reward)
+                   TraceTable, run_mcts, terminal_reward)
 from .pipeline import (PipelineResult, explain_query, load_run, run_pipeline, save_run)
 from .recognition import (GoalPosterior, Predictions, TrajectoryOption, enumerate_plans,
                           goal_posterior, predict_all, trajectory_options)

@@ -11,19 +11,25 @@ so queries never touch never-realized presence patterns.
 The model is immutable after build, so what a query reads is computed once
 per model: CPD counts in one pass per (sample, trace) signature, each node's
 reward means when the build ends, and the rows matching an evidence, with
-their total weight, the first time that evidence is asked. The build reads
-each `TraceRecord` once, and sorts each distinct joint sample into its key
-once, finding it by the assignment's items.
+their total weight, the first time that evidence is asked. The build counts
+from a `TraceTable`, the same columns for a planning run and a reloaded run
+directory: signatures over (assignment row, macro index) pairs, node stats
+column by column. The record indices behind each CPD entry, which only the
+JSON export shows, are found when it asks.
 """
 
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import EmptyTraceLogError, UnexploredCounterfactualError
-from .mcts import OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceRecord
+from .mcts import OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceTable
 
 AssignmentKey = tuple  # sorted tuple of (vehicle id, goal index, trajectory index)
+_is_value = partial(operator.is_not, None)
 
 
 @dataclass
@@ -62,13 +68,13 @@ class Row:
 
 
 class BnModel:
-    """Factorized joint over one trace log; immutable after build."""
+    """Factorized joint over one trace table; immutable after build."""
 
-    def __init__(self, trace_log, goal_probs, traj_probs, d_max,
+    def __init__(self, table: TraceTable, goal_probs, traj_probs, d_max,
                  traj_macros=None, labels=None):
-        if not trace_log:
+        if not len(table):
             raise EmptyTraceLogError("empty trace log")
-        self.trace_log: list[TraceRecord] = list(trace_log)
+        self.table = table
         self.d_max = int(d_max)
         self.goal_probs: dict = {v: dict(p) for v, p in goal_probs.items()}
         self.traj_probs: dict = {v: {tuple(k): pv for k, pv in p.items()}
@@ -80,7 +86,6 @@ class BnModel:
 
         self.sel: dict = {}    # (prefix, akey) -> {action: count}
         self.reach: dict = {}  # (prefix, akey) -> count
-        self.support: dict = {}  # (prefix, akey) -> [record index]
         self.nodes: dict[tuple, _NodeStats] = {}
         self._signatures: dict = {}  # (akey, omega) -> count
         self._build_counts()
@@ -95,47 +100,71 @@ class BnModel:
 
     # -- construction ---------------------------------------------------------
 
+    def _visits(self, omega: tuple) -> list[tuple]:
+        """(prefix, selected action) per CPD key a trace reaches, in depth
+        order. A trace shorter than max depth also reaches the node at its
+        end, where it selected nothing: that visit's action is None."""
+        visits = [(omega[:d], action) for d, action in enumerate(omega)]
+        if len(omega) < self.d_max:
+            visits.append((omega, None))
+        return visits
+
+    def _akey(self, row: tuple) -> AssignmentKey:
+        vehicles = self.table.vehicles
+        return tuple(zip(vehicles, row[0::2], row[1::2]))  # vehicles are sorted
+
     def _build_counts(self) -> None:
         # Records that share a (sample, trace) signature walk the same CPD
         # keys, so each signature walks them once and adds its record count.
-        # A record holds exactly the components its outcome requires.
-        members: dict = {}  # (akey, omega) -> [record index], first-seen order
-        akeys: dict = {}  # assignment items -> sorted assignment key
-        nodes = self.nodes
-        for rec in self.trace_log:
-            items = tuple(rec.assignment.items())
-            akey = akeys.get(items)
-            if akey is None:
-                akey = akeys[items] = rec.assignment_key()
-            omega, outcome, components = rec.macros, rec.outcome, rec.components
-            members.setdefault((akey, omega), []).append(rec.index)
-            node = nodes.get(omega)
-            if node is None:
-                node = nodes[omega] = _NodeStats()
-            node.total += 1
-            for comp in OUTCOME_REQUIRED[outcome]:
-                node.values[comp].append(float(components[comp]))
-            node.outcomes[outcome] = node.outcomes.get(outcome, 0) + 1
-            if rec.collider is not None:
-                node.colliders[rec.collider] = node.colliders.get(rec.collider, 0) + 1
-        for node in self.nodes.values():
-            node.means = {c: float(np.mean(v)) if v else None for c, v in node.values.items()}
-        for (akey, omega), indices in members.items():
-            n = len(indices)
-            self._signatures[(akey, omega)] = n
-            prefix: tuple = ()
-            for action in omega:
+        # Signatures are counted over (assignment row, macro index) pairs in
+        # first-seen order, which fixes row order and with it every float sum.
+        table = self.table
+        sequences = table.macro_sequences
+        visits = [self._visits(omega) for omega in sequences]
+        for (row, m), n in Counter(zip(table.assignment, table.macros)).items():
+            akey = self._akey(row)
+            self._signatures[(akey, sequences[m])] = n
+            for prefix, action in visits[m]:
                 key = (prefix, akey)
                 self.reach[key] = self.reach.get(key, 0) + n
-                counts = self.sel.setdefault(key, {})
-                counts[action] = counts.get(action, 0) + n
-                self.support.setdefault(key, []).extend(indices)
-                prefix = prefix + (action,)
-            if len(omega) < self.d_max:
-                # Terminal visit: the trace reached this node and selected nothing.
-                key = (prefix, akey)
-                self.reach[key] = self.reach.get(key, 0) + n
-                self.support.setdefault(key, []).extend(indices)
+                if action is not None:
+                    counts = self.sel.setdefault(key, {})
+                    counts[action] = counts.get(action, 0) + n
+        # Node stats from the columns. A record holds exactly the components
+        # its outcome requires, so a node gathers the components of its
+        # outcomes from its records, in record order.
+        stats = [_NodeStats() for _ in sequences]
+        for (m, kind), n in Counter(zip(table.macros, table.outcome)).items():
+            stats[m].total += n
+            stats[m].outcomes[kind] = n
+        for (m, collider), n in Counter(zip(table.macros, table.collider)).items():
+            if collider is not None:
+                stats[m].colliders[collider] = n
+        members: list = [[] for _ in sequences]  # macro index -> its record indices
+        for i, m in enumerate(table.macros):
+            members[m].append(i)
+        for omega, node, indices in zip(sequences, stats, members):
+            for comp in {c for kind in node.outcomes for c in OUTCOME_REQUIRED[kind]}:
+                node.values[comp] = list(filter(_is_value, map(
+                    table.components[comp].__getitem__, indices)))
+            # The same floats as np.mean, without its per-call overhead.
+            node.means = {c: float(np.add.reduce(np.array(v))) / len(v) if v else None
+                          for c, v in node.values.items()}
+            self.nodes[omega] = node
+
+    @cached_property
+    def support(self) -> dict:
+        """(prefix, akey) -> indices of the records that reach that CPD key.
+        Only the JSON export reads it, so it is found on first use."""
+        members: dict = {}  # (row, macro index) -> [record index], first-seen order
+        for i, signature in enumerate(zip(self.table.assignment, self.table.macros)):
+            members.setdefault(signature, []).append(i)
+        support: dict = {}
+        for (row, m), indices in members.items():
+            akey = self._akey(row)
+            for prefix, _ in self._visits(self.table.macro_sequences[m]):
+                support.setdefault((prefix, akey), []).extend(indices)
+        return support
 
     def assignment_probability(self, akey: AssignmentKey) -> float:
         p = 1.0
@@ -231,10 +260,15 @@ class BnModel:
         return (node.mean(comp), node.variance(comp), len(vals), 1.0 - node.presence(comp))
 
 
-def build_bn(trace_log, goal_probs, traj_probs, d_max,
+def build_bn(trace, goal_probs, traj_probs, d_max,
              traj_macros=None, labels=None) -> BnModel:
-    """Construct the network from a trace log and goal-recognition factors."""
-    return BnModel(trace_log, goal_probs, traj_probs, d_max,
+    """Construct the network from a trace log and goal-recognition factors.
+
+    `trace` is a `TraceTable`, or a list of `TraceRecord`s, tabled first.
+    """
+    if not isinstance(trace, TraceTable):
+        trace = TraceTable.from_records(trace)
+    return BnModel(trace, goal_probs, traj_probs, d_max,
                    traj_macros=traj_macros, labels=labels)
 
 
@@ -368,7 +402,7 @@ def model_to_dict(model: BnModel) -> dict:
                 "p_absent": p_absent,
             })
     return {
-        "trace_count": len(model.trace_log),
+        "trace_count": len(model.table),
         "max_depth": model.d_max,
         "variables": {k: (v if v == "gaussian-or-absent" else [list(x) if isinstance(x, tuple) else x for x in v])
                       for k, v in model.variables().items()},

@@ -145,6 +145,8 @@ def _batch_worker(job: tuple) -> list[dict]:
 def cmd_batch(args) -> int:
     if args.runs < 1:
         raise ScenarioValidationError("--runs must be >= 1")
+    if args.workers < 1:
+        raise ScenarioValidationError("--workers must be >= 1")
     # Fail fast on a bad scenario file or planner setting.
     planner_config(load_scenario(args.scenario), args.seed, iterations=args.iterations,
                    max_depth=args.max_depth, exploration=args.exploration)
@@ -153,9 +155,12 @@ def cmd_batch(args) -> int:
              args.exploration, query_exprs, args.n_causes, args.n_effects, args.style)
             for i in range(args.runs)]
     out = _open_output(args.out, newline="") if args.out else sys.stdout  # before any run
+    # A fork-started pool forks all its workers on the first submit, so it
+    # gets no more than there are runs or CPUs.
+    workers = min(args.workers, args.runs, os.cpu_count() or 1)
     try:
-        if args.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_batch_worker, jobs))
         else:
             results = [_batch_worker(job) for job in jobs]

@@ -3,8 +3,8 @@
 Each iteration samples one goal and trajectory per non-ego vehicle, walks the
 tree with UCB1 selection, forward-simulates the chosen macros against the
 fixed traffic, and backs the terminal reward up the visited path. The full
-record of every iteration (the trace log) is the planner's second output and
-the sole input to the Bayes net.
+record of every iteration (the trace log) is the planner's second output;
+as a `TraceTable` of columns it is the sole input to the Bayes net.
 
 A rollout is a pure function of the joint sample and the ego's macro prefix,
 so within one search each (joint sample, macro prefix) is simulated once and
@@ -146,9 +146,9 @@ class _TraceFields(NamedTuple):
 class TraceRecord(_TraceFields):
     """Everything one MCTS iteration decided and observed.
 
-    A named tuple, so that a search or `load_run` builds a record as cheaply
-    as a tuple, with no per-instance `__dict__` for the garbage collector to
-    track; fields are read-only and records compare equal field by field. The
+    A named tuple, so that a search builds a record as cheaply as a tuple,
+    with no per-instance `__dict__` for the garbage collector to track;
+    fields are read-only and records compare equal field by field. The
     constructor rejects an unknown outcome or components that do not fit it.
     """
 
@@ -169,6 +169,57 @@ class TraceRecord(_TraceFields):
 def _assignment_key(assignment: dict) -> tuple:
     """Hashable joint sample: sorted (vehicle id, goal index, trajectory index)."""
     return tuple(sorted((vid, gs[0], gs[1]) for vid, gs in assignment.items()))
+
+
+@dataclass(frozen=True)
+class TraceTable:
+    """A trace log as columns: record i is entry i of every per-record column.
+
+    `assignment` holds one flat (goal, trajectory, goal, trajectory, ...)
+    tuple per record, in `vehicles` order; `macros` holds an index into
+    `macro_sequences`, the distinct macro tuples in first-seen order; and
+    `components` one column per reward component, None where absent. The
+    Bayes net counts from it and `tracelog.json` is its JSON form.
+    """
+
+    vehicles: tuple[str, ...]
+    macro_sequences: list[tuple[str, ...]]
+    assignment: list[tuple[int, ...]]
+    macros: list[int]
+    outcome: list[str]
+    collider: list[str | None]
+    reward: list[float]
+    steps: list[int]
+    components: dict[str, list[float | None]]
+
+    @classmethod
+    def from_records(cls, records) -> "TraceTable":
+        """The table of a list of `TraceRecord`s that sample the same vehicles."""
+        vehicles = tuple(sorted(records[0].assignment)) if records else ()
+        sequences: dict = {}  # macro tuple -> its index, in first-seen order
+        macros = [sequences.setdefault(rec.macros, len(sequences)) for rec in records]
+        return cls(
+            vehicles=vehicles, macro_sequences=list(sequences),
+            assignment=[tuple(x for vid in vehicles for x in rec.assignment[vid])
+                        for rec in records],
+            macros=macros,
+            outcome=[rec.outcome for rec in records],
+            collider=[rec.collider for rec in records],
+            reward=[rec.reward for rec in records],
+            steps=[rec.steps for rec in records],
+            components={c: [rec.components.get(c) for rec in records]
+                        for c in REWARD_COMPONENTS})
+
+    def __len__(self) -> int:
+        return len(self.macros)
+
+    def to_json(self) -> dict:
+        """The `tracelog.json` object: every column under its name, the
+        components under theirs."""
+        return {"vehicles": self.vehicles, "macro_sequences": self.macro_sequences,
+                "assignment": self.assignment, "macros": self.macros,
+                "outcome": self.outcome, "collider": self.collider, "reward": self.reward,
+                "steps": self.steps, **self.components}
 
 
 @dataclass

@@ -6,13 +6,16 @@ recognition's optimal reward; recognition enumerates once more, from the
 last observed state.
 
 Also owns the run-directory format: everything an explanation needs is
-persisted (trace log, goal/trajectory factors, config), so `explain` never
-re-plans. Artifact files are byte-stable for a fixed seed.
+persisted (the trace log as a columnar table, goal/trajectory factors,
+config), so `explain` never re-plans. Artifact files are byte-stable for a
+fixed seed.
 """
 
 import hashlib
+import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -23,12 +26,13 @@ from .causal import (CausalSummary, CounterfactualQuery, agent_influences, outco
 from .errors import RunDirectoryError, ScenarioValidationError
 from .grammar import explain as render_explanation
 from .maneuvers import ALL_MACRO_NAMES
-from .mcts import MctsResult, PlannerConfig, RewardConfig, TraceRecord, run_mcts
+from .mcts import (OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, MctsResult, PlannerConfig,
+                   RewardConfig, TraceTable, run_mcts)
 from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
 from .simulation import observe
 
-RUN_FORMAT_VERSION = 1  # run.json "format_version"; load_run reads no other
+RUN_FORMAT_VERSION = 2  # run.json "format_version"; load_run reads no other
 
 
 @dataclass
@@ -87,8 +91,8 @@ def run_pipeline(scenario: Scenario, seed: int, planner: PlannerConfig | None = 
     predictions = predict_all(scenario, prefixes, from_start)
     result = run_mcts(scenario, planning_state, planner, predictions, reward_config=reward)
     goal_probs, traj_probs, traj_macros, labels = prediction_factors(predictions)
-    model = build_bn(result.trace_log, goal_probs, traj_probs, planner.max_depth,
-                     traj_macros=traj_macros, labels=labels)
+    model = build_bn(TraceTable.from_records(result.trace_log), goal_probs, traj_probs,
+                     planner.max_depth, traj_macros=traj_macros, labels=labels)
     return PipelineResult(scenario=scenario, seed=seed, planner=planner, reward=reward,
                           initial=initial, planning_state=planning_state, prefixes=prefixes,
                           predictions=predictions, mcts=result, model=model)
@@ -151,7 +155,15 @@ def file_sha256(path) -> str:
 
 
 def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
-    """Write the run directory; RunDirectoryError when it cannot be created or written."""
+    """Write the run directory; RunDirectoryError when it cannot be created or written.
+
+    `tracelog.json` (format 2) is the model's `TraceTable` as one object:
+    `vehicles` (sorted ids), `macro_sequences` (the distinct macro lists in
+    first-seen order) and one list per record field, whose entry i is record
+    i: `assignment` (flat [goal, trajectory, ...] rows in `vehicles` order),
+    `macros` (an index into `macro_sequences`), `outcome`, `collider`,
+    `reward`, `steps`, and one per reward component, null where absent.
+    """
     scenario_sha256 = file_sha256(scenario_path)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -167,19 +179,7 @@ def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
             "reward_weights": pipe.reward.weights,
             "plan": list(pipe.mcts.plan),
         })
-        _dump(os.path.join(out_dir, "tracelog.json"), [
-            {
-                "index": rec.index,
-                "assignment": {vid: list(gs) for vid, gs in sorted(rec.assignment.items())},
-                "macros": list(rec.macros),
-                "components": rec.components,
-                "outcome": rec.outcome,
-                "collider": rec.collider,
-                "reward": rec.reward,
-                "steps": rec.steps,
-            }
-            for rec in pipe.mcts.trace_log
-        ])
+        _dump(os.path.join(out_dir, "tracelog.json"), pipe.model.table.to_json())
         model = pipe.model
         _dump(os.path.join(out_dir, "predictions.json"), {
             vid: {
@@ -204,49 +204,137 @@ class LoadedRun:
 
 _MACRO_NAMES = frozenset(ALL_MACRO_NAMES)
 _RECORD = "tracelog.json record"
+_NULL = type(None)
+_OUTCOMES = frozenset(OUTCOME_KINDS)
+_PER_RECORD = ("assignment", "macros", "outcome", "collider", "reward", "steps",
+               *REWARD_COMPONENTS)
+_COLUMNS = frozenset(("vehicles", "macro_sequences", *_PER_RECORD))
+# Per reward component, the outcome kinds whose records hold it.
+_REQUIRING = {c: frozenset(k for k, required in OUTCOME_REQUIRED.items() if c in required)
+              for c in REWARD_COMPONENTS}
 
 
-def _trace_records(raw_log, traj_probs: dict, d_max) -> list[TraceRecord]:
-    """`tracelog.json` as records, in the one checking pass `load_run` describes."""
-    options = {(vid, gs): gs for vid, opts in traj_probs.items() for gs in opts}
-    shared: dict = {}  # macro tuple -> itself, once its names and depth are checked
-    records = []
-    for i, r in enumerate(raw_log):
-        index, assignment, raw_macros = r["index"], r["assignment"], r["macros"]
-        if index != i:
-            raise RunDirectoryError("tracelog.json indices are not 0, 1, ..., n-1 in order")
-        found = 0
-        for vid, gs in assignment.items():
-            option = options.get((vid, tuple(gs)))  # TypeError if gs is not iterable
-            if option is not None:
-                assignment[vid] = option
-                found += 1
-        if found != len(assignment) or found != len(traj_probs):
-            sample = sorted({vid: tuple(gs) for vid, gs in assignment.items()}.items())
-            raise RunDirectoryError(f"{_RECORD} {i} samples {sample}, which are not options "
-                                    f"listed in predictions.json")
-        macros = shared.get(tuple(raw_macros)) if type(raw_macros) is list else None
-        if macros is None:
-            macros = checks.names(raw_macros, (_RECORD, i, "macros"), RunDirectoryError,
-                                  _MACRO_NAMES, "macro names", d_max)
-            shared[macros] = macros
-        components = r["components"]
-        for k, v in components.items():
-            # v - v is 0.0 for a finite float, NaN for an infinite or NaN one.
-            if v is not None and (type(v) is not float or v - v != 0.0):
-                checks.number(v, (_RECORD, i, "component", k), RunDirectoryError)
-        collider, reward, steps = r["collider"], r["reward"], r["steps"]
-        if collider is not None and type(collider) is not str:
-            checks.fail(collider, (_RECORD, i, "collider"), "a vehicle id or null",
+def _first_bad(column: list, ok) -> int | None:
+    """The index of the first entry `ok` rejects: a check that failed on a
+    whole column finds the record to name this way."""
+    return next((i for i, v in enumerate(column) if not ok(v)), None)
+
+
+def _typed_column(column: list, kinds: set, field: str, what: str) -> None:
+    """Every entry's type is in `kinds`, checked in one pass; otherwise the
+    first entry of another type is named as not `what`."""
+    if not set(map(type, column)) <= kinds:
+        i = _first_bad(column, lambda v: type(v) in kinds)
+        checks.fail(column[i], (_RECORD, i, field), what, RunDirectoryError)
+
+
+def _finite_column(column: list, field: tuple, nullable: bool) -> list:
+    """`column` if its entries are finite floats (or null, if `nullable`),
+    as one pass each over types and values; otherwise the entries as
+    floats, where each is checked by `checks.number`, which names the
+    record of the first that fails."""
+    if (set(map(type, column)) <= ({float, _NULL} if nullable else {float})
+            and math.isfinite(sum(filter(None, column)))):  # filter drops nulls and zeros
+        return column  # a finite sum has finite terms
+    return [None if v is None and nullable
+            else checks.number(v, (_RECORD, i, *field), RunDirectoryError)
+            for i, v in enumerate(column)]
+
+
+def _assignment_column(column: list, vehicles: list, traj_probs: dict) -> list:
+    """The assignment column as tuples: each row holds a goal and trajectory
+    index per vehicle, integers naming an option predictions.json lists.
+    Types and lengths are checked in one pass each over the whole column,
+    options per vehicle over the distinct rows."""
+    options = [frozenset(traj_probs[vid]) for vid in vehicles]
+    width = 2 * len(vehicles)
+
+    def lists_options(row: tuple) -> bool:
+        return (len(row) == width
+                and all(map(operator.contains, options, zip(row[0::2], row[1::2]))))
+
+    if (set(map(type, column)) <= {list} and set(map(len, column)) <= {width}
+            and set(map(type, itertools.chain.from_iterable(column))) <= {int}):
+        rows = list(map(tuple, column))
+        # Entry k of each distinct row, for every k.
+        entries = list(zip(*dict.fromkeys(rows))) if rows else [()] * width
+        if all(set(zip(entries[2 * k], entries[2 * k + 1])) <= option
+               for k, option in enumerate(options)):
+            return rows
+    i = _first_bad(column, lambda row: type(row) is list and set(map(type, row)) <= {int}
+                   and lists_options(tuple(row)))
+    checks.fail(column[i], (_RECORD, i, "assignment"),
+                f"a goal and trajectory index per vehicle {vehicles}, naming options "
+                f"listed in predictions.json", RunDirectoryError)
+
+
+def _trace_table(log, traj_probs: dict, d_max: int) -> TraceTable:
+    """`tracelog.json` as a TraceTable, checked column by column (see load_run)."""
+    if type(log) is not dict:
+        raise RunDirectoryError("tracelog.json is not an object of columns")
+    for name in sorted(_COLUMNS.difference(log)):
+        checks.missing(("tracelog.json column", name), RunDirectoryError)
+    unknown = sorted(set(log) - _COLUMNS)
+    if unknown:
+        raise RunDirectoryError(f"tracelog.json has unknown columns {unknown}")
+    columns = {name: checks.typed(log[name], ("tracelog.json", name), RunDirectoryError, list)
+               for name in _PER_RECORD}
+    n = len(columns["assignment"])
+    for name, column in columns.items():
+        if len(column) != n:
+            raise RunDirectoryError(f"tracelog.json columns have unequal lengths: "
+                                    f"assignment has {n} entries, {name} {len(column)}")
+    vehicles = sorted(traj_probs)
+    if log["vehicles"] != vehicles:
+        checks.fail(log["vehicles"], ("tracelog.json", "vehicles"),
+                    f"{vehicles}, the sorted vehicle ids of predictions.json", RunDirectoryError)
+
+    # Macro indices first, so that a bad sequence can name a record holding it.
+    sequences = checks.typed(log["macro_sequences"], ("tracelog.json", "macro_sequences"),
+                             RunDirectoryError, list)
+    macros = columns["macros"]
+    index = f"an index into the {len(sequences)} macro_sequences"
+    _typed_column(macros, {int}, "macros", index)
+    if set(macros) != set(range(len(sequences))):
+        i = _first_bad(macros, lambda m: 0 <= m < len(sequences))
+        if i is not None:
+            checks.fail(macros[i], (_RECORD, i, "macros"), index, RunDirectoryError)
+        j = min(set(range(len(sequences))) - set(macros))
+        raise RunDirectoryError(f"tracelog.json macro_sequences {j} is {sequences[j]!r}, "
+                                f"which no record uses")
+    seen: dict = {}  # macro tuple -> its index
+    for j, seq in enumerate(sequences):
+        seq = checks.names(seq, (_RECORD, macros.index(j), "macros"), RunDirectoryError,
+                           _MACRO_NAMES, "macro names", d_max)
+        if seen.setdefault(seq, j) != j:
+            raise RunDirectoryError(f"tracelog.json macro_sequences {j} repeats "
+                                    f"macro_sequences {seen[seq]}, {list(seq)!r}")
+
+    outcome = columns["outcome"]
+    kinds = f"one of {OUTCOME_KINDS}"
+    _typed_column(outcome, {str}, "outcome", kinds)
+    if not set(outcome) <= _OUTCOMES:
+        i = _first_bad(outcome, _OUTCOMES.__contains__)
+        checks.fail(outcome[i], (_RECORD, i, "outcome"), kinds, RunDirectoryError)
+    for comp, requiring in _REQUIRING.items():
+        present = list(map(operator.is_not, columns[comp], itertools.repeat(None)))
+        if present != list(map(requiring.__contains__, outcome)):
+            i = _first_bad(range(n), lambda i: present[i] == (outcome[i] in requiring))
+            kind = outcome[i]
+            checks.fail(sorted(c for c in REWARD_COMPONENTS if columns[c][i] is not None),
+                        (_RECORD, i, "components"),
+                        f"exactly {OUTCOME_REQUIRED[kind]}, which outcome {kind!r} requires",
                         RunDirectoryError)
-        if type(reward) is not float or reward - reward != 0.0:
-            checks.number(reward, (_RECORD, i, "reward"), RunDirectoryError)
-        if type(steps) is not int:
-            checks.integer(steps, (_RECORD, i, "steps"), RunDirectoryError)
-        records.append(TraceRecord(index=i, assignment=assignment, macros=macros,
-                                   components=components, outcome=r["outcome"],
-                                   collider=collider, reward=reward, steps=steps))
-    return records
+    _typed_column(columns["collider"], {str, _NULL}, "collider", "a vehicle id or null")
+    _typed_column(columns["steps"], {int}, "steps", "an integer")
+    return TraceTable(
+        vehicles=tuple(vehicles), macro_sequences=list(seen),
+        assignment=_assignment_column(columns["assignment"], vehicles, traj_probs),
+        macros=macros, outcome=outcome, collider=columns["collider"],
+        reward=_finite_column(columns["reward"], ("reward",), nullable=False),
+        steps=columns["steps"],
+        components={c: _finite_column(columns[c], ("component", c), nullable=True)
+                    for c in REWARD_COMPONENTS})
 
 
 def load_run(run_dir: str) -> LoadedRun:
@@ -255,15 +343,19 @@ def load_run(run_dir: str) -> LoadedRun:
     Reads `run.json`, whose reward weights and planner settings must pass
     `RewardConfig` and `PlannerConfig` (so `max_depth` is an integer in [1,
     MAX_DEPTH_BOUND]) and whose `plan` is a list of at most `max_depth` macro
-    names, and `predictions.json`, then checks each `tracelog.json` record in
-    one pass with inline type tests (a leaf of `checks` runs only to raise
-    for a value that fails): its index is its position; components and
-    reward are finite numbers; macros are macro names, at most `max_depth`;
-    the collider is a string or null, steps an integer; outcome and
-    components fit (`TraceRecord`); and it samples an option
-    `predictions.json` lists for each predicted vehicle. Decoded values are
-    kept: assignment values become their options' shared tuples, and records
-    with equal macros share one tuple.
+    names, and `predictions.json`, then checks the `tracelog.json` table
+    (format 2, see `save_run`) column by column, with one pass over each
+    column's types or values, and scans a column entry by entry only to name
+    the record that failed: the columns are exactly those `save_run`
+    writes, and the per-record ones are lists of one length; `vehicles` are
+    the sorted ids of `predictions.json`; each assignment row names an
+    option `predictions.json` lists for each vehicle, checked once per
+    distinct row; each macro index points into `macro_sequences`, whose
+    entries are distinct lists of at most `max_depth` macro names, each held
+    by some record; outcomes are known and hold exactly the components they
+    require; components and reward are finite numbers, the collider a string
+    or null and steps an integer. The checked columns are the table
+    `build_bn` counts from.
 
     Raises RunDirectoryError for any such fault, when the directory or an
     artifact is missing, unreadable or not JSON, when an entry is missing, a
@@ -304,11 +396,11 @@ def load_run(run_dir: str) -> LoadedRun:
             raise RunDirectoryError(f"run.json {exc}") from exc
         plan = checks.names(meta["plan"], ("run.json", "plan"), RunDirectoryError,
                             _MACRO_NAMES, "macro names", d_max)
-        records = _trace_records(raw_log, traj_probs, d_max)
+        table = _trace_table(raw_log, traj_probs, d_max)
     except (KeyError, TypeError, ValueError, AttributeError,
             ScenarioValidationError) as exc:
         raise RunDirectoryError(f"malformed run directory {run_dir}: "
                                 f"{type(exc).__name__} {exc}") from exc
-    model = build_bn(records, goal_probs, traj_probs, d_max,
+    model = build_bn(table, goal_probs, traj_probs, d_max,
                      traj_macros=traj_macros, labels=labels)
     return LoadedRun(plan=plan, reward=reward, model=model)

@@ -14,7 +14,8 @@ from whyplan.causal import (Cause, _cause_macros, _omega_distributions, agent_in
                             trace_divergence)
 from whyplan.cli import parse_query
 from whyplan.errors import EmptyTraceLogError, UnexploredCounterfactualError
-from whyplan.mcts import OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceRecord
+from whyplan.mcts import (OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceRecord,
+                          TraceTable)
 from whyplan.pipeline import explain_query, planner_config, run_pipeline
 from whyplan.scenario import load_scenario
 
@@ -80,13 +81,15 @@ def test_unvisited_conditioning_key_defaults_to_no_selection():
     assert model.action_probability(("A",), ghost, "B") == 0.0
 
 
+TWO_TRACES = [make_record(0, {"v1": (0, 0)}, ["Continue"], "done"),
+              make_record(1, {"v1": (1, 0)}, ["Continue"], "collision", collider="v1")]
+
+
 def two_trace_model():
     """Equal-weight split: one trace ends done, the other in a collision."""
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
-    records = [make_record(0, {"v1": (0, 0)}, ["Continue"], "done"),
-               make_record(1, {"v1": (1, 0)}, ["Continue"], "collision", collider="v1")]
-    return build_bn(records, goal_probs, traj_probs, 2)
+    return build_bn(TWO_TRACES, goal_probs, traj_probs, 2)
 
 
 def test_two_trace_outcome_split_matches_enumeration_oracle():
@@ -216,8 +219,7 @@ def test_single_trace_joint_probability_is_one_over_discrete_support():
 
 def test_joint_probability_zero_for_unseen_trace_and_outcome_mismatch():
     model = two_trace_model()
-    rec = model.trace_log[0]
-    good = full_assignment(model, rec)
+    good = full_assignment(model, TWO_TRACES[0])
     bad_trace = dict(good)
     bad_trace["Omega_1"] = "Stop"
     assert joint_probability(model, bad_trace) == 0.0
@@ -230,7 +232,7 @@ def test_joint_probability_zero_for_unseen_trace_and_outcome_mismatch():
 
 def test_rb_must_match_value_presence():
     model = two_trace_model()
-    a = full_assignment(model, model.trace_log[0])
+    a = full_assignment(model, TWO_TRACES[0])
     a["Rb_time"] = 0  # value present but indicator cleared
     assert joint_probability(model, a) == 0.0
 
@@ -396,8 +398,13 @@ class _ReferenceNodeStats(_NodeStats):
 class ReferenceModel(BnModel):
     """The net built by walking every record's CPD keys one record at a time."""
 
+    def __init__(self, records, *args):
+        self.records = records
+        super().__init__(TraceTable.from_records(records), *args)
+
     def _build_counts(self):
-        for rec in self.trace_log:
+        self.support = {}
+        for rec in self.records:
             akey = rec.assignment_key()
             prefix = ()
             for action in rec.macros:

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import whyplan.cli as cli
 from whyplan.cli import main, parse_query
 from whyplan.errors import QueryParseError
-from whyplan.mcts import MAX_DEPTH_BOUND
+from whyplan.mcts import MAX_DEPTH_BOUND, REWARD_COMPONENTS
+from whyplan.pipeline import RUN_FORMAT_VERSION
 
 from conftest import mini_scenario_dict
 
@@ -229,6 +230,46 @@ def test_batch_rejects_zero_runs(mini_scenario_path, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_batch_rejects_fewer_than_one_worker(mini_scenario_path, tmp_path, capsys, workers):
+    code, _, err = run_cli(["batch", "--scenario", mini_scenario_path, "--runs", "1",
+                            "--queries", "omega1=Continue", "--workers", workers], capsys)
+    assert code == 3
+    assert "--workers must be >= 1" in err
+
+
+@pytest.mark.parametrize("runs,workers,cpus,pool", [
+    ("1", "64", 4, None), ("3", "64", 4, 3), ("8", "64", 4, 4), ("8", "2", 4, 2),
+    ("8", "64", None, None)])
+def test_batch_pool_is_bounded_by_runs_and_cpus(mini_scenario_path, tmp_path, capsys,
+                                                monkeypatch, runs, workers, cpus, pool):
+    # A stand-in pool records its size and runs the jobs in this process, so
+    # no worker is ever forked.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(["batch", "--scenario", mini_scenario_path, "--runs", runs,
+                            "--queries", "omega1=Continue", "--iterations", "5",
+                            "--max-depth", "2", "--workers", workers], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + int(runs)
+    assert sizes == ([] if pool is None else [pool])
+
+
 def test_style_flag_changes_wording(mini_scenario_path, tmp_path, capsys):
     out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
     code, default_text, _ = run_cli(["explain", "--run", out, "--query", "omega1=Continue"],
@@ -273,21 +314,33 @@ def test_run_json_without_max_depth_exits_with_run_dir_code(mini_scenario_path, 
     assert "max_depth" in err
 
 
-@pytest.mark.parametrize("version", [None, 2])
-def test_run_json_format_version_other_than_1_exits_with_run_dir_code(
+def _format_1_log(log):
+    """The records of a format-2 trace log in the format-1 layout: one object each."""
+    return [{"index": i, "assignment": {"v1": row}, "outcome": log["outcome"][i],
+             "macros": log["macro_sequences"][log["macros"][i]], "collider": log["collider"][i],
+             "reward": log["reward"][i], "steps": log["steps"][i],
+             "components": {c: log[c][i] for c in REWARD_COMPONENTS}}
+            for i, row in enumerate(log["assignment"])]
+
+
+@pytest.mark.parametrize("version", [None, 1, 3])
+def test_run_json_format_version_other_than_current_exits_with_run_dir_code(
         mini_scenario_path, tmp_path, capsys, version):
     out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
     path = os.path.join(out, "run.json")
     meta = json.load(open(path))
-    assert meta["format_version"] == 1
+    assert meta["format_version"] == RUN_FORMAT_VERSION == 2
     if version is None:
         del meta["format_version"]
     else:
         meta["format_version"] = version
     json.dump(meta, open(path, "w"))
+    if version == 1:  # a whole format-1 directory, which no reader is kept for
+        log_path = os.path.join(out, "tracelog.json")
+        json.dump(_format_1_log(json.load(open(log_path))), open(log_path, "w"))
     code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
     assert code == 7
-    assert f"format_version {version!r}" in err and "unexpected" not in err
+    assert err == f"error: {path} has format_version {version!r}; this version reads 2\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -427,7 +480,7 @@ def explain_edited_log(mini_scenario_path, tmp_path, capsys, edit):
 def test_record_deeper_than_max_depth_exits_with_run_dir_code(mini_scenario_path, tmp_path,
                                                               capsys):
     def deepen(log):
-        log[0]["macros"] = log[0]["macros"] + ["Continue"] * 3
+        log["macro_sequences"][log["macros"][0]] += ["Continue"] * 3
 
     code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, deepen)
     assert code == 7
@@ -437,21 +490,21 @@ def test_record_deeper_than_max_depth_exits_with_run_dir_code(mini_scenario_path
 def test_record_naming_unpredicted_vehicle_exits_with_run_dir_code(mini_scenario_path,
                                                                     tmp_path, capsys):
     def rename(log):
-        log[0]["assignment"]["v9"] = log[0]["assignment"].pop("v1")
+        log["vehicles"] = ["v9"]
 
     code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, rename)
     assert code == 7
-    assert "record 0" in err and "'v9'" in err
+    assert "tracelog.json vehicles" in err and "'v9'" in err
 
 
 def test_record_naming_unpredicted_option_exits_with_run_dir_code(mini_scenario_path,
                                                                    tmp_path, capsys):
     def retarget(log):
-        log[0]["assignment"]["v1"] = [0, 99]
+        log["assignment"][0] = [0, 99]
 
     code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, retarget)
     assert code == 7
-    assert "record 0" in err and "('v1', (0, 99))" in err
+    assert "record 0 assignment is [0, 99]" in err
 
 
 def _first_vehicle(pred):
@@ -463,20 +516,31 @@ def _first_option(pred):
     return options[sorted(options)[0]]
 
 
-def _rename_vehicle(log):
-    log[0]["assignment"]["v9"] = log[0]["assignment"].pop("v1")
-
-
-NOT_OPTIONS = "which are not options listed in predictions.json"
-INDICES = "tracelog.json indices are not 0, 1, ..., n-1 in order"
+NOT_OPTIONS = ("not a goal and trajectory index per vehicle ['v1'], naming options listed in "
+               "predictions.json")
+UNEQUAL = "tracelog.json columns have unequal lengths: assignment has 40 entries, "
 MALFORMED = "malformed run directory {out}: "
 DEPTH_RANGE = f"not an integer in [1, {MAX_DEPTH_BOUND}]"
 MACRO_NAMES = "not a list of at most 2 macro names"  # the mini run's max_depth
+MACRO_INDEX = "not an index into the 7 macro_sequences"  # the mini run has 7
+MISFIT = ("tracelog.json record 0 components is ['angular_acceleration', 'curvature', 'jerk', "
+          "'time'], not exactly ('collision',), which outcome 'collision' requires")
+
+
+def _set(column, value, record=0):
+    """An edit that sets one entry of a tracelog.json column."""
+    return lambda log: log[column].__setitem__(record, value)
+
+
+def _set_macros(value):
+    """An edit that sets record 0's macro sequence (record 0 holds sequence 0)."""
+    return lambda log: log["macro_sequences"].__setitem__(log["macros"][0], value)
+
 
 # Each edit puts one malformed value into an artifact of the mini run at seed 3
-# (record 0 is a "done" record sampling v1's option 0/0; v1's first option is
-# 0/0), and `explain` must exit 7 with exactly this message ({out} is the run
-# directory).
+# (40 records; record 0 is a "done" record sampling v1's option 0/0; v1's first
+# option is 0/0), and `explain` must exit 7 with exactly this message ({out} is
+# the run directory).
 MALFORMED_RUN_VALUES = {
     "positive-collision-weight": (
         "run.json", lambda run: run["reward_weights"].update(collision=5.0),
@@ -487,17 +551,15 @@ MALFORMED_RUN_VALUES = {
         "'jerk', 'angular_acceleration', 'curvature', 'collision', 'termination'); "
         "missing ['jerk'], extra []"),
     "unknown-outcome": (
-        "tracelog.json", lambda log: log[0].update(outcome="crash"),
-        MALFORMED + "ScenarioValidationError unknown outcome 'crash'"),
-    "components-misfit-outcome": (
-        "tracelog.json", lambda log: log[0].update(outcome="collision"),
-        MALFORMED + "ScenarioValidationError outcome 'collision' requires exactly components "
-        "('collision',), got ['angular_acceleration', 'curvature', 'jerk', 'time']"),
+        "tracelog.json", _set("outcome", "crash"),
+        "tracelog.json record 0 outcome is 'crash', "
+        "not one of ('done', 'collision', 'termination', 'dead')"),
+    "components-misfit-outcome": ("tracelog.json", _set("outcome", "collision"), MISFIT),
     "non-numeric-component": (
-        "tracelog.json", lambda log: log[0]["components"].update(time="fast"),
+        "tracelog.json", _set("time", "fast"),
         "tracelog.json record 0 component time is 'fast', not a finite number"),
     "infinite-component": (
-        "tracelog.json", lambda log: log[0]["components"].update(time=float("inf")),
+        "tracelog.json", _set("time", float("inf")),
         "tracelog.json record 0 component time is inf, not a finite number"),
     "non-numeric-option-p": (
         "predictions.json", lambda pred: _first_option(pred).update(p="high"),
@@ -512,43 +574,81 @@ MALFORMED_RUN_VALUES = {
         "predictions.json", lambda pred: _first_vehicle(pred)["goals"].update({"0": -0.5}),
         "predictions.json v1 goal 0 is -0.5, not a finite number in [0.0, 1.0]"),
     "collider-a-list": (
-        "tracelog.json", lambda log: log[0].update(collider=["v1"]),
+        "tracelog.json", _set("collider", ["v1"]),
         "tracelog.json record 0 collider is ['v1'], not a vehicle id or null"),
     "macros-nested-list": (
-        "tracelog.json", lambda log: log[0].update(macros=[["Continue"]]),
-        MALFORMED + "TypeError unhashable type: 'list'"),
+        "tracelog.json", _set_macros([["Continue"]]),
+        f"tracelog.json record 0 macros is [['Continue']], {MACRO_NAMES}"),
     "macros-not-names": (
-        "tracelog.json", lambda log: log[0].update(macros=[7]),
+        "tracelog.json", _set_macros([7]),
         f"tracelog.json record 0 macros is [7], {MACRO_NAMES}"),
     "macros-deeper-than-max-depth": (
-        "tracelog.json", lambda log: log[0].update(macros=["Continue"] * 3),
+        "tracelog.json", _set_macros(["Continue"] * 3),
         f"tracelog.json record 0 macros is ['Continue', 'Continue', 'Continue'], {MACRO_NAMES}"),
+    "macro-index-out-of-range": (
+        "tracelog.json", _set("macros", 7),
+        f"tracelog.json record 0 macros is 7, {MACRO_INDEX}"),
+    "macro-index-a-bool": (
+        "tracelog.json", _set("macros", True),
+        f"tracelog.json record 0 macros is True, {MACRO_INDEX}"),
+    "macro-index-a-float": (
+        "tracelog.json", _set("macros", 0.0),
+        f"tracelog.json record 0 macros is 0.0, {MACRO_INDEX}"),
+    "macro-sequence-unused": (
+        "tracelog.json", lambda log: log["macro_sequences"].append(["Stop"]),
+        "tracelog.json macro_sequences 7 is ['Stop'], which no record uses"),
+    "macro-sequence-repeated": (
+        "tracelog.json", lambda log: log["macro_sequences"].__setitem__(1, ["Continue"]),
+        "tracelog.json macro_sequences 1 repeats macro_sequences 0, ['Continue']"),
     "steps-a-string": (
-        "tracelog.json", lambda log: log[0].update(steps="many"),
+        "tracelog.json", _set("steps", "many"),
         "tracelog.json record 0 steps is 'many', not an integer"),
     "reward-a-string": (
-        "tracelog.json", lambda log: log[0].update(reward="high"),
+        "tracelog.json", _set("reward", "high"),
         "tracelog.json record 0 reward is 'high', not a finite number"),
     "reward-nan": (
-        "tracelog.json", lambda log: log[0].update(reward=float("nan")),
+        "tracelog.json", _set("reward", float("nan")),
         "tracelog.json record 0 reward is nan, not a finite number"),
     "reward-too-large-for-a-float": (
-        "tracelog.json", lambda log: log[0].update(reward=10 ** 400),
+        "tracelog.json", _set("reward", 10 ** 400),
         f"tracelog.json record 0 reward is {10 ** 400}, not a finite number"),
     "label-a-list": (
         "predictions.json", lambda pred: _first_vehicle(pred).update(label=["the car"]),
         "predictions.json v1 label is ['the car'], not a string"),
     "unpredicted-vehicle": (
-        "tracelog.json", _rename_vehicle,
-        f"tracelog.json record 0 samples [('v9', (0, 0))], {NOT_OPTIONS}"),
+        "tracelog.json", lambda log: log.update(vehicles=["v9"]),
+        "tracelog.json vehicles is ['v9'], not ['v1'], the sorted vehicle ids of "
+        "predictions.json"),
+    "vehicles-beyond-predictions": (
+        "tracelog.json", lambda log: log.update(vehicles=["v1", "v2"]),
+        "tracelog.json vehicles is ['v1', 'v2'], not ['v1'], the sorted vehicle ids of "
+        "predictions.json"),
     "unsampled-vehicle": (
-        "tracelog.json", lambda log: log[0]["assignment"].pop("v1"),
-        f"tracelog.json record 0 samples [], {NOT_OPTIONS}"),
+        "tracelog.json", _set("assignment", []),
+        f"tracelog.json record 0 assignment is [], {NOT_OPTIONS}"),
+    "assignment-too-long": (
+        "tracelog.json", _set("assignment", [0, 0, 0, 0]),
+        f"tracelog.json record 0 assignment is [0, 0, 0, 0], {NOT_OPTIONS}"),
     "unpredicted-option": (
-        "tracelog.json", lambda log: log[0]["assignment"].update(v1=[0, 99]),
-        f"tracelog.json record 0 samples [('v1', (0, 99))], {NOT_OPTIONS}"),
-    "duplicate-index": ("tracelog.json", lambda log: log[1].update(index=0), INDICES),
-    "gapped-index": ("tracelog.json", lambda log: log[1].update(index=len(log) + 5), INDICES),
+        "tracelog.json", _set("assignment", [0, 99]),
+        f"tracelog.json record 0 assignment is [0, 99], {NOT_OPTIONS}"),
+    "assignment-nested-list": (
+        "tracelog.json", _set("assignment", [[0], 0], record=5),
+        f"tracelog.json record 5 assignment is [[0], 0], {NOT_OPTIONS}"),
+    # A record's index is its position in every column: a column that repeats
+    # or skips a record's entry no longer lines up with the others.
+    "duplicate-index": (
+        "tracelog.json", lambda log: log["outcome"].insert(1, log["outcome"][0]),
+        UNEQUAL + "outcome 41"),
+    "gapped-index": ("tracelog.json", lambda log: log["reward"].pop(1), UNEQUAL + "reward 39"),
+    "missing-column": (
+        "tracelog.json", lambda log: log.pop("steps"), "tracelog.json column steps is missing"),
+    "unknown-column": (
+        "tracelog.json", lambda log: log.update(index=list(range(40))),
+        "tracelog.json has unknown columns ['index']"),
+    "column-not-a-list": (
+        "tracelog.json", lambda log: log.update(outcome="done"),
+        "tracelog.json outcome is 'done', not a list"),
     "max-depth-a-float": (
         "run.json", lambda run: run.update(max_depth=1e9),
         f"run.json max_depth is 1000000000.0, {DEPTH_RANGE}"),
@@ -599,9 +699,14 @@ def test_malformed_run_value_exits_with_run_dir_code(mini_scenario_path, tmp_pat
 @pytest.mark.parametrize("reindex", ["duplicate", "gap"])
 def test_bad_record_indices_exit_with_run_dir_code(mini_scenario_path, tmp_path, capsys,
                                                    reindex):
+    # Record i is entry i of every column, so a column that repeats or skips
+    # one record's entry misnumbers the records after it.
     def renumber(log):
-        log[1]["index"] = 0 if reindex == "duplicate" else len(log) + 5
+        if reindex == "duplicate":
+            log["steps"].insert(1, log["steps"][0])
+        else:
+            del log["steps"][1]
 
     code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, renumber)
     assert code == 7
-    assert "indices are not 0, 1, ..., n-1" in err
+    assert "tracelog.json columns have unequal lengths" in err and "steps" in err

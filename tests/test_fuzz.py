@@ -4,9 +4,10 @@ error").
 
 Four kinds of input are mutated: the leaves of the shipped scenario files
 `s1.json` and `s2.json`, each planned at 5 iterations within a time bound per
-case; the leaves of one small run directory's `run.json`, of the first
-records of its `tracelog.json` and of its `predictions.json`; every key and
-table entry of a style file; and query strings built from an atom alphabet.
+case; the leaves of one small run directory's `run.json`, of its
+`tracelog.json` columns and their first entries, and of its
+`predictions.json`; every key and table entry of a style file; and query
+strings built from an atom alphabet.
 The run directory is planned once per module, and every case is drawn from a
 seeded `random.Random`, so the cases are the same on every run.
 """
@@ -100,10 +101,18 @@ def mutated(payload, path, value):
     return payload
 
 
+def trace_log_paths(log: dict):
+    """Each column of a trace log, and the leaves of its first FIRST_RECORDS entries."""
+    for name, column in log.items():
+        yield (name,)
+        for i, entry in enumerate(column[:FIRST_RECORDS]):
+            yield from leaves(entry, (name, i))
+
+
 def run_dir_cases(originals: dict, rng: random.Random):
     """(artifact, path, value) cases over the leaves a loader reads first."""
     paths = [("run.json", p) for p in leaves(originals["run.json"])]
-    paths += [("tracelog.json", p) for p in leaves(originals["tracelog.json"][:FIRST_RECORDS])]
+    paths += [("tracelog.json", p) for p in trace_log_paths(originals["tracelog.json"])]
     paths += [("predictions.json", p) for p in leaves(originals["predictions.json"])]
     for _ in range(RUN_CASES):
         name, path = rng.choice(paths)
