@@ -12,10 +12,13 @@ The model is immutable after build, so what a query reads is computed once
 per model: CPD counts in one pass per (sample, trace) signature, each node's
 reward means when the build ends, and the rows matching an evidence, with
 their total weight, the first time that evidence is asked. The build counts
-from a `TraceTable`, the same columns for a planning run and a reloaded run
-directory: signatures over (assignment row, macro index) pairs, node stats
-column by column. The record indices behind each CPD entry, which only the
-JSON export shows, are found when it asks.
+from a `TraceTable`, the same table for a planning run and a reloaded run
+directory. It holds each (sample, trace) signature once, with the fields
+the memoised search fixes for it, so CPD counts, node totals, outcomes and
+colliders are signature fields times the signature's record count from the
+`record` column; only each node's reward values are gathered per record, in
+record order. The record indices behind each CPD entry, which only the JSON
+export shows, are found when it asks.
 """
 
 import operator
@@ -115,14 +118,17 @@ class BnModel:
 
     def _build_counts(self) -> None:
         # Records that share a (sample, trace) signature walk the same CPD
-        # keys, so each signature walks them once and adds its record count.
-        # Signatures are counted over (assignment row, macro index) pairs in
-        # first-seen order, which fixes row order and with it every float sum.
+        # keys and hold the same outcome and collider, so each signature
+        # walks them once and adds its record count. Counting the `record`
+        # column gives the signatures in first-seen order, which fixes row
+        # order and with it every float sum.
         table = self.table
         sequences = table.macro_sequences
         visits = [self._visits(omega) for omega in sequences]
-        for (row, m), n in Counter(zip(table.assignment, table.macros)).items():
-            akey = self._akey(row)
+        stats = [_NodeStats() for _ in sequences]
+        for j, n in Counter(table.record).items():
+            m = table.macros[j]
+            akey = self._akey(table.assignment[j])
             self._signatures[(akey, sequences[m])] = n
             for prefix, action in visits[m]:
                 key = (prefix, akey)
@@ -130,23 +136,24 @@ class BnModel:
                 if action is not None:
                     counts = self.sel.setdefault(key, {})
                     counts[action] = counts.get(action, 0) + n
-        # Node stats from the columns. A record holds exactly the components
-        # its outcome requires, so a node gathers the components of its
-        # outcomes from its records, in record order.
-        stats = [_NodeStats() for _ in sequences]
-        for (m, kind), n in Counter(zip(table.macros, table.outcome)).items():
-            stats[m].total += n
-            stats[m].outcomes[kind] = n
-        for (m, collider), n in Counter(zip(table.macros, table.collider)).items():
+            node = stats[m]
+            node.total += n
+            kind = table.outcome[j]
+            node.outcomes[kind] = node.outcomes.get(kind, 0) + n
+            collider = table.collider[j]
             if collider is not None:
-                stats[m].colliders[collider] = n
-        members: list = [[] for _ in sequences]  # macro index -> its record indices
-        for i, m in enumerate(table.macros):
-            members[m].append(i)
-        for omega, node, indices in zip(sequences, stats, members):
+                node.colliders[collider] = node.colliders.get(collider, 0) + n
+        # A record holds exactly the components its outcome requires, so a
+        # node gathers the components of its outcomes from its records'
+        # signatures, in record order: the same floats, summed in the same
+        # order, as one value per record.
+        members: list = [[] for _ in sequences]  # macro index -> signature per record
+        for j in table.record:
+            members[table.macros[j]].append(j)
+        for omega, node, signatures in zip(sequences, stats, members):
             for comp in {c for kind in node.outcomes for c in OUTCOME_REQUIRED[kind]}:
                 node.values[comp] = list(filter(_is_value, map(
-                    table.components[comp].__getitem__, indices)))
+                    table.components[comp].__getitem__, signatures)))
             # The same floats as np.mean, without its per-call overhead.
             node.means = {c: float(np.add.reduce(np.array(v))) / len(v) if v else None
                           for c, v in node.values.items()}
@@ -156,13 +163,13 @@ class BnModel:
     def support(self) -> dict:
         """(prefix, akey) -> indices of the records that reach that CPD key.
         Only the JSON export reads it, so it is found on first use."""
-        members: dict = {}  # (row, macro index) -> [record index], first-seen order
-        for i, signature in enumerate(zip(self.table.assignment, self.table.macros)):
-            members.setdefault(signature, []).append(i)
+        members: dict = {}  # signature index -> [record index], first-seen order
+        for i, j in enumerate(self.table.record):
+            members.setdefault(j, []).append(i)
         support: dict = {}
-        for (row, m), indices in members.items():
-            akey = self._akey(row)
-            for prefix, _ in self._visits(self.table.macro_sequences[m]):
+        for j, indices in members.items():
+            akey = self._akey(self.table.assignment[j])
+            for prefix, _ in self._visits(self.table.macro_sequences[self.table.macros[j]]):
                 support.setdefault((prefix, akey), []).extend(indices)
         return support
 

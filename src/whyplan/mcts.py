@@ -4,12 +4,15 @@ Each iteration samples one goal and trajectory per non-ego vehicle, walks the
 tree with UCB1 selection, forward-simulates the chosen macros against the
 fixed traffic, and backs the terminal reward up the visited path. The full
 record of every iteration (the trace log) is the planner's second output;
-as a `TraceTable` of columns it is the sole input to the Bayes net.
+as a `TraceTable` it is the sole input to the Bayes net.
 
 A rollout is a pure function of the joint sample and the ego's macro prefix,
 so within one search each (joint sample, macro prefix) is simulated once and
 later iterations reuse the result; the reuse is exact, and the trace log is
-the same as without it.
+the same as without it. The memo is also why a (sample, trace) signature
+fixes its record: every iteration that samples the same joint sample and
+selects the same macros ends at the same memoised result, so `TraceTable`
+stores those fields once per signature.
 """
 
 import math
@@ -173,13 +176,19 @@ def _assignment_key(assignment: dict) -> tuple:
 
 @dataclass(frozen=True)
 class TraceTable:
-    """A trace log as columns: record i is entry i of every per-record column.
+    """A trace log held once per (sample, trace) signature.
 
-    `assignment` holds one flat (goal, trajectory, goal, trajectory, ...)
-    tuple per record, in `vehicles` order; `macros` holds an index into
-    `macro_sequences`, the distinct macro tuples in first-seen order; and
-    `components` one column per reward component, None where absent. The
-    Bayes net counts from it and `tracelog.json` is its JSON form.
+    A rollout is memoised per (joint sample, macro prefix) (see `run_mcts`),
+    so every record of one signature, an (assignment row, macro sequence)
+    pair, holds the same outcome, collider, reward, components and steps.
+    The table keeps those fields once per signature, in first-seen order,
+    and `record` holds each MCTS iteration's signature index: record i is
+    signature `record[i]`. `assignment` holds one flat (goal, trajectory,
+    goal, trajectory, ...) tuple per signature, in `vehicles` order;
+    `macros` an index into `macro_sequences`, the distinct macro tuples in
+    first-seen order; and `components` one column per reward component,
+    None where absent. The Bayes net counts from it and `tracelog.json` is
+    its JSON form.
     """
 
     vehicles: tuple[str, ...]
@@ -191,27 +200,44 @@ class TraceTable:
     reward: list[float]
     steps: list[int]
     components: dict[str, list[float | None]]
+    record: list[int]
 
     @classmethod
     def from_records(cls, records) -> "TraceTable":
-        """The table of a list of `TraceRecord`s that sample the same vehicles."""
+        """The table of a list of `TraceRecord`s that sample the same vehicles.
+
+        Raises ValueError when two records of one signature differ in any
+        other field, which a search, whose rollouts are memoised, never logs.
+        """
         vehicles = tuple(sorted(records[0].assignment)) if records else ()
         sequences: dict = {}  # macro tuple -> its index, in first-seen order
-        macros = [sequences.setdefault(rec.macros, len(sequences)) for rec in records]
+        signatures: dict = {}  # (assignment row, macro index) -> signature index
+        fixed_by: list = []  # per signature: the fields it fixes
+        record = []
+        for rec in records:
+            row = tuple(x for vid in vehicles for x in rec.assignment[vid])
+            j = signatures.setdefault((row, sequences.setdefault(rec.macros, len(sequences))),
+                                      len(signatures))
+            fixed = (rec.outcome, rec.collider, rec.reward, rec.steps,
+                     *map(rec.components.get, REWARD_COMPONENTS))
+            if j == len(fixed_by):
+                fixed_by.append(fixed)
+            elif fixed_by[j] != fixed:
+                raise ValueError(f"trace record {rec.index} holds {fixed}, but an earlier "
+                                 f"record of its signature ({rec.assignment_key()}, "
+                                 f"{rec.macros}) holds {fixed_by[j]}")
+            record.append(j)
+        outcome, collider, reward, steps, *components = (
+            [fixed[k] for fixed in fixed_by] for k in range(4 + len(REWARD_COMPONENTS)))
         return cls(
             vehicles=vehicles, macro_sequences=list(sequences),
-            assignment=[tuple(x for vid in vehicles for x in rec.assignment[vid])
-                        for rec in records],
-            macros=macros,
-            outcome=[rec.outcome for rec in records],
-            collider=[rec.collider for rec in records],
-            reward=[rec.reward for rec in records],
-            steps=[rec.steps for rec in records],
-            components={c: [rec.components.get(c) for rec in records]
-                        for c in REWARD_COMPONENTS})
+            assignment=[row for row, _ in signatures], macros=[m for _, m in signatures],
+            outcome=outcome, collider=collider, reward=reward, steps=steps,
+            components=dict(zip(REWARD_COMPONENTS, components)), record=record)
 
     def __len__(self) -> int:
-        return len(self.macros)
+        """The number of records, one per MCTS iteration."""
+        return len(self.record)
 
     def to_json(self) -> dict:
         """The `tracelog.json` object: every column under its name, the
@@ -219,7 +245,7 @@ class TraceTable:
         return {"vehicles": self.vehicles, "macro_sequences": self.macro_sequences,
                 "assignment": self.assignment, "macros": self.macros,
                 "outcome": self.outcome, "collider": self.collider, "reward": self.reward,
-                "steps": self.steps, **self.components}
+                "steps": self.steps, **self.components, "record": self.record}
 
 
 @dataclass

@@ -6,9 +6,9 @@ recognition's optimal reward; recognition enumerates once more, from the
 last observed state.
 
 Also owns the run-directory format: everything an explanation needs is
-persisted (the trace log as a columnar table, goal/trajectory factors,
-config), so `explain` never re-plans. Artifact files are byte-stable for a
-fixed seed.
+persisted (the trace log as a table of its distinct (sample, trace)
+signatures, goal/trajectory factors, config), so `explain` never re-plans.
+Artifact files are byte-stable for a fixed seed.
 """
 
 import hashlib
@@ -32,7 +32,7 @@ from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
 from .simulation import observe
 
-RUN_FORMAT_VERSION = 2  # run.json "format_version"; load_run reads no other
+RUN_FORMAT_VERSION = 3  # run.json "format_version"; load_run reads no other
 
 
 @dataclass
@@ -157,12 +157,15 @@ def file_sha256(path) -> str:
 def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
     """Write the run directory; RunDirectoryError when it cannot be created or written.
 
-    `tracelog.json` (format 2) is the model's `TraceTable` as one object:
+    `tracelog.json` (format 3) is the model's `TraceTable` as one object:
     `vehicles` (sorted ids), `macro_sequences` (the distinct macro lists in
-    first-seen order) and one list per record field, whose entry i is record
-    i: `assignment` (flat [goal, trajectory, ...] rows in `vehicles` order),
-    `macros` (an index into `macro_sequences`), `outcome`, `collider`,
-    `reward`, `steps`, and one per reward component, null where absent.
+    first-seen order), one list per signature field, whose entry j is
+    signature j, in first-seen order: `assignment` (flat [goal, trajectory,
+    ...] rows in `vehicles` order), `macros` (an index into
+    `macro_sequences`), `outcome`, `collider`, `reward`, `steps`, and one
+    per reward component, null where absent; and `record`, whose entry i is
+    the signature index of MCTS iteration i. The search memoises each
+    (sample, macro prefix), so a signature fixes every field of its records.
     """
     scenario_sha256 = file_sha256(scenario_path)
     try:
@@ -203,12 +206,12 @@ class LoadedRun:
 
 
 _MACRO_NAMES = frozenset(ALL_MACRO_NAMES)
-_RECORD = "tracelog.json record"
+_SIGNATURE = "tracelog.json signature"
 _NULL = type(None)
 _OUTCOMES = frozenset(OUTCOME_KINDS)
-_PER_RECORD = ("assignment", "macros", "outcome", "collider", "reward", "steps",
-               *REWARD_COMPONENTS)
-_COLUMNS = frozenset(("vehicles", "macro_sequences", *_PER_RECORD))
+_PER_SIGNATURE = ("assignment", "macros", "outcome", "collider", "reward", "steps",
+                  *REWARD_COMPONENTS)
+_COLUMNS = frozenset(("vehicles", "macro_sequences", "record", *_PER_SIGNATURE))
 # Per reward component, the outcome kinds whose records hold it.
 _REQUIRING = {c: frozenset(k for k, required in OUTCOME_REQUIRED.items() if c in required)
               for c in REWARD_COMPONENTS}
@@ -216,7 +219,7 @@ _REQUIRING = {c: frozenset(k for k, required in OUTCOME_REQUIRED.items() if c in
 
 def _first_bad(column: list, ok) -> int | None:
     """The index of the first entry `ok` rejects: a check that failed on a
-    whole column finds the record to name this way."""
+    whole column finds the entry to name this way."""
     return next((i for i, v in enumerate(column) if not ok(v)), None)
 
 
@@ -225,19 +228,19 @@ def _typed_column(column: list, kinds: set, field: str, what: str) -> None:
     first entry of another type is named as not `what`."""
     if not set(map(type, column)) <= kinds:
         i = _first_bad(column, lambda v: type(v) in kinds)
-        checks.fail(column[i], (_RECORD, i, field), what, RunDirectoryError)
+        checks.fail(column[i], (_SIGNATURE, i, field), what, RunDirectoryError)
 
 
 def _finite_column(column: list, field: tuple, nullable: bool) -> list:
     """`column` if its entries are finite floats (or null, if `nullable`),
     as one pass each over types and values; otherwise the entries as
     floats, where each is checked by `checks.number`, which names the
-    record of the first that fails."""
+    signature of the first that fails."""
     if (set(map(type, column)) <= ({float, _NULL} if nullable else {float})
             and math.isfinite(sum(filter(None, column)))):  # filter drops nulls and zeros
         return column  # a finite sum has finite terms
     return [None if v is None and nullable
-            else checks.number(v, (_RECORD, i, *field), RunDirectoryError)
+            else checks.number(v, (_SIGNATURE, i, *field), RunDirectoryError)
             for i, v in enumerate(column)]
 
 
@@ -263,9 +266,14 @@ def _assignment_column(column: list, vehicles: list, traj_probs: dict) -> list:
             return rows
     i = _first_bad(column, lambda row: type(row) is list and set(map(type, row)) <= {int}
                    and lists_options(tuple(row)))
-    checks.fail(column[i], (_RECORD, i, "assignment"),
+    checks.fail(column[i], (_SIGNATURE, i, "assignment"),
                 f"a goal and trajectory index per vehicle {vehicles}, naming options "
                 f"listed in predictions.json", RunDirectoryError)
+
+
+def _signature_text(pair: tuple) -> str:
+    row, m = pair
+    return f"assignment {list(row)!r} and macros {m}"
 
 
 def _trace_table(log, traj_probs: dict, d_max: int) -> TraceTable:
@@ -278,7 +286,7 @@ def _trace_table(log, traj_probs: dict, d_max: int) -> TraceTable:
     if unknown:
         raise RunDirectoryError(f"tracelog.json has unknown columns {unknown}")
     columns = {name: checks.typed(log[name], ("tracelog.json", name), RunDirectoryError, list)
-               for name in _PER_RECORD}
+               for name in _PER_SIGNATURE}
     n = len(columns["assignment"])
     for name, column in columns.items():
         if len(column) != n:
@@ -289,7 +297,7 @@ def _trace_table(log, traj_probs: dict, d_max: int) -> TraceTable:
         checks.fail(log["vehicles"], ("tracelog.json", "vehicles"),
                     f"{vehicles}, the sorted vehicle ids of predictions.json", RunDirectoryError)
 
-    # Macro indices first, so that a bad sequence can name a record holding it.
+    # Macro indices first, so that a bad sequence can name a signature holding it.
     sequences = checks.typed(log["macro_sequences"], ("tracelog.json", "macro_sequences"),
                              RunDirectoryError, list)
     macros = columns["macros"]
@@ -298,13 +306,13 @@ def _trace_table(log, traj_probs: dict, d_max: int) -> TraceTable:
     if set(macros) != set(range(len(sequences))):
         i = _first_bad(macros, lambda m: 0 <= m < len(sequences))
         if i is not None:
-            checks.fail(macros[i], (_RECORD, i, "macros"), index, RunDirectoryError)
+            checks.fail(macros[i], (_SIGNATURE, i, "macros"), index, RunDirectoryError)
         j = min(set(range(len(sequences))) - set(macros))
         raise RunDirectoryError(f"tracelog.json macro_sequences {j} is {sequences[j]!r}, "
-                                f"which no record uses")
+                                f"which no signature uses")
     seen: dict = {}  # macro tuple -> its index
     for j, seq in enumerate(sequences):
-        seq = checks.names(seq, (_RECORD, macros.index(j), "macros"), RunDirectoryError,
+        seq = checks.names(seq, (_SIGNATURE, macros.index(j), "macros"), RunDirectoryError,
                            _MACRO_NAMES, "macro names", d_max)
         if seen.setdefault(seq, j) != j:
             raise RunDirectoryError(f"tracelog.json macro_sequences {j} repeats "
@@ -315,26 +323,45 @@ def _trace_table(log, traj_probs: dict, d_max: int) -> TraceTable:
     _typed_column(outcome, {str}, "outcome", kinds)
     if not set(outcome) <= _OUTCOMES:
         i = _first_bad(outcome, _OUTCOMES.__contains__)
-        checks.fail(outcome[i], (_RECORD, i, "outcome"), kinds, RunDirectoryError)
+        checks.fail(outcome[i], (_SIGNATURE, i, "outcome"), kinds, RunDirectoryError)
     for comp, requiring in _REQUIRING.items():
         present = list(map(operator.is_not, columns[comp], itertools.repeat(None)))
         if present != list(map(requiring.__contains__, outcome)):
             i = _first_bad(range(n), lambda i: present[i] == (outcome[i] in requiring))
             kind = outcome[i]
             checks.fail(sorted(c for c in REWARD_COMPONENTS if columns[c][i] is not None),
-                        (_RECORD, i, "components"),
+                        (_SIGNATURE, i, "components"),
                         f"exactly {OUTCOME_REQUIRED[kind]}, which outcome {kind!r} requires",
                         RunDirectoryError)
     _typed_column(columns["collider"], {str, _NULL}, "collider", "a vehicle id or null")
     _typed_column(columns["steps"], {int}, "steps", "an integer")
+    assignment = _assignment_column(columns["assignment"], vehicles, traj_probs)
+    pairs = list(zip(assignment, macros))
+    if len(set(pairs)) != n:
+        first: dict = {}  # (assignment row, macro index) -> its first signature
+        for j, pair in enumerate(pairs):
+            if first.setdefault(pair, j) != j:
+                raise RunDirectoryError(f"tracelog.json signature {j} repeats signature "
+                                        f"{first[pair]}, {_signature_text(pair)}")
+
+    # Then the records: each names a signature, and every signature is named.
+    record = checks.typed(log["record"], ("tracelog.json", "record"), RunDirectoryError, list)
+    if not (set(map(type, record)) <= {int} and set(record) <= set(range(n))):
+        i = _first_bad(record, lambda j: type(j) is int and 0 <= j < n)
+        checks.fail(record[i], ("tracelog.json record", i), f"an index into the {n} signatures",
+                    RunDirectoryError)
+    if len(set(record)) != n:
+        j = min(set(range(n)).difference(record))
+        raise RunDirectoryError(f"tracelog.json signature {j} is {_signature_text(pairs[j])}, "
+                                f"which no record uses")
     return TraceTable(
-        vehicles=tuple(vehicles), macro_sequences=list(seen),
-        assignment=_assignment_column(columns["assignment"], vehicles, traj_probs),
+        vehicles=tuple(vehicles), macro_sequences=list(seen), assignment=assignment,
         macros=macros, outcome=outcome, collider=columns["collider"],
         reward=_finite_column(columns["reward"], ("reward",), nullable=False),
         steps=columns["steps"],
         components={c: _finite_column(columns[c], ("component", c), nullable=True)
-                    for c in REWARD_COMPONENTS})
+                    for c in REWARD_COMPONENTS},
+        record=record)
 
 
 def load_run(run_dir: str) -> LoadedRun:
@@ -344,18 +371,22 @@ def load_run(run_dir: str) -> LoadedRun:
     `RewardConfig` and `PlannerConfig` (so `max_depth` is an integer in [1,
     MAX_DEPTH_BOUND]) and whose `plan` is a list of at most `max_depth` macro
     names, and `predictions.json`, then checks the `tracelog.json` table
-    (format 2, see `save_run`) column by column, with one pass over each
+    (format 3, see `save_run`) column by column, with one pass over each
     column's types or values, and scans a column entry by entry only to name
-    the record that failed: the columns are exactly those `save_run`
-    writes, and the per-record ones are lists of one length; `vehicles` are
-    the sorted ids of `predictions.json`; each assignment row names an
-    option `predictions.json` lists for each vehicle, checked once per
-    distinct row; each macro index points into `macro_sequences`, whose
-    entries are distinct lists of at most `max_depth` macro names, each held
-    by some record; outcomes are known and hold exactly the components they
+    the signature or record that failed. First the signatures: the columns
+    are exactly those `save_run` writes, and the per-signature ones are
+    lists of one length; `vehicles` are the sorted ids of
+    `predictions.json`; each assignment row names an option
+    `predictions.json` lists for each vehicle, checked once per distinct
+    row; each macro index points into `macro_sequences`, whose entries are
+    distinct lists of at most `max_depth` macro names, each held by some
+    signature; outcomes are known and hold exactly the components they
     require; components and reward are finite numbers, the collider a string
-    or null and steps an integer. The checked columns are the table
-    `build_bn` counts from.
+    or null and steps an integer; and no two signatures share an assignment
+    row and macro index. Then the records: `record` is a list of integers
+    (not bools), each the index of a signature, and every signature is held
+    by some record. The checked columns are the table `build_bn` counts
+    from.
 
     Raises RunDirectoryError for any such fault, when the directory or an
     artifact is missing, unreadable or not JSON, when an entry is missing, a

@@ -176,6 +176,15 @@ def random_trace_log(seed, d_max=3, n_vehicles=2, n_goals=2, iterations=20):
     return records, goal_probs, traj_probs, d_max
 
 
+def format_2_trace_log(log: dict) -> dict:
+    """A format-3 `tracelog.json` object in the format-2 layout, which holds
+    every signature column once per record: record i is entry i of each."""
+    per_record = ("assignment", "macros", "outcome", "collider", "reward", "steps",
+                  *REWARD_COMPONENTS)
+    return {"vehicles": log["vehicles"], "macro_sequences": log["macro_sequences"],
+            **{name: [log[name][j] for j in log["record"]] for name in per_record}}
+
+
 # --- independent oracle ---------------------------------------------------------
 
 

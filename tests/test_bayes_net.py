@@ -57,10 +57,15 @@ def test_action_cpd_is_selection_count_over_visits():
     assert model.action_probability((), akey, "B") == pytest.approx(0.5, abs=1e-12)
 
 
+# Two joint samples reach node ("A",) with different times. One sample's
+# records all hold one result, as a memoised search logs them.
+TWO_SAMPLES_AT_A = [make_record(0, {"v1": (0, 0)}, ["A"], "done", values={"time": 4.0}),
+                    make_record(1, {"v1": (0, 1)}, ["A"], "done", values={"time": 6.0})]
+
+
 def test_reward_stats_use_unbiased_variance():
-    goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 1.0})
-    records = [make_record(0, {"v1": (0, 0)}, ["A"], "done", values={"time": 4.0}),
-               make_record(1, {"v1": (0, 0)}, ["A"], "done", values={"time": 6.0})]
+    goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 0.5, (0, 1): 0.5})
+    records = TWO_SAMPLES_AT_A
     model = build_bn(records, goal_probs, traj_probs, 1)
     mean, var, count, p_absent = model.reward_stats(("A",), "time")
     assert mean == pytest.approx(5.0)
@@ -238,14 +243,14 @@ def test_rb_must_match_value_presence():
 
 
 def test_reward_value_density_enters_the_joint():
-    goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 1.0})
-    records = [make_record(0, {"v1": (0, 0)}, ["A"], "done", values={"time": 4.0}),
-               make_record(1, {"v1": (0, 0)}, ["A"], "done", values={"time": 6.0})]
+    goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 0.5, (0, 1): 0.5})
+    records = TWO_SAMPLES_AT_A
     model = build_bn(records, goal_probs, traj_probs, 1)
     base = full_assignment(model, records[0], r_values={
         "time": 5.0, "jerk": 0.1, "angular_acceleration": 0.05, "curvature": 0.01})
-    # mean 5, unbiased variance 2: density at the mean is 1/sqrt(4*pi).
-    expected = 1.0 / math.sqrt(4.0 * math.pi)
+    # mean 5, unbiased variance 2: density at the mean is 1/sqrt(4*pi), times
+    # the sample's probability 0.5.
+    expected = 0.5 / math.sqrt(4.0 * math.pi)
     # jerk/angacc/curvature carry identical samples, so their variance is 0
     # and the point mass at the observed value contributes factor one.
     assert joint_probability(model, base) == pytest.approx(expected, rel=1e-12)
@@ -538,7 +543,10 @@ PROBS = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
 
 @st.composite
 def trace_logs(draw):
-    """A trace log over 1-3 vehicles with 1-2 goals of 1-2 trajectories each."""
+    """A trace log over 1-3 vehicles with 1-2 goals of 1-2 trajectories each.
+
+    Outcome, collider, components, reward and steps are drawn once per
+    (sample, macros) signature, as a memoised search fixes them."""
     d_max = draw(st.integers(1, 3))
     goal_probs, traj_probs = {}, {}
     for vid in [f"v{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]:
@@ -547,18 +555,24 @@ def trace_logs(draw):
         traj_probs[vid] = {(g, s): draw(PROBS)
                            for g in range(n_goals) for s in range(draw(st.integers(1, 2)))}
     records = []
+    results: dict = {}  # (sample, macros) -> the fields that signature fixes
     for index in range(draw(st.integers(1, 25))):
         assignment = {vid: draw(st.sampled_from(sorted(opts)))
                       for vid, opts in traj_probs.items()}
         macros = tuple(draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=d_max)))
-        outcome = draw(st.sampled_from(OUTCOME_KINDS))
-        components = {c: (draw(st.floats(-50.0, 50.0)) if c in OUTCOME_REQUIRED[outcome]
-                          else None) for c in REWARD_COMPONENTS}
-        collider = (draw(st.sampled_from([None, *sorted(goal_probs)]))
-                    if outcome == "collision" else None)
+        signature = (tuple(sorted(assignment.items())), macros)
+        if signature not in results:
+            outcome = draw(st.sampled_from(OUTCOME_KINDS))
+            results[signature] = dict(
+                outcome=outcome,
+                components={c: (draw(st.floats(-50.0, 50.0))
+                                if c in OUTCOME_REQUIRED[outcome] else None)
+                            for c in REWARD_COMPONENTS},
+                collider=(draw(st.sampled_from([None, *sorted(goal_probs)]))
+                          if outcome == "collision" else None),
+                reward=draw(st.floats(-50.0, 50.0)), steps=draw(st.integers(1, 50)))
         records.append(TraceRecord(index=index, assignment=assignment, macros=macros,
-                                   components=components, outcome=outcome,
-                                   collider=collider, reward=0.0, steps=1))
+                                   **results[signature]))
     return records, goal_probs, traj_probs, d_max
 
 

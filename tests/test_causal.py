@@ -289,9 +289,13 @@ def test_truncation_respects_query_counts():
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
     draws = [("A", 0), ("B", 0), ("A", 0), ("B", 0), ("A", 1), ("A", 1), ("A", 1), ("B", 1)]
-    records = [make_record(i, {"v1": (g, 0)}, [a], "done",
-                           values={"time": 10.0 + i, "jerk": 0.1 * i,
-                                   "angular_acceleration": 0.2, "curvature": 0.01 * i})
+
+    def values(j):
+        return {"time": 10.0 + j, "jerk": 0.1 * j, "angular_acceleration": 0.2,
+                "curvature": 0.01 * j}
+
+    # A draw's values are fixed by its first index, as a memoised search logs them.
+    records = [make_record(i, {"v1": (g, 0)}, [a], "done", values=values(draws.index((a, g))))
                for i, (a, g) in enumerate(draws)]
     model = build(records, goal_probs, traj_probs, d_max=1, labels={"v1": "vehicle 1"})
     full = CounterfactualQuery(indices=(1,), actions=("B",), n_causes=1, n_effects=6)

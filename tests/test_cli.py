@@ -12,7 +12,7 @@ from whyplan.errors import QueryParseError
 from whyplan.mcts import MAX_DEPTH_BOUND, REWARD_COMPONENTS
 from whyplan.pipeline import RUN_FORMAT_VERSION
 
-from conftest import mini_scenario_dict
+from conftest import format_2_trace_log, mini_scenario_dict
 
 FAST = ["--iterations", "40", "--max-depth", "2"]
 
@@ -323,24 +323,25 @@ def _format_1_log(log):
             for i, row in enumerate(log["assignment"])]
 
 
-@pytest.mark.parametrize("version", [None, 1, 3])
+@pytest.mark.parametrize("version", [None, 1, 2, 4])
 def test_run_json_format_version_other_than_current_exits_with_run_dir_code(
         mini_scenario_path, tmp_path, capsys, version):
     out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
     path = os.path.join(out, "run.json")
     meta = json.load(open(path))
-    assert meta["format_version"] == RUN_FORMAT_VERSION == 2
+    assert meta["format_version"] == RUN_FORMAT_VERSION == 3
     if version is None:
         del meta["format_version"]
     else:
         meta["format_version"] = version
     json.dump(meta, open(path, "w"))
-    if version == 1:  # a whole format-1 directory, which no reader is kept for
+    if version in (1, 2):  # a whole format-1 or format-2 directory, which no reader is kept for
         log_path = os.path.join(out, "tracelog.json")
-        json.dump(_format_1_log(json.load(open(log_path))), open(log_path, "w"))
+        log = format_2_trace_log(json.load(open(log_path)))
+        json.dump(_format_1_log(log) if version == 1 else log, open(log_path, "w"))
     code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
     assert code == 7
-    assert err == f"error: {path} has format_version {version!r}; this version reads 2\n"
+    assert err == f"error: {path} has format_version {version!r}; this version reads 3\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -484,7 +485,7 @@ def test_record_deeper_than_max_depth_exits_with_run_dir_code(mini_scenario_path
 
     code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, deepen)
     assert code == 7
-    assert "record 0" in err and "not a list of at most 2 macro names" in err
+    assert "signature 0" in err and "not a list of at most 2 macro names" in err
 
 
 def test_record_naming_unpredicted_vehicle_exits_with_run_dir_code(mini_scenario_path,
@@ -504,7 +505,7 @@ def test_record_naming_unpredicted_option_exits_with_run_dir_code(mini_scenario_
 
     code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, retarget)
     assert code == 7
-    assert "record 0 assignment is [0, 99]" in err
+    assert "signature 0 assignment is [0, 99]" in err
 
 
 def _first_vehicle(pred):
@@ -518,29 +519,31 @@ def _first_option(pred):
 
 NOT_OPTIONS = ("not a goal and trajectory index per vehicle ['v1'], naming options listed in "
                "predictions.json")
-UNEQUAL = "tracelog.json columns have unequal lengths: assignment has 40 entries, "
+RECORD_INDEX = "not an index into the 8 signatures"  # the mini run has 8
 MALFORMED = "malformed run directory {out}: "
 DEPTH_RANGE = f"not an integer in [1, {MAX_DEPTH_BOUND}]"
 MACRO_NAMES = "not a list of at most 2 macro names"  # the mini run's max_depth
 MACRO_INDEX = "not an index into the 7 macro_sequences"  # the mini run has 7
-MISFIT = ("tracelog.json record 0 components is ['angular_acceleration', 'curvature', 'jerk', "
+MISFIT = ("tracelog.json signature 0 components is ['angular_acceleration', 'curvature', 'jerk', "
           "'time'], not exactly ('collision',), which outcome 'collision' requires")
 
 
-def _set(column, value, record=0):
+def _set(column, value, entry=0):
     """An edit that sets one entry of a tracelog.json column."""
-    return lambda log: log[column].__setitem__(record, value)
+    return lambda log: log[column].__setitem__(entry, value)
 
 
 def _set_macros(value):
-    """An edit that sets record 0's macro sequence (record 0 holds sequence 0)."""
+    """An edit that sets signature 0's macro sequence (signature 0 holds sequence 0)."""
     return lambda log: log["macro_sequences"].__setitem__(log["macros"][0], value)
 
 
 # Each edit puts one malformed value into an artifact of the mini run at seed 3
-# (40 records; record 0 is a "done" record sampling v1's option 0/0; v1's first
-# option is 0/0), and `explain` must exit 7 with exactly this message ({out} is
-# the run directory).
+# (40 records of 8 signatures; signature 0 is a "done" trace sampling v1's
+# option 0/0 with macro sequence 0 ['Continue'], and records 0 and 5 hold it;
+# signature 5 is held by record 6 alone, and signature 7 samples option 1/0
+# with macro sequence 0; v1's first option is 0/0), and `explain` must exit 7
+# with exactly this message ({out} is the run directory).
 MALFORMED_RUN_VALUES = {
     "positive-collision-weight": (
         "run.json", lambda run: run["reward_weights"].update(collision=5.0),
@@ -552,15 +555,15 @@ MALFORMED_RUN_VALUES = {
         "missing ['jerk'], extra []"),
     "unknown-outcome": (
         "tracelog.json", _set("outcome", "crash"),
-        "tracelog.json record 0 outcome is 'crash', "
+        "tracelog.json signature 0 outcome is 'crash', "
         "not one of ('done', 'collision', 'termination', 'dead')"),
     "components-misfit-outcome": ("tracelog.json", _set("outcome", "collision"), MISFIT),
     "non-numeric-component": (
         "tracelog.json", _set("time", "fast"),
-        "tracelog.json record 0 component time is 'fast', not a finite number"),
+        "tracelog.json signature 0 component time is 'fast', not a finite number"),
     "infinite-component": (
         "tracelog.json", _set("time", float("inf")),
-        "tracelog.json record 0 component time is inf, not a finite number"),
+        "tracelog.json signature 0 component time is inf, not a finite number"),
     "non-numeric-option-p": (
         "predictions.json", lambda pred: _first_option(pred).update(p="high"),
         "predictions.json v1 option 0/0 p is 'high', not a finite number in [0.0, 1.0]"),
@@ -575,43 +578,43 @@ MALFORMED_RUN_VALUES = {
         "predictions.json v1 goal 0 is -0.5, not a finite number in [0.0, 1.0]"),
     "collider-a-list": (
         "tracelog.json", _set("collider", ["v1"]),
-        "tracelog.json record 0 collider is ['v1'], not a vehicle id or null"),
+        "tracelog.json signature 0 collider is ['v1'], not a vehicle id or null"),
     "macros-nested-list": (
         "tracelog.json", _set_macros([["Continue"]]),
-        f"tracelog.json record 0 macros is [['Continue']], {MACRO_NAMES}"),
+        f"tracelog.json signature 0 macros is [['Continue']], {MACRO_NAMES}"),
     "macros-not-names": (
         "tracelog.json", _set_macros([7]),
-        f"tracelog.json record 0 macros is [7], {MACRO_NAMES}"),
+        f"tracelog.json signature 0 macros is [7], {MACRO_NAMES}"),
     "macros-deeper-than-max-depth": (
         "tracelog.json", _set_macros(["Continue"] * 3),
-        f"tracelog.json record 0 macros is ['Continue', 'Continue', 'Continue'], {MACRO_NAMES}"),
+        f"tracelog.json signature 0 macros is ['Continue', 'Continue', 'Continue'], {MACRO_NAMES}"),
     "macro-index-out-of-range": (
         "tracelog.json", _set("macros", 7),
-        f"tracelog.json record 0 macros is 7, {MACRO_INDEX}"),
+        f"tracelog.json signature 0 macros is 7, {MACRO_INDEX}"),
     "macro-index-a-bool": (
         "tracelog.json", _set("macros", True),
-        f"tracelog.json record 0 macros is True, {MACRO_INDEX}"),
+        f"tracelog.json signature 0 macros is True, {MACRO_INDEX}"),
     "macro-index-a-float": (
         "tracelog.json", _set("macros", 0.0),
-        f"tracelog.json record 0 macros is 0.0, {MACRO_INDEX}"),
+        f"tracelog.json signature 0 macros is 0.0, {MACRO_INDEX}"),
     "macro-sequence-unused": (
         "tracelog.json", lambda log: log["macro_sequences"].append(["Stop"]),
-        "tracelog.json macro_sequences 7 is ['Stop'], which no record uses"),
+        "tracelog.json macro_sequences 7 is ['Stop'], which no signature uses"),
     "macro-sequence-repeated": (
         "tracelog.json", lambda log: log["macro_sequences"].__setitem__(1, ["Continue"]),
         "tracelog.json macro_sequences 1 repeats macro_sequences 0, ['Continue']"),
     "steps-a-string": (
         "tracelog.json", _set("steps", "many"),
-        "tracelog.json record 0 steps is 'many', not an integer"),
+        "tracelog.json signature 0 steps is 'many', not an integer"),
     "reward-a-string": (
         "tracelog.json", _set("reward", "high"),
-        "tracelog.json record 0 reward is 'high', not a finite number"),
+        "tracelog.json signature 0 reward is 'high', not a finite number"),
     "reward-nan": (
         "tracelog.json", _set("reward", float("nan")),
-        "tracelog.json record 0 reward is nan, not a finite number"),
+        "tracelog.json signature 0 reward is nan, not a finite number"),
     "reward-too-large-for-a-float": (
         "tracelog.json", _set("reward", 10 ** 400),
-        f"tracelog.json record 0 reward is {10 ** 400}, not a finite number"),
+        f"tracelog.json signature 0 reward is {10 ** 400}, not a finite number"),
     "label-a-list": (
         "predictions.json", lambda pred: _first_vehicle(pred).update(label=["the car"]),
         "predictions.json v1 label is ['the car'], not a string"),
@@ -625,22 +628,41 @@ MALFORMED_RUN_VALUES = {
         "predictions.json"),
     "unsampled-vehicle": (
         "tracelog.json", _set("assignment", []),
-        f"tracelog.json record 0 assignment is [], {NOT_OPTIONS}"),
+        f"tracelog.json signature 0 assignment is [], {NOT_OPTIONS}"),
     "assignment-too-long": (
         "tracelog.json", _set("assignment", [0, 0, 0, 0]),
-        f"tracelog.json record 0 assignment is [0, 0, 0, 0], {NOT_OPTIONS}"),
+        f"tracelog.json signature 0 assignment is [0, 0, 0, 0], {NOT_OPTIONS}"),
     "unpredicted-option": (
         "tracelog.json", _set("assignment", [0, 99]),
-        f"tracelog.json record 0 assignment is [0, 99], {NOT_OPTIONS}"),
+        f"tracelog.json signature 0 assignment is [0, 99], {NOT_OPTIONS}"),
     "assignment-nested-list": (
-        "tracelog.json", _set("assignment", [[0], 0], record=5),
-        f"tracelog.json record 5 assignment is [[0], 0], {NOT_OPTIONS}"),
-    # A record's index is its position in every column: a column that repeats
-    # or skips a record's entry no longer lines up with the others.
+        "tracelog.json", _set("assignment", [[0], 0], entry=5),
+        f"tracelog.json signature 5 assignment is [[0], 0], {NOT_OPTIONS}"),
+    # A signature is held once: its index is its position in every signature
+    # column, and a record names it by that index. Signature 7 made to
+    # duplicate signature 0, and signature 5 left without its one record.
     "duplicate-index": (
-        "tracelog.json", lambda log: log["outcome"].insert(1, log["outcome"][0]),
-        UNEQUAL + "outcome 41"),
-    "gapped-index": ("tracelog.json", lambda log: log["reward"].pop(1), UNEQUAL + "reward 39"),
+        "tracelog.json", _set("assignment", [0, 0], entry=7),
+        "tracelog.json signature 7 repeats signature 0, assignment [0, 0] and macros 0"),
+    "gapped-index": (
+        "tracelog.json", _set("record", 0, entry=6),
+        "tracelog.json signature 5 is assignment [0, 0] and macros 5, which no record uses"),
+    "record-out-of-range": (
+        "tracelog.json", _set("record", 8), f"tracelog.json record 0 is 8, {RECORD_INDEX}"),
+    "record-negative": (
+        "tracelog.json", _set("record", -1, entry=3),
+        f"tracelog.json record 3 is -1, {RECORD_INDEX}"),
+    "record-a-bool": (
+        "tracelog.json", _set("record", False), f"tracelog.json record 0 is False, {RECORD_INDEX}"),
+    "record-a-float": (
+        "tracelog.json", _set("record", 0.0), f"tracelog.json record 0 is 0.0, {RECORD_INDEX}"),
+    "record-column-missing": (
+        "tracelog.json", lambda log: log.pop("record"), "tracelog.json column record is missing"),
+    "record-column-not-a-list": (
+        "tracelog.json", lambda log: log.update(record=0), "tracelog.json record is 0, not a list"),
+    "signature-columns-unequal": (
+        "tracelog.json", lambda log: log["reward"].pop(1),
+        "tracelog.json columns have unequal lengths: assignment has 8 entries, reward 7"),
     "missing-column": (
         "tracelog.json", lambda log: log.pop("steps"), "tracelog.json column steps is missing"),
     "unknown-column": (
@@ -699,8 +721,8 @@ def test_malformed_run_value_exits_with_run_dir_code(mini_scenario_path, tmp_pat
 @pytest.mark.parametrize("reindex", ["duplicate", "gap"])
 def test_bad_record_indices_exit_with_run_dir_code(mini_scenario_path, tmp_path, capsys,
                                                    reindex):
-    # Record i is entry i of every column, so a column that repeats or skips
-    # one record's entry misnumbers the records after it.
+    # Signature j is entry j of every signature column, so a column that
+    # repeats or skips one signature's entry misnumbers the signatures after it.
     def renumber(log):
         if reindex == "duplicate":
             log["steps"].insert(1, log["steps"][0])

@@ -32,22 +32,22 @@ SCENARIOS = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
              "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
 
 PINNED = {
-    ("s1", 0): ("e371c95684c7077f25000003d9084ce8b083ea2a1969f54dfdafe3e8cc1bd6a2",
+    ("s1", 0): ("0e0cbbd03bedfaa99d72daff4893f6cd0884d0c44b7d463dd77805943b03a57d",
                 "453b1cbea38f32b39bee0acd5c6f68e2856ae0918669d2ff746c77e5739a1cff",
                 "96eee015727237be3cd87797960c2b41ad72b5903e02c146ec8535ce4462dc06"),
-    ("s2", 0): ("29b9621fd86c662b543b0b381f8be270af7983f29a0b624d8e6f8c92fbc01bdc",
+    ("s2", 0): ("c23ed081e4eff2371b561d0f7ba6a2f804e5e887b71856796649975941fd8807",
                 "6bac6965a3b6a43f858a749ee808bb44f606cdb56b87ab6eded32b2cbb88219a",
                 "0d64d96579b98c682fc5656253cc5808c0b572283ec7f5534246c7107da80806"),
-    ("dense", 0): ("7765803f4fe6a83316ddf421e7a2e80970c0d608711662c1677cfdc59be0d072",
+    ("dense", 0): ("028a58a6d58a6b398754b22340d1929eb17c7844f66271de00aa62d88627db43",
                    "95d613ff3439890800f9145ba4983a1f796ca8559e04311b07a02d8bc0e1e9a0",
                    "d39830ab6e193f826fa0e6c0392ca6c3d301155971ed99c08ff505050028c672"),
-    ("s1", 1): ("1c2e0385cb90633bc19f4a5f374973827bec138c02dd7ad7e8aafc6e12e398b5",
+    ("s1", 1): ("af542fff8a0bd677d4043fbf2eb716f24b0a8fefef49f87cffb4b9eb238c158b",
                 "8d005265dbebd3a81ffbab487da015ccab27c8900084631a444e03bcad252000",
                 "3dd16eddf62adb372ca4575deb4e05c5cadca45798b57ea0d869fe346437aa9f"),
-    ("s2", 1): ("0c09ece498c7a63ed095d99b733d7abaf7d655471635a121948653347250f2d6",
+    ("s2", 1): ("e728a1ab930383f5799b143f5e6ea1272d2c0e1c97f543d51bcfaa341174b6c1",
                 "030707c7af4560c22b1c6f882aef7f5d4517d354fa9d3b65f249001bccd2a730",
                 "290d9b16bd4c5b7fb3718d016f994ce37019b87ab32b442b523a50f725dd1e6f"),
-    ("dense", 1): ("ea2acba5314e2baccaafe14b9865a94386e5c213f0cd6f442e86ea0e82873ce4",
+    ("dense", 1): ("535b4a885ca14aa86314301c6c6143a39aaf70b33ce6dc10b1e0275e7aad1065",
                    "2505dd3835afcd0c2a57d53c4120a6e10c0235a08bf186f09089ff086e191f6c",
                    "3c77b3571fb5d1439c8ae0036ec1c3ee4472a421bcf5aab985adbd3c703000c0"),
 }
@@ -80,6 +80,51 @@ def test_reloaded_model_equals_the_in_memory_model(tmp_path, name, seed):
         assert getattr(got, attr) == getattr(want, attr), attr
     # The export of the reloaded model, with its support found on first use,
     # is the bn.json the planning run wrote.
+    text = json.dumps(model_to_dict(load_run(str(tmp_path)).model), indent=1,
+                      sort_keys=True) + "\n"
+    assert text == (tmp_path / "bn.json").read_text()
+
+
+@pytest.fixture(scope="module")
+def planned():
+    """(scenario name, seed, iterations) -> its pipeline result, planned once."""
+    cache: dict = {}
+
+    def plan(name, seed, iterations):
+        if (name, seed, iterations) not in cache:
+            scenario = load_scenario(SCENARIOS[name])
+            cache[(name, seed, iterations)] = run_pipeline(
+                scenario, seed, planner=planner_config(scenario, seed, iterations=iterations))
+        return cache[(name, seed, iterations)]
+    return plan
+
+
+RUNS = [(name, seed, iterations) for name in sorted(SCENARIOS) for seed in (0, 1)
+        for iterations in (60, 300)]
+
+
+@pytest.mark.parametrize("name,seed,iterations", RUNS)
+def test_trace_table_expands_to_the_trace_log(planned, name, seed, iterations):
+    # Record i of the search's log is signature record[i] of the table.
+    pipe = planned(name, seed, iterations)
+    table = pipe.model.table
+    sequences = table.macro_sequences
+    expanded = [
+        ({vid: tuple(table.assignment[j][2 * k:2 * k + 2])
+          for k, vid in enumerate(table.vehicles)},
+         sequences[table.macros[j]],
+         {c: table.components[c][j] for c in table.components},
+         table.outcome[j], table.collider[j], table.reward[j], table.steps[j])
+        for j in table.record]
+    assert expanded == [rec[1:] for rec in pipe.mcts.trace_log]
+    assert [rec.index for rec in pipe.mcts.trace_log] == list(range(iterations))
+    assert len(table.assignment) < iterations  # signatures repeat
+
+
+# At 60 iterations test_reloaded_model_equals_the_in_memory_model checks this too.
+@pytest.mark.parametrize("name,seed,iterations", [run for run in RUNS if run[2] == 300])
+def test_reloaded_model_exports_the_saved_bn_json(planned, tmp_path, name, seed, iterations):
+    save_run(str(tmp_path), SCENARIOS[name], planned(name, seed, iterations))
     text = json.dumps(model_to_dict(load_run(str(tmp_path)).model), indent=1,
                       sort_keys=True) + "\n"
     assert text == (tmp_path / "bn.json").read_text()

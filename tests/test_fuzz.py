@@ -7,7 +7,10 @@ Four kinds of input are mutated: the leaves of the shipped scenario files
 case; the leaves of one small run directory's `run.json`, of its
 `tracelog.json` columns and their first entries, and of its
 `predictions.json`; every key and table entry of a style file; and query
-strings built from an atom alphabet.
+strings built from an atom alphabet. The format-3 faults of a run directory,
+a `record` column that does not index its signatures one to one and a
+format-2 directory, are also made one by one, each exiting 7 with a message
+that names the field.
 The run directory is planned once per module, and every case is drawn from a
 seeded `random.Random`, so the cases are the same on every run.
 """
@@ -24,7 +27,7 @@ import pytest
 from whyplan import cli
 from whyplan.grammar import DEFAULT_STYLE
 
-from conftest import mini_scenario_dict
+from conftest import format_2_trace_log, mini_scenario_dict
 
 DOCUMENTED = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_PLANNING,
               cli.EXIT_INFERENCE, cli.EXIT_UNEXPLORED, cli.EXIT_RUN_DIR}
@@ -174,6 +177,65 @@ def test_mutated_run_directory_exits_with_a_documented_code(run_dir, tmp_path, c
         assert code in DOCUMENTED, (name, path, value, err)
         with open(os.path.join(case_dir, name), "w") as fh:
             json.dump(originals[name], fh)
+
+
+def _set_record(value, i=0):
+    return lambda run: run["tracelog.json"]["record"].__setitem__(i, value)
+
+
+def _record_out_of_range(run):
+    log = run["tracelog.json"]
+    log["record"][0] = len(log["assignment"])
+
+
+def _drop_signature_holders(run):
+    """Every record of the last signature names signature 0 instead."""
+    log = run["tracelog.json"]
+    last = len(log["assignment"]) - 1
+    log["record"] = [0 if j == last else j for j in log["record"]]
+
+
+def _repeat_signature(run):
+    """The last signature takes signature 0's assignment row and macro index."""
+    log = run["tracelog.json"]
+    for name in ("assignment", "macros"):
+        log[name][-1] = log[name][0]
+
+
+def _format_2_directory(run):
+    run["run.json"]["format_version"] = 2
+    run["tracelog.json"] = format_2_trace_log(run["tracelog.json"])
+
+
+# Each edit of the run directory's artifacts must exit 7 with a message that
+# names this field.
+FORMAT_3_FAULTS = {
+    "record-out-of-range": (_record_out_of_range, "tracelog.json record 0 is"),
+    "record-negative": (_set_record(-1, 2), "tracelog.json record 2 is -1"),
+    "record-a-bool": (_set_record(True), "tracelog.json record 0 is True"),
+    "record-a-float": (_set_record(0.0), "tracelog.json record 0 is 0.0"),
+    "signature-unused": (_drop_signature_holders, "which no record uses"),
+    "signature-repeated": (_repeat_signature, "repeats signature 0"),
+    "record-column-missing": (lambda run: run["tracelog.json"].pop("record"),
+                              "tracelog.json column record is missing"),
+    "format-2-directory": (_format_2_directory, "has format_version 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_3_FAULTS))
+def test_format_3_fault_exits_with_the_run_dir_code(run_dir, tmp_path, capsys, case):
+    edit, field = FORMAT_3_FAULTS[case]
+    run = {}
+    for name in ARTIFACTS:
+        with open(os.path.join(run_dir, name)) as fh:
+            run[name] = json.load(fh)
+    edit(run)
+    for name, payload in run.items():
+        with open(tmp_path / name, "w") as fh:
+            json.dump(payload, fh)
+    code = explain(str(tmp_path), "--query", "omega1=Continue")
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_RUN_DIR and field in err, err
 
 
 def style_cases():

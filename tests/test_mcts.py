@@ -17,7 +17,7 @@ from whyplan.errors import ScenarioValidationError
 from whyplan.maneuvers import (Trajectory, applicable_macros, concat_trajectories,
                                extract_features)
 from whyplan.mcts import (MAX_DEPTH_BOUND, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
-                          run_mcts, terminal_reward)
+                          TraceTable, run_mcts, terminal_reward)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
 from whyplan.recognition import enumerate_plans, predict_all
 from whyplan.scenario import (JointState, goal_contains, lane_point_state, load_scenario,
@@ -244,6 +244,28 @@ def test_invalid_trace_record_is_rejected():
     with pytest.raises(ScenarioValidationError, match="unknown outcome 'crash'"):
         TraceRecord(index=0, assignment={}, macros=("Continue",), components=comps,
                     outcome="crash", collider=None, reward=-100.0, steps=5)
+
+
+NO_COMPONENTS = {c: None for c in mcts_mod.REWARD_COMPONENTS}
+
+
+@pytest.mark.parametrize("change", [
+    {"reward": -49.0}, {"steps": 41}, {"collider": "v1"},
+    {"outcome": "dead", "components": NO_COMPONENTS},
+    {"components": {**NO_COMPONENTS, "termination": 2.0}}],
+    ids=["reward", "steps", "collider", "outcome", "components"])
+def test_trace_table_rejects_records_that_differ_within_a_signature(change):
+    rec = TraceRecord(index=0, assignment={"v1": (0, 1)}, macros=("Continue",),
+                      components={**NO_COMPONENTS, "termination": 1.0},
+                      outcome="termination", collider=None, reward=-50.0, steps=40)
+    # Another sample, or the same sample with other macros, is another signature.
+    other_sample = rec._replace(index=1, assignment={"v1": (0, 0)}, **change)
+    other_macros = rec._replace(index=2, macros=("Stop",), **change)
+    table = TraceTable.from_records([rec, other_sample, other_macros, rec._replace(index=3)])
+    assert table.record == [0, 1, 2, 0] and table.assignment == [(0, 1), (0, 0), (0, 1)]
+    with pytest.raises(ValueError, match="trace record 4 holds .*, but an earlier record of "
+                                         r"its signature \(\(\('v1', 0, 1\),\), \('Continue',\)\)"):
+        TraceTable.from_records([rec, other_sample, other_macros, rec._replace(index=4, **change)])
 
 
 def test_trace_record_is_a_read_only_value():
