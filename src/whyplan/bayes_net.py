@@ -8,23 +8,20 @@ existence/outcome layers are deterministic. Inference is exact enumeration
 over the support realized in the trace log; conditionals are ratios of sums,
 so queries never touch never-realized presence patterns.
 
-The model is immutable after build, so what a query reads is computed once
-per model: CPD counts in one pass per (sample, trace) signature, each node's
-reward means when the build ends, and the rows matching an evidence, with
-their total weight, the first time that evidence is asked. The build counts
-from a `TraceTable`, the same table for a planning run and a reloaded run
-directory. It holds each (sample, trace) signature once, with the fields
-the memoised search fixes for it, so CPD counts, node totals, outcomes and
-colliders are signature fields times the signature's record count from the
-`record` column; only each node's reward values are gathered per record, in
-record order. The record indices behind each CPD entry, which only the JSON
-export shows, are found when it asks.
+With empirical CPDs the product of a trace's CPD entries telescopes, so the
+weight of a (sample s, trace omega) signature is p(s) n(s, omega) / n(s):
+the records of s that ended on omega, over all records of s. The build
+counts from a `TraceTable`, the same table for a planning run and a reloaded
+run directory, which holds each signature once; it counts records per
+signature (the `record` column), per sample and per trace node. Everything
+else is found the first time it is read and kept, as the model never
+changes (see `BnModel`).
 """
 
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,46 +29,36 @@ from .errors import EmptyTraceLogError, UnexploredCounterfactualError
 from .mcts import OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceTable
 
 AssignmentKey = tuple  # sorted tuple of (vehicle id, goal index, trajectory index)
-_is_value = partial(operator.is_not, None)
 
 
 @dataclass
 class _NodeStats:
-    """Per reached trace node: reward samples and realized outcome kinds."""
+    """Per reached trace node: records, outcome kinds, colliders, and where
+    its records start in `BnModel._by_node`."""
 
     total: int = 0
-    values: dict = field(default_factory=lambda: {c: [] for c in REWARD_COMPONENTS})
     outcomes: dict = field(default_factory=dict)   # kind -> count
     colliders: dict = field(default_factory=dict)  # vehicle id -> count
-    means: dict = field(default_factory=dict)  # component -> mean or None, set after build
-
-    def presence(self, comp: str) -> float:
-        return len(self.values[comp]) / self.total
-
-    def mean(self, comp: str) -> float | None:
-        return self.means[comp]
-
-    def variance(self, comp: str) -> float:
-        vals = self.values[comp]
-        if len(vals) < 2:
-            return 0.0
-        mu = self.means[comp]
-        return float(sum((v - mu) ** 2 for v in vals) / (len(vals) - 1))
+    start: int = 0
 
 
-@dataclass(frozen=True)
-class Row:
-    """One cell of the realized joint support."""
+class Row(NamedTuple):
+    """One cell of the realized joint support: a (sample, trace) signature
+    with one outcome kind of its node, and the cell's probability."""
 
     akey: AssignmentKey
     omega: tuple[str, ...]
     kind: str
     weight: float
-    values: dict
 
 
 class BnModel:
-    """Factorized joint over one trace table; immutable after build."""
+    """Factorized joint over one trace table; immutable after build.
+
+    The build counts `trace_weights`, `nodes` and `omega_support`. `sel`,
+    `reach`, `support`, `rows`, each (node, component)'s reward samples and
+    mean, each evidence's rows and `memo` results are found on first read.
+    """
 
     def __init__(self, table: TraceTable, goal_probs, traj_probs, d_max,
                  traj_macros=None, labels=None):
@@ -87,89 +74,88 @@ class BnModel:
         self.labels: dict = dict(labels or {v: v for v in goal_probs})
         self.vehicles = sorted(self.goal_probs)
 
-        self.sel: dict = {}    # (prefix, akey) -> {action: count}
-        self.reach: dict = {}  # (prefix, akey) -> count
-        self.nodes: dict[tuple, _NodeStats] = {}
-        self._signatures: dict = {}  # (akey, omega) -> count
-        self._build_counts()
-        self.trace_weights: dict = {(akey, omega): (self.assignment_probability(akey)
-                                                    * self.trace_probability(akey, omega))
-                                    for akey, omega in self._signatures}
-        self.rows: list[Row] = self._build_rows()
-        self._filtered: dict = {}  # canonical evidence -> (rows, weight), see _filter_rows
-        self.omega_support: dict[int, set] = {
-            d: {omega[d - 1] for _, omega in self._signatures if len(omega) >= d}
-            for d in range(1, self.d_max + 1)}
-
-    # -- construction ---------------------------------------------------------
-
-    def _visits(self, omega: tuple) -> list[tuple]:
-        """(prefix, selected action) per CPD key a trace reaches, in depth
-        order. A trace shorter than max depth also reaches the node at its
-        end, where it selected nothing: that visit's action is None."""
-        visits = [(omega[:d], action) for d, action in enumerate(omega)]
-        if len(omega) < self.d_max:
-            visits.append((omega, None))
-        return visits
-
-    def _akey(self, row: tuple) -> AssignmentKey:
-        vehicles = self.table.vehicles
-        return tuple(zip(vehicles, row[0::2], row[1::2]))  # vehicles are sorted
-
-    def _build_counts(self) -> None:
-        # Records that share a (sample, trace) signature walk the same CPD
-        # keys and hold the same outcome and collider, so each signature
-        # walks them once and adds its record count. Counting the `record`
-        # column gives the signatures in first-seen order, which fixes row
-        # order and with it every float sum.
-        table = self.table
+        # Counting the `record` column gives the signatures in first-seen
+        # order, which fixes the order of trace weights and rows and with it
+        # every float sum.
         sequences = table.macro_sequences
-        visits = [self._visits(omega) for omega in sequences]
+        counted = Counter(table.record)  # signature index -> n(s, omega)
         stats = [_NodeStats() for _ in sequences]
-        for j, n in Counter(table.record).items():
-            m = table.macros[j]
-            akey = self._akey(table.assignment[j])
-            self._signatures[(akey, sequences[m])] = n
-            for prefix, action in visits[m]:
-                key = (prefix, akey)
-                self.reach[key] = self.reach.get(key, 0) + n
-                if action is not None:
-                    counts = self.sel.setdefault(key, {})
-                    counts[action] = counts.get(action, 0) + n
-            node = stats[m]
+        per_sample: dict = {}  # assignment row -> n(s)
+        for j, n in counted.items():
+            row = table.assignment[j]
+            per_sample[row] = per_sample.get(row, 0) + n
+            node = stats[table.macros[j]]
             node.total += n
             kind = table.outcome[j]
             node.outcomes[kind] = node.outcomes.get(kind, 0) + n
             collider = table.collider[j]
             if collider is not None:
                 node.colliders[collider] = node.colliders.get(collider, 0) + n
-        # A record holds exactly the components its outcome requires, so a
-        # node gathers the components of its outcomes from its records'
-        # signatures, in record order: the same floats, summed in the same
-        # order, as one value per record.
-        members: list = [[] for _ in sequences]  # macro index -> signature per record
-        for j in table.record:
-            members[table.macros[j]].append(j)
-        for omega, node, signatures in zip(sequences, stats, members):
-            for comp in {c for kind in node.outcomes for c in OUTCOME_REQUIRED[kind]}:
-                node.values[comp] = list(filter(_is_value, map(
-                    table.components[comp].__getitem__, signatures)))
-            # The same floats as np.mean, without its per-call overhead.
-            node.means = {c: float(np.add.reduce(np.array(v))) / len(v) if v else None
-                          for c, v in node.values.items()}
-            self.nodes[omega] = node
+        start = 0
+        for node in stats:  # `_by_node` groups the records by node, in this order
+            node.start = start
+            start += node.total
+        self.nodes: dict[tuple, _NodeStats] = dict(zip(sequences, stats))
+        akeys = {row: self._akey(row) for row in per_sample}
+        p = {row: self.assignment_probability(akey) for row, akey in akeys.items()}
+        self._signatures: dict = {}  # (akey, omega) -> n(s, omega)
+        self.trace_weights: dict = {}  # (akey, omega) -> p(s) n(s, omega) / n(s)
+        for j, n in counted.items():
+            row = table.assignment[j]
+            signature = (akeys[row], sequences[table.macros[j]])
+            self._signatures[signature] = n
+            self.trace_weights[signature] = p[row] * (n / per_sample[row])
+        self.omega_support: dict[int, set] = {
+            d: {omega[d - 1] for omega in sequences if len(omega) >= d}
+            for d in range(1, self.d_max + 1)}
+        self._reward: dict = {}    # (omega, component) -> (samples, mean), see reward_samples
+        self._filtered: dict = {}  # canonical evidence -> (rows, weight), see _filter_rows
+        self._memo: dict = {}      # function -> its result, see memo
+
+    # -- aggregates, each found on first read ---------------------------------
+
+    def _prefixes(self, omega: tuple) -> list[tuple]:
+        """The prefix of each CPD key a trace reaches, in depth order: one
+        per selection, and the whole trace when it is shorter than max depth,
+        as it then selects nothing at the node where it ends."""
+        return [omega[:d] for d in range(len(omega) + (len(omega) < self.d_max))]
+
+    def _akey(self, row: tuple) -> AssignmentKey:
+        vehicles = self.table.vehicles
+        return tuple(zip(vehicles, row[0::2], row[1::2]))  # vehicles are sorted
+
+    # Records that share a signature reach the same CPD keys, so `sel` and
+    # `reach` walk each signature once and add its record count.
+    @cached_property
+    def sel(self) -> dict:
+        """(prefix, akey) -> {action: count}: the selections behind each CPD."""
+        sel: dict = {}
+        for (akey, omega), n in self._signatures.items():
+            for d, action in enumerate(omega):
+                counts = sel.setdefault((omega[:d], akey), {})
+                counts[action] = counts.get(action, 0) + n
+        return sel
+
+    @cached_property
+    def reach(self) -> dict:
+        """(prefix, akey) -> the number of records that reach that CPD key."""
+        reach: dict = {}
+        for (akey, omega), n in self._signatures.items():
+            for prefix in self._prefixes(omega):
+                reach[(prefix, akey)] = reach.get((prefix, akey), 0) + n
+        return reach
 
     @cached_property
     def support(self) -> dict:
         """(prefix, akey) -> indices of the records that reach that CPD key.
-        Only the JSON export reads it, so it is found on first use."""
+        Only the JSON export reads it."""
         members: dict = {}  # signature index -> [record index], first-seen order
         for i, j in enumerate(self.table.record):
             members.setdefault(j, []).append(i)
         support: dict = {}
         for j, indices in members.items():
             akey = self._akey(self.table.assignment[j])
-            for prefix, _ in self._visits(self.table.macro_sequences[self.table.macros[j]]):
+            for prefix in self._prefixes(self.table.macro_sequences[self.table.macros[j]]):
                 support.setdefault((prefix, akey), []).extend(indices)
         return support
 
@@ -178,29 +164,6 @@ class BnModel:
         for vid, g, s in akey:
             p *= self.goal_probs[vid].get(g, 0.0)
             p *= self.traj_probs[vid].get((g, s), 0.0)
-        return p
-
-    def action_probability(self, prefix: tuple, akey: AssignmentKey,
-                           action: str | None) -> float:
-        """CPD entry p(Omega_d = action | prefix, sample); None means no selection."""
-        key = (prefix, akey)
-        if key not in self.reach:
-            return 1.0 if action is None else 0.0
-        reach = self.reach[key]
-        sel = self.sel.get(key, {})
-        if action is None:
-            return (reach - sum(sel.values())) / reach
-        return sel.get(action, 0) / reach
-
-    def trace_probability(self, akey: AssignmentKey, omega: tuple[str, ...]) -> float:
-        """p(Omega = omega, padded with no-selection | sample)."""
-        p = 1.0
-        prefix: tuple = ()
-        for action in omega:
-            p *= self.action_probability(prefix, akey, action)
-            prefix = prefix + (action,)
-        if len(omega) < self.d_max:
-            p *= self.action_probability(prefix, akey, None)
         return p
 
     def pattern_probability(self, omega: tuple[str, ...], kind: str) -> float:
@@ -215,33 +178,49 @@ class BnModel:
         node = self.nodes[omega]
         return node.outcomes.get(kind, 0) / node.total
 
-    def _build_rows(self) -> list[Row]:
-        # Variable names are formatted once per model, and the Rb/O values,
-        # which depend on the outcome kind alone, once per kind.
-        vehicle_names: dict = {}  # vid -> (G name, S name)
-        omega_names = [f"Omega_{d}" for d in range(1, self.d_max + 1)]
-        kind_values = {
-            kind: {**{f"Rb_{c}": 1 if c in OUTCOME_REQUIRED[kind] else 0
-                      for c in REWARD_COMPONENTS},
-                   **{f"O_{k}": 1 if k == kind else 0 for k in OUTCOME_KINDS}}
-            for kind in OUTCOME_KINDS}
-        rows = []
-        for (akey, omega), base in self.trace_weights.items():
-            node = self.nodes[omega]
-            trace_values = {}
-            for vid, g, s in akey:
-                names = vehicle_names.get(vid)
-                if names is None:
-                    names = vehicle_names[vid] = (f"G_{vid}", f"S_{vid}")
-                trace_values[names[0]] = g
-                trace_values[names[1]] = (g, s)
-            for d, name in enumerate(omega_names):
-                trace_values[name] = omega[d] if d < len(omega) else None
-            for kind in sorted(node.outcomes):
-                w = base * self.pattern_probability(omega, kind)
-                rows.append(Row(akey=akey, omega=omega, kind=kind, weight=w,
-                                values={**trace_values, **kind_values[kind]}))
-        return rows
+    @cached_property
+    def rows(self) -> list[Row]:
+        """The realized support: a row per (signature, outcome kind at its node)."""
+        cells = {omega: [(kind, self.pattern_probability(omega, kind))
+                         for kind in sorted(node.outcomes)]
+                 for omega, node in self.nodes.items()}
+        return [Row(akey, omega, kind, weight * p)
+                for (akey, omega), weight in self.trace_weights.items() for kind, p in cells[omega]]
+
+    @cached_property
+    def _by_node(self) -> np.ndarray:
+        """The signature of every record, grouped by trace node (in `nodes`
+        order) and in record order within a node."""
+        record = np.array(self.table.record)
+        return record[np.argsort(np.array(self.table.macros)[record], kind="stable")]
+
+    def _gather(self, omega: tuple[str, ...], comp: str) -> tuple[np.ndarray, float | None]:
+        # A record holds exactly the components its outcome requires.
+        node = self.nodes[omega]
+        present = [comp in OUTCOME_REQUIRED[kind] for kind in node.outcomes]
+        if not any(present):
+            return np.empty(0), None
+        signatures = self._by_node[node.start:node.start + node.total]
+        values = np.array(self.table.components[comp], dtype=float)[signatures]
+        if not all(present):  # the absent values read as NaN
+            values = values[~np.isnan(values)]
+        # The same floats as np.mean, without its per-call overhead.
+        return values, float(np.add.reduce(values)) / len(values)
+
+    def reward_samples(self, omega: tuple[str, ...], comp: str) -> tuple[np.ndarray, float | None]:
+        """A component's values at a trace node, in record order, and their
+        mean (None when the component is absent there)."""
+        found = self._reward.get((omega, comp))
+        if found is None:
+            found = self._reward[(omega, comp)] = self._gather(omega, comp)
+        return found
+
+    def memo(self, fn):
+        """fn(model), computed on the first call and kept: the model never changes."""
+        found = self._memo.get(fn)
+        if found is None:
+            found = self._memo[fn] = fn(self)
+        return found
 
     # -- variable index -------------------------------------------------------
 
@@ -260,11 +239,29 @@ class BnModel:
             out[f"O_{kind}"] = [0, 1]
         return out
 
+    @cached_property
+    def _readers(self) -> dict:
+        """Variable name -> the function that reads its value off a row."""
+        readers = {}
+        for k, vid in enumerate(self.table.vehicles):  # the order of each akey
+            readers[f"G_{vid}"] = lambda row, k=k: row.akey[k][1]
+            readers[f"S_{vid}"] = lambda row, k=k: row.akey[k][1:]
+        for d in range(1, self.d_max + 1):
+            readers[f"Omega_{d}"] = (lambda row, d=d:
+                                     row.omega[d - 1] if len(row.omega) >= d else None)
+        for comp in REWARD_COMPONENTS:
+            readers[f"Rb_{comp}"] = lambda row, comp=comp: int(comp in OUTCOME_REQUIRED[row.kind])
+        for kind in OUTCOME_KINDS:
+            readers[f"O_{kind}"] = lambda row, kind=kind: int(row.kind == kind)
+        return readers
+
     def reward_stats(self, omega: tuple[str, ...], comp: str):
         """(mean, unbiased variance, sample count, absence probability)."""
-        node = self.nodes[omega]
-        vals = node.values[comp]
-        return (node.mean(comp), node.variance(comp), len(vals), 1.0 - node.presence(comp))
+        values, mean = self.reward_samples(omega, comp)
+        count = len(values)
+        variance = (float(sum((v - mean) ** 2 for v in values.tolist()) / (count - 1))
+                    if count >= 2 else 0.0)
+        return mean, variance, count, 1.0 - count / self.nodes[omega].total
 
 
 def build_bn(trace, goal_probs, traj_probs, d_max,
@@ -285,6 +282,12 @@ def _canonical_value(var: str, value):
     return value
 
 
+def _reader(model: BnModel, var: str):
+    if var not in model._readers:
+        raise KeyError(f"unknown variable {var!r}; valid: {sorted(model._readers)}")
+    return model._readers[var]
+
+
 def _filter_rows(model: BnModel, evidence: dict) -> tuple[tuple[Row, ...], float]:
     """The rows matching every evidence value, in row order, and their weight.
 
@@ -295,12 +298,11 @@ def _filter_rows(model: BnModel, evidence: dict) -> tuple[tuple[Row, ...], float
     key = frozenset(evidence.items())
     found = model._filtered.get(key)
     if found is None:
-        known = model.rows[0].values
-        for var in evidence:
-            if var not in known:
-                raise KeyError(f"unknown variable {var!r}; valid: {sorted(known)}")
-        rows = tuple(row for row in model.rows
-                     if all(row.values[var] == val for var, val in evidence.items()))
+        rows = model.rows
+        for var, val in evidence.items():
+            read = _reader(model, var)
+            rows = [row for row in rows if read(row) == val]
+        rows = tuple(rows)
         found = model._filtered[key] = (rows, sum(r.weight for r in rows))
     return found
 
@@ -320,13 +322,10 @@ def query(model: BnModel, targets: list[str], evidence: dict | None = None) -> d
     UnexploredCounterfactualError when the evidence has zero probability.
     """
     rows, total = _weighted_rows(model, evidence or {})
-    known = model.rows[0].values
-    for var in targets:
-        if var not in known:
-            raise KeyError(f"unknown variable {var!r}; valid: {sorted(known)}")
+    readers = [_reader(model, var) for var in targets]
     dist: dict = {}
     for row in rows:
-        key = tuple(row.values[v] for v in targets)
+        key = tuple(read(row) for read in readers)
         dist[key] = dist.get(key, 0.0) + row.weight
     return {k: v / total for k, v in dist.items()}
 
@@ -348,16 +347,15 @@ def expected_reward(model: BnModel, component: str, evidence: dict | None = None
     in every trace consistent with the evidence.
     """
     rows, total = _weighted_rows(model, evidence)
+    # A row whose outcome requires the component has records holding it.
+    rows = [row for row in rows if component in OUTCOME_REQUIRED[row.kind]]
+    means = {omega: model.reward_samples(omega, component)[1]
+             for omega in dict.fromkeys(row.omega for row in rows)}
     num = 0.0
     den = 0.0
-    indicator = f"Rb_{component}"
     for row in rows:
-        if row.values[indicator] == 1:
-            mu = model.nodes[row.omega].mean(component)
-            if mu is None:
-                continue
-            num += row.weight * mu
-            den += row.weight
+        num += row.weight * means[row.omega]
+        den += row.weight
     if den <= 0.0:
         return None, 0.0
     return num / den, den / total
@@ -397,7 +395,7 @@ def model_to_dict(model: BnModel) -> dict:
             "supporting_traces": sorted(set(model.support[(prefix, akey)])),
         })
     reward_stats = []
-    for omega, node in sorted(model.nodes.items()):
+    for omega in sorted(model.nodes):
         for comp in REWARD_COMPONENTS:
             mean, var, count, p_absent = model.reward_stats(omega, comp)
             reward_stats.append({

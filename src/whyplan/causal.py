@@ -160,7 +160,7 @@ def _omega_distributions(model: BnModel) -> tuple[dict, dict]:
     conditional given each sampled (vehicle, goal, trajectory).
 
     One pass over the trace weights; each distribution adds its weights in
-    trace-weight order.
+    trace-weight order. Found once per model, through `BnModel.memo`.
     """
     totals: dict = {}  # () for the marginal, else (vid, g, s) -> weight
     masses: dict = {}  # the same keys -> {omega: weight}
@@ -202,7 +202,7 @@ def agent_influences(model: BnModel, n_causes: int = 1) -> list[Cause]:
     """
     if n_causes <= 0:
         return []
-    marginal, conditionals = _omega_distributions(model)
+    marginal, conditionals = model.memo(_omega_distributions)
     samples = sorted(conditionals)
     triples = []
     for vid in model.vehicles:

@@ -188,6 +188,32 @@ def format_2_trace_log(log: dict) -> dict:
 # --- independent oracle ---------------------------------------------------------
 
 
+def cpd_entry(model, prefix, akey, action):
+    """CPD entry p(Omega_d = action | prefix, sample) from `model.sel` and
+    `model.reach`; None is no selection. A key no record reaches selects
+    nothing."""
+    key = (prefix, akey)
+    if key not in model.reach:
+        return 1.0 if action is None else 0.0
+    reach = model.reach[key]
+    sel = model.sel.get(key, {})
+    if action is None:
+        return (reach - sum(sel.values())) / reach
+    return sel.get(action, 0) / reach
+
+
+def cpd_product(model, akey, omega):
+    """p(Omega = omega, padded with no-selection | sample): the product of
+    the CPD entries along the trace."""
+    p = 1.0
+    for d, action in enumerate(omega):
+        p *= cpd_entry(model, omega[:d], akey, action)
+    if len(omega) < model.d_max:
+        p *= cpd_entry(model, omega, akey, None)
+    return p
+
+
+
 def oracle_rows(records, goal_probs, traj_probs, d_max):
     """Materialize the realized joint table by direct counting."""
     reach: dict = {}

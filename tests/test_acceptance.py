@@ -22,8 +22,8 @@ from whyplan.mcts import OUTCOME_KINDS, REWARD_COMPONENTS, RewardConfig
 from whyplan.pipeline import explain_query, run_pipeline
 from whyplan.scenario import load_scenario
 
-from conftest import (make_record, oracle_expected_reward, oracle_query, oracle_rows,
-                      random_trace_log)
+from conftest import (cpd_entry, make_record, oracle_expected_reward, oracle_query,
+                      oracle_rows, random_trace_log)
 
 RUNNING_EXAMPLE = ("If ego had continued ahead then it would have likely reached its goal "
                    "with lower time to goal because vehicle 1 would have probably changed "
@@ -167,27 +167,29 @@ def test_criterion_05_structural_invariants():
             model = build_bn(records, goal_probs, traj_probs, d_max)
             # CPD normalization over actions plus the no-selection atom.
             for (prefix, akey), counts in model.sel.items():
-                total = sum(model.action_probability(prefix, akey, a) for a in counts)
-                total += model.action_probability(prefix, akey, None)
+                total = sum(cpd_entry(model, prefix, akey, a) for a in counts)
+                total += cpd_entry(model, prefix, akey, None)
                 assert abs(total - 1.0) <= 1e-9
-            # Chain rule: the trace factor equals the per-depth product.
+            # Chain rule: each trace weight, a count ratio, equals the
+            # sample's probability times the per-depth CPD product.
             for rec in records:
                 akey = rec.assignment_key()
                 p = 1.0
                 prefix = ()
                 for a in rec.macros:
-                    p *= model.action_probability(prefix, akey, a)
+                    p *= cpd_entry(model, prefix, akey, a)
                     prefix += (a,)
                 if len(rec.macros) < d_max:
-                    p *= model.action_probability(prefix, akey, None)
-                assert abs(model.trace_probability(akey, rec.macros) - p) <= 1e-12
+                    p *= cpd_entry(model, prefix, akey, None)
+                p *= model.assignment_probability(akey)
+                assert abs(model.trace_weights[(akey, rec.macros)] - p) <= 1e-12
             # Existence and outcome layers are deterministic on every row.
-            for row in model.rows:
-                present = {c for c in REWARD_COMPONENTS if row.values[f"Rb_{c}"] == 1}
-                from whyplan.mcts import OUTCOME_REQUIRED
-                for kind in OUTCOME_KINDS:
-                    expected = 1 if set(OUTCOME_REQUIRED[kind]) == present else 0
-                    assert row.values[f"O_{kind}"] == expected
+            from whyplan.mcts import OUTCOME_REQUIRED
+            names = [f"Rb_{c}" for c in REWARD_COMPONENTS] + [f"O_{k}" for k in OUTCOME_KINDS]
+            for values in query(model, names, {}):
+                present = {c for c, v in zip(REWARD_COMPONENTS, values) if v == 1}
+                for kind, value in zip(OUTCOME_KINDS, values[len(REWARD_COMPONENTS):]):
+                    assert value == (1 if set(OUTCOME_REQUIRED[kind]) == present else 0)
             # Law of total probability over the first selection.
             marg = query(model, ["O_done"], {})
             mix = {}

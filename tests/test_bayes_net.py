@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import whyplan.bayes_net as bayes_net_mod
-from whyplan.bayes_net import (BnModel, _NodeStats, build_bn, expected_reward, model_to_dict,
+from whyplan.bayes_net import (BnModel, build_bn, expected_reward, model_to_dict,
                                outcome_distribution, query)
 from whyplan.causal import (Cause, _cause_macros, _omega_distributions, agent_influences,
                             trace_divergence)
@@ -19,8 +19,8 @@ from whyplan.mcts import (OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, Tr
 from whyplan.pipeline import explain_query, planner_config, run_pipeline
 from whyplan.scenario import load_scenario
 
-from conftest import (make_record, oracle_expected_reward, oracle_query, oracle_rows,
-                      random_trace_log)
+from conftest import (cpd_entry, cpd_product, make_record, oracle_expected_reward,
+                      oracle_query, oracle_rows, random_trace_log)
 
 
 def single_vehicle_probs(goal_probs, options):
@@ -53,8 +53,8 @@ def test_action_cpd_is_selection_count_over_visits():
         records.append(make_record(i, {"v1": (0, 0)}, macros, "done"))
     model = build_bn(records, goal_probs, traj_probs, 2)
     akey = (("v1", 0, 0),)
-    assert model.action_probability((), akey, "A") == pytest.approx(0.5, abs=1e-12)
-    assert model.action_probability((), akey, "B") == pytest.approx(0.5, abs=1e-12)
+    assert cpd_entry(model, (), akey, "A") == pytest.approx(0.5, abs=1e-12)
+    assert cpd_entry(model, (), akey, "B") == pytest.approx(0.5, abs=1e-12)
 
 
 # Two joint samples reach node ("A",) with different times. One sample's
@@ -82,8 +82,9 @@ def test_unvisited_conditioning_key_defaults_to_no_selection():
     records = [make_record(0, {"v1": (0, 0)}, ["A"], "done")]
     model = build_bn(records, goal_probs, traj_probs, 2)
     ghost = (("v1", 9, 9),)
-    assert model.action_probability(("A",), ghost, None) == 1.0
-    assert model.action_probability(("A",), ghost, "B") == 0.0
+    assert (("A",), ghost) not in model.reach and (("A",), ghost) not in model.sel
+    assert cpd_entry(model, ("A",), ghost, None) == 1.0
+    assert cpd_entry(model, ("A",), ghost, "B") == 0.0
 
 
 TWO_TRACES = [make_record(0, {"v1": (0, 0)}, ["Continue"], "done"),
@@ -170,7 +171,7 @@ def joint_probability(model, assignment: dict) -> float:
         else:
             actions.append(v)
     omega = tuple(actions)
-    p *= model.trace_probability(akey, omega)
+    p *= cpd_product(model, akey, omega)
     if p <= 0.0:
         return 0.0
 
@@ -183,12 +184,12 @@ def joint_probability(model, assignment: dict) -> float:
         rv = assignment[f"R_{comp}"]
         if (rv is not None) != (rb == 1):
             return 0.0  # existence indicator must match the value
-        pres = node.presence(comp)
+        mu, variance, count, _ = model.reward_stats(omega, comp)
+        pres = count / node.total
         p *= pres if rb == 1 else (1.0 - pres)
         if rv is not None:
             present.add(comp)
-            mu = node.mean(comp)
-            p *= _normal_density(float(rv), mu, node.variance(comp))
+            p *= _normal_density(float(rv), mu, variance)
 
     for kind in OUTCOME_KINDS:
         expected = 1 if set(OUTCOME_REQUIRED[kind]) == present else 0
@@ -319,21 +320,23 @@ def test_structural_invariants_on_random_logs():
 
         # Every stored CPD vector (actions plus no-selection) sums to one.
         for (prefix, akey), counts in model.sel.items():
-            total = sum(model.action_probability(prefix, akey, a) for a in counts)
-            total += model.action_probability(prefix, akey, None)
+            total = sum(cpd_entry(model, prefix, akey, a) for a in counts)
+            total += cpd_entry(model, prefix, akey, None)
             assert total == pytest.approx(1.0, abs=1e-9)
 
-        # Chain rule: trace probability equals the product of per-depth entries.
+        # Chain rule: a trace weight, a count ratio, equals the sample's
+        # probability times the product of per-depth entries.
         for rec in records:
             akey = rec.assignment_key()
             p = 1.0
             prefix = ()
             for a in rec.macros:
-                p *= model.action_probability(prefix, akey, a)
+                p *= cpd_entry(model, prefix, akey, a)
                 prefix += (a,)
             if len(rec.macros) < d_max:
-                p *= model.action_probability(prefix, akey, None)
-            assert model.trace_probability(akey, rec.macros) == pytest.approx(p, abs=1e-12)
+                p *= cpd_entry(model, prefix, akey, None)
+            p *= model.assignment_probability(akey)
+            assert model.trace_weights[(akey, rec.macros)] == pytest.approx(p, abs=1e-12)
 
         # Law of total probability over the first selection.
         marg = query(model, ["O_done"], {})
@@ -382,34 +385,19 @@ def test_model_export_is_json_ready():
     assert "Continue" in json.loads(text)["variables"]["Omega_1"]
 
 
-# --- aggregates built once: the per-record build and per-call scans as reference ----
+# --- aggregates on first read: a per-record build and per-call scans as reference --
 
 
-class _ReferenceNodeStats(_NodeStats):
-    """Node statistics that recompute the sample mean on every call."""
+class ReferenceModel:
+    """The net's counts built by walking every record one at a time: CPD
+    counts and their records, per-node outcomes and reward samples in record
+    order, and each trace weight as p(s) times the product of CPD entries."""
 
-    def mean(self, comp):
-        vals = self.values[comp]
-        return float(np.mean(vals)) if vals else None
-
-    def variance(self, comp):
-        vals = self.values[comp]
-        if len(vals) < 2:
-            return 0.0
-        mu = float(np.mean(vals))
-        return float(sum((v - mu) ** 2 for v in vals) / (len(vals) - 1))
-
-
-class ReferenceModel(BnModel):
-    """The net built by walking every record's CPD keys one record at a time."""
-
-    def __init__(self, records, *args):
-        self.records = records
-        super().__init__(TraceTable.from_records(records), *args)
-
-    def _build_counts(self):
-        self.support = {}
-        for rec in self.records:
+    def __init__(self, records, goal_probs, traj_probs, d_max):
+        self.d_max = d_max
+        self.sel, self.reach, self.support, self.nodes = {}, {}, {}, {}
+        signatures = {}
+        for rec in records:
             akey = rec.assignment_key()
             prefix = ()
             for action in rec.macros:
@@ -423,61 +411,88 @@ class ReferenceModel(BnModel):
                 key = (prefix, akey)
                 self.reach[key] = self.reach.get(key, 0) + 1
                 self.support.setdefault(key, []).append(rec.index)
-
-            node = self.nodes.setdefault(rec.macros, _ReferenceNodeStats())
-            node.total += 1
+            node = self.nodes.setdefault(rec.macros, {
+                "total": 0, "outcomes": {}, "values": {c: [] for c in REWARD_COMPONENTS}})
+            node["total"] += 1
+            node["outcomes"][rec.outcome] = node["outcomes"].get(rec.outcome, 0) + 1
             for comp, val in rec.components.items():
                 if val is not None:
-                    node.values[comp].append(float(val))
-            node.outcomes[rec.outcome] = node.outcomes.get(rec.outcome, 0) + 1
-            if rec.collider is not None:
-                node.colliders[rec.collider] = node.colliders.get(rec.collider, 0) + 1
-            sig = (akey, rec.macros)
-            self._signatures[sig] = self._signatures.get(sig, 0) + 1
+                    node["values"][comp].append(float(val))
+            signatures.setdefault((akey, rec.macros), None)
+        self.trace_weights = {}
+        for akey, omega in signatures:
+            p = 1.0
+            for vid, g, s in akey:
+                p *= goal_probs[vid].get(g, 0.0) * traj_probs[vid].get((g, s), 0.0)
+            self.trace_weights[(akey, omega)] = p * cpd_product(self, akey, omega)
+
+    def reward_stats(self, omega, comp):
+        """(mean, unbiased variance, count, absence probability), recomputed per call."""
+        node = self.nodes[omega]
+        vals = node["values"][comp]
+        mean = float(np.mean(vals)) if vals else None
+        var = float(sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)) if len(vals) >= 2 else 0.0
+        return mean, var, len(vals), 1.0 - len(vals) / node["total"]
 
 
-def reference_filter(model, evidence):
+def reference_rows(model, ref):
+    """Every row of the realized support as a dict of variable values, with
+    the model's trace weights."""
+    rows = []
+    for (akey, omega), base in model.trace_weights.items():
+        outcomes = ref.nodes[omega]["outcomes"]
+        for kind in sorted(outcomes):
+            values = {}
+            for vid, g, s in akey:
+                values[f"G_{vid}"] = g
+                values[f"S_{vid}"] = (g, s)
+            for d in range(1, model.d_max + 1):
+                values[f"Omega_{d}"] = omega[d - 1] if d <= len(omega) else None
+            for comp in REWARD_COMPONENTS:
+                values[f"Rb_{comp}"] = 1 if comp in OUTCOME_REQUIRED[kind] else 0
+            for k in OUTCOME_KINDS:
+                values[f"O_{k}"] = 1 if k == kind else 0
+            rows.append({"omega": omega, "weight": base * (outcomes[kind] / sum(outcomes.values())),
+                         "values": values})
+    return rows
+
+
+def reference_filter(rows, evidence):
     """Scan every row for each call."""
-    known = set(model.rows[0].values)
+    known = set(rows[0]["values"])
     for var in evidence:
         if var not in known:
             raise KeyError(f"unknown variable {var!r}")
-    out = []
-    for row in model.rows:
-        if all(row.values[var] == (tuple(val) if var.startswith("S_") else val)
-               for var, val in evidence.items()):
-            out.append(row)
-    return out
+    return [row for row in rows
+            if all(row["values"][var] == (tuple(val) if var.startswith("S_") else val)
+                   for var, val in evidence.items())]
 
 
-def reference_query(model, targets, evidence):
-    rows = reference_filter(model, evidence)
-    total = sum(r.weight for r in rows)
+def reference_query(rows, targets, evidence):
+    keep = reference_filter(rows, evidence)
+    total = sum(r["weight"] for r in keep)
     if total <= 0.0:
         raise UnexploredCounterfactualError("zero-probability evidence")
     for var in targets:
-        if var not in model.rows[0].values:
+        if var not in rows[0]["values"]:
             raise KeyError(f"unknown variable {var!r}")
     dist = {}
-    for row in rows:
-        key = tuple(row.values[v] for v in targets)
-        dist[key] = dist.get(key, 0.0) + row.weight
+    for row in keep:
+        key = tuple(row["values"][v] for v in targets)
+        dist[key] = dist.get(key, 0.0) + row["weight"]
     return {k: v / total for k, v in dist.items()}
 
 
-def reference_expected_reward(model, component, evidence):
-    rows = reference_filter(model, evidence)
-    total = sum(r.weight for r in rows)
+def reference_expected_reward(ref, rows, component, evidence):
+    keep = reference_filter(rows, evidence)
+    total = sum(r["weight"] for r in keep)
     if total <= 0.0:
         raise UnexploredCounterfactualError("zero-probability evidence")
     num = den = 0.0
-    for row in rows:
-        if row.values[f"Rb_{component}"] == 1:
-            mu = model.nodes[row.omega].mean(component)
-            if mu is None:
-                continue
-            num += row.weight * mu
-            den += row.weight
+    for row in keep:
+        if row["values"][f"Rb_{component}"] == 1:
+            num += row["weight"] * ref.reward_stats(row["omega"], component)[0]
+            den += row["weight"]
     if den <= 0.0:
         return None, 0.0
     return num / den, den / total
@@ -583,27 +598,55 @@ def test_aggregates_built_once_match_per_call_reference(log):
     model = build_bn(records, goal_probs, traj_probs, d_max)
     ref = ReferenceModel(records, goal_probs, traj_probs, d_max)
 
-    assert model_to_dict(model) == model_to_dict(ref)
     assert model.sel == ref.sel and model.reach == ref.reach
     assert ({k: set(v) for k, v in model.support.items()}
             == {k: set(v) for k, v in ref.support.items()})
-    assert list(model.trace_weights.items()) == list(ref.trace_weights.items())
+    assert list(model.nodes) == list(ref.nodes)
+    for omega in model.nodes:
+        for comp in REWARD_COMPONENTS:
+            assert model.reward_stats(omega, comp) == ref.reward_stats(omega, comp)
 
+    rows = reference_rows(model, ref)
+    assert [(r.omega, r.weight) for r in model.rows] == [(r["omega"], r["weight"]) for r in rows]
     for targets, evidence in all_queries_for(model):
         assert (answer(query, model, targets, evidence)
-                == answer(reference_query, ref, targets, evidence)), (targets, evidence)
+                == answer(reference_query, rows, targets, evidence)), (targets, evidence)
     for evidence in [{}] + [{"Omega_1": a} for a in sorted(model.omega_support[1])]:
         for comp in REWARD_COMPONENTS:
             assert (answer(expected_reward, model, comp, evidence)
-                    == answer(reference_expected_reward, ref, comp, evidence))
+                    == answer(reference_expected_reward, ref, rows, comp, evidence))
 
     marginal, conditionals = _omega_distributions(model)
-    assert list(marginal.items()) == list(reference_omega_distribution(ref).items())
+    assert list(marginal.items()) == list(reference_omega_distribution(model).items())
     for (vid, g, s), cond in conditionals.items():
-        want = reference_omega_distribution(ref, lambda ak: (vid, g, s) in ak)
+        want = reference_omega_distribution(model, lambda ak: (vid, g, s) in ak)
         assert list(cond.items()) == list(want.items())
     n = len(model.vehicles)
-    assert agent_influences(model, n) == reference_agent_influences(ref, n)
+    assert agent_influences(model, n) == reference_agent_influences(model, n)
+    # The export, read after the queries, is the export of a fresh model.
+    assert model_to_dict(model) == model_to_dict(build_bn(records, goal_probs, traj_probs, d_max))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_logs())
+def test_trace_weights_are_the_cpd_product_as_a_count_ratio(log):
+    # p(s) n(s, omega) / n(s) equals p(s) times the product of the CPD entries
+    # along omega, and the conditional p(omega | s) it carries sums to one.
+    records, goal_probs, traj_probs, d_max = log
+    model = build_bn(records, goal_probs, traj_probs, d_max)
+    ref = ReferenceModel(records, goal_probs, traj_probs, d_max)
+    assert list(model.trace_weights) == list(ref.trace_weights)
+    for signature, weight in model.trace_weights.items():
+        assert weight == pytest.approx(ref.trace_weights[signature], rel=1e-12, abs=0.0)
+    per_sample = {}
+    for (akey, _), weight in model.trace_weights.items():
+        per_sample[akey] = per_sample.get(akey, 0.0) + weight
+    for akey, total in per_sample.items():
+        p = model.assignment_probability(akey)
+        if p > 0.0:
+            assert total / p == pytest.approx(1.0, abs=1e-9)
+        else:
+            assert total == 0.0
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -613,12 +656,13 @@ CORPORA = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_explain_queries_reuse_node_means_and_filtered_rows(name, monkeypatch):
-    # Once the net is built, answering every explored depth-1 and depth-2
-    # query computes no sample mean and scans the rows once per evidence.
+    # Over every explored depth-1 and depth-2 query on one model, each
+    # (node, component)'s reward samples and mean are gathered at most once,
+    # and the rows are scanned once per distinct evidence.
     sc = load_scenario(CORPORA[name])
     pipe = run_pipeline(sc, 0, planner=planner_config(sc, 0, iterations=60))
     model = pipe.model
-    scans, evidences, means = [], set(), []
+    scans, evidences, gathered = [], set(), []
 
     class CountingRows(list):
         def __iter__(self):
@@ -626,24 +670,24 @@ def test_explain_queries_reuse_node_means_and_filtered_rows(name, monkeypatch):
             return super().__iter__()
 
     model.rows = CountingRows(model.rows)
-    real_filter, real_mean = bayes_net_mod._filter_rows, np.mean
+    real_filter, real_gather = bayes_net_mod._filter_rows, BnModel._gather
 
     def recording_filter(model, evidence):
         evidences.add(frozenset(evidence.items()))
         return real_filter(model, evidence)
 
-    def counting_mean(*args, **kwargs):
-        means.append(1)
-        return real_mean(*args, **kwargs)
+    def recording_gather(self, omega, comp):
+        gathered.append((omega, comp))
+        return real_gather(self, omega, comp)
 
     monkeypatch.setattr(bayes_net_mod, "_filter_rows", recording_filter)
-    monkeypatch.setattr(np, "mean", counting_mean)
+    monkeypatch.setattr(BnModel, "_gather", recording_gather)
     answered = 0
     for depth in (1, 2):
         for action in sorted(model.omega_support[depth]):
             cf = parse_query(f"omega{depth}={action}", n_causes=3, n_effects=6)
             summary, _, _ = explain_query(model, pipe.mcts.plan, pipe.reward, cf)
             answered += bool(summary.effects)
-    assert answered > 0  # reward effects were asked for
-    assert means == []
+    assert answered > 1  # reward effects were asked for, by more than one query
+    assert gathered and len(gathered) == len(set(gathered))
     assert len(scans) == len(evidences)

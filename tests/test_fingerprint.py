@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whyplan.bayes_net import build_bn, model_to_dict
-from whyplan.mcts import PlannerConfig, RewardConfig, TraceTable
+from whyplan.mcts import REWARD_COMPONENTS, PlannerConfig, RewardConfig, TraceTable
 from whyplan.pipeline import file_sha256, load_run, planner_config, run_pipeline, save_run
 from whyplan.scenario import load_scenario
 
@@ -154,5 +154,5 @@ def test_trace_table_survives_the_run_directory(seed, d_max, n_vehicles, iterati
     assert got.table == model.table
     for attr in ("sel", "reach", "support", "trace_weights", "rows"):
         assert getattr(got, attr) == getattr(model, attr), attr
-    assert ({omega: node.means for omega, node in got.nodes.items()}
-            == {omega: node.means for omega, node in model.nodes.items()})
+    assert ([got.reward_stats(omega, c) for omega in got.nodes for c in REWARD_COMPONENTS]
+            == [model.reward_stats(omega, c) for omega in model.nodes for c in REWARD_COMPONENTS])
