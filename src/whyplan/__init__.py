@@ -19,8 +19,8 @@ from .grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw
                       post_process, realize_macros, to_grammar_input)
 from .maneuvers import (Maneuver, Trajectory, TrajectoryFeatures, applicable_macros,
                         expand_macro, extract_features)
-from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
-                   TraceTable, run_mcts, terminal_reward)
+from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceTable,
+                   run_mcts, terminal_reward)
 from .pipeline import (PipelineResult, explain_query, load_run, run_pipeline, save_run)
 from .recognition import (GoalPosterior, Predictions, TrajectoryOption, enumerate_plans,
                           goal_posterior, predict_all, trajectory_options)

@@ -264,15 +264,11 @@ class BnModel:
         return mean, variance, count, 1.0 - count / self.nodes[omega].total
 
 
-def build_bn(trace, goal_probs, traj_probs, d_max,
+def build_bn(table: TraceTable, goal_probs, traj_probs, d_max,
              traj_macros=None, labels=None) -> BnModel:
-    """Construct the network from a trace log and goal-recognition factors.
-
-    `trace` is a `TraceTable`, or a list of `TraceRecord`s, tabled first.
-    """
-    if not isinstance(trace, TraceTable):
-        trace = TraceTable.from_records(trace)
-    return BnModel(trace, goal_probs, traj_probs, d_max,
+    """Construct the network from a trace table and goal-recognition factors:
+    the table `run_mcts` filled, or the one `load_run` read back."""
+    return BnModel(table, goal_probs, traj_probs, d_max,
                    traj_macros=traj_macros, labels=labels)
 
 

@@ -2,17 +2,18 @@
 
 Each iteration samples one goal and trajectory per non-ego vehicle, walks the
 tree with UCB1 selection, forward-simulates the chosen macros against the
-fixed traffic, and backs the terminal reward up the visited path. The full
-record of every iteration (the trace log) is the planner's second output;
-as a `TraceTable` it is the sole input to the Bayes net.
+fixed traffic, and backs the terminal reward up the visited path. The trace
+log of every iteration is the planner's second output; the search fills it
+as a `TraceTable`, the sole input to the Bayes net.
 
 A rollout is a pure function of the joint sample and the ego's macro prefix,
 so within one search each (joint sample, macro prefix) is simulated once and
 later iterations reuse the result; the reuse is exact, and the trace log is
 the same as without it. The memo is also why a (sample, trace) signature
 fixes its record: every iteration that samples the same joint sample and
-selects the same macros ends at the same memoised result, so `TraceTable`
-stores those fields once per signature.
+selects the same macros ends at the same memoised result, so the search
+adds a signature to the table the first time its pair ends and afterwards
+only logs its index.
 """
 
 import math
@@ -114,16 +115,6 @@ def components_for(outcome: str, traj: Trajectory, goal, layout) -> dict:
     return comps
 
 
-_REQUIRED_SETS = {kind: frozenset(required) for kind, required in OUTCOME_REQUIRED.items()}
-
-
-def check_components(outcome: str, comps: dict) -> None:
-    present = {c for c, v in comps.items() if v is not None}
-    if present != _REQUIRED_SETS[outcome]:
-        raise ScenarioValidationError(f"outcome {outcome!r} requires exactly components "
-                                      f"{OUTCOME_REQUIRED[outcome]}, got {sorted(present)}")
-
-
 def terminal_reward(traj: Trajectory, outcome: str, reward_config: RewardConfig,
                     goal, layout) -> tuple[float, dict]:
     """Scalar reward and component values at a terminal simulation state."""
@@ -133,45 +124,6 @@ def terminal_reward(traj: Trajectory, outcome: str, reward_config: RewardConfig,
         return w["termination"], comps
     scalar = sum(w[c] * v for c, v in comps.items() if v is not None)
     return float(scalar), comps
-
-
-class _TraceFields(NamedTuple):
-    index: int
-    assignment: dict  # vehicle id -> (goal index, trajectory index)
-    macros: tuple[str, ...]
-    components: dict
-    outcome: str
-    collider: str | None
-    reward: float
-    steps: int
-
-
-class TraceRecord(_TraceFields):
-    """Everything one MCTS iteration decided and observed.
-
-    A named tuple, so that a search builds a record as cheaply as a tuple,
-    with no per-instance `__dict__` for the garbage collector to track;
-    fields are read-only and records compare equal field by field. The
-    constructor rejects an unknown outcome or components that do not fit it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, index: int, assignment: dict, macros: tuple[str, ...], components: dict,
-                outcome: str, collider: str | None, reward: float, steps: int):
-        if outcome not in OUTCOME_KINDS:
-            raise ScenarioValidationError(f"unknown outcome {outcome!r}")
-        check_components(outcome, components)
-        return tuple.__new__(cls, (index, assignment, macros, components, outcome, collider,
-                                   reward, steps))
-
-    def assignment_key(self) -> tuple:
-        return _assignment_key(self.assignment)
-
-
-def _assignment_key(assignment: dict) -> tuple:
-    """Hashable joint sample: sorted (vehicle id, goal index, trajectory index)."""
-    return tuple(sorted((vid, gs[0], gs[1]) for vid, gs in assignment.items()))
 
 
 @dataclass(frozen=True)
@@ -187,8 +139,8 @@ class TraceTable:
     goal, trajectory, ...) tuple per signature, in `vehicles` order;
     `macros` an index into `macro_sequences`, the distinct macro tuples in
     first-seen order; and `components` one column per reward component,
-    None where absent. The Bayes net counts from it and `tracelog.json` is
-    its JSON form.
+    None where absent. `run_mcts` fills it as it searches, the Bayes net
+    counts from it and `tracelog.json` is its JSON form.
     """
 
     vehicles: tuple[str, ...]
@@ -201,39 +153,6 @@ class TraceTable:
     steps: list[int]
     components: dict[str, list[float | None]]
     record: list[int]
-
-    @classmethod
-    def from_records(cls, records) -> "TraceTable":
-        """The table of a list of `TraceRecord`s that sample the same vehicles.
-
-        Raises ValueError when two records of one signature differ in any
-        other field, which a search, whose rollouts are memoised, never logs.
-        """
-        vehicles = tuple(sorted(records[0].assignment)) if records else ()
-        sequences: dict = {}  # macro tuple -> its index, in first-seen order
-        signatures: dict = {}  # (assignment row, macro index) -> signature index
-        fixed_by: list = []  # per signature: the fields it fixes
-        record = []
-        for rec in records:
-            row = tuple(x for vid in vehicles for x in rec.assignment[vid])
-            j = signatures.setdefault((row, sequences.setdefault(rec.macros, len(sequences))),
-                                      len(signatures))
-            fixed = (rec.outcome, rec.collider, rec.reward, rec.steps,
-                     *map(rec.components.get, REWARD_COMPONENTS))
-            if j == len(fixed_by):
-                fixed_by.append(fixed)
-            elif fixed_by[j] != fixed:
-                raise ValueError(f"trace record {rec.index} holds {fixed}, but an earlier "
-                                 f"record of its signature ({rec.assignment_key()}, "
-                                 f"{rec.macros}) holds {fixed_by[j]}")
-            record.append(j)
-        outcome, collider, reward, steps, *components = (
-            [fixed[k] for fixed in fixed_by] for k in range(4 + len(REWARD_COMPONENTS)))
-        return cls(
-            vehicles=vehicles, macro_sequences=list(sequences),
-            assignment=[row for row, _ in signatures], macros=[m for _, m in signatures],
-            outcome=outcome, collider=collider, reward=reward, steps=steps,
-            components=dict(zip(REWARD_COMPONENTS, components)), record=record)
 
     def __len__(self) -> int:
         """The number of records, one per MCTS iteration."""
@@ -284,11 +203,29 @@ class SearchTree:
         return tuple(path)
 
 
+class _Iteration(NamedTuple):
+    sample: tuple  # sorted (vehicle id, goal index, trajectory index)
+    macros: tuple[str, ...]
+
+    def assignment_key(self) -> tuple:
+        return self.sample
+
+
 @dataclass
 class MctsResult:
+    """The plan, the search tree and the trace log the search filled."""
+
     plan: tuple[str, ...]
     tree: SearchTree
-    trace_log: list[TraceRecord]
+    table: TraceTable
+
+    @property
+    def trace_log(self) -> list[_Iteration]:
+        """Each iteration's (sample, macros), expanded from `table`. Its one
+        reader is the benchmark tracer's search counter in `benchmarks/run.py`."""
+        t = self.table
+        samples = [tuple(zip(t.vehicles, row[::2], row[1::2])) for row in t.assignment]
+        return [_Iteration(samples[j], t.macro_sequences[t.macros[j]]) for j in t.record]
 
 
 def _select_ucb(node: _Node, actions: list[str], exploration: float,
@@ -311,7 +248,7 @@ def _select_ucb(node: _Node, actions: list[str], exploration: float,
 
 def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
              predictions: Predictions, reward_config: RewardConfig | None = None) -> MctsResult:
-    """Plan for the ego with MCTS; returns the plan, tree and full trace log.
+    """Plan for the ego with MCTS; returns the plan, tree and trace table.
 
     `predictions` comes from goal recognition over the observation phase.
     Deterministic for a fixed config.seed.
@@ -319,13 +256,17 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
     reward_config = reward_config or RewardConfig()
     rng = np.random.default_rng(config.seed)
     tree = SearchTree()
-    log: list[TraceRecord] = []
+    table = TraceTable(vehicles=tuple(sorted(scenario.non_ego_ids)), macro_sequences=[],
+                       assignment=[], macros=[], outcome=[], collider=[], reward=[], steps=[],
+                       components={c: [] for c in REWARD_COMPONENTS}, record=[])
+    sequences: dict = {}  # macro tuple -> its index in macro_sequences, first-seen
     r_lo, r_hi = math.inf, -math.inf
     # Exact transposition tables for this search (Childs, Brodeur & Kocsis,
     # CIG 2008), keyed by (joint sample, macro prefix): the applicable macros
-    # at a prefix, the step to a prefix the rollout goes on from, and
-    # (outcome, collider, reward, components, steps) at a prefix where it
-    # ends. Ending steps keep no trajectory, which keeps peak memory flat.
+    # at a prefix, the step to a prefix the rollout goes on from, and at a
+    # prefix where it ends, the (sample, macros) signature's index in `table`
+    # and its reward. Ending steps keep no trajectory, which keeps peak
+    # memory flat.
     actions_at: dict[tuple, list[str]] = {}
     step_at: dict[tuple, MacroStepResult] = {}
     end_at: dict[tuple, tuple] = {}
@@ -333,9 +274,9 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
     # predicted option, which the memo above cannot see: one table per search.
     projections = ProjectionTable()
 
-    for k in range(config.iterations):
+    for _ in range(config.iterations):
         assignment = {vid: predictions[vid].sample(rng) for vid in scenario.non_ego_ids}
-        sample = _assignment_key(assignment)
+        sample = tuple(sorted((vid, g, s) for vid, (g, s) in assignment.items()))
         traffic = None  # built on the first simulated step of this iteration
 
         state = initial
@@ -371,26 +312,25 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
                 ego_traj = concat_trajectories(ego_parts)
                 reward, comps = terminal_reward(ego_traj, outcome, reward_config,
                                                 scenario.ego_goal, scenario.layout)
-                end = end_at[key] = (outcome, step.collider, reward, comps,
-                                     len(ego_traj) - 1)
+                end = end_at[key] = (len(table.outcome), reward)
+                table.assignment.append(tuple(x for _, g, s in sample for x in (g, s)))
+                table.macros.append(sequences.setdefault(macros, len(sequences)))
+                table.outcome.append(outcome)
+                table.collider.append(step.collider)
+                table.reward.append(reward)
+                table.steps.append(len(ego_traj) - 1)
+                for c, column in table.components.items():
+                    column.append(comps[c])
                 break
             step_at[key] = step
             state = step.next_state
 
-        outcome, collider, reward, comps, n_steps = end
+        signature, reward = end
         r_lo = min(r_lo, reward)
         r_hi = max(r_hi, reward)
         for depth, action in enumerate(macros):
             tree.update(macros[:depth], action, reward)
-        log.append(TraceRecord(
-            index=k,
-            assignment=dict(assignment),
-            macros=macros,
-            components=dict(comps),
-            outcome=outcome,
-            collider=collider,
-            reward=reward,
-            steps=n_steps,
-        ))
+        table.record.append(signature)
 
-    return MctsResult(plan=tree.best_path(), tree=tree, trace_log=log)
+    table.macro_sequences.extend(sequences)
+    return MctsResult(plan=tree.best_path(), tree=tree, table=table)

@@ -91,8 +91,8 @@ def run_pipeline(scenario: Scenario, seed: int, planner: PlannerConfig | None = 
     predictions = predict_all(scenario, prefixes, from_start)
     result = run_mcts(scenario, planning_state, planner, predictions, reward_config=reward)
     goal_probs, traj_probs, traj_macros, labels = prediction_factors(predictions)
-    model = build_bn(TraceTable.from_records(result.trace_log), goal_probs, traj_probs,
-                     planner.max_depth, traj_macros=traj_macros, labels=labels)
+    model = build_bn(result.table, goal_probs, traj_probs, planner.max_depth,
+                     traj_macros=traj_macros, labels=labels)
     return PipelineResult(scenario=scenario, seed=seed, planner=planner, reward=reward,
                           initial=initial, planning_state=planning_state, prefixes=prefixes,
                           predictions=predictions, mcts=result, model=model)

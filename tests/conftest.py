@@ -1,17 +1,19 @@
 """Shared fixtures: tiny layouts, synthetic trace logs, and an independent
 brute-force oracle for checking network queries.
 
-The oracle recomputes everything from the raw trace records by plain
-counting and multiplication; it never touches the model's CPD structures.
+The oracle recomputes everything from the trace records, expanded from the
+table, by plain counting and multiplication; it never touches the model's CPD
+structures.
 """
 
 import json
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from whyplan.mcts import OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceRecord
+from whyplan.mcts import OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceTable
 from whyplan.scenario import scenario_from_dict
 
 # --- scenario builders ---------------------------------------------------------
@@ -87,7 +89,19 @@ def mini_scenario_path(tmp_path):
 # --- synthetic trace logs -------------------------------------------------------
 
 
-def make_record(index, assignment, macros, outcome, values=None, collider=None, reward=0.0):
+class Record(NamedTuple):
+    """One iteration of a synthetic trace log, as tests write and read it."""
+
+    akey: tuple  # sorted (vehicle id, goal index, trajectory index)
+    macros: tuple
+    outcome: str
+    components: dict
+    collider: str | None = None
+    reward: float = 0.0
+    steps: int = 10
+
+
+def make_record(assignment, macros, outcome, values=None, collider=None, reward=0.0):
     comps = {c: None for c in REWARD_COMPONENTS}
     if outcome == "done":
         base = values or {}
@@ -98,13 +112,45 @@ def make_record(index, assignment, macros, outcome, values=None, collider=None, 
         comps["collision"] = 1.0
     elif outcome == "termination":
         comps["termination"] = 1.0
-    return TraceRecord(index=index, assignment=assignment, macros=tuple(macros),
-                       components=comps, outcome=outcome, collider=collider,
-                       reward=reward, steps=10)
+    akey = tuple(sorted((vid, g, s) for vid, (g, s) in assignment.items()))
+    return Record(akey, tuple(macros), outcome, comps, collider, reward)
+
+
+def trace_table(records) -> TraceTable:
+    """The `TraceTable` of `records`, which all sample the same vehicles: one
+    signature per distinct (sample, macros) pair, in first-seen order, as
+    `run_mcts` fills it. Records of one signature must agree."""
+    vehicles = tuple(vid for vid, _, _ in records[0].akey) if records else ()
+    sequences: dict = {}  # macro tuple -> its index, first-seen
+    signatures: dict = {}  # (akey, macros) -> (signature index, record)
+    for rec in records:
+        _, first = signatures.setdefault((rec.akey, rec.macros), (len(signatures), rec))
+        assert rec == first, (rec, first)
+        sequences.setdefault(rec.macros, len(sequences))
+    firsts = [rec for _, rec in signatures.values()]
+    return TraceTable(
+        vehicles=vehicles, macro_sequences=list(sequences),
+        assignment=[tuple(x for _, g, s in rec.akey for x in (g, s)) for rec in firsts],
+        macros=[sequences[rec.macros] for rec in firsts],
+        outcome=[rec.outcome for rec in firsts], collider=[rec.collider for rec in firsts],
+        reward=[rec.reward for rec in firsts], steps=[rec.steps for rec in firsts],
+        components={c: [rec.components[c] for rec in firsts] for c in REWARD_COMPONENTS},
+        record=[signatures[(rec.akey, rec.macros)][0] for rec in records])
+
+
+def records_of(table: TraceTable) -> list[Record]:
+    """Record i of `table` is its signature `record[i]`, expanded."""
+    signatures = [
+        Record(tuple(zip(table.vehicles, row[::2], row[1::2])),
+               table.macro_sequences[table.macros[j]], table.outcome[j],
+               {c: column[j] for c, column in table.components.items()},
+               table.collider[j], table.reward[j], table.steps[j])
+        for j, row in enumerate(table.assignment)]
+    return [signatures[j] for j in table.record]
 
 
 def random_trace_log(seed, d_max=3, n_vehicles=2, n_goals=2, iterations=20):
-    """Synthetic log from a deterministic random environment.
+    """Synthetic trace table from a deterministic random environment.
 
     The environment fixes, per (joint sample, action prefix), whether the
     simulation terminates (and how) or which actions are available next, so
@@ -147,7 +193,7 @@ def random_trace_log(seed, d_max=3, n_vehicles=2, n_goals=2, iterations=20):
         return env[key]
 
     records = []
-    for k in range(iterations):
+    for _ in range(iterations):
         assignment = {}
         for vid in vehicles:
             gs = list(traj_probs[vid])
@@ -172,8 +218,8 @@ def random_trace_log(seed, d_max=3, n_vehicles=2, n_goals=2, iterations=20):
             if kind2 == "terminal":
                 outcome, values = payload2, values2
                 break
-        records.append(make_record(k, assignment, prefix, outcome, values=values))
-    return records, goal_probs, traj_probs, d_max
+        records.append(make_record(assignment, prefix, outcome, values=values))
+    return trace_table(records), goal_probs, traj_probs, d_max
 
 
 def format_2_trace_log(log: dict) -> dict:
@@ -214,12 +260,13 @@ def cpd_product(model, akey, omega):
 
 
 
-def oracle_rows(records, goal_probs, traj_probs, d_max):
+def oracle_rows(table, goal_probs, traj_probs, d_max):
     """Materialize the realized joint table by direct counting."""
+    records = records_of(table)
     reach: dict = {}
     sel: dict = {}
     for rec in records:
-        akey = rec.assignment_key()
+        akey = rec.akey
         prefix = ()
         for a in rec.macros:
             reach[(prefix, akey)] = reach.get((prefix, akey), 0) + 1
@@ -257,7 +304,7 @@ def oracle_rows(records, goal_probs, traj_probs, d_max):
             p *= (reach[key] - chosen) / reach[key]
         return p
 
-    signatures = sorted({(rec.assignment_key(), rec.macros) for rec in records})
+    signatures = sorted({(rec.akey, rec.macros) for rec in records})
     rows = []
     for akey, omega in signatures:
         base = 1.0

@@ -23,7 +23,7 @@ from whyplan.pipeline import explain_query, run_pipeline
 from whyplan.scenario import load_scenario
 
 from conftest import (cpd_entry, make_record, oracle_expected_reward, oracle_query,
-                      oracle_rows, random_trace_log)
+                      oracle_rows, random_trace_log, records_of, trace_table)
 
 RUNNING_EXAMPLE = ("If ego had continued ahead then it would have likely reached its goal "
                    "with lower time to goal because vehicle 1 would have probably changed "
@@ -133,9 +133,9 @@ def test_criterion_04_inference_matches_bruteforce_oracle():
         t0 = time.perf_counter()
         compared = 0
         for seed in range(50):
-            records, goal_probs, traj_probs, d_max = random_trace_log(seed)
-            model = build_bn(records, goal_probs, traj_probs, d_max)
-            rows = oracle_rows(records, goal_probs, traj_probs, d_max)
+            table, goal_probs, traj_probs, d_max = random_trace_log(seed)
+            model = build_bn(table, goal_probs, traj_probs, d_max)
+            rows = oracle_rows(table, goal_probs, traj_probs, d_max)
             for targets, evidence in _query_set(model):
                 expect = oracle_query(rows, targets, evidence)
                 if expect is None:
@@ -163,8 +163,8 @@ def test_criterion_05_structural_invariants():
     with criterion("network invariants: normalization, chain rule, determinism, "
                    "total probability"):
         for seed in range(50):
-            records, goal_probs, traj_probs, d_max = random_trace_log(seed)
-            model = build_bn(records, goal_probs, traj_probs, d_max)
+            table, goal_probs, traj_probs, d_max = random_trace_log(seed)
+            model = build_bn(table, goal_probs, traj_probs, d_max)
             # CPD normalization over actions plus the no-selection atom.
             for (prefix, akey), counts in model.sel.items():
                 total = sum(cpd_entry(model, prefix, akey, a) for a in counts)
@@ -172,8 +172,8 @@ def test_criterion_05_structural_invariants():
                 assert abs(total - 1.0) <= 1e-9
             # Chain rule: each trace weight, a count ratio, equals the
             # sample's probability times the per-depth CPD product.
-            for rec in records:
-                akey = rec.assignment_key()
+            for rec in records_of(table):
+                akey = rec.akey
                 p = 1.0
                 prefix = ()
                 for a in rec.macros:
@@ -213,8 +213,8 @@ def test_criterion_06_divergence_checks():
         # A single predicted goal and trajectory conditions on everything.
         goal_probs = {"v1": {0: 1.0}}
         traj_probs = {"v1": {(0, 0): 1.0}}
-        records = [make_record(i, {"v1": (0, 0)}, ["A"], "done") for i in range(6)]
-        model = build_bn(records, goal_probs, traj_probs, 2)
+        records = [make_record({"v1": (0, 0)}, ["A"], "done")] * 6
+        model = build_bn(trace_table(records), goal_probs, traj_probs, 2)
         from whyplan.causal import _omega_distributions
         marg, conds = _omega_distributions(model)
         assert trace_divergence(marg, conds[("v1", 0, 0)]) == 0.0
@@ -225,8 +225,7 @@ def test_criterion_06_divergence_checks():
         assert abs(got - 0.2075187496) <= 1e-6
 
         for seed in range(30):
-            records, goal_probs, traj_probs, d_max = random_trace_log(seed + 600)
-            model = build_bn(records, goal_probs, traj_probs, d_max)
+            model = build_bn(*random_trace_log(seed + 600))
             marg, conds = _omega_distributions(model)
             assert set(conds) == {triple for ak, _ in model.trace_weights for triple in ak}
             for cond in conds.values():
@@ -237,20 +236,20 @@ def _delta_fixture():
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
     records = [
-        make_record(0, {"v1": (0, 0)}, ["A"], "done",
+        make_record({"v1": (0, 0)}, ["A"], "done",
                     values={"time": 10.0, "jerk": 0.4, "angular_acceleration": 0.2,
                             "curvature": 0.02}),
-        make_record(1, {"v1": (1, 0)}, ["A"], "done",
+        make_record({"v1": (1, 0)}, ["A"], "done",
                     values={"time": 12.0, "jerk": 0.6, "angular_acceleration": 0.4,
                             "curvature": 0.04}),
-        make_record(2, {"v1": (0, 0)}, ["B"], "done",
+        make_record({"v1": (0, 0)}, ["B"], "done",
                     values={"time": 15.0, "jerk": 0.2, "angular_acceleration": 0.1,
                             "curvature": 0.01}),
-        make_record(3, {"v1": (1, 0)}, ["B"], "done",
+        make_record({"v1": (1, 0)}, ["B"], "done",
                     values={"time": 17.0, "jerk": 0.8, "angular_acceleration": 0.6,
                             "curvature": 0.03}),
     ]
-    return build_bn(records, goal_probs, traj_probs, 2)
+    return build_bn(trace_table(records), goal_probs, traj_probs, 2)
 
 
 def test_criterion_07_reward_delta_checks():

@@ -14,13 +14,12 @@ from whyplan.causal import (Cause, _cause_macros, _omega_distributions, agent_in
                             trace_divergence)
 from whyplan.cli import parse_query
 from whyplan.errors import EmptyTraceLogError, UnexploredCounterfactualError
-from whyplan.mcts import (OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceRecord,
-                          TraceTable)
+from whyplan.mcts import OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS
 from whyplan.pipeline import explain_query, planner_config, run_pipeline
 from whyplan.scenario import load_scenario
 
-from conftest import (cpd_entry, cpd_product, make_record, oracle_expected_reward,
-                      oracle_query, oracle_rows, random_trace_log)
+from conftest import (Record, cpd_entry, cpd_product, make_record, oracle_expected_reward,
+                      oracle_query, oracle_rows, random_trace_log, records_of, trace_table)
 
 
 def single_vehicle_probs(goal_probs, options):
@@ -37,12 +36,12 @@ def test_random_trace_log_is_independent_of_hash_seed():
                "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
         logs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                    capture_output=True, text=True).stdout)
-    assert logs[0] == logs[1] and "TraceRecord" in logs[0]
+    assert logs[0] == logs[1] and "TraceTable" in logs[0]
 
 
 def test_empty_trace_log_is_rejected():
     with pytest.raises(EmptyTraceLogError):
-        build_bn([], {"v1": {0: 1.0}}, {"v1": {(0, 0): 1.0}}, 2)
+        build_bn(trace_table([]), {"v1": {0: 1.0}}, {"v1": {(0, 0): 1.0}}, 2)
 
 
 def test_action_cpd_is_selection_count_over_visits():
@@ -50,8 +49,8 @@ def test_action_cpd_is_selection_count_over_visits():
     records = []
     for i in range(60):
         macros = ["A"] if i < 30 else ["B"]
-        records.append(make_record(i, {"v1": (0, 0)}, macros, "done"))
-    model = build_bn(records, goal_probs, traj_probs, 2)
+        records.append(make_record({"v1": (0, 0)}, macros, "done"))
+    model = build_bn(trace_table(records), goal_probs, traj_probs, 2)
     akey = (("v1", 0, 0),)
     assert cpd_entry(model, (), akey, "A") == pytest.approx(0.5, abs=1e-12)
     assert cpd_entry(model, (), akey, "B") == pytest.approx(0.5, abs=1e-12)
@@ -59,43 +58,43 @@ def test_action_cpd_is_selection_count_over_visits():
 
 # Two joint samples reach node ("A",) with different times. One sample's
 # records all hold one result, as a memoised search logs them.
-TWO_SAMPLES_AT_A = [make_record(0, {"v1": (0, 0)}, ["A"], "done", values={"time": 4.0}),
-                    make_record(1, {"v1": (0, 1)}, ["A"], "done", values={"time": 6.0})]
+TWO_SAMPLES_AT_A = [make_record({"v1": (0, 0)}, ["A"], "done", values={"time": 4.0}),
+                    make_record({"v1": (0, 1)}, ["A"], "done", values={"time": 6.0})]
 
 
 def test_reward_stats_use_unbiased_variance():
     goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 0.5, (0, 1): 0.5})
     records = TWO_SAMPLES_AT_A
-    model = build_bn(records, goal_probs, traj_probs, 1)
+    model = build_bn(trace_table(records), goal_probs, traj_probs, 1)
     mean, var, count, p_absent = model.reward_stats(("A",), "time")
     assert mean == pytest.approx(5.0)
     assert var == pytest.approx(2.0)  # (n-1) estimator
     assert count == 2
     assert p_absent == 0.0
     # A single sample yields zero variance by convention.
-    solo = build_bn(records[:1], goal_probs, traj_probs, 1)
+    solo = build_bn(trace_table(records[:1]), goal_probs, traj_probs, 1)
     assert solo.reward_stats(("A",), "time")[1] == 0.0
 
 
 def test_unvisited_conditioning_key_defaults_to_no_selection():
     goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 1.0})
-    records = [make_record(0, {"v1": (0, 0)}, ["A"], "done")]
-    model = build_bn(records, goal_probs, traj_probs, 2)
+    model = build_bn(trace_table([make_record({"v1": (0, 0)}, ["A"], "done")]),
+                     goal_probs, traj_probs, 2)
     ghost = (("v1", 9, 9),)
     assert (("A",), ghost) not in model.reach and (("A",), ghost) not in model.sel
     assert cpd_entry(model, ("A",), ghost, None) == 1.0
     assert cpd_entry(model, ("A",), ghost, "B") == 0.0
 
 
-TWO_TRACES = [make_record(0, {"v1": (0, 0)}, ["Continue"], "done"),
-              make_record(1, {"v1": (1, 0)}, ["Continue"], "collision", collider="v1")]
+TWO_TRACES = [make_record({"v1": (0, 0)}, ["Continue"], "done"),
+              make_record({"v1": (1, 0)}, ["Continue"], "collision", collider="v1")]
 
 
 def two_trace_model():
     """Equal-weight split: one trace ends done, the other in a collision."""
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
-    return build_bn(TWO_TRACES, goal_probs, traj_probs, 2)
+    return build_bn(trace_table(TWO_TRACES), goal_probs, traj_probs, 2)
 
 
 def test_two_trace_outcome_split_matches_enumeration_oracle():
@@ -108,8 +107,8 @@ def test_two_trace_outcome_split_matches_enumeration_oracle():
 
 def test_conditioning_on_full_factual_trace_is_a_point_mass():
     goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 1.0})
-    records = [make_record(0, {"v1": (0, 0)}, ["A", "B"], "done")]
-    model = build_bn(records, goal_probs, traj_probs, 2)
+    model = build_bn(trace_table([make_record({"v1": (0, 0)}, ["A", "B"], "done")]),
+                     goal_probs, traj_probs, 2)
     dist = query(model, ["Omega_1", "Omega_2"], {"Omega_1": "A", "Omega_2": "B"})
     assert dist == {("A", "B"): 1.0}
 
@@ -200,7 +199,7 @@ def joint_probability(model, assignment: dict) -> float:
 
 def full_assignment(model, record, r_values=None):
     out = {}
-    for vid, (g, s) in record.assignment.items():
+    for vid, g, s in record.akey:
         out[f"G_{vid}"] = g
         out[f"S_{vid}"] = (g, s)
     for d in range(1, model.d_max + 1):
@@ -217,8 +216,8 @@ def full_assignment(model, record, r_values=None):
 
 def test_single_trace_joint_probability_is_one_over_discrete_support():
     goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 1.0})
-    rec = make_record(0, {"v1": (0, 0)}, ["A"], "done", values={"time": 7.0})
-    model = build_bn([rec], goal_probs, traj_probs, 2)
+    rec = make_record({"v1": (0, 0)}, ["A"], "done", values={"time": 7.0})
+    model = build_bn(trace_table([rec]), goal_probs, traj_probs, 2)
     # Point-mass densities at the observed values contribute factor one.
     assert joint_probability(model, full_assignment(model, rec)) == pytest.approx(1.0)
 
@@ -245,9 +244,8 @@ def test_rb_must_match_value_presence():
 
 def test_reward_value_density_enters_the_joint():
     goal_probs, traj_probs = single_vehicle_probs({0: 1.0}, {(0, 0): 0.5, (0, 1): 0.5})
-    records = TWO_SAMPLES_AT_A
-    model = build_bn(records, goal_probs, traj_probs, 1)
-    base = full_assignment(model, records[0], r_values={
+    model = build_bn(trace_table(TWO_SAMPLES_AT_A), goal_probs, traj_probs, 1)
+    base = full_assignment(model, TWO_SAMPLES_AT_A[0], r_values={
         "time": 5.0, "jerk": 0.1, "angular_acceleration": 0.05, "curvature": 0.01})
     # mean 5, unbiased variance 2: density at the mean is 1/sqrt(4*pi), times
     # the sample's probability 0.5.
@@ -289,9 +287,9 @@ def all_queries_for(model):
 def test_queries_match_brute_force_oracle_on_random_logs():
     checked = 0
     for seed in range(12):
-        records, goal_probs, traj_probs, d_max = random_trace_log(seed)
-        model = build_bn(records, goal_probs, traj_probs, d_max)
-        rows = oracle_rows(records, goal_probs, traj_probs, d_max)
+        table, goal_probs, traj_probs, d_max = random_trace_log(seed)
+        model = build_bn(table, goal_probs, traj_probs, d_max)
+        rows = oracle_rows(table, goal_probs, traj_probs, d_max)
         for targets, evidence in all_queries_for(model):
             expect = oracle_query(rows, targets, evidence)
             if expect is None:
@@ -315,8 +313,9 @@ def test_queries_match_brute_force_oracle_on_random_logs():
 
 def test_structural_invariants_on_random_logs():
     for seed in range(8):
-        records, goal_probs, traj_probs, d_max = random_trace_log(seed + 100)
-        model = build_bn(records, goal_probs, traj_probs, d_max)
+        table, goal_probs, traj_probs, d_max = random_trace_log(seed + 100)
+        model = build_bn(table, goal_probs, traj_probs, d_max)
+        records = records_of(table)
 
         # Every stored CPD vector (actions plus no-selection) sums to one.
         for (prefix, akey), counts in model.sel.items():
@@ -327,7 +326,7 @@ def test_structural_invariants_on_random_logs():
         # Chain rule: a trace weight, a count ratio, equals the sample's
         # probability times the product of per-depth entries.
         for rec in records:
-            akey = rec.assignment_key()
+            akey = rec.akey
             p = 1.0
             prefix = ()
             for a in rec.macros:
@@ -393,24 +392,24 @@ class ReferenceModel:
     counts and their records, per-node outcomes and reward samples in record
     order, and each trace weight as p(s) times the product of CPD entries."""
 
-    def __init__(self, records, goal_probs, traj_probs, d_max):
+    def __init__(self, table, goal_probs, traj_probs, d_max):
         self.d_max = d_max
         self.sel, self.reach, self.support, self.nodes = {}, {}, {}, {}
         signatures = {}
-        for rec in records:
-            akey = rec.assignment_key()
+        for index, rec in enumerate(records_of(table)):
+            akey = rec.akey
             prefix = ()
             for action in rec.macros:
                 key = (prefix, akey)
                 self.reach[key] = self.reach.get(key, 0) + 1
                 self.sel.setdefault(key, {})
                 self.sel[key][action] = self.sel[key].get(action, 0) + 1
-                self.support.setdefault(key, []).append(rec.index)
+                self.support.setdefault(key, []).append(index)
                 prefix = prefix + (action,)
             if len(rec.macros) < self.d_max:
                 key = (prefix, akey)
                 self.reach[key] = self.reach.get(key, 0) + 1
-                self.support.setdefault(key, []).append(rec.index)
+                self.support.setdefault(key, []).append(index)
             node = self.nodes.setdefault(rec.macros, {
                 "total": 0, "outcomes": {}, "values": {c: [] for c in REWARD_COMPONENTS}})
             node["total"] += 1
@@ -571,11 +570,11 @@ def trace_logs(draw):
                            for g in range(n_goals) for s in range(draw(st.integers(1, 2)))}
     records = []
     results: dict = {}  # (sample, macros) -> the fields that signature fixes
-    for index in range(draw(st.integers(1, 25))):
+    for _ in range(draw(st.integers(1, 25))):
         assignment = {vid: draw(st.sampled_from(sorted(opts)))
                       for vid, opts in traj_probs.items()}
         macros = tuple(draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=d_max)))
-        signature = (tuple(sorted(assignment.items())), macros)
+        signature = (tuple((vid, *assignment[vid]) for vid in sorted(assignment)), macros)
         if signature not in results:
             outcome = draw(st.sampled_from(OUTCOME_KINDS))
             results[signature] = dict(
@@ -586,17 +585,16 @@ def trace_logs(draw):
                 collider=(draw(st.sampled_from([None, *sorted(goal_probs)]))
                           if outcome == "collision" else None),
                 reward=draw(st.floats(-50.0, 50.0)), steps=draw(st.integers(1, 50)))
-        records.append(TraceRecord(index=index, assignment=assignment, macros=macros,
-                                   **results[signature]))
-    return records, goal_probs, traj_probs, d_max
+        records.append(Record(*signature, **results[signature]))
+    return trace_table(records), goal_probs, traj_probs, d_max
 
 
 @settings(max_examples=200, deadline=None)
 @given(trace_logs())
 def test_aggregates_built_once_match_per_call_reference(log):
-    records, goal_probs, traj_probs, d_max = log
-    model = build_bn(records, goal_probs, traj_probs, d_max)
-    ref = ReferenceModel(records, goal_probs, traj_probs, d_max)
+    table, goal_probs, traj_probs, d_max = log
+    model = build_bn(table, goal_probs, traj_probs, d_max)
+    ref = ReferenceModel(table, goal_probs, traj_probs, d_max)
 
     assert model.sel == ref.sel and model.reach == ref.reach
     assert ({k: set(v) for k, v in model.support.items()}
@@ -624,7 +622,7 @@ def test_aggregates_built_once_match_per_call_reference(log):
     n = len(model.vehicles)
     assert agent_influences(model, n) == reference_agent_influences(model, n)
     # The export, read after the queries, is the export of a fresh model.
-    assert model_to_dict(model) == model_to_dict(build_bn(records, goal_probs, traj_probs, d_max))
+    assert model_to_dict(model) == model_to_dict(build_bn(table, goal_probs, traj_probs, d_max))
 
 
 @settings(max_examples=200, deadline=None)
@@ -632,9 +630,9 @@ def test_aggregates_built_once_match_per_call_reference(log):
 def test_trace_weights_are_the_cpd_product_as_a_count_ratio(log):
     # p(s) n(s, omega) / n(s) equals p(s) times the product of the CPD entries
     # along omega, and the conditional p(omega | s) it carries sums to one.
-    records, goal_probs, traj_probs, d_max = log
-    model = build_bn(records, goal_probs, traj_probs, d_max)
-    ref = ReferenceModel(records, goal_probs, traj_probs, d_max)
+    table, goal_probs, traj_probs, d_max = log
+    model = build_bn(table, goal_probs, traj_probs, d_max)
+    ref = ReferenceModel(table, goal_probs, traj_probs, d_max)
     assert list(model.trace_weights) == list(ref.trace_weights)
     for signature, weight in model.trace_weights.items():
         assert weight == pytest.approx(ref.trace_weights[signature], rel=1e-12, abs=0.0)

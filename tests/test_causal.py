@@ -10,13 +10,13 @@ from whyplan.errors import QueryParseError, UnexploredCounterfactualError
 from whyplan.mcts import RewardConfig
 from whyplan.pipeline import explain_query
 
-from conftest import make_record, random_trace_log
+from conftest import make_record, random_trace_log, trace_table
 
 HAND_KL_BITS = 0.5 * 1.0 + 0.5 * (1.0 - math.log2(3.0))  # two-point example
 
 
 def build(records, goal_probs, traj_probs, d_max=2, **kw):
-    return build_bn(records, goal_probs, traj_probs, d_max, **kw)
+    return build_bn(trace_table(records), goal_probs, traj_probs, d_max, **kw)
 
 
 def test_query_validation():
@@ -29,7 +29,7 @@ def test_query_validation():
 
 
 def test_unknown_action_vs_unexplored_action():
-    model = build([make_record(0, {"v1": (0, 0)}, ["Continue"], "done")],
+    model = build([make_record({"v1": (0, 0)}, ["Continue"], "done")],
                   {"v1": {0: 1.0}}, {"v1": {(0, 0): 1.0}})
     with pytest.raises(QueryParseError, match="unknown action"):
         CounterfactualQuery(indices=(1,), actions=("Fly",)).evidence(model)
@@ -40,7 +40,7 @@ def test_unknown_action_vs_unexplored_action():
 
 
 def test_degenerate_outcome_distribution():
-    model = build([make_record(i, {"v1": (0, 0)}, ["Continue"], "done") for i in range(4)],
+    model = build([make_record({"v1": (0, 0)}, ["Continue"], "done")] * 4,
                   {"v1": {0: 1.0}}, {"v1": {(0, 0): 1.0}})
     res = outcome_given_cf(model, CounterfactualQuery(indices=(1,), actions=("Continue",)))
     assert res.kind == "done"
@@ -51,7 +51,7 @@ def test_running_example_probability():
     # Three of four equally weighted counterfactual traces reach the goal.
     goal_probs = {"v1": {i: 0.25 for i in range(4)}}
     traj_probs = {"v1": {(i, 0): 1.0 for i in range(4)}}
-    records = [make_record(i, {"v1": (i, 0)}, ["Continue"],
+    records = [make_record({"v1": (i, 0)}, ["Continue"],
                            "done" if i < 3 else "termination") for i in range(4)]
     model = build(records, goal_probs, traj_probs)
     res = outcome_given_cf(model, CounterfactualQuery(indices=(1,), actions=("Continue",)))
@@ -62,8 +62,8 @@ def test_running_example_probability():
 def test_tied_outcomes_break_toward_collision():
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
-    records = [make_record(0, {"v1": (0, 0)}, ["Continue"], "done"),
-               make_record(1, {"v1": (1, 0)}, ["Continue"], "collision", collider="v9")]
+    records = [make_record({"v1": (0, 0)}, ["Continue"], "done"),
+               make_record({"v1": (1, 0)}, ["Continue"], "collision", collider="v9")]
     model = build(records, goal_probs, traj_probs, labels={"v1": "vehicle 1"})
     res = outcome_given_cf(model, CounterfactualQuery(indices=(1,), actions=("Continue",)))
     assert res.kind == "collision"
@@ -78,16 +78,16 @@ def delta_model():
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
     records = [
-        make_record(0, {"v1": (0, 0)}, ["A"], "done",
+        make_record({"v1": (0, 0)}, ["A"], "done",
                     values={"time": 10.0, "jerk": 0.4, "angular_acceleration": 0.2,
                             "curvature": 0.02}),
-        make_record(1, {"v1": (1, 0)}, ["A"], "done",
+        make_record({"v1": (1, 0)}, ["A"], "done",
                     values={"time": 12.0, "jerk": 0.6, "angular_acceleration": 0.4,
                             "curvature": 0.04}),
-        make_record(2, {"v1": (0, 0)}, ["B"], "done",
+        make_record({"v1": (0, 0)}, ["B"], "done",
                     values={"time": 15.0, "jerk": 0.2, "angular_acceleration": 0.1,
                             "curvature": 0.01}),
-        make_record(3, {"v1": (1, 0)}, ["B"], "done",
+        make_record({"v1": (1, 0)}, ["B"], "done",
                     values={"time": 17.0, "jerk": 0.8, "angular_acceleration": 0.6,
                             "curvature": 0.03}),
     ]
@@ -136,8 +136,8 @@ def test_deltas_sorted_by_reward_magnitude_and_truncation_is_prefix_stable():
 def test_components_absent_on_either_side_are_excluded():
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
-    records = [make_record(0, {"v1": (0, 0)}, ["A"], "done", values={"time": 10.0}),
-               make_record(1, {"v1": (1, 0)}, ["B"], "collision")]
+    records = [make_record({"v1": (0, 0)}, ["A"], "done", values={"time": 10.0}),
+               make_record({"v1": (1, 0)}, ["B"], "collision")]
     model = build(records, goal_probs, traj_probs)
     cf = CounterfactualQuery(indices=(1,), actions=("B",), n_effects=6)
     effects = reward_deltas(model, ("A",), cf, RewardConfig())
@@ -165,7 +165,7 @@ def test_divergence_zero_iff_equal_and_infinite_on_missing_support():
 def test_single_pair_vehicle_is_dropped():
     goal_probs = {"v1": {0: 1.0}}
     traj_probs = {"v1": {(0, 0): 1.0}}
-    records = [make_record(i, {"v1": (0, 0)}, ["A"], "done") for i in range(5)]
+    records = [make_record({"v1": (0, 0)}, ["A"], "done")] * 5
     model = build(records, goal_probs, traj_probs)
     assert agent_influences(model, n_causes=3) == []
     # Its conditional equals the marginal exactly, so the divergence is zero.
@@ -178,17 +178,14 @@ def test_influences_rank_aligned_pair_first_and_dedupe_per_vehicle():
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
     records = []
-    idx = 0
     # Under goal 0 the selections mirror the overall mixture closely;
     # under goal 1 they are skewed, so (goal 0) is the aligned pair.
     for macros, n in ((["A"], 2), (["B"], 2)):
         for _ in range(n):
-            records.append(make_record(idx, {"v1": (0, 0)}, macros, "done"))
-            idx += 1
+            records.append(make_record({"v1": (0, 0)}, macros, "done"))
     for macros, n in ((["A"], 3), (["B"], 1)):
         for _ in range(n):
-            records.append(make_record(idx, {"v1": (1, 0)}, macros, "done"))
-            idx += 1
+            records.append(make_record({"v1": (1, 0)}, macros, "done"))
     model = build(records, goal_probs, traj_probs,
                   traj_macros={"v1": {(0, 0): ("Continue",), (1, 0): ("Change-right",)}},
                   labels={"v1": "vehicle 1"})
@@ -203,9 +200,9 @@ def test_influences_rank_aligned_pair_first_and_dedupe_per_vehicle():
 def test_trailing_continue_is_pruned_from_cause_labels():
     goal_probs = {"v1": {0: 0.6, 1: 0.4}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
-    records = [make_record(0, {"v1": (0, 0)}, ["A"], "done"),
-               make_record(1, {"v1": (0, 0)}, ["A"], "done"),
-               make_record(2, {"v1": (1, 0)}, ["B"], "done")]
+    records = [make_record({"v1": (0, 0)}, ["A"], "done"),
+               make_record({"v1": (0, 0)}, ["A"], "done"),
+               make_record({"v1": (1, 0)}, ["B"], "done")]
     macros = {"v1": {(0, 0): ("Change-right", "Exit-right", "Continue"),
                      (1, 0): ("Continue",)}}
     model = build(records, goal_probs, traj_probs, traj_macros=macros)
@@ -225,8 +222,7 @@ def test_zero_causes_ranks_nothing():
 def test_kl_non_negative_on_random_logs():
     from whyplan.causal import _omega_distributions
     for seed in range(10):
-        records, goal_probs, traj_probs, d_max = random_trace_log(seed + 300)
-        model = build_bn(records, goal_probs, traj_probs, d_max)
+        model = build_bn(*random_trace_log(seed + 300))
         marg, conds = _omega_distributions(model)
         assert set(conds) == {triple for ak, _ in model.trace_weights for triple in ak}
         for cond in conds.values():
@@ -269,10 +265,10 @@ def test_summary_validation():
 def test_multi_depth_counterfactual_query():
     goal_probs = {"v1": {0: 0.5, 1: 0.5}}
     traj_probs = {"v1": {(0, 0): 1.0, (1, 0): 1.0}}
-    records = [make_record(0, {"v1": (0, 0)}, ["A", "B"], "done"),
-               make_record(1, {"v1": (0, 0)}, ["A", "C"], "termination"),
-               make_record(2, {"v1": (1, 0)}, ["A", "B"], "collision"),
-               make_record(3, {"v1": (1, 0)}, ["A", "C"], "done")]
+    records = [make_record({"v1": (0, 0)}, ["A", "B"], "done"),
+               make_record({"v1": (0, 0)}, ["A", "C"], "termination"),
+               make_record({"v1": (1, 0)}, ["A", "B"], "collision"),
+               make_record({"v1": (1, 0)}, ["A", "C"], "done")]
     model = build(records, goal_probs, traj_probs, d_max=2)
     both = outcome_given_cf(model, CounterfactualQuery(indices=(1, 2), actions=("A", "B")))
     assert both.distribution["done"] == pytest.approx(0.5, abs=1e-9)
@@ -295,8 +291,8 @@ def test_truncation_respects_query_counts():
                 "curvature": 0.01 * j}
 
     # A draw's values are fixed by its first index, as a memoised search logs them.
-    records = [make_record(i, {"v1": (g, 0)}, [a], "done", values=values(draws.index((a, g))))
-               for i, (a, g) in enumerate(draws)]
+    records = [make_record({"v1": (g, 0)}, [a], "done", values=values(draws.index((a, g))))
+               for a, g in draws]
     model = build(records, goal_probs, traj_probs, d_max=1, labels={"v1": "vehicle 1"})
     full = CounterfactualQuery(indices=(1,), actions=("B",), n_causes=1, n_effects=6)
     summary, _, _ = explain_query(model, ("A",), RewardConfig(), full)

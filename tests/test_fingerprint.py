@@ -11,6 +11,7 @@ Also checks that `load_run` rebuilds, from the run directory alone, the
 model the planning run built in memory, down to the `bn.json` bytes.
 """
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whyplan.bayes_net import build_bn, model_to_dict
-from whyplan.mcts import REWARD_COMPONENTS, PlannerConfig, RewardConfig, TraceTable
+from whyplan.mcts import OUTCOME_REQUIRED, REWARD_COMPONENTS, PlannerConfig, RewardConfig
 from whyplan.pipeline import file_sha256, load_run, planner_config, run_pipeline, save_run
 from whyplan.scenario import load_scenario
 
@@ -104,21 +105,33 @@ RUNS = [(name, seed, iterations) for name in sorted(SCENARIOS) for seed in (0, 1
 
 
 @pytest.mark.parametrize("name,seed,iterations", RUNS)
+def test_planned_trace_table_invariants(planned, name, seed, iterations):
+    # The search fills the table as it goes: one record per iteration, each
+    # (sample, macros) pair one signature, added the first time it ends.
+    table = planned(name, seed, iterations).mcts.table
+    assert len(table) == iterations
+    pairs = list(zip(table.assignment, table.macros))
+    assert len(set(pairs)) == len(pairs) < iterations  # signatures repeat
+    columns = (table.outcome, table.collider, table.reward, table.steps,
+               *table.components.values())
+    assert {len(column) for column in columns} == {len(pairs)}
+    assert list(dict.fromkeys(table.record)) == list(range(len(pairs)))
+    assert list(dict.fromkeys(table.macros)) == list(range(len(table.macro_sequences)))
+    for j, outcome in enumerate(table.outcome):
+        present = {c for c, column in table.components.items() if column[j] is not None}
+        assert present == set(OUTCOME_REQUIRED[outcome]), j
+
+
+@pytest.mark.parametrize("name,seed,iterations", RUNS)
 def test_trace_table_expands_to_the_trace_log(planned, name, seed, iterations):
-    # Record i of the search's log is signature record[i] of the table.
+    # The benchmark tracer's view: iteration i is signature record[i] of the
+    # table, as its sorted (vehicle, goal, trajectory) sample and its macros.
     pipe = planned(name, seed, iterations)
-    table = pipe.model.table
-    sequences = table.macro_sequences
-    expanded = [
-        ({vid: tuple(table.assignment[j][2 * k:2 * k + 2])
-          for k, vid in enumerate(table.vehicles)},
-         sequences[table.macros[j]],
-         {c: table.components[c][j] for c in table.components},
-         table.outcome[j], table.collider[j], table.reward[j], table.steps[j])
-        for j in table.record]
-    assert expanded == [rec[1:] for rec in pipe.mcts.trace_log]
-    assert [rec.index for rec in pipe.mcts.trace_log] == list(range(iterations))
-    assert len(table.assignment) < iterations  # signatures repeat
+    table = pipe.mcts.table
+    expanded = [(tuple(sorted(zip(table.vehicles, table.assignment[j][::2],
+                                  table.assignment[j][1::2]))),
+                 table.macro_sequences[table.macros[j]]) for j in table.record]
+    assert [(it.assignment_key(), it.macros) for it in pipe.mcts.trace_log] == expanded
 
 
 # At 60 iterations test_reloaded_model_equals_the_in_memory_model checks this too.
@@ -138,16 +151,16 @@ MACRO_OF = {"A": "Continue", "B": "Change-left", "C": "Stop"}
 @given(seed=st.integers(0, 2 ** 32 - 1), d_max=st.integers(1, 4),
        n_vehicles=st.integers(1, 3), iterations=st.integers(1, 40))
 def test_trace_table_survives_the_run_directory(seed, d_max, n_vehicles, iterations):
-    records, goal_probs, traj_probs, d_max = random_trace_log(
+    table, goal_probs, traj_probs, d_max = random_trace_log(
         seed, d_max=d_max, n_vehicles=n_vehicles, iterations=iterations)
-    records = [rec._replace(macros=tuple(MACRO_OF[a] for a in rec.macros)) for rec in records]
+    table = dataclasses.replace(table, macro_sequences=[
+        tuple(MACRO_OF[a] for a in macros) for macros in table.macro_sequences])
     traj_macros = {vid: {gs: ("Continue",) for gs in opts} for vid, opts in traj_probs.items()}
-    model = build_bn(TraceTable.from_records(records), goal_probs, traj_probs, d_max,
-                     traj_macros=traj_macros)
+    model = build_bn(table, goal_probs, traj_probs, d_max, traj_macros=traj_macros)
     pipe = SimpleNamespace(scenario=SimpleNamespace(name="random"), seed=seed,
                            planner=PlannerConfig(iterations=iterations, max_depth=d_max),
-                           reward=RewardConfig(), mcts=SimpleNamespace(plan=records[0].macros),
-                           model=model)
+                           reward=RewardConfig(),
+                           mcts=SimpleNamespace(plan=table.macro_sequences[0]), model=model)
     with tempfile.TemporaryDirectory() as run_dir:
         save_run(run_dir, __file__, pipe)  # any file stands in for the scenario
         got = load_run(run_dir).model

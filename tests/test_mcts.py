@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import re
-import json
 import math
 import os
 from unittest import mock
@@ -16,8 +15,8 @@ import whyplan.recognition as recognition_mod
 from whyplan.errors import ScenarioValidationError
 from whyplan.maneuvers import (Trajectory, applicable_macros, concat_trajectories,
                                extract_features)
-from whyplan.mcts import (MAX_DEPTH_BOUND, PlannerConfig, RewardConfig, SearchTree, TraceRecord,
-                          TraceTable, run_mcts, terminal_reward)
+from whyplan.mcts import (MAX_DEPTH_BOUND, OUTCOME_REQUIRED, PlannerConfig, RewardConfig,
+                          SearchTree, run_mcts, terminal_reward)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
 from whyplan.recognition import enumerate_plans, predict_all
 from whyplan.scenario import (JointState, goal_contains, lane_point_state, load_scenario,
@@ -65,8 +64,7 @@ def test_single_applicable_macro_gets_all_visits(monkeypatch):
 
 
 def test_exactly_one_record_per_iteration(mini_pipe):
-    assert len(mini_pipe.mcts.trace_log) == mini_pipe.planner.iterations
-    assert [r.index for r in mini_pipe.mcts.trace_log] == list(range(80))
+    assert len(mini_pipe.mcts.table) == len(mini_pipe.mcts.trace_log) == 80
 
 
 def test_tree_visit_counts_are_consistent(mini_pipe):
@@ -79,22 +77,21 @@ def test_tree_visit_counts_are_consistent(mini_pipe):
 
 def test_every_trace_prefix_exists_in_tree(mini_pipe):
     tree = mini_pipe.mcts.tree
-    for rec in mini_pipe.mcts.trace_log:
+    for macros in mini_pipe.mcts.table.macro_sequences:
         prefix = ()
-        for action in rec.macros:
+        for action in macros:
             assert prefix in tree.nodes
             assert action in tree.nodes[prefix].actions
             prefix = prefix + (action,)
 
 
 def test_records_have_exactly_one_outcome_and_consistent_components(mini_pipe):
-    for rec in mini_pipe.mcts.trace_log:
-        assert rec.outcome in ("done", "collision", "termination", "dead")
-        present = {c for c, v in rec.components.items() if v is not None}
-        expected = set(mcts_mod.OUTCOME_REQUIRED[rec.outcome])
-        assert present == expected
-        assert len(rec.macros) <= 3
-        assert math.isfinite(rec.reward)
+    table = mini_pipe.mcts.table
+    for j, outcome in enumerate(table.outcome):
+        present = {c for c, column in table.components.items() if column[j] is not None}
+        assert present == set(OUTCOME_REQUIRED[outcome])
+        assert len(table.macro_sequences[table.macros[j]]) <= 3
+        assert math.isfinite(table.reward[j])
 
 
 def test_same_seed_gives_bit_identical_trace_log():
@@ -102,18 +99,11 @@ def test_same_seed_gives_bit_identical_trace_log():
     cfg = PlannerConfig(iterations=40, max_depth=2, seed=11, exploration=0.5)
     a = run_pipeline(sc, 11, planner=cfg)
     b = run_pipeline(sc, 11, planner=cfg)
-
-    def dump(res):
-        return json.dumps([{**{"m": list(r.macros), "o": r.outcome, "rw": r.reward,
-                               "st": r.steps, "cl": r.collider},
-                            "a": {k: list(v) for k, v in sorted(r.assignment.items())},
-                            "c": r.components} for r in res.mcts.trace_log], sort_keys=True)
-
-    assert dump(a) == dump(b)
+    assert a.mcts.table == b.mcts.table
     assert a.mcts.plan == b.mcts.plan
     c = run_pipeline(sc, 12, planner=PlannerConfig(iterations=40, max_depth=2, seed=12,
                                                    exploration=0.5))
-    assert dump(a) != dump(c)
+    assert a.mcts.table != c.mcts.table
 
 
 # --- rollout memoisation ---------------------------------------------------------
@@ -135,20 +125,25 @@ def full_scan_features(traj, goal, layout, start=0):
     return extract_features(traj, goal, layout)
 
 
-def assert_records_match_uncached_rollouts(pipe, start, trace_log):
-    """Replay every record without memo or projection table, one fresh
-    table-less `FixedTraffic` per record, and compare what it observed.
+def signatures(table):
+    """Each signature of `table` as its (assignment row, macro tuple)."""
+    return [(row, table.macro_sequences[m]) for row, m in zip(table.assignment, table.macros)]
+
+
+def assert_records_match_uncached_rollouts(pipe, start, table):
+    """Replay every signature once, without memo or projection table, one
+    fresh table-less `FixedTraffic` each, and compare what it observed.
 
     The replay's reward scans the whole trajectory for the goal, and a "done"
     rollout must enter the goal first at its last state: the search scans
     only that state."""
     sc = pipe.scenario
-    for rec in trace_log:
+    for j, (row, macros) in enumerate(signatures(table)):
         traffic = FixedTraffic(sc.layout, {
             vid: pipe.predictions[vid].options[g][s].trajectory
-            for vid, (g, s) in rec.assignment.items()})
+            for vid, g, s in zip(table.vehicles, row[::2], row[1::2])})
         state, parts, step = start, [], None
-        for macro in rec.macros:
+        for macro in macros:
             assert step is None or step.outcome is None
             step = simulate_step(sc, state, macro, traffic)
             parts.append(step.ego_trajectory)
@@ -160,15 +155,16 @@ def assert_records_match_uncached_rollouts(pipe, start, trace_log):
         if outcome == "done":
             inside = [goal_contains(sc.layout, sc.ego_goal, x, y)
                       for x, y in zip(traj.xs, traj.ys)]
-            assert inside.index(True) == len(traj) - 1, rec.index
+            assert inside.index(True) == len(traj) - 1, j
         assert (outcome, step.collider, len(traj) - 1, reward, comps) == (
-            rec.outcome, rec.collider, rec.steps, rec.reward, rec.components), rec.index
+            table.outcome[j], table.collider[j], table.steps[j], table.reward[j],
+            {c: column[j] for c, column in table.components.items()}), j
 
 
 @pytest.mark.parametrize("name,seed", SHIPPED_RUNS)
 def test_memoised_records_match_uncached_rollouts(name, seed):
     pipe = shipped_pipe(name, seed)
-    assert_records_match_uncached_rollouts(pipe, pipe.planning_state, pipe.mcts.trace_log)
+    assert_records_match_uncached_rollouts(pipe, pipe.planning_state, pipe.mcts.table)
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,7 +189,7 @@ def test_memoised_records_match_uncached_rollouts_from_generated_starts(data):
     config = PlannerConfig(iterations=24, max_depth=3, seed=data.draw(st.integers(0, 3)),
                            exploration=pipe.planner.exploration)
     res = run_mcts(sc, start, config, pipe.predictions, reward_config=pipe.reward)
-    assert_records_match_uncached_rollouts(pipe, start, res.trace_log)
+    assert_records_match_uncached_rollouts(pipe, start, res.table)
 
 
 def test_each_sample_and_prefix_is_simulated_once(monkeypatch):
@@ -205,10 +201,10 @@ def test_each_sample_and_prefix_is_simulated_once(monkeypatch):
 
     monkeypatch.setattr(mcts_mod, "simulate_step", counting)
     pipe = shipped_pipe("s1", 0)
-    log = pipe.mcts.trace_log
-    keys = {(rec.assignment_key(), rec.macros[:d])
-            for rec in log for d in range(1, len(rec.macros) + 1)}
-    assert len(calls) == len(keys) < sum(len(rec.macros) for rec in log)
+    table = pipe.mcts.table
+    sigs = signatures(table)
+    keys = {(row, macros[:d]) for row, macros in sigs for d in range(1, len(macros) + 1)}
+    assert len(calls) == len(keys) < sum(len(sigs[j][1]) for j in table.record)
 
 
 def test_root_applicable_macros_is_computed_once_per_search(monkeypatch):
@@ -220,70 +216,12 @@ def test_root_applicable_macros_is_computed_once_per_search(monkeypatch):
 
     monkeypatch.setattr(mcts_mod, "applicable_macros", counting)
     pipe = shipped_pipe("s1", 0)
-    log = pipe.mcts.trace_log
-    assert len({rec.assignment_key() for rec in log}) > 1
+    sigs = signatures(pipe.mcts.table)
+    assert len({row for row, _ in sigs}) > 1
     assert sum(state is pipe.planning_state for state in states) == 1
     # Below the root, once per (joint sample, prefix) the search selects at.
-    keys = {(rec.assignment_key(), rec.macros[:d])
-            for rec in log for d in range(1, len(rec.macros))}
+    keys = {(row, macros[:d]) for row, macros in sigs for d in range(1, len(macros))}
     assert len(states) == 1 + len(keys)
-
-
-def test_records_do_not_share_component_dicts(mini_pipe):
-    comps = [id(rec.components) for rec in mini_pipe.mcts.trace_log]
-    assert len(set(comps)) == len(comps)
-
-
-def test_invalid_trace_record_is_rejected():
-    comps = {c: None for c in mcts_mod.REWARD_COMPONENTS}
-    comps["collision"] = 1.0
-    comps["time"] = 3.0  # collision excludes everything else
-    with pytest.raises(ScenarioValidationError, match="requires exactly components"):
-        TraceRecord(index=0, assignment={}, macros=("Continue",), components=comps,
-                    outcome="collision", collider=None, reward=-100.0, steps=5)
-    with pytest.raises(ScenarioValidationError, match="unknown outcome 'crash'"):
-        TraceRecord(index=0, assignment={}, macros=("Continue",), components=comps,
-                    outcome="crash", collider=None, reward=-100.0, steps=5)
-
-
-NO_COMPONENTS = {c: None for c in mcts_mod.REWARD_COMPONENTS}
-
-
-@pytest.mark.parametrize("change", [
-    {"reward": -49.0}, {"steps": 41}, {"collider": "v1"},
-    {"outcome": "dead", "components": NO_COMPONENTS},
-    {"components": {**NO_COMPONENTS, "termination": 2.0}}],
-    ids=["reward", "steps", "collider", "outcome", "components"])
-def test_trace_table_rejects_records_that_differ_within_a_signature(change):
-    rec = TraceRecord(index=0, assignment={"v1": (0, 1)}, macros=("Continue",),
-                      components={**NO_COMPONENTS, "termination": 1.0},
-                      outcome="termination", collider=None, reward=-50.0, steps=40)
-    # Another sample, or the same sample with other macros, is another signature.
-    other_sample = rec._replace(index=1, assignment={"v1": (0, 0)}, **change)
-    other_macros = rec._replace(index=2, macros=("Stop",), **change)
-    table = TraceTable.from_records([rec, other_sample, other_macros, rec._replace(index=3)])
-    assert table.record == [0, 1, 2, 0] and table.assignment == [(0, 1), (0, 0), (0, 1)]
-    with pytest.raises(ValueError, match="trace record 4 holds .*, but an earlier record of "
-                                         r"its signature \(\(\('v1', 0, 1\),\), \('Continue',\)\)"):
-        TraceTable.from_records([rec, other_sample, other_macros, rec._replace(index=4, **change)])
-
-
-def test_trace_record_is_a_read_only_value():
-    comps = {c: None for c in mcts_mod.REWARD_COMPONENTS}
-    comps["termination"] = 1.0
-    fields = dict(index=3, assignment={"v1": (0, 1)}, macros=("Continue", "Stop"),
-                  components=comps, outcome="termination", collider=None, reward=-50.0,
-                  steps=40)
-    rec = TraceRecord(**fields)
-    assert {name: getattr(rec, name) for name in fields} == fields
-    assert rec.assignment_key() == (("v1", 0, 1),)
-    assert rec == TraceRecord(**{**fields, "components": dict(comps)})
-    assert rec != TraceRecord(**{**fields, "steps": 41})
-    assert repr(rec).startswith("TraceRecord(index=3, assignment={'v1': (0, 1)}, ")
-    with pytest.raises(AttributeError):
-        rec.steps = 41
-    with pytest.raises(AttributeError):
-        rec.note = "x"  # no per-instance __dict__
 
 
 # --- simulate_step ---------------------------------------------------------------

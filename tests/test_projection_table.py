@@ -189,7 +189,7 @@ def test_search_projects_each_car_following_key_once(monkeypatch):
         projected.clear()
         res = run_mcts(sc, pipe.planning_state, pipe.planner, pipe.predictions,
                        reward_config=pipe.reward)
-        assert res.trace_log == pipe.mcts.trace_log
+        assert res.table == pipe.mcts.table
         ego_calls = [p for p in projected if p in ego_keys]
         assert (len(ego_calls), len(set(ego_calls))) == (len(ego_keys),) * 2
         assert len(projected) - len(ego_calls) == len(peer_keys)
