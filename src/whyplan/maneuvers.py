@@ -125,7 +125,6 @@ class TrajectoryFeatures:
     jerk: float
     angular_acceleration: float
     curvature: float
-    reached_goal: bool
 
 
 # --- lane-follow chains ------------------------------------------------------
@@ -766,10 +765,9 @@ def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout,
         raise ValueError("empty trajectory")
     entry = goal_entry(traj, goal, layout, start)
     time_to_goal = (n - 1 if entry is None else entry) * traj.dt
-    reached = entry is not None
 
     if n < 3:
-        return TrajectoryFeatures(time_to_goal, 0.0, 0.0, 0.0, reached)
+        return TrajectoryFeatures(time_to_goal, 0.0, 0.0, 0.0)
 
     v = traj.speeds
     jerk = np.abs(np.diff(v, 2)) / traj.dt ** 2
@@ -783,5 +781,4 @@ def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout,
         jerk=float(np.mean(jerk)),
         angular_acceleration=float(np.mean(angacc)),
         curvature=float(np.mean(curvature)),
-        reached_goal=reached,
     )

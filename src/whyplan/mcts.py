@@ -132,15 +132,17 @@ class TraceTable:
 
     A rollout is memoised per (joint sample, macro prefix) (see `run_mcts`),
     so every record of one signature, an (assignment row, macro sequence)
-    pair, holds the same outcome, collider, reward, components and steps.
-    The table keeps those fields once per signature, in first-seen order,
-    and `record` holds each MCTS iteration's signature index: record i is
-    signature `record[i]`. `assignment` holds one flat (goal, trajectory,
-    goal, trajectory, ...) tuple per signature, in `vehicles` order;
-    `macros` an index into `macro_sequences`, the distinct macro tuples in
-    first-seen order; and `components` one column per reward component,
-    None where absent. `run_mcts` fills it as it searches, the Bayes net
-    counts from it and `tracelog.json` is its JSON form.
+    pair, holds the same outcome, collider and components. The table keeps
+    those fields once per signature, in first-seen order, and `record` holds
+    each MCTS iteration's signature index: record i is signature
+    `record[i]`. `assignment` holds one flat (goal, trajectory, goal,
+    trajectory, ...) tuple per signature, in `vehicles` order; `macros` an
+    index into `macro_sequences`, the distinct macro tuples in first-seen
+    order; and `components` one column per reward component, None where
+    absent. No reward is kept: `terminal_reward` gives it from the outcome,
+    the components and the run's weights. `run_mcts` fills the table as it
+    searches, the Bayes net counts from it and `tracelog.json` is its JSON
+    form.
     """
 
     vehicles: tuple[str, ...]
@@ -149,8 +151,6 @@ class TraceTable:
     macros: list[int]
     outcome: list[str]
     collider: list[str | None]
-    reward: list[float]
-    steps: list[int]
     components: dict[str, list[float | None]]
     record: list[int]
 
@@ -163,8 +163,8 @@ class TraceTable:
         components under theirs."""
         return {"vehicles": self.vehicles, "macro_sequences": self.macro_sequences,
                 "assignment": self.assignment, "macros": self.macros,
-                "outcome": self.outcome, "collider": self.collider, "reward": self.reward,
-                "steps": self.steps, **self.components, "record": self.record}
+                "outcome": self.outcome, "collider": self.collider, **self.components,
+                "record": self.record}
 
 
 @dataclass
@@ -257,7 +257,7 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
     rng = np.random.default_rng(config.seed)
     tree = SearchTree()
     table = TraceTable(vehicles=tuple(sorted(scenario.non_ego_ids)), macro_sequences=[],
-                       assignment=[], macros=[], outcome=[], collider=[], reward=[], steps=[],
+                       assignment=[], macros=[], outcome=[], collider=[],
                        components={c: [] for c in REWARD_COMPONENTS}, record=[])
     sequences: dict = {}  # macro tuple -> its index in macro_sequences, first-seen
     r_lo, r_hi = math.inf, -math.inf
@@ -317,8 +317,6 @@ def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
                 table.macros.append(sequences.setdefault(macros, len(sequences)))
                 table.outcome.append(outcome)
                 table.collider.append(step.collider)
-                table.reward.append(reward)
-                table.steps.append(len(ego_traj) - 1)
                 for c, column in table.components.items():
                     column.append(comps[c])
                 break

@@ -32,7 +32,7 @@ from .recognition import Predictions, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
 from .simulation import observe
 
-RUN_FORMAT_VERSION = 3  # run.json "format_version"; load_run reads no other
+RUN_FORMAT_VERSION = 4  # run.json "format_version"; load_run reads no other
 
 
 @dataclass
@@ -157,15 +157,17 @@ def file_sha256(path) -> str:
 def save_run(out_dir: str, scenario_path, pipe: PipelineResult) -> None:
     """Write the run directory; RunDirectoryError when it cannot be created or written.
 
-    `tracelog.json` (format 3) is the model's `TraceTable` as one object:
+    `tracelog.json` (format 4) is the model's `TraceTable` as one object:
     `vehicles` (sorted ids), `macro_sequences` (the distinct macro lists in
     first-seen order), one list per signature field, whose entry j is
     signature j, in first-seen order: `assignment` (flat [goal, trajectory,
     ...] rows in `vehicles` order), `macros` (an index into
-    `macro_sequences`), `outcome`, `collider`, `reward`, `steps`, and one
-    per reward component, null where absent; and `record`, whose entry i is
-    the signature index of MCTS iteration i. The search memoises each
-    (sample, macro prefix), so a signature fixes every field of its records.
+    `macro_sequences`), `outcome`, `collider` and one per reward component,
+    null where absent; and `record`, whose entry i is the signature index of
+    MCTS iteration i. The search memoises each (sample, macro prefix), so a
+    signature fixes every field of its records. No reward or step count is
+    written: a signature's reward follows from its outcome, its components
+    and `run.json`'s weights.
     """
     scenario_sha256 = file_sha256(scenario_path)
     try:
@@ -209,8 +211,7 @@ _MACRO_NAMES = frozenset(ALL_MACRO_NAMES)
 _SIGNATURE = "tracelog.json signature"
 _NULL = type(None)
 _OUTCOMES = frozenset(OUTCOME_KINDS)
-_PER_SIGNATURE = ("assignment", "macros", "outcome", "collider", "reward", "steps",
-                  *REWARD_COMPONENTS)
+_PER_SIGNATURE = ("assignment", "macros", "outcome", "collider", *REWARD_COMPONENTS)
 _COLUMNS = frozenset(("vehicles", "macro_sequences", "record", *_PER_SIGNATURE))
 # Per reward component, the outcome kinds whose records hold it.
 _REQUIRING = {c: frozenset(k for k, required in OUTCOME_REQUIRED.items() if c in required)
@@ -231,16 +232,16 @@ def _typed_column(column: list, kinds: set, field: str, what: str) -> None:
         checks.fail(column[i], (_SIGNATURE, i, field), what, RunDirectoryError)
 
 
-def _finite_column(column: list, field: tuple, nullable: bool) -> list:
-    """`column` if its entries are finite floats (or null, if `nullable`),
-    as one pass each over types and values; otherwise the entries as
-    floats, where each is checked by `checks.number`, which names the
-    signature of the first that fails."""
-    if (set(map(type, column)) <= ({float, _NULL} if nullable else {float})
+def _finite_column(column: list, component: str) -> list:
+    """A component's `column` if its entries are finite floats or null, as
+    one pass each over types and values; otherwise the entries as floats,
+    where each is checked by `checks.number`, which names the signature of
+    the first that fails."""
+    if (set(map(type, column)) <= {float, _NULL}
             and math.isfinite(sum(filter(None, column)))):  # filter drops nulls and zeros
         return column  # a finite sum has finite terms
-    return [None if v is None and nullable
-            else checks.number(v, (_SIGNATURE, i, *field), RunDirectoryError)
+    return [None if v is None
+            else checks.number(v, (_SIGNATURE, i, "component", component), RunDirectoryError)
             for i, v in enumerate(column)]
 
 
@@ -334,7 +335,6 @@ def _trace_table(log, traj_probs: dict, d_max: int) -> TraceTable:
                         f"exactly {OUTCOME_REQUIRED[kind]}, which outcome {kind!r} requires",
                         RunDirectoryError)
     _typed_column(columns["collider"], {str, _NULL}, "collider", "a vehicle id or null")
-    _typed_column(columns["steps"], {int}, "steps", "an integer")
     assignment = _assignment_column(columns["assignment"], vehicles, traj_probs)
     pairs = list(zip(assignment, macros))
     if len(set(pairs)) != n:
@@ -357,10 +357,7 @@ def _trace_table(log, traj_probs: dict, d_max: int) -> TraceTable:
     return TraceTable(
         vehicles=tuple(vehicles), macro_sequences=list(seen), assignment=assignment,
         macros=macros, outcome=outcome, collider=columns["collider"],
-        reward=_finite_column(columns["reward"], ("reward",), nullable=False),
-        steps=columns["steps"],
-        components={c: _finite_column(columns[c], ("component", c), nullable=True)
-                    for c in REWARD_COMPONENTS},
+        components={c: _finite_column(columns[c], c) for c in REWARD_COMPONENTS},
         record=record)
 
 
@@ -371,7 +368,7 @@ def load_run(run_dir: str) -> LoadedRun:
     `RewardConfig` and `PlannerConfig` (so `max_depth` is an integer in [1,
     MAX_DEPTH_BOUND]) and whose `plan` is a list of at most `max_depth` macro
     names, and `predictions.json`, then checks the `tracelog.json` table
-    (format 3, see `save_run`) column by column, with one pass over each
+    (format 4, see `save_run`) column by column, with one pass over each
     column's types or values, and scans a column entry by entry only to name
     the signature or record that failed. First the signatures: the columns
     are exactly those `save_run` writes, and the per-signature ones are
@@ -381,12 +378,11 @@ def load_run(run_dir: str) -> LoadedRun:
     row; each macro index points into `macro_sequences`, whose entries are
     distinct lists of at most `max_depth` macro names, each held by some
     signature; outcomes are known and hold exactly the components they
-    require; components and reward are finite numbers, the collider a string
-    or null and steps an integer; and no two signatures share an assignment
-    row and macro index. Then the records: `record` is a list of integers
-    (not bools), each the index of a signature, and every signature is held
-    by some record. The checked columns are the table `build_bn` counts
-    from.
+    require; components are finite numbers and the collider a string or
+    null; and no two signatures share an assignment row and macro index.
+    Then the records: `record` is a list of integers (not bools), each the
+    index of a signature, and every signature is held by some record. The
+    checked columns are the table `build_bn` counts from.
 
     Raises RunDirectoryError for any such fault, when the directory or an
     artifact is missing, unreadable or not JSON, when an entry is missing, a

@@ -110,11 +110,12 @@ def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLa
             still_open = []
             for gi in gis:
                 # An open goal was not reached on the prefix: scan the new part only.
-                feats = extract_features(full, goals[gi], layout, start=len(full) - len(traj))
-                if feats.reached_goal:
-                    results[gi].append(PlanCandidate(new_macros, full, plan_reward(feats)))
-                else:
+                entry = goal_entry(full, goals[gi], layout, start=len(full) - len(traj))
+                if entry is None:
                     still_open.append(gi)
+                else:
+                    feats = extract_features(full, goals[gi], layout, start=entry)
+                    results[gi].append(PlanCandidate(new_macros, full, plan_reward(feats)))
             if still_open and not traj.truncated:
                 recurse(traj.tail_state(), still_open, new_macros, new_parts,
                         steps_left - (len(traj) - 1), depth + 1)

@@ -153,8 +153,12 @@ class FixedTraffic:
     def _bind(self, path: Polyline) -> None:
         """Find the path's entries once: a segment asks along one path for many steps."""
         by_option, self._ego_at = self._table.entries(path)
-        self._steps = [by_option.setdefault(option, _PeerSteps(path, track))
-                       for option, track in zip(self._options, self._tracks)]
+        self._steps = []
+        for option, track in zip(self._options, self._tracks):
+            steps = by_option.get(option)
+            if steps is None:
+                steps = by_option[option] = _PeerSteps(path, track)
+            self._steps.append(steps)
         self._path = path
 
     def projected(self, path: Polyline, x: float, y: float, t: int

@@ -7,6 +7,7 @@ structures.
 """
 
 import json
+import os
 import zlib
 from typing import NamedTuple
 
@@ -15,6 +16,9 @@ import pytest
 
 from whyplan.mcts import OUTCOME_REQUIRED, REWARD_COMPONENTS, TraceTable
 from whyplan.scenario import scenario_from_dict
+
+# The repository root, so that a test opens a shipped file from any working directory.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # --- scenario builders ---------------------------------------------------------
 
@@ -97,11 +101,9 @@ class Record(NamedTuple):
     outcome: str
     components: dict
     collider: str | None = None
-    reward: float = 0.0
-    steps: int = 10
 
 
-def make_record(assignment, macros, outcome, values=None, collider=None, reward=0.0):
+def make_record(assignment, macros, outcome, values=None, collider=None):
     comps = {c: None for c in REWARD_COMPONENTS}
     if outcome == "done":
         base = values or {}
@@ -113,7 +115,7 @@ def make_record(assignment, macros, outcome, values=None, collider=None, reward=
     elif outcome == "termination":
         comps["termination"] = 1.0
     akey = tuple(sorted((vid, g, s) for vid, (g, s) in assignment.items()))
-    return Record(akey, tuple(macros), outcome, comps, collider, reward)
+    return Record(akey, tuple(macros), outcome, comps, collider)
 
 
 def trace_table(records) -> TraceTable:
@@ -133,7 +135,6 @@ def trace_table(records) -> TraceTable:
         assignment=[tuple(x for _, g, s in rec.akey for x in (g, s)) for rec in firsts],
         macros=[sequences[rec.macros] for rec in firsts],
         outcome=[rec.outcome for rec in firsts], collider=[rec.collider for rec in firsts],
-        reward=[rec.reward for rec in firsts], steps=[rec.steps for rec in firsts],
         components={c: [rec.components[c] for rec in firsts] for c in REWARD_COMPONENTS},
         record=[signatures[(rec.akey, rec.macros)][0] for rec in records])
 
@@ -144,7 +145,7 @@ def records_of(table: TraceTable) -> list[Record]:
         Record(tuple(zip(table.vehicles, row[::2], row[1::2])),
                table.macro_sequences[table.macros[j]], table.outcome[j],
                {c: column[j] for c, column in table.components.items()},
-               table.collider[j], table.reward[j], table.steps[j])
+               table.collider[j])
         for j, row in enumerate(table.assignment)]
     return [signatures[j] for j in table.record]
 
@@ -220,6 +221,25 @@ def random_trace_log(seed, d_max=3, n_vehicles=2, n_goals=2, iterations=20):
                 break
         records.append(make_record(assignment, prefix, outcome, values=values))
     return trace_table(records), goal_probs, traj_probs, d_max
+
+
+def signature_reward(outcome, components, weights) -> float:
+    """A signature's scalar reward from its outcome, its components and the
+    run's reward weights, summed in `REWARD_COMPONENTS` order as
+    `mcts.terminal_reward` sums them; the trace log stores no reward."""
+    if outcome == "dead":
+        return weights["termination"]
+    return float(sum(weights[c] * components[c] for c in REWARD_COMPONENTS
+                     if components[c] is not None))
+
+
+def format_3_trace_log(log: dict, weights: dict) -> dict:
+    """A `tracelog.json` object in the format-3 layout, which also held a
+    `reward` and a `steps` column. The rewards are recomputed from `weights`;
+    the step counts are not kept anywhere, so each is 0 here."""
+    rewards = [signature_reward(kind, {c: log[c][j] for c in REWARD_COMPONENTS}, weights)
+               for j, kind in enumerate(log["outcome"])]
+    return {**log, "reward": rewards, "steps": [0] * len(rewards)}
 
 
 def format_2_trace_log(log: dict) -> dict:

@@ -22,13 +22,14 @@ from whyplan.mcts import OUTCOME_KINDS, REWARD_COMPONENTS, RewardConfig
 from whyplan.pipeline import explain_query, run_pipeline
 from whyplan.scenario import load_scenario
 
-from conftest import (cpd_entry, make_record, oracle_expected_reward, oracle_query,
+from conftest import (REPO_ROOT, cpd_entry, make_record, oracle_expected_reward, oracle_query,
                       oracle_rows, random_trace_log, records_of, trace_table)
 
 RUNNING_EXAMPLE = ("If ego had continued ahead then it would have likely reached its goal "
                    "with lower time to goal because vehicle 1 would have probably changed "
                    "right.")
 SEEDS = range(10)
+STYLE_PATH = os.path.join(REPO_ROOT, "scenarios", "present_style.json")
 
 
 @contextlib.contextmanager
@@ -42,8 +43,8 @@ def criterion(label):
 
 
 def batch(scenario_name, queries):
-    scenario = load_scenario(f"scenarios/{scenario_name}.json")
-    style = load_style("scenarios/present_style.json")
+    scenario = load_scenario(os.path.join(REPO_ROOT, "scenarios", f"{scenario_name}.json"))
+    style = load_style(STYLE_PATH)
     runs = []
     for seed in SEEDS:
         t0 = time.perf_counter()
@@ -334,7 +335,7 @@ def test_criterion_10_effect_count_scaling(s1_runs):
         run = next(r for r in s1_runs if r["plan"] == ("Change-left", "Continue")
                    and r["answers"]["Continue"][0].outcome.kind == "done")
         pipe = run["pipe"]
-        style = load_style("scenarios/present_style.json")
+        style = load_style(STYLE_PATH)
         bodies = []
         for n in (1, 2, 3):
             cf = CounterfactualQuery(indices=(1,), actions=("Continue",),
@@ -353,8 +354,9 @@ def test_criterion_11_plan_artifacts_are_deterministic(tmp_path, capsys):
         outs = []
         for name in ("a", "b"):
             out = str(tmp_path / name)
-            code = cli_main(["plan", "--scenario", "scenarios/s1.json", "--seed", "4",
-                             "--iterations", "120", "--max-depth", "3", "--out", out])
+            code = cli_main(["plan", "--scenario", os.path.join(REPO_ROOT, "scenarios", "s1.json"),
+                             "--seed", "4", "--iterations", "120", "--max-depth", "3",
+                             "--out", out])
             capsys.readouterr()
             assert code == 0
             outs.append(out)

@@ -18,8 +18,9 @@ from whyplan.mcts import OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS
 from whyplan.pipeline import explain_query, planner_config, run_pipeline
 from whyplan.scenario import load_scenario
 
-from conftest import (Record, cpd_entry, cpd_product, make_record, oracle_expected_reward,
-                      oracle_query, oracle_rows, random_trace_log, records_of, trace_table)
+from conftest import (REPO_ROOT, Record, cpd_entry, cpd_product, make_record,
+                      oracle_expected_reward, oracle_query, oracle_rows, random_trace_log,
+                      records_of, trace_table)
 
 
 def single_vehicle_probs(goal_probs, options):
@@ -583,8 +584,7 @@ def trace_logs(draw):
                                 if c in OUTCOME_REQUIRED[outcome] else None)
                             for c in REWARD_COMPONENTS},
                 collider=(draw(st.sampled_from([None, *sorted(goal_probs)]))
-                          if outcome == "collision" else None),
-                reward=draw(st.floats(-50.0, 50.0)), steps=draw(st.integers(1, 50)))
+                          if outcome == "collision" else None))
         records.append(Record(*signature, **results[signature]))
     return trace_table(records), goal_probs, traj_probs, d_max
 
@@ -647,9 +647,8 @@ def test_trace_weights_are_the_cpd_product_as_a_count_ratio(log):
             assert total == 0.0
 
 
-ROOT = os.path.join(os.path.dirname(__file__), "..")
-CORPORA = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
-           "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
+CORPORA = {"s1": os.path.join(REPO_ROOT, "scenarios", "s1.json"),
+           "dense": os.path.join(REPO_ROOT, "benchmarks", "scenarios", "dense.json")}
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))

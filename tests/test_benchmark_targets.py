@@ -5,7 +5,9 @@ in the library must fail here instead of silently dropping a span."""
 import importlib.util
 import os
 
-BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
+from conftest import REPO_ROOT
+
+BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 
 
 def load_benchmark(monkeypatch):

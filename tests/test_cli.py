@@ -12,7 +12,7 @@ from whyplan.errors import QueryParseError
 from whyplan.mcts import MAX_DEPTH_BOUND, REWARD_COMPONENTS
 from whyplan.pipeline import RUN_FORMAT_VERSION
 
-from conftest import format_2_trace_log, mini_scenario_dict
+from conftest import REPO_ROOT, format_2_trace_log, format_3_trace_log, mini_scenario_dict
 
 FAST = ["--iterations", "40", "--max-depth", "2"]
 
@@ -275,7 +275,8 @@ def test_style_flag_changes_wording(mini_scenario_path, tmp_path, capsys):
     code, default_text, _ = run_cli(["explain", "--run", out, "--query", "omega1=Continue"],
                                     capsys)
     code, styled_text, _ = run_cli(["explain", "--run", out, "--query", "omega1=Continue",
-                                    "--style", "scenarios/present_style.json"], capsys)
+                                    "--style", os.path.join(REPO_ROOT, "scenarios",
+                                                            "present_style.json")], capsys)
     assert code == 0
     assert "continued ahead" in default_text
     assert "gone straight" in styled_text
@@ -323,25 +324,27 @@ def _format_1_log(log):
             for i, row in enumerate(log["assignment"])]
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 4])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 5])
 def test_run_json_format_version_other_than_current_exits_with_run_dir_code(
         mini_scenario_path, tmp_path, capsys, version):
     out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
     path = os.path.join(out, "run.json")
     meta = json.load(open(path))
-    assert meta["format_version"] == RUN_FORMAT_VERSION == 3
+    assert meta["format_version"] == RUN_FORMAT_VERSION == 4
     if version is None:
         del meta["format_version"]
     else:
         meta["format_version"] = version
     json.dump(meta, open(path, "w"))
-    if version in (1, 2):  # a whole format-1 or format-2 directory, which no reader is kept for
+    if version in (1, 2, 3):  # a whole directory of that format, which no reader is kept for
         log_path = os.path.join(out, "tracelog.json")
-        log = format_2_trace_log(json.load(open(log_path)))
+        log = format_3_trace_log(json.load(open(log_path)), meta["reward_weights"])
+        if version < 3:
+            log = format_2_trace_log(log)
         json.dump(_format_1_log(log) if version == 1 else log, open(log_path, "w"))
     code, _, err = run_cli(["explain", "--run", out, "--query", "omega1=Continue"], capsys)
     assert code == 7
-    assert err == f"error: {path} has format_version {version!r}; this version reads 3\n"
+    assert err == f"error: {path} has format_version {version!r}; this version reads 4\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -603,18 +606,12 @@ MALFORMED_RUN_VALUES = {
     "macro-sequence-repeated": (
         "tracelog.json", lambda log: log["macro_sequences"].__setitem__(1, ["Continue"]),
         "tracelog.json macro_sequences 1 repeats macro_sequences 0, ['Continue']"),
-    "steps-a-string": (
-        "tracelog.json", _set("steps", "many"),
-        "tracelog.json signature 0 steps is 'many', not an integer"),
-    "reward-a-string": (
-        "tracelog.json", _set("reward", "high"),
-        "tracelog.json signature 0 reward is 'high', not a finite number"),
-    "reward-nan": (
-        "tracelog.json", _set("reward", float("nan")),
-        "tracelog.json signature 0 reward is nan, not a finite number"),
-    "reward-too-large-for-a-float": (
-        "tracelog.json", _set("reward", 10 ** 400),
-        f"tracelog.json signature 0 reward is {10 ** 400}, not a finite number"),
+    "component-nan": (
+        "tracelog.json", _set("time", float("nan")),
+        "tracelog.json signature 0 component time is nan, not a finite number"),
+    "component-too-large-for-a-float": (
+        "tracelog.json", _set("time", 10 ** 400),
+        f"tracelog.json signature 0 component time is {10 ** 400}, not a finite number"),
     "label-a-list": (
         "predictions.json", lambda pred: _first_vehicle(pred).update(label=["the car"]),
         "predictions.json v1 label is ['the car'], not a string"),
@@ -661,13 +658,18 @@ MALFORMED_RUN_VALUES = {
     "record-column-not-a-list": (
         "tracelog.json", lambda log: log.update(record=0), "tracelog.json record is 0, not a list"),
     "signature-columns-unequal": (
-        "tracelog.json", lambda log: log["reward"].pop(1),
-        "tracelog.json columns have unequal lengths: assignment has 8 entries, reward 7"),
+        "tracelog.json", lambda log: log["time"].pop(1),
+        "tracelog.json columns have unequal lengths: assignment has 8 entries, time 7"),
     "missing-column": (
-        "tracelog.json", lambda log: log.pop("steps"), "tracelog.json column steps is missing"),
+        "tracelog.json", lambda log: log.pop("collider"),
+        "tracelog.json column collider is missing"),
     "unknown-column": (
         "tracelog.json", lambda log: log.update(index=list(range(40))),
         "tracelog.json has unknown columns ['index']"),
+    # Format 3's reward and steps columns, left in a format-4 directory.
+    "format-3-columns": (
+        "tracelog.json", lambda log: log.update(reward=[0.0] * 8, steps=[10] * 8),
+        "tracelog.json has unknown columns ['reward', 'steps']"),
     "column-not-a-list": (
         "tracelog.json", lambda log: log.update(outcome="done"),
         "tracelog.json outcome is 'done', not a list"),
@@ -725,10 +727,10 @@ def test_bad_record_indices_exit_with_run_dir_code(mini_scenario_path, tmp_path,
     # repeats or skips one signature's entry misnumbers the signatures after it.
     def renumber(log):
         if reindex == "duplicate":
-            log["steps"].insert(1, log["steps"][0])
+            log["collider"].insert(1, log["collider"][0])
         else:
-            del log["steps"][1]
+            del log["collider"][1]
 
     code, _, err = explain_edited_log(mini_scenario_path, tmp_path, capsys, renumber)
     assert code == 7
-    assert "tracelog.json columns have unequal lengths" in err and "steps" in err
+    assert "tracelog.json columns have unequal lengths" in err and "collider" in err

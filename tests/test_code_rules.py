@@ -1,12 +1,15 @@
 """Rules over the library's source, read with `ast`: no blanket exception
 handler outside the command-line driver, no private module-level function or
 class method that nothing in the package calls or names, and no public
-module-level function or class that nothing in the package names."""
+module-level function or class that nothing in the package names. One rule
+reads the tests: none names a shipped file by a path relative to the working
+directory."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "whyplan"
+TESTS = pathlib.Path(__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 BLANKET = {"Exception", "BaseException"}
 
@@ -52,3 +55,14 @@ def test_every_public_module_function_and_class_has_a_user():
     unused = [f"{name}:{node.name}" for name, node in TOP_LEVEL
               if not node.name.startswith("_") and node.name not in USED]
     assert unused == []
+
+
+def test_no_test_names_a_shipped_file_relative_to_the_working_directory():
+    # Such a path fails when the suite runs from another directory;
+    # conftest's REPO_ROOT builds it instead.
+    relative = tuple(f"{top}/" for top in ("scenarios", "benchmarks"))
+    found = [f"{path.name}:{node.lineno}" for path in sorted(TESTS.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.startswith(relative)]
+    assert found == []

@@ -25,30 +25,29 @@ from whyplan.mcts import OUTCOME_REQUIRED, REWARD_COMPONENTS, PlannerConfig, Rew
 from whyplan.pipeline import file_sha256, load_run, planner_config, run_pipeline, save_run
 from whyplan.scenario import load_scenario
 
-from conftest import random_trace_log
+from conftest import REPO_ROOT, random_trace_log
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-SCENARIOS = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
-             "s2": os.path.join(ROOT, "scenarios", "s2.json"),
-             "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
+SCENARIOS = {"s1": os.path.join(REPO_ROOT, "scenarios", "s1.json"),
+             "s2": os.path.join(REPO_ROOT, "scenarios", "s2.json"),
+             "dense": os.path.join(REPO_ROOT, "benchmarks", "scenarios", "dense.json")}
 
 PINNED = {
-    ("s1", 0): ("0e0cbbd03bedfaa99d72daff4893f6cd0884d0c44b7d463dd77805943b03a57d",
+    ("s1", 0): ("4670c163776fb3dae4c1d0364ebf6cd295259d85c6a43271b2d6510a6fd50d54",
                 "453b1cbea38f32b39bee0acd5c6f68e2856ae0918669d2ff746c77e5739a1cff",
                 "96eee015727237be3cd87797960c2b41ad72b5903e02c146ec8535ce4462dc06"),
-    ("s2", 0): ("c23ed081e4eff2371b561d0f7ba6a2f804e5e887b71856796649975941fd8807",
+    ("s2", 0): ("6e0c5cddbd4451e98bb7eb139bee532da685572b424db32a53bf154dabc66773",
                 "6bac6965a3b6a43f858a749ee808bb44f606cdb56b87ab6eded32b2cbb88219a",
                 "0d64d96579b98c682fc5656253cc5808c0b572283ec7f5534246c7107da80806"),
-    ("dense", 0): ("028a58a6d58a6b398754b22340d1929eb17c7844f66271de00aa62d88627db43",
+    ("dense", 0): ("dff04d30e243a862a263898f8bb5d89011fe2a30460642efac848cd67e302638",
                    "95d613ff3439890800f9145ba4983a1f796ca8559e04311b07a02d8bc0e1e9a0",
                    "d39830ab6e193f826fa0e6c0392ca6c3d301155971ed99c08ff505050028c672"),
-    ("s1", 1): ("af542fff8a0bd677d4043fbf2eb716f24b0a8fefef49f87cffb4b9eb238c158b",
+    ("s1", 1): ("bc587ab0d113da5ec34078cc971c24517026099cc8379d5259ceab78a88df683",
                 "8d005265dbebd3a81ffbab487da015ccab27c8900084631a444e03bcad252000",
                 "3dd16eddf62adb372ca4575deb4e05c5cadca45798b57ea0d869fe346437aa9f"),
-    ("s2", 1): ("e728a1ab930383f5799b143f5e6ea1272d2c0e1c97f543d51bcfaa341174b6c1",
+    ("s2", 1): ("8ab9bbca4b4fa5376890870b5fdddd7a9688774280ae937ff7265d0ddec4e661",
                 "030707c7af4560c22b1c6f882aef7f5d4517d354fa9d3b65f249001bccd2a730",
                 "290d9b16bd4c5b7fb3718d016f994ce37019b87ab32b442b523a50f725dd1e6f"),
-    ("dense", 1): ("535b4a885ca14aa86314301c6c6143a39aaf70b33ce6dc10b1e0275e7aad1065",
+    ("dense", 1): ("d5dc55681584fbee32449a60a491b69311ed3419604b9148ab73d1aee26a9c5a",
                    "2505dd3835afcd0c2a57d53c4120a6e10c0235a08bf186f09089ff086e191f6c",
                    "3c77b3571fb5d1439c8ae0036ec1c3ee4472a421bcf5aab985adbd3c703000c0"),
 }
@@ -112,8 +111,7 @@ def test_planned_trace_table_invariants(planned, name, seed, iterations):
     assert len(table) == iterations
     pairs = list(zip(table.assignment, table.macros))
     assert len(set(pairs)) == len(pairs) < iterations  # signatures repeat
-    columns = (table.outcome, table.collider, table.reward, table.steps,
-               *table.components.values())
+    columns = (table.outcome, table.collider, *table.components.values())
     assert {len(column) for column in columns} == {len(pairs)}
     assert list(dict.fromkeys(table.record)) == list(range(len(pairs)))
     assert list(dict.fromkeys(table.macros)) == list(range(len(table.macro_sequences)))

@@ -7,10 +7,10 @@ Four kinds of input are mutated: the leaves of the shipped scenario files
 case; the leaves of one small run directory's `run.json`, of its
 `tracelog.json` columns and their first entries, and of its
 `predictions.json`; every key and table entry of a style file; and query
-strings built from an atom alphabet. The format-3 faults of a run directory,
-a `record` column that does not index its signatures one to one and a
-format-2 directory, are also made one by one, each exiting 7 with a message
-that names the field.
+strings built from an atom alphabet. The faults of the per-signature trace
+log that format 3 brought in, a `record` column that does not index its
+signatures one to one, and a format-2 or format-3 directory, are also made
+one by one, each exiting 7 with a message that names the field.
 The run directory is planned once per module, and every case is drawn from a
 seeded `random.Random`, so the cases are the same on every run.
 """
@@ -27,12 +27,12 @@ import pytest
 from whyplan import cli
 from whyplan.grammar import DEFAULT_STYLE
 
-from conftest import format_2_trace_log, mini_scenario_dict
+from conftest import REPO_ROOT, format_2_trace_log, format_3_trace_log, mini_scenario_dict
 
 DOCUMENTED = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_PLANNING,
               cli.EXIT_INFERENCE, cli.EXIT_UNEXPLORED, cli.EXIT_RUN_DIR}
 ARTIFACTS = ("run.json", "tracelog.json", "predictions.json")
-SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SCENARIOS = os.path.join(REPO_ROOT, "scenarios")
 SCENARIO_CASES = 300
 CASE_SECONDS = 5.0
 FIRST_RECORDS = 3
@@ -202,7 +202,14 @@ def _repeat_signature(run):
         log[name][-1] = log[name][0]
 
 
+def _format_3_directory(run):
+    run["run.json"]["format_version"] = 3
+    run["tracelog.json"] = format_3_trace_log(run["tracelog.json"],
+                                              run["run.json"]["reward_weights"])
+
+
 def _format_2_directory(run):
+    _format_3_directory(run)
     run["run.json"]["format_version"] = 2
     run["tracelog.json"] = format_2_trace_log(run["tracelog.json"])
 
@@ -219,6 +226,7 @@ FORMAT_3_FAULTS = {
     "record-column-missing": (lambda run: run["tracelog.json"].pop("record"),
                               "tracelog.json column record is missing"),
     "format-2-directory": (_format_2_directory, "has format_version 2"),
+    "format-3-directory": (_format_3_directory, "has format_version 3"),
 }
 
 

@@ -8,7 +8,8 @@ from whyplan.errors import InapplicableMacroError, OffRoadError
 from whyplan.geometry import Polyline, turn_curve
 from whyplan.grammar import DEFAULT_STYLE
 from whyplan.maneuvers import (ALL_MACRO_NAMES, LANE_CHANGE_DURATION, Trajectory,
-                               applicable_macros, expand_macro, extract_features, roll_chain)
+                               applicable_macros, expand_macro, extract_features, goal_entry,
+                               roll_chain)
 from whyplan.mcts import SELECTION_ORDER
 from whyplan.pipeline import true_goal_plans
 from whyplan.scenario import (Goal, JointState, VehicleState, goal_contains, lane_point_state,
@@ -16,10 +17,10 @@ from whyplan.scenario import (Goal, JointState, VehicleState, goal_contains, lan
                               scenario_from_dict)
 from whyplan.simulation import observe
 
-from conftest import mini_scenario_dict, spec_of
+from conftest import REPO_ROOT, mini_scenario_dict, spec_of
 
 CRUISE = 10.0
-SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SCENARIOS = os.path.join(REPO_ROOT, "scenarios")
 
 
 def joint_on(sc, lane, s, speed=8.0, extra=None):
@@ -298,7 +299,7 @@ def test_constant_velocity_straight_features_are_zero():
     assert f.jerk == 0.0
     assert f.angular_acceleration == 0.0
     assert f.curvature == 0.0
-    assert not f.reached_goal
+    assert goal_entry(traj, goal, sc.layout) is None
     assert f.time_to_goal == pytest.approx((n - 1) * 0.1)
 
 
@@ -308,7 +309,7 @@ def test_time_to_goal_on_100m_lane_at_10mps():
     traj = Trajectory(dt=0.1, xs=np.arange(n) * 1.0, ys=np.zeros(n), headings=np.zeros(n),
                       speeds=np.full(n, 10.0))
     f = extract_features(traj, sc.ego_goal, sc.layout)
-    assert f.reached_goal
+    assert goal_entry(traj, sc.ego_goal, sc.layout) is not None
     assert f.time_to_goal == pytest.approx(10.0, abs=1e-9)
 
 

@@ -23,7 +23,7 @@ from whyplan.scenario import (JointState, goal_contains, lane_point_state, load_
                               sample_initial_states, scenario_from_dict)
 from whyplan.simulation import FixedTraffic, observe, simulate_step
 
-from conftest import mini_scenario_dict
+from conftest import REPO_ROOT, mini_scenario_dict, signature_reward
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +88,10 @@ def test_every_trace_prefix_exists_in_tree(mini_pipe):
 def test_records_have_exactly_one_outcome_and_consistent_components(mini_pipe):
     table = mini_pipe.mcts.table
     for j, outcome in enumerate(table.outcome):
-        present = {c for c, column in table.components.items() if column[j] is not None}
-        assert present == set(OUTCOME_REQUIRED[outcome])
+        components = {c: column[j] for c, column in table.components.items()}
+        assert {c for c, v in components.items() if v is not None} == set(OUTCOME_REQUIRED[outcome])
         assert len(table.macro_sequences[table.macros[j]]) <= 3
-        assert math.isfinite(table.reward[j])
+        assert math.isfinite(signature_reward(outcome, components, mini_pipe.reward.weights))
 
 
 def test_same_seed_gives_bit_identical_trace_log():
@@ -109,14 +109,13 @@ def test_same_seed_gives_bit_identical_trace_log():
 # --- rollout memoisation ---------------------------------------------------------
 
 SHIPPED_RUNS = [(name, seed) for name in ("s1", "s2") for seed in (0, 1)]
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-SCENARIO_PATHS = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
-                  "s2": os.path.join(ROOT, "scenarios", "s2.json"),
-                  "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
+SCENARIO_PATHS = {"s1": os.path.join(REPO_ROOT, "scenarios", "s1.json"),
+                  "s2": os.path.join(REPO_ROOT, "scenarios", "s2.json"),
+                  "dense": os.path.join(REPO_ROOT, "benchmarks", "scenarios", "dense.json")}
 
 
 def shipped_pipe(name, seed, iterations=60):
-    sc = load_scenario(f"scenarios/{name}.json")
+    sc = load_scenario(SCENARIO_PATHS[name])
     return run_pipeline(sc, seed, planner=planner_config(sc, seed, iterations=iterations))
 
 
@@ -130,14 +129,18 @@ def signatures(table):
     return [(row, table.macro_sequences[m]) for row, m in zip(table.assignment, table.macros)]
 
 
-def assert_records_match_uncached_rollouts(pipe, start, table):
-    """Replay every signature once, without memo or projection table, one
-    fresh table-less `FixedTraffic` each, and compare what it observed.
+def assert_records_match_uncached_rollouts(pipe, start, result):
+    """Replay every signature of the search `result` once, without memo or
+    projection table, one fresh table-less `FixedTraffic` each, and compare
+    what it observed; then back each record's reward up its macros in record
+    order, which must rebuild the search tree exactly.
 
     The replay's reward scans the whole trajectory for the goal, and a "done"
     rollout must enter the goal first at its last state: the search scans
-    only that state."""
-    sc = pipe.scenario
+    only that state. The table stores no reward: a signature's is recomputed
+    from its outcome, its components and the run's weights."""
+    sc, table = pipe.scenario, result.table
+    rewards = []
     for j, (row, macros) in enumerate(signatures(table)):
         traffic = FixedTraffic(sc.layout, {
             vid: pipe.predictions[vid].options[g][s].trajectory
@@ -156,15 +159,22 @@ def assert_records_match_uncached_rollouts(pipe, start, table):
             inside = [goal_contains(sc.layout, sc.ego_goal, x, y)
                       for x, y in zip(traj.xs, traj.ys)]
             assert inside.index(True) == len(traj) - 1, j
-        assert (outcome, step.collider, len(traj) - 1, reward, comps) == (
-            table.outcome[j], table.collider[j], table.steps[j], table.reward[j],
-            {c: column[j] for c, column in table.components.items()}), j
+        stored = {c: column[j] for c, column in table.components.items()}
+        rewards.append(signature_reward(table.outcome[j], stored, pipe.reward.weights))
+        assert (outcome, step.collider, reward, comps) == (
+            table.outcome[j], table.collider[j], rewards[j], stored), j
+    tree = SearchTree()
+    for j in table.record:
+        macros = table.macro_sequences[table.macros[j]]
+        for depth, action in enumerate(macros):
+            tree.update(macros[:depth], action, rewards[j])
+    assert tree.nodes == result.tree.nodes
 
 
 @pytest.mark.parametrize("name,seed", SHIPPED_RUNS)
 def test_memoised_records_match_uncached_rollouts(name, seed):
     pipe = shipped_pipe(name, seed)
-    assert_records_match_uncached_rollouts(pipe, pipe.planning_state, pipe.mcts.table)
+    assert_records_match_uncached_rollouts(pipe, pipe.planning_state, pipe.mcts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,7 +199,7 @@ def test_memoised_records_match_uncached_rollouts_from_generated_starts(data):
     config = PlannerConfig(iterations=24, max_depth=3, seed=data.draw(st.integers(0, 3)),
                            exploration=pipe.planner.exploration)
     res = run_mcts(sc, start, config, pipe.predictions, reward_config=pipe.reward)
-    assert_records_match_uncached_rollouts(pipe, start, res.table)
+    assert_records_match_uncached_rollouts(pipe, start, res)
 
 
 def test_each_sample_and_prefix_is_simulated_once(monkeypatch):

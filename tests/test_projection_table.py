@@ -19,8 +19,9 @@ from whyplan.pipeline import planner_config, run_pipeline
 from whyplan.scenario import load_scenario
 from whyplan.simulation import FixedTraffic, ProjectionTable
 
-DENSE = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "scenarios",
-                     "dense.json")
+from conftest import REPO_ROOT
+
+DENSE = os.path.join(REPO_ROOT, "benchmarks", "scenarios", "dense.json")
 
 
 def answered(traffic, path, x, y, t):

@@ -4,14 +4,14 @@ cannot drift from the code."""
 import os
 import re
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+from conftest import REPO_ROOT
 
 
 def test_library_use_block_runs_from_the_repo_root(monkeypatch, capsys):
-    with open(os.path.join(ROOT, "README.md")) as fh:
+    with open(os.path.join(REPO_ROOT, "README.md")) as fh:
         section = fh.read().split("## Library use", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    monkeypatch.chdir(ROOT)
+    monkeypatch.chdir(REPO_ROOT)
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     documented_plan = re.search(r"print\(pipe\.mcts\.plan\)\s+# (.*)", code).group(1)

@@ -10,8 +10,8 @@ import whyplan.pipeline as pipeline_mod
 import whyplan.recognition as recognition_mod
 from whyplan.errors import GoalUnreachableError, OffRoadError
 from whyplan.maneuvers import (BRAKE_APPROACH, Trajectory, applicable_macros,
-                               concat_trajectories, expand_macro, extract_features, macro_table,
-                               roll_chain)
+                               concat_trajectories, expand_macro, extract_features, goal_entry,
+                               macro_table, roll_chain)
 from whyplan.pipeline import planner_config, run_pipeline, true_goal_plans
 from whyplan.recognition import (ENUMERATION_DEPTH, enumerate_plans, goal_posterior,
                                  predict_all, trajectory_options)
@@ -19,14 +19,13 @@ from whyplan.scenario import (Goal, JointState, goal_contains, lane_point_state,
                               load_scenario, locate, sample_initial_states, scenario_from_dict)
 from whyplan.simulation import observe
 
-from conftest import mini_scenario_dict, spec_of
+from conftest import REPO_ROOT, mini_scenario_dict, spec_of
 
 CRUISE = 10.0
 DT, HORIZON = 0.1, 300
-ROOT = os.path.join(os.path.dirname(__file__), "..")
-SCENARIO_PATHS = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
-                  "s2": os.path.join(ROOT, "scenarios", "s2.json"),
-                  "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
+SCENARIO_PATHS = {"s1": os.path.join(REPO_ROOT, "scenarios", "s1.json"),
+                  "s2": os.path.join(REPO_ROOT, "scenarios", "s2.json"),
+                  "dense": os.path.join(REPO_ROOT, "benchmarks", "scenarios", "dense.json")}
 SCENARIOS = {name: load_scenario(path) for name, path in SCENARIO_PATHS.items()}
 
 
@@ -447,7 +446,7 @@ def reference_enumerate(state, goal, layout, dt, horizon, cruise):
             new_parts = parts + [traj]
             new_macros = macros + (macro,)
             full = concat_trajectories(new_parts)
-            if extract_features(full, goal, layout).reached_goal:
+            if goal_entry(full, goal, layout) is not None:
                 results.append((new_macros, full, reward(full)))
                 continue
             if not traj.truncated:

@@ -40,10 +40,11 @@ from whyplan.scenario import (JointState, VehicleState, goal_box, goal_contains,
                               goal_tolerance, load_scenario, scenario_from_dict)
 from whyplan.simulation import FixedTraffic, ProjectionTable
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-PATHS = {"s1": os.path.join(ROOT, "scenarios", "s1.json"),
-         "s2": os.path.join(ROOT, "scenarios", "s2.json"),
-         "dense": os.path.join(ROOT, "benchmarks", "scenarios", "dense.json")}
+from conftest import REPO_ROOT
+
+PATHS = {"s1": os.path.join(REPO_ROOT, "scenarios", "s1.json"),
+         "s2": os.path.join(REPO_ROOT, "scenarios", "s2.json"),
+         "dense": os.path.join(REPO_ROOT, "benchmarks", "scenarios", "dense.json")}
 SCENARIOS = {name: load_scenario(path) for name, path in PATHS.items()}
 # Every goal of every scenario, with the layout it lies in.
 GOALS = sorted({(name, goal) for name, sc in SCENARIOS.items()

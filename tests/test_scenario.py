@@ -16,9 +16,11 @@ from whyplan.scenario import (Goal, VehicleState, goal_contains, lane_point_stat
                               load_scenario, locate, sample_initial_states,
                               scenario_from_dict)
 
-from conftest import mini_scenario_dict, spec_of
+from conftest import REPO_ROOT, mini_scenario_dict, spec_of
 
-S1_PATH = "scenarios/s1.json"
+S1_PATH = os.path.join(REPO_ROOT, "scenarios", "s1.json")
+S2_PATH = os.path.join(REPO_ROOT, "scenarios", "s2.json")
+DENSE_PATH = os.path.join(REPO_ROOT, "benchmarks", "scenarios", "dense.json")
 
 
 def test_s1_file_loads_with_three_vehicles_and_one_junction():
@@ -30,7 +32,7 @@ def test_s1_file_loads_with_three_vehicles_and_one_junction():
 
 
 def test_s2_file_loads():
-    sc = load_scenario("scenarios/s2.json")
+    sc = load_scenario(S2_PATH)
     assert len(sc.vehicles) == 3
     assert {c.direction for c in list(sc.layout.junctions.values())[0].connections} == \
         {"left", "right", "straight"}
@@ -173,7 +175,7 @@ def test_one_field_of_another_type_or_deleted_fails_typed(path, data):
 
 
 def test_connection_curves_are_built_once_at_load_from_the_lane_ends():
-    for path in (S1_PATH, "scenarios/s2.json", "benchmarks/scenarios/dense.json"):
+    for path in (S1_PATH, S2_PATH, DENSE_PATH):
         layout = load_scenario(path).layout
         for junction in layout.junctions.values():
             for conn in junction.connections:
@@ -299,7 +301,8 @@ NON_FINITE = [(math.nan, math.nan), (math.nan, 0.0), (0.0, math.nan), (math.inf,
               (-math.inf, math.nan)]
 
 
-@pytest.mark.parametrize("path", [S1_PATH, "scenarios/s2.json", "benchmarks/scenarios/dense.json"])
+@pytest.mark.parametrize("path", [S1_PATH, S2_PATH, DENSE_PATH],
+                         ids=lambda path: os.path.relpath(path, REPO_ROOT))
 def test_locate_rejects_non_finite_positions(path):
     layout = load_scenario(path).layout
     for position in NON_FINITE:

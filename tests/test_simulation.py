@@ -29,9 +29,10 @@ from whyplan.pipeline import planner_config, run_pipeline
 from whyplan.scenario import lane_point_state, load_scenario
 from whyplan.simulation import ExtrapolatedTraffic, FixedTraffic, ProjectionTable
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-S1 = load_scenario(os.path.join(ROOT, "scenarios", "s1.json"))
-S2 = load_scenario(os.path.join(ROOT, "scenarios", "s2.json"))
+from conftest import REPO_ROOT
+
+S1 = load_scenario(os.path.join(REPO_ROOT, "scenarios", "s1.json"))
+S2 = load_scenario(os.path.join(REPO_ROOT, "scenarios", "s2.json"))
 DT = S2.dt
 
 
