@@ -17,13 +17,12 @@ from .errors import (EmptyTraceLogError, GoalUnreachableError, InapplicableMacro
                      WhyplanError)
 from .grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw, load_style,
                       post_process, realize_macros, to_grammar_input)
-from .maneuvers import (Maneuver, Trajectory, TrajectoryFeatures, applicable_macros,
-                        expand_macro, extract_features)
+from .maneuvers import Maneuver, Trajectory, applicable_macros, expand_macro, extract_features
 from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceTable,
                    run_mcts, terminal_reward)
 from .pipeline import (PipelineResult, explain_query, load_run, run_pipeline, save_run)
-from .recognition import (GoalPosterior, Predictions, TrajectoryOption, enumerate_plans,
-                          goal_posterior, predict_all, trajectory_options)
+from .recognition import (TrajectoryOption, VehiclePrediction, enumerate_plans, goal_posterior,
+                          predict_all, trajectory_options)
 from .scenario import (Goal, JointState, Junction, Lane, RoadLayout, Scenario, VehicleState,
                        goal_contains, load_scenario, locate, sample_initial_states)
 from .simulation import FixedTraffic, observe, simulate_step

@@ -117,16 +117,6 @@ def concat_trajectories(parts: list[Trajectory]) -> Trajectory:
                       truncated=parts[-1].truncated)
 
 
-@dataclass(frozen=True)
-class TrajectoryFeatures:
-    """Per-trajectory quantities behind the reward components."""
-
-    time_to_goal: float
-    jerk: float
-    angular_acceleration: float
-    curvature: float
-
-
 # --- lane-follow chains ------------------------------------------------------
 
 
@@ -236,13 +226,13 @@ def chain_reaches_goal(layout: RoadLayout, chain: list[str], from_s: float, goal
     return False
 
 
-def _headway_ok(state: JointState, vehicle_id: str, layout: RoadLayout,
+def _headway_ok(state: JointState, agent_id: str, layout: RoadLayout,
                 target_lane_id: str) -> bool:
-    me = state.vehicles[vehicle_id]
+    me = state.vehicles[agent_id]
     lane = layout.lanes[target_lane_id]
     s_me, _, _ = lane.midline.project((me.x, me.y))
     for vid, other in state.vehicles.items():
-        if vid == vehicle_id:
+        if vid == agent_id:
             continue
         s_o, _, dist = lane.midline.project((other.x, other.y))
         if dist > lane.width / 2.0 + 0.3:
@@ -324,17 +314,17 @@ def continue_reaches_goal(table: dict[str, tuple[Maneuver, ...]], s: float | Non
     return s is None or chain_reaches_goal(layout, table["Continue"][0].lanes, s, goal)
 
 
-def applicable_macros(state: JointState, vehicle_id: str, layout: RoadLayout,
+def applicable_macros(state: JointState, agent_id: str, layout: RoadLayout,
                       goal: Goal) -> list[str]:
-    """Names of the macro actions that apply for `vehicle_id` heading to `goal`, sorted:
+    """Names of the macro actions that apply for `agent_id` heading to `goal`, sorted:
     its `macro_table`, less a lane change without headway and a Continue
     that does not reach `goal`.
     """
-    table, s = macro_table(state.vehicles[vehicle_id], layout)
+    table, s = macro_table(state.vehicles[agent_id], layout)
     return [name for name, chain in table.items()
             if (name != "Continue" or continue_reaches_goal(table, s, layout, goal))
             and (not name.startswith("Change-")
-                 or _headway_ok(state, vehicle_id, layout, chain[0].target_lane))]
+                 or _headway_ok(state, agent_id, layout, chain[0].target_lane))]
 
 
 def _crossing(layout: RoadLayout, me: VehicleState) -> tuple[str, tuple[Maneuver, ...]]:
@@ -749,10 +739,11 @@ def goal_entry(traj: Trajectory, goal: Goal, layout: RoadLayout, start: int = 0)
 
 
 def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout,
-                     start: int = 0) -> TrajectoryFeatures:
-    """Reward-relevant trajectory features.
+                     start: int = 0) -> dict[str, float]:
+    """The reward components of a completed trajectory, keyed by their
+    `REWARD_COMPONENTS` names: time, jerk, angular_acceleration, curvature.
 
-    time_to_goal is dt times the first state index inside the goal region
+    time is dt times the first state index inside the goal region
     (`goal_entry`), or the full duration when the goal is never entered; the
     caller vouches that no state before index `start` is inside it. Jerk is
     the second finite difference of speed, angular acceleration the second
@@ -764,10 +755,10 @@ def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout,
     if n == 0:
         raise ValueError("empty trajectory")
     entry = goal_entry(traj, goal, layout, start)
-    time_to_goal = (n - 1 if entry is None else entry) * traj.dt
+    time = float((n - 1 if entry is None else entry) * traj.dt)
 
     if n < 3:
-        return TrajectoryFeatures(time_to_goal, 0.0, 0.0, 0.0)
+        return {"time": time, "jerk": 0.0, "angular_acceleration": 0.0, "curvature": 0.0}
 
     v = traj.speeds
     jerk = np.abs(np.diff(v, 2)) / traj.dt ** 2
@@ -776,9 +767,6 @@ def extract_features(traj: Trajectory, goal: Goal, layout: RoadLayout,
     ds = np.hypot(np.diff(traj.xs), np.diff(traj.ys))
     moving = ds > 0.01
     curvature = np.abs(dtheta[moving] / ds[moving]) if np.any(moving) else np.array([0.0])
-    return TrajectoryFeatures(
-        time_to_goal=float(time_to_goal),
-        jerk=float(np.mean(jerk)),
-        angular_acceleration=float(np.mean(angacc)),
-        curvature=float(np.mean(curvature)),
-    )
+    return {"time": time, "jerk": float(np.mean(jerk)),
+            "angular_acceleration": float(np.mean(angacc)),
+            "curvature": float(np.mean(curvature))}

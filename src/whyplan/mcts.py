@@ -25,7 +25,7 @@ import numpy as np
 from . import checks
 from .errors import ScenarioValidationError
 from .maneuvers import Trajectory, applicable_macros, concat_trajectories, extract_features
-from .recognition import FEATURE_WEIGHTS, Predictions
+from .recognition import FEATURE_WEIGHTS, VehiclePrediction
 from .scenario import JointState, Scenario
 from .simulation import FixedTraffic, MacroStepResult, ProjectionTable, simulate_step
 
@@ -93,6 +93,7 @@ class PlannerConfig:
         checks.integer(self.max_depth, ("max_depth",), ScenarioValidationError, 1,
                        MAX_DEPTH_BOUND)
         checks.number(self.exploration, ("exploration",), ScenarioValidationError, 0.0)
+        checks.integer(self.seed, ("seed",), ScenarioValidationError, 0)
 
 
 def components_for(outcome: str, traj: Trajectory, goal, layout) -> dict:
@@ -101,11 +102,7 @@ def components_for(outcome: str, traj: Trajectory, goal, layout) -> dict:
     checks the goal before every step), so only that state is scanned."""
     comps: dict = {c: None for c in REWARD_COMPONENTS}
     if outcome == "done":
-        f = extract_features(traj, goal, layout, start=len(traj) - 1)
-        comps["time"] = f.time_to_goal
-        comps["jerk"] = f.jerk
-        comps["angular_acceleration"] = f.angular_acceleration
-        comps["curvature"] = f.curvature
+        comps.update(extract_features(traj, goal, layout, start=len(traj) - 1))
     elif outcome == "collision":
         comps["collision"] = 1.0
     elif outcome == "termination":
@@ -167,27 +164,22 @@ class TraceTable:
                 "record": self.record}
 
 
-@dataclass
-class _Node:
-    visits: int = 0
-    actions: dict = field(default_factory=dict)  # name -> [n, q]
-
-
 class SearchTree:
-    """Visit counts and Q values keyed by macro-sequence prefix."""
+    """Visit counts and Q values keyed by macro-sequence prefix: `nodes` maps
+    a prefix to its `{action: [n, q]}` statistics, n the action's visit count
+    and q its mean reward. A node keeps no total of its own, since selection
+    sums the counts of only the actions that apply at the current sample."""
 
     def __init__(self):
-        self.nodes: dict[tuple, _Node] = {}
+        self.nodes: dict[tuple, dict[str, list]] = {}
 
-    def node(self, key: tuple) -> _Node:
+    def node(self, key: tuple) -> dict[str, list]:
         if key not in self.nodes:
-            self.nodes[key] = _Node()
+            self.nodes[key] = {}
         return self.nodes[key]
 
     def update(self, key: tuple, action: str, reward: float) -> None:
-        node = self.node(key)
-        node.visits += 1
-        stat = node.actions.setdefault(action, [0, 0.0])
+        stat = self.node(key).setdefault(action, [0, 0.0])
         stat[0] += 1
         stat[1] += (reward - stat[1]) / stat[0]
 
@@ -195,8 +187,8 @@ class SearchTree:
         """Root-to-leaf action sequence by visit count (ties: Q, then name)."""
         path: list[str] = []
         key: tuple = ()
-        while key in self.nodes and self.nodes[key].actions:
-            acts = self.nodes[key].actions
+        while self.nodes.get(key):
+            acts = self.nodes[key]
             name = sorted(acts.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))[0][0]
             path.append(name)
             key = key + (name,)
@@ -228,18 +220,18 @@ class MctsResult:
         return [_Iteration(samples[j], t.macro_sequences[t.macros[j]]) for j in t.record]
 
 
-def _select_ucb(node: _Node, actions: list[str], exploration: float,
+def _select_ucb(node: dict[str, list], actions: list[str], exploration: float,
                 r_lo: float, r_hi: float) -> str:
     ordered = sorted(actions, key=lambda a: SELECTION_ORDER[a])
     for a in ordered:  # untried first
-        if a not in node.actions or node.actions[a][0] == 0:
+        if a not in node or node[a][0] == 0:
             return a
     span = max(r_hi - r_lo, 1e-9)
-    total = sum(node.actions[a][0] for a in actions)
+    total = sum(node[a][0] for a in actions)
     log_total = math.log(max(total, 2))
     best, best_score = None, -math.inf
     for a in ordered:
-        n, q = node.actions[a]
+        n, q = node[a]
         score = (q - r_lo) / span + exploration * math.sqrt(log_total / n)
         if score > best_score + 1e-12:
             best, best_score = a, score
@@ -247,7 +239,8 @@ def _select_ucb(node: _Node, actions: list[str], exploration: float,
 
 
 def run_mcts(scenario: Scenario, initial: JointState, config: PlannerConfig,
-             predictions: Predictions, reward_config: RewardConfig | None = None) -> MctsResult:
+             predictions: dict[str, VehiclePrediction],
+             reward_config: RewardConfig | None = None) -> MctsResult:
     """Plan for the ego with MCTS; returns the plan, tree and trace table.
 
     `predictions` comes from goal recognition over the observation phase.

@@ -28,7 +28,7 @@ from .grammar import explain as render_explanation
 from .maneuvers import ALL_MACRO_NAMES
 from .mcts import (OUTCOME_KINDS, OUTCOME_REQUIRED, REWARD_COMPONENTS, MctsResult, PlannerConfig,
                    RewardConfig, TraceTable, run_mcts)
-from .recognition import Predictions, enumerate_plans, predict_all
+from .recognition import VehiclePrediction, enumerate_plans, predict_all
 from .scenario import JointState, Scenario, sample_initial_states
 from .simulation import observe
 
@@ -44,7 +44,7 @@ class PipelineResult:
     initial: JointState
     planning_state: JointState
     prefixes: dict
-    predictions: Predictions
+    predictions: dict[str, VehiclePrediction]
     mcts: MctsResult
     model: BnModel
 
@@ -98,14 +98,14 @@ def run_pipeline(scenario: Scenario, seed: int, planner: PlannerConfig | None = 
                           predictions=predictions, mcts=result, model=model)
 
 
-def prediction_factors(predictions: Predictions) -> tuple[dict, dict, dict, dict]:
+def prediction_factors(predictions: dict[str, VehiclePrediction]) -> tuple[dict, dict, dict, dict]:
     """(goal probs, trajectory probs, trajectory macros, labels) for the net."""
     goal_probs: dict = {}
     traj_probs: dict = {}
     traj_macros: dict = {}
     labels: dict = {}
-    for vid, pred in predictions.vehicles.items():
-        goal_probs[vid] = {gi: p for gi, p in enumerate(pred.posterior.probs)}
+    for vid, pred in predictions.items():
+        goal_probs[vid] = dict(enumerate(pred.goal_probs))
         traj_probs[vid] = {}
         traj_macros[vid] = {}
         for gi, opts in pred.options.items():
@@ -216,6 +216,11 @@ _COLUMNS = frozenset(("vehicles", "macro_sequences", "record", *_PER_SIGNATURE))
 # Per reward component, the outcome kinds whose records hold it.
 _REQUIRING = {c: frozenset(k for k, required in OUTCOME_REQUIRED.items() if c in required)
               for c in REWARD_COMPONENTS}
+# Per reward component, the bounds of the values the search writes: a done
+# component is a duration or a mean absolute value, collision and termination
+# are always 1.0.
+_RANGE = {c: (0.0, math.inf) if c in OUTCOME_REQUIRED["done"] else (1.0, 1.0)
+          for c in REWARD_COMPONENTS}
 
 
 def _first_bad(column: list, ok) -> int | None:
@@ -233,15 +238,23 @@ def _typed_column(column: list, kinds: set, field: str, what: str) -> None:
 
 
 def _finite_column(column: list, component: str) -> list:
-    """A component's `column` if its entries are finite floats or null, as
-    one pass each over types and values; otherwise the entries as floats,
-    where each is checked by `checks.number`, which names the signature of
-    the first that fails."""
-    if (set(map(type, column)) <= {float, _NULL}
-            and math.isfinite(sum(filter(None, column)))):  # filter drops nulls and zeros
-        return column  # a finite sum has finite terms
+    """A component's `column` if its entries are null or finite floats within
+    the component's `_RANGE`, as one pass over types and one or two over
+    values; otherwise the entries as floats, where each is checked by
+    `checks.number`, which names the signature of the first that fails."""
+    lo, hi = _RANGE[component]
+    if set(map(type, column)) <= {float, _NULL}:
+        if lo == hi:  # collision and termination
+            if set(column) <= {lo, None}:
+                return column
+        # A done component: filter drops nulls and the zeros lo = 0 admits,
+        # and a finite sum has finite terms.
+        elif (math.isfinite(sum(filter(None, column)))
+              and min(filter(None, column), default=lo) >= lo):
+            return column
     return [None if v is None
-            else checks.number(v, (_SIGNATURE, i, "component", component), RunDirectoryError)
+            else checks.number(v, (_SIGNATURE, i, "component", component), RunDirectoryError,
+                               lo, hi)
             for i, v in enumerate(column)]
 
 
@@ -378,8 +391,10 @@ def load_run(run_dir: str) -> LoadedRun:
     row; each macro index points into `macro_sequences`, whose entries are
     distinct lists of at most `max_depth` macro names, each held by some
     signature; outcomes are known and hold exactly the components they
-    require; components are finite numbers and the collider a string or
-    null; and no two signatures share an assignment row and macro index.
+    require; components are finite numbers, those of a done outcome at
+    least 0 and collision and termination exactly 1.0, the only values the
+    search writes; the collider is a string or null; and no two signatures
+    share an assignment row and macro index.
     Then the records: `record` is a list of integers (not bools), each the
     index of a signature, and every signature is held by some record. The
     checked columns are the table `build_bn` counts from.

@@ -8,7 +8,9 @@ and where it is now (the completions of the observed prefix). Each node of
 the enumeration reads its macro table (`maneuvers.macro_table`) once. The goal
 posterior weighs how much reward the observed prefix has already given up
 relative to the optimal plan for each goal; trajectory probabilities are a
-softmax over candidate plan rewards.
+softmax over candidate plan rewards. The search receives plain values:
+`predict_all` maps each non-ego vehicle id to a `VehiclePrediction`, which
+holds the goal probabilities in goal order and each goal's options.
 """
 
 import bisect
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GoalUnreachableError, InapplicableMacroError, OffRoadError
-from .maneuvers import (Trajectory, TrajectoryFeatures, concat_trajectories, continue_reaches_goal,
-                        extract_features, goal_entry, lane_macros, macro_table, roll_chain)
+from .maneuvers import (Trajectory, concat_trajectories, continue_reaches_goal, extract_features,
+                        goal_entry, lane_macros, macro_table, roll_chain)
 from .scenario import Goal, RoadLayout, Scenario, VehicleState, locate
 
 ENUMERATION_DEPTH = 3
@@ -34,11 +36,9 @@ FEATURE_WEIGHTS = {
     "curvature": -0.1,
 }
 
-def plan_reward(f: TrajectoryFeatures) -> float:
-    w = FEATURE_WEIGHTS
-    return (w["time"] * f.time_to_goal + w["jerk"] * f.jerk
-            + w["angular_acceleration"] * f.angular_acceleration
-            + w["curvature"] * f.curvature)
+def plan_reward(features: dict[str, float]) -> float:
+    """The weighted sum of `extract_features`'s components, as `terminal_reward` takes it."""
+    return sum(FEATURE_WEIGHTS[c] * v for c, v in features.items())
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ class TrajectoryOption:
     macros: tuple[str, ...]
     trajectory: Trajectory
     probability: float
-
-
-@dataclass(frozen=True)
-class GoalPosterior:
-    """Normalized posterior over one vehicle's goal set."""
-
-    goals: tuple[Goal, ...]
-    probs: tuple[float, ...]
 
 
 def enumerate_plans(state: VehicleState, goals: tuple[Goal, ...], layout: RoadLayout,
@@ -170,8 +162,8 @@ def _extend_to_horizon(traj: Trajectory, layout: RoadLayout, dt: float, horizon:
 def goal_posterior(observed: Trajectory, goals: tuple[Goal, ...],
                    from_start: list[list[PlanCandidate]],
                    from_current: list[list[PlanCandidate]], layout: RoadLayout,
-                   beta: float = 1.0) -> GoalPosterior:
-    """Posterior over goals given an observed trajectory prefix.
+                   beta: float = 1.0) -> tuple[float, ...]:
+    """Posterior probability of each goal given an observed trajectory prefix.
 
     p(g | prefix) ~ exp(beta * (r_hat(g) - r_star(g))) under a uniform prior,
     where r_star is the optimal plan reward from the first observed state (the
@@ -205,7 +197,7 @@ def goal_posterior(observed: Trajectory, goals: tuple[Goal, ...],
     prior = 1.0 / len(goals)
     weights = [prior * math.exp(beta * s - zmax) if s is not None else 0.0 for s in scores]
     total = sum(weights)
-    return GoalPosterior(goals=tuple(goals), probs=tuple(w / total for w in weights))
+    return tuple(w / total for w in weights)
 
 
 # --- whole-scenario prediction -------------------------------------------------
@@ -224,15 +216,14 @@ def choice_table(probs) -> list[float]:
 
 @dataclass(frozen=True)
 class VehiclePrediction:
-    vehicle_id: str
     label: str
-    posterior: GoalPosterior
+    goal_probs: tuple[float, ...]  # the goal posterior, in goal order
     options: dict[int, tuple[TrajectoryOption, ...]]  # goal index -> options
 
     @functools.cached_property
     def _tables(self) -> tuple[list[float], dict[int, list[float]]]:
         """The goal table and each goal's option table (`choice_table`)."""
-        return choice_table(self.posterior.probs), {
+        return choice_table(self.goal_probs), {
             g: choice_table([o.probability for o in opts]) for g, opts in self.options.items()
             if opts}
 
@@ -245,16 +236,8 @@ class VehiclePrediction:
         return g, bisect.bisect_right(options[g], rng.random())
 
 
-@dataclass(frozen=True)
-class Predictions:
-    vehicles: dict[str, VehiclePrediction]
-
-    def __getitem__(self, vid: str) -> VehiclePrediction:
-        return self.vehicles[vid]
-
-
 def predict_all(scenario: Scenario, prefixes: dict[str, Trajectory],
-                from_start: dict[str, list[list[PlanCandidate]]]) -> Predictions:
+                from_start: dict[str, list[list[PlanCandidate]]]) -> dict[str, VehiclePrediction]:
     """Goal posteriors and trajectory distributions for every non-ego vehicle.
 
     `from_start` holds each vehicle's plans per goal from the first state of
@@ -268,11 +251,11 @@ def predict_all(scenario: Scenario, prefixes: dict[str, Trajectory],
         prefix = prefixes[spec.id]
         completions = enumerate_plans(prefix.tail_state(), spec.goals, scenario.layout,
                                       scenario.dt, scenario.horizon, cruise)
-        posterior = goal_posterior(prefix, spec.goals, from_start[spec.id], completions,
-                                   scenario.layout, beta)
+        goal_probs = goal_posterior(prefix, spec.goals, from_start[spec.id], completions,
+                                    scenario.layout, beta)
         options = {gi: tuple(trajectory_options(completions[gi], goal, scenario.layout,
                                                 scenario.dt, scenario.horizon, cruise, beta))
-                   if posterior.probs[gi] > 0.0 else ()
+                   if goal_probs[gi] > 0.0 else ()
                    for gi, goal in enumerate(spec.goals)}
-        out[spec.id] = VehiclePrediction(spec.id, spec.label, posterior, options)
-    return Predictions(vehicles=out)
+        out[spec.id] = VehiclePrediction(spec.label, goal_probs, options)
+    return out

@@ -359,6 +359,17 @@ def test_max_depth_above_bound_exits_with_validation_code(mini_scenario_path, tm
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("command", [
+    ["plan"], ["batch", "--runs", "1", "--queries", "omega1=Continue"]], ids=["plan", "batch"])
+def test_negative_seed_exits_with_validation_code(mini_scenario_path, tmp_path, capsys,
+                                                  command):
+    code, _, err = run_cli([*command, "--scenario", mini_scenario_path, "--iterations", "5",
+                            "--seed", "-1", "--out", str(tmp_path / "out")], capsys)
+    assert code == 3, err
+    assert err == "error: seed is -1, not an integer in [0, inf]\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_malformed_style_file_exits_with_parse_code(mini_scenario_path, tmp_path, capsys):
     out, _ = plan_run(mini_scenario_path, tmp_path, capsys)
     style = tmp_path / "style.json"
@@ -527,6 +538,8 @@ MALFORMED = "malformed run directory {out}: "
 DEPTH_RANGE = f"not an integer in [1, {MAX_DEPTH_BOUND}]"
 MACRO_NAMES = "not a list of at most 2 macro names"  # the mini run's max_depth
 MACRO_INDEX = "not an index into the 7 macro_sequences"  # the mini run has 7
+DONE_RANGE = "not a finite number in [0.0, inf]"  # time, jerk, angular_acceleration, curvature
+INDICATOR_RANGE = "not a finite number in [1.0, 1.0]"  # collision, termination
 MISFIT = ("tracelog.json signature 0 components is ['angular_acceleration', 'curvature', 'jerk', "
           "'time'], not exactly ('collision',), which outcome 'collision' requires")
 
@@ -534,6 +547,16 @@ MISFIT = ("tracelog.json signature 0 components is ['angular_acceleration', 'cur
 def _set(column, value, entry=0):
     """An edit that sets one entry of a tracelog.json column."""
     return lambda log: log[column].__setitem__(entry, value)
+
+
+def _collide(value):
+    """An edit that makes signature 0 a collision whose component is `value`."""
+    def edit(log):
+        log["outcome"][0] = "collision"
+        for c in REWARD_COMPONENTS:
+            log[c][0] = None
+        log["collision"][0] = value
+    return edit
 
 
 def _set_macros(value):
@@ -544,9 +567,10 @@ def _set_macros(value):
 # Each edit puts one malformed value into an artifact of the mini run at seed 3
 # (40 records of 8 signatures; signature 0 is a "done" trace sampling v1's
 # option 0/0 with macro sequence 0 ['Continue'], and records 0 and 5 hold it;
-# signature 5 is held by record 6 alone, and signature 7 samples option 1/0
-# with macro sequence 0; v1's first option is 0/0), and `explain` must exit 7
-# with exactly this message ({out} is the run directory).
+# signature 2 is a termination, signature 5 is held by record 6 alone, and
+# signature 7 samples option 1/0 with macro sequence 0; v1's first option is
+# 0/0), and `explain` must exit 7 with exactly this message ({out} is the run
+# directory).
 MALFORMED_RUN_VALUES = {
     "positive-collision-weight": (
         "run.json", lambda run: run["reward_weights"].update(collision=5.0),
@@ -563,10 +587,10 @@ MALFORMED_RUN_VALUES = {
     "components-misfit-outcome": ("tracelog.json", _set("outcome", "collision"), MISFIT),
     "non-numeric-component": (
         "tracelog.json", _set("time", "fast"),
-        "tracelog.json signature 0 component time is 'fast', not a finite number"),
+        f"tracelog.json signature 0 component time is 'fast', {DONE_RANGE}"),
     "infinite-component": (
         "tracelog.json", _set("time", float("inf")),
-        "tracelog.json signature 0 component time is inf, not a finite number"),
+        f"tracelog.json signature 0 component time is inf, {DONE_RANGE}"),
     "non-numeric-option-p": (
         "predictions.json", lambda pred: _first_option(pred).update(p="high"),
         "predictions.json v1 option 0/0 p is 'high', not a finite number in [0.0, 1.0]"),
@@ -606,12 +630,25 @@ MALFORMED_RUN_VALUES = {
     "macro-sequence-repeated": (
         "tracelog.json", lambda log: log["macro_sequences"].__setitem__(1, ["Continue"]),
         "tracelog.json macro_sequences 1 repeats macro_sequences 0, ['Continue']"),
+    # The search writes a done component >= 0, and collision and termination 1.0.
+    "negative-time": (
+        "tracelog.json", _set("time", -13.4),
+        f"tracelog.json signature 0 component time is -13.4, {DONE_RANGE}"),
+    "negative-curvature": (
+        "tracelog.json", _set("curvature", -0.5),
+        f"tracelog.json signature 0 component curvature is -0.5, {DONE_RANGE}"),
+    "collision-not-1": (
+        "tracelog.json", _collide(5.0),
+        f"tracelog.json signature 0 component collision is 5.0, {INDICATOR_RANGE}"),
+    "termination-not-1": (
+        "tracelog.json", _set("termination", 0.5, entry=2),
+        f"tracelog.json signature 2 component termination is 0.5, {INDICATOR_RANGE}"),
     "component-nan": (
         "tracelog.json", _set("time", float("nan")),
-        "tracelog.json signature 0 component time is nan, not a finite number"),
+        f"tracelog.json signature 0 component time is nan, {DONE_RANGE}"),
     "component-too-large-for-a-float": (
         "tracelog.json", _set("time", 10 ** 400),
-        f"tracelog.json signature 0 component time is {10 ** 400}, not a finite number"),
+        f"tracelog.json signature 0 component time is {10 ** 400}, {DONE_RANGE}"),
     "label-a-list": (
         "predictions.json", lambda pred: _first_vehicle(pred).update(label=["the car"]),
         "predictions.json v1 label is ['the car'], not a string"),
@@ -673,6 +710,12 @@ MALFORMED_RUN_VALUES = {
     "column-not-a-list": (
         "tracelog.json", lambda log: log.update(outcome="done"),
         "tracelog.json outcome is 'done', not a list"),
+    "seed-negative": (
+        "run.json", lambda run: run.update(seed=-1),
+        "run.json seed is -1, not an integer in [0, inf]"),
+    "seed-a-string": (
+        "run.json", lambda run: run.update(seed="x"),
+        "run.json seed is 'x', not an integer in [0, inf]"),
     "max-depth-a-float": (
         "run.json", lambda run: run.update(max_depth=1e9),
         f"run.json max_depth is 1000000000.0, {DEPTH_RANGE}"),

@@ -1,9 +1,9 @@
 """Rules over the library's source, read with `ast`: no blanket exception
 handler outside the command-line driver, no private module-level function or
-class method that nothing in the package calls or names, and no public
-module-level function or class that nothing in the package names. One rule
-reads the tests: none names a shipped file by a path relative to the working
-directory."""
+class method that nothing in the package calls or names, no public
+module-level function or class that nothing in the package names, and no
+attribute that the package stores but never reads. One rule reads the
+tests: none names a shipped file by a path relative to the working directory."""
 
 import ast
 import pathlib
@@ -55,6 +55,24 @@ def test_every_public_module_function_and_class_has_a_user():
     unused = [f"{name}:{node.name}" for name, node in TOP_LEVEL
               if not node.name.startswith("_") and node.name not in USED]
     assert unused == []
+
+
+def test_every_stored_attribute_is_read():
+    # An attribute the package sets (an augmented assignment included) but
+    # never reads is a value that nothing uses. A `getattr` name reads one.
+    stored: dict[str, str] = {}
+    read: set[str] = set()
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.attr, f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    assert [f"{where}:{attr}" for attr, where in stored.items() if attr not in read] == []
 
 
 def test_no_test_names_a_shipped_file_relative_to_the_working_directory():

@@ -296,11 +296,11 @@ def test_constant_velocity_straight_features_are_zero():
                       speeds=np.full(n, 10.0))
     goal = Goal(lane="lane", start_s=99.0, end_s=100.0, label="end")
     f = extract_features(traj, goal, sc.layout)
-    assert f.jerk == 0.0
-    assert f.angular_acceleration == 0.0
-    assert f.curvature == 0.0
+    assert f["jerk"] == 0.0
+    assert f["angular_acceleration"] == 0.0
+    assert f["curvature"] == 0.0
     assert goal_entry(traj, goal, sc.layout) is None
-    assert f.time_to_goal == pytest.approx((n - 1) * 0.1)
+    assert f["time"] == pytest.approx((n - 1) * 0.1)
 
 
 def test_time_to_goal_on_100m_lane_at_10mps():
@@ -310,7 +310,7 @@ def test_time_to_goal_on_100m_lane_at_10mps():
                       speeds=np.full(n, 10.0))
     f = extract_features(traj, sc.ego_goal, sc.layout)
     assert goal_entry(traj, sc.ego_goal, sc.layout) is not None
-    assert f.time_to_goal == pytest.approx(10.0, abs=1e-9)
+    assert f["time"] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_circular_arc_curvature():
@@ -325,7 +325,7 @@ def test_circular_arc_curvature():
                       speeds=np.full(steps + 1, speed))
     sc = straight_lane_sc()
     f = extract_features(traj, sc.ego_goal, sc.layout)
-    assert f.curvature == pytest.approx(1.0 / radius, rel=0.02)
+    assert f["curvature"] == pytest.approx(1.0 / radius, rel=0.02)
 
 
 def test_features_invariant_to_rigid_translation():
@@ -344,5 +344,6 @@ def test_features_invariant_to_rigid_translation():
     traj2 = Trajectory(dt=traj.dt, xs=[x + dx for x in traj.xs], ys=[y + dy for y in traj.ys],
                        headings=traj.headings, speeds=traj.speeds)
     f1 = extract_features(traj2, sc2.ego_goal, sc2.layout)
-    for name in ("time_to_goal", "jerk", "angular_acceleration", "curvature"):
-        assert getattr(f0, name) == pytest.approx(getattr(f1, name), abs=1e-9)
+    assert list(f0) == list(f1) == ["time", "jerk", "angular_acceleration", "curvature"]
+    for name in f0:
+        assert f0[name] == pytest.approx(f1[name], abs=1e-9)

@@ -58,9 +58,8 @@ def test_single_applicable_macro_gets_all_visits(monkeypatch):
     predictions = predict_all(sc, prefixes, from_start)
     res = run_mcts(sc, init, PlannerConfig(iterations=25, max_depth=1, seed=0), predictions)
     root = res.tree.nodes[()]
-    assert set(root.actions) == {"Continue"}
-    assert root.actions["Continue"][0] == 25
-    assert root.visits == 25
+    assert set(root) == {"Continue"}
+    assert root["Continue"][0] == 25
 
 
 def test_exactly_one_record_per_iteration(mini_pipe):
@@ -68,10 +67,14 @@ def test_exactly_one_record_per_iteration(mini_pipe):
 
 
 def test_tree_visit_counts_are_consistent(mini_pipe):
+    # Every iteration passes the root; a prefix is entered at most as often
+    # as the action leading to it was taken.
     tree = mini_pipe.mcts.tree
+    assert sum(n for n, _ in tree.nodes[()].values()) == 80
     for key, node in tree.nodes.items():
-        assert node.visits == sum(n for n, _ in node.actions.values())
-        for _, q in node.actions.values():
+        if key:
+            assert sum(n for n, _ in node.values()) <= tree.nodes[key[:-1]][key[-1]][0]
+        for _, q in node.values():
             assert math.isfinite(q)
 
 
@@ -81,7 +84,7 @@ def test_every_trace_prefix_exists_in_tree(mini_pipe):
         prefix = ()
         for action in macros:
             assert prefix in tree.nodes
-            assert action in tree.nodes[prefix].actions
+            assert action in tree.nodes[prefix]
             prefix = prefix + (action,)
 
 
@@ -299,7 +302,7 @@ def test_target_speed_reaches_every_integrator(monkeypatch, target):
     monkeypatch.setattr(pipeline_mod, "enumerate_plans", recording_enumerate)
     monkeypatch.setattr(mcts_mod, "simulate_step", recording_step)
     pipe = run_pipeline(sc, 0, planner=PlannerConfig(iterations=30, max_depth=3, seed=0))
-    options = [o.trajectory for pred in pipe.predictions.vehicles.values()
+    options = [o.trajectory for pred in pipe.predictions.values()
                for opts in pred.options.values() for o in opts]
     for kind, trajs in (("observed", list(pipe.prefixes.values())), ("candidate", candidates),
                         ("predicted", options), ("rollout", rollouts)):
@@ -358,3 +361,11 @@ def test_plan_tie_breaks_by_q_then_name():
     for _ in range(5):
         tree2.update((), "A-action", -10.0)
     assert tree2.best_path() == ("B-action",)  # equal visits: higher q wins
+
+
+def test_ucb_log_total_counts_only_the_actions_that_apply_now():
+    # With the 6 visits of Continue and Stop, Continue scores 1 + sqrt(ln 6 / 5)
+    # = 1.60 against Stop's sqrt(ln 6) = 1.34. Counting Change-left's 100 visits
+    # too (106) would score them 1.97 and 2.16 and pick Stop.
+    node = {"Continue": [5, 1.0], "Stop": [1, 0.0], "Change-left": [100, 0.0]}
+    assert mcts_mod._select_ucb(node, ["Continue", "Stop"], 1.0, 0.0, 1.0) == "Continue"

@@ -151,7 +151,7 @@ def test_search_projects_each_car_following_key_once(monkeypatch):
     sc = load_scenario(DENSE)
     pipe = run_pipeline(sc, 0, planner=planner_config(sc, 0, iterations=60))
     option_of = {(vid, id(opt.trajectory)): (vid, g, s)
-                 for vid, pred in pipe.predictions.vehicles.items()
+                 for vid, pred in pipe.predictions.items()
                  for g, opts in pred.options.items() for s, opt in enumerate(opts)}
 
     peer_keys, ego_keys, projected = set(), set(), []

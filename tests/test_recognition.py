@@ -93,7 +93,7 @@ def test_single_reachable_goal_gets_probability_one(fork):
     start = lane_point_state(fork.layout, "approach", 10.0, 8.0)
     prefix = prefix_from_states([start])
     post = posterior(prefix, (fork_goals()[1],), fork.layout)
-    assert post.probs == (1.0,)
+    assert post == (1.0,)
 
 
 def test_symmetric_goals_split_evenly(fork):
@@ -101,8 +101,8 @@ def test_symmetric_goals_split_evenly(fork):
     later = lane_point_state(fork.layout, "approach", 18.0, 8.0)
     prefix = prefix_from_states([start, later])
     post = posterior(prefix, fork_goals(), fork.layout)
-    assert post.probs[0] == pytest.approx(0.5, abs=1e-9)
-    assert post.probs[1] == pytest.approx(0.5, abs=1e-9)
+    assert post[0] == pytest.approx(0.5, abs=1e-9)
+    assert post[1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_unreachable_goal_gets_zero_and_all_unreachable_raises(fork):
@@ -110,8 +110,8 @@ def test_unreachable_goal_gets_zero_and_all_unreachable_raises(fork):
     start = lane_point_state(fork.layout, "arm_right", 5.0, 5.0)
     prefix = prefix_from_states([start])
     post = posterior(prefix, fork_goals(), fork.layout)
-    assert post.probs[0] == 0.0
-    assert post.probs[1] == 1.0
+    assert post[0] == 0.0
+    assert post[1] == 1.0
     with pytest.raises(GoalUnreachableError, match="all goals unreachable"):
         posterior(prefix, (fork_goals()[0],), fork.layout)
 
@@ -135,7 +135,7 @@ def test_decelerating_near_right_turn_junction_favors_turn_goal():
              Goal("left", 140.0, 150.0, "the end of the road", lateral_tolerance=5.5))
     prefix = decel_prefix(sc, "right", 58.0, 9.0, steps=20, decel=BRAKE_APPROACH)
     post = posterior(prefix, goals, sc.layout, beta=1.0)
-    assert post.probs[0] > post.probs[1]
+    assert post[0] > post[1]
 
 
 def test_posterior_never_rises_for_goal_with_growing_detour():
@@ -154,7 +154,7 @@ def test_posterior_never_rises_for_goal_with_growing_detour():
         prefix = Trajectory(dt=DT, xs=full.xs[:steps + 1], ys=full.ys[:steps + 1],
                             headings=full.headings[:steps + 1], speeds=full.speeds[:steps + 1])
         post = posterior(prefix, goals, sc.layout, beta=1.0)
-        p_straight = post.probs[1]
+        p_straight = post[1]
         if last is not None:
             assert p_straight <= last + 1e-9
         last = p_straight
@@ -261,7 +261,7 @@ def test_recognition_is_deterministic():
     goals = spec_of(sc, "v1").goals
     a = posterior(prefix, goals, sc.layout, beta=2.0)
     b = posterior(prefix, goals, sc.layout, beta=2.0)
-    assert a.probs == b.probs
+    assert a == b
 
 
 def test_predict_all_covers_non_egos_and_normalizes():
@@ -270,9 +270,9 @@ def test_predict_all_covers_non_egos_and_normalizes():
     plans, from_start = true_goal_plans(sc, init)
     prefixes, _ = observe(sc, init, plans)
     preds = predict_all(sc, prefixes, from_start)
-    assert set(preds.vehicles) == {"v1"}
+    assert set(preds) == {"v1"}
     pred = preds["v1"]
-    assert sum(pred.posterior.probs) == pytest.approx(1.0, abs=1e-9)
+    assert sum(pred.goal_probs) == pytest.approx(1.0, abs=1e-9)
     current = prefixes["v1"].tail_state()
     for gi, opts in pred.options.items():
         if opts:
@@ -401,7 +401,7 @@ def test_goal_posterior_equals_full_scan_on_a_prefix_inside_a_goal(monkeypatch):
     assert goal_contains(sc.layout, goals[0], prefix.xs[-2], prefix.ys[-2])
     from_start = enumerate_plans(start, goals, sc.layout, sc.dt, sc.horizon, sc.target_speed)
     post = assert_posterior_equals_full_scan(sc, prefix, goals, from_start, monkeypatch)
-    assert all(0.0 < p < 1.0 for p in post.probs)
+    assert all(0.0 < p < 1.0 for p in post)
 
 
 # --- enumeration oracle: the single-goal enumeration, one goal at a time ----------
@@ -419,9 +419,9 @@ def reference_enumerate(state, goal, layout, dt, horizon, cruise):
 
     def reward(traj):
         f = extract_features(traj, goal, layout)
-        return (w["time"] * f.time_to_goal + w["jerk"] * f.jerk
-                + w["angular_acceleration"] * f.angular_acceleration
-                + w["curvature"] * f.curvature)
+        return (w["time"] * f["time"] + w["jerk"] * f["jerk"]
+                + w["angular_acceleration"] * f["angular_acceleration"]
+                + w["curvature"] * f["curvature"])
 
     def recurse(cur, macros, parts, steps_left, depth):
         if depth >= ENUMERATION_DEPTH or steps_left <= 0:

@@ -34,8 +34,7 @@ from whyplan.maneuvers import (ACCEL_MAX, BRAKE_MAX, COLLISION_RADIUS, FOLLOW_KG
                                ChainStepper, Trajectory, _LaneChangeSegment, _Segment,
                                _try_clear, applicable_macros, chain_reaches_goal,
                                expand_macro, goal_entry, lane_follow_chain)
-from whyplan.recognition import (GoalPosterior, TrajectoryOption, VehiclePrediction,
-                                 choice_table)
+from whyplan.recognition import TrajectoryOption, VehiclePrediction, choice_table
 from whyplan.scenario import (JointState, VehicleState, goal_box, goal_contains,
                               goal_tolerance, load_scenario, scenario_from_dict)
 from whyplan.simulation import FixedTraffic, ProjectionTable
@@ -457,7 +456,7 @@ def test_vehicle_sample_equals_two_generator_choices(goal_w, option_w, seed):
     options = {g: tuple(TrajectoryOption((), None, q)
                         for q in (np.asarray(w) / np.sum(w)).tolist())
                for g, w in zip(range(len(goal_p)), option_w)}
-    pred = VehiclePrediction("v", "v", GoalPosterior(tuple(goal_p), tuple(goal_p)), options)
+    pred = VehiclePrediction("v", tuple(goal_p), options)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
         g = int(theirs.choice(len(goal_p), p=np.asarray(goal_p)))

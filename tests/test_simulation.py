@@ -240,7 +240,7 @@ def test_library_trajectories_hold_float_lists(monkeypatch):
     monkeypatch.setattr(mcts_mod, "concat_trajectories", concat)
     pipe = run_pipeline(S2, 0, planner=planner_config(S2, 0, iterations=10))
     built["observed"] = list(pipe.prefixes.values())
-    built["predicted"] = [o.trajectory for pred in pipe.predictions.vehicles.values()
+    built["predicted"] = [o.trajectory for pred in pipe.predictions.values()
                           for opts in pred.options.values() for o in opts]
     me = pipe.planning_state.vehicles[S2.ego_id]
     built["empty road"] = [roll_chain(expand_macro(macro, me, S2.layout), me, S2.layout, DT,
