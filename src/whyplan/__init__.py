@@ -15,8 +15,8 @@ from .errors import (EmptyTraceLogError, GoalUnreachableError, InapplicableMacro
                      OffRoadError, QueryParseError, RunDirectoryError, ScenarioParseError,
                      ScenarioValidationError, StyleError, UnexploredCounterfactualError,
                      WhyplanError)
-from .grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw, load_style,
-                      post_process, realize_macros, to_grammar_input)
+from .grammar import (DEFAULT_STYLE, adverb, explain, generate_raw, load_style, post_process,
+                      realize_macros)
 from .maneuvers import Maneuver, Trajectory, applicable_macros, expand_macro, extract_features
 from .mcts import (OUTCOME_KINDS, PlannerConfig, RewardConfig, SearchTree, TraceTable,
                    run_mcts, terminal_reward)

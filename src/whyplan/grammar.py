@@ -1,19 +1,19 @@
-"""Contrastive explanation text: deterministic realization of a causal
-summary through recursive generative rules, plus a post-processing pass that
-swaps stock phrases for plainer ones.
+"""Contrastive explanation text: the recursive generative rules expand a
+`causal.CausalSummary`, the (scenario, effects, causes) triple, into one
+sentence, and a post-processing pass swaps stock phrases for plainer ones.
 
-The wording tables are data. The defaults give conditional-perfect phrasing
-for causes ("vehicle 1 would have probably changed right"); a style file can
-switch causes to present tense and re-label macros/outcomes (see
+The wording tables are data, and `DEFAULT_STYLE` is the one place their
+defaults live. The defaults give conditional-perfect phrasing for causes
+("vehicle 1 would have probably changed right"); a style file can switch
+causes to present tense and re-label macros/outcomes (see
 scenarios/present_style.json).
 """
 
 import copy
 import os
-from dataclasses import dataclass
 
 from . import checks
-from .causal import CausalSummary
+from .causal import CausalSummary, Cause, CfOutcome, Effect
 from .errors import StyleError
 
 STYLE_ENV_VAR = "WHYPLAN_STYLE"
@@ -94,7 +94,7 @@ def load_style(path: str | None = None) -> dict:
     if path:
         overlay = checks.typed(checks.read_json(path, StyleError), (path,), StyleError, dict)
         for key, value in overlay.items():
-            if isinstance(value, dict) and isinstance(style.get(key), dict):
+            if isinstance(value, dict) and isinstance(DEFAULT_STYLE.get(key), dict):
                 style[key].update(value)
             else:
                 style[key] = value
@@ -130,51 +130,6 @@ def _check_style(style: dict) -> None:
                 raise StyleError(
                     f"post-processing output {out!r} contains pattern {pattern!r}; "
                     "substitution would not be idempotent")
-
-
-# --- grammar input -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrammarInput:
-    """The (scenario, effects, causes) triple the rules expand.
-
-    cf_outcome_p may be None to elide the adverb. Effect deltas here are in
-    presentation (quantity) space; rel words follow their sign directly.
-    """
-
-    cf_macros: tuple[str, ...]
-    outcome: str
-    outcome_p: float | None
-    effects: tuple[tuple[float, str], ...]        # (delta, component)
-    causes: tuple[tuple[object, tuple[str, ...], float | None], ...]
-    collider_label: str | None = None
-
-
-def to_grammar_input(summary: CausalSummary, style: dict) -> GrammarInput:
-    """Convert a causal summary into presentation form.
-
-    Reward-space effect deltas are re-expressed in quantity space so that a
-    slower counterfactual reads "higher time to goal". Probabilities equal to
-    one lose their adverb when the style says so.
-    """
-    def suppress(p):
-        if p is None:
-            return None
-        if style.get("suppress_certain_adverb", True) and p >= 1.0 - 1e-12:
-            return None
-        return p
-
-    effects = tuple((e.delta_quantity, e.component) for e in summary.effects)
-    causes = tuple((c.label, c.macros, suppress(c.probability)) for c in summary.causes)
-    return GrammarInput(
-        cf_macros=summary.cf_actions,
-        outcome=summary.outcome.kind,
-        outcome_p=suppress(summary.outcome.probability),
-        effects=effects,
-        causes=causes,
-        collider_label=summary.outcome.collider,
-    )
 
 
 # --- rules -------------------------------------------------------------------
@@ -229,52 +184,53 @@ def _rel(delta: float) -> str:
     return "equal"
 
 
-def _subject(label) -> str:
-    if isinstance(label, (int, float)) and not isinstance(label, bool):
-        return f"vehicle {int(label)}"
-    return str(label)
-
-
 def _join(words: list[str]) -> str:
     return " ".join(w for w in words if w)
 
 
-def _out_phrase(ginput: GrammarInput, style: dict) -> str:
-    text = style["outcomes"].get(ginput.outcome, ginput.outcome)
-    if "{collider}" in text:
-        collider = ginput.collider_label if ginput.collider_label is not None else "a vehicle"
-        text = text.replace("{collider}", _subject(collider))
-    return _join([adverb(ginput.outcome_p), text])
+def _adverb(p: float, style: dict) -> str:
+    """The adverb for p; a certain probability loses it when the style says so."""
+    if style["suppress_certain_adverb"] and p >= 1.0 - 1e-12:
+        return ""
+    return adverb(p)
 
 
-def _comp_phrase(delta: float, component: str, style: dict) -> str:
-    name = style["components"].get(component, component)
-    return f"with {_rel(delta)} {name}"
+def _out_phrase(outcome: CfOutcome, style: dict) -> str:
+    text = style["outcomes"].get(outcome.kind, outcome.kind)
+    collider = outcome.collider if outcome.collider is not None else "a vehicle"
+    return _join([_adverb(outcome.probability, style), text.replace("{collider}", collider)])
 
 
-def _cause_phrase(cause, style: dict) -> str:
-    label, macros, p = cause
-    tense = "nonego" if style.get("cause_tense", "perfect") == "present" else "nonego-perfect"
-    aux = style.get("cause_aux", "would have") if tense == "nonego-perfect" else ""
-    return _join([_subject(label), aux, adverb(p), realize_macros(macros, tense, style)])
+def _comp_phrase(effect: Effect, style: dict) -> str:
+    # The quantity-space delta, so a slower counterfactual reads "higher time to goal".
+    name = style["components"].get(effect.component, effect.component)
+    return f"with {_rel(effect.delta_quantity)} {name}"
 
 
-def generate_raw(ginput: GrammarInput, style: dict | None = None) -> str:
+def _cause_phrase(cause: Cause, style: dict) -> str:
+    tense = "nonego" if style["cause_tense"] == "present" else "nonego-perfect"
+    aux = style["cause_aux"] if tense == "nonego-perfect" else ""
+    return _join([cause.label, aux, _adverb(cause.probability, style),
+                  realize_macros(cause.macros, tense, style)])
+
+
+def generate_raw(summary: CausalSummary, style: dict | None = None) -> str:
     """Expand the rules on a causal summary; deterministic, total.
 
     Shape: "if <ego action> then it would have <outcome> <effects> because
     <causes>." The because-clause is suppressed with empty causes unless the
-    style insists on the literal rule.
+    style insists on the literal rule. The style is `DEFAULT_STYLE` or a
+    `load_style` result, so it holds every key.
     """
     style = style or DEFAULT_STYLE
-    action = _join([style.get("ego_subject", "ego"), style.get("ego_aux", "had"),
-                    adverb(None), realize_macros(ginput.cf_macros, "ego", style)])
-    effects = " and ".join(_comp_phrase(d, r, style) for d, r in ginput.effects)
-    causes = " and ".join(_cause_phrase(c, style) for c in ginput.causes)
-    parts = ["if", action, "then", "it would have", _out_phrase(ginput, style), effects]
+    action = _join([style["ego_subject"], style["ego_aux"],
+                    realize_macros(summary.cf_actions, "ego", style)])
+    effects = " and ".join(_comp_phrase(e, style) for e in summary.effects)
+    causes = " and ".join(_cause_phrase(c, style) for c in summary.causes)
+    parts = ["if", action, "then", "it would have", _out_phrase(summary.outcome, style), effects]
     if causes:
         parts += ["because", causes]
-    elif not style.get("suppress_empty_because", True):
+    elif not style["suppress_empty_because"]:
         parts += ["because"]
     sentence = _join(parts)
     return sentence[0].upper() + sentence[1:] + "."
@@ -290,7 +246,7 @@ def post_process(raw: str, style: dict | None = None) -> str:
 
 
 def explain(summary: CausalSummary, style: dict | None = None) -> tuple[str, str]:
-    """(raw, post-processed) sentences for a causal summary."""
-    style = style or DEFAULT_STYLE
-    raw = generate_raw(to_grammar_input(summary, style), style)
+    """(raw, post-processed) sentences for a causal summary; the style is
+    `DEFAULT_STYLE` (when None) or a `load_style` result."""
+    raw = generate_raw(summary, style)
     return raw, post_process(raw, style)

@@ -82,7 +82,13 @@ def planner_config(scenario: Scenario, seed: int, iterations: int = 300, max_dep
 
 def run_pipeline(scenario: Scenario, seed: int, planner: PlannerConfig | None = None,
                  reward: RewardConfig | None = None) -> PipelineResult:
-    """Full planning run: returns the plan, trace log and Bayes net."""
+    """Full planning run: returns the plan, trace log and Bayes net.
+
+    `seed` draws the initial states and is the seed `save_run` records; it
+    must be a non-negative integer, else ScenarioValidationError. The search
+    draws from `planner.seed`, which `planner_config` sets to the same seed.
+    """
+    checks.integer(seed, ("seed",), ScenarioValidationError, 0)
     planner = planner or planner_config(scenario, seed)
     reward = reward or RewardConfig()
     initial = sample_initial_states(scenario, seed)

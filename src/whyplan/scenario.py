@@ -29,6 +29,13 @@ OFFROAD_MARGIN_M = 1.5
 # 18,000 points.
 MAX_CONNECTION_M = 1000.0
 
+# Upper bounds on the time step, every speed and the recognition softmax's
+# rationality, far above any drivable value. Beyond about 1e308 the motion
+# arithmetic overflows and the goal softmax turns NaN.
+MAX_TIMESTEP_S = 1e6
+MAX_SPEED_MPS = 1e6
+MAX_RATIONALITY_BETA = 1e6
+
 
 @dataclass(frozen=True)
 class Lane:
@@ -359,6 +366,11 @@ def _validate_scenario(sc: Scenario) -> None:
     checks.integer(sc.horizon, ("scenario", "horizon_steps"), invalid, 1)
     checks.integer(sc.observation_steps, ("scenario", "observation_steps"), invalid, 0)
     checks.number(sc.rationality_beta, ("scenario", "rationality_beta"), invalid, 0.0)
+    for key, value, most in (("timestep_s", sc.dt, MAX_TIMESTEP_S),
+                             ("target_speed_mps", sc.target_speed, MAX_SPEED_MPS),
+                             ("rationality_beta", sc.rationality_beta, MAX_RATIONALITY_BETA)):
+        if value > most:
+            checks.fail(value, ("scenario", key), f"at most {most:g}", invalid)
     for v in sc.vehicles:
         where = ("vehicle", v.id)
         lane = lanes[checks.member(v.lane, where + ("lane",), invalid, lanes, "a lane id")]
@@ -366,6 +378,8 @@ def _validate_scenario(sc: Scenario) -> None:
         checks.number(v.spawn_range, where + ("spawn_range_m",), invalid, 0.0)
         lo, hi = v.speed_range
         checks.number(lo, where + ("speed_range_mps", 0), invalid, 0.0, hi)
+        if hi > MAX_SPEED_MPS:
+            checks.fail(hi, where + ("speed_range_mps", 1), f"at most {MAX_SPEED_MPS:g}", invalid)
         if v.id != sc.ego_id and not v.goals:
             checks.fail([], where + ("goals",), "a list of at least one goal", invalid)
         reachable = sc.layout.reachable_lanes(v.lane)
@@ -374,6 +388,8 @@ def _validate_scenario(sc: Scenario) -> None:
             glane = lanes[checks.member(g.lane, gwhere + ("lane",), invalid, lanes, "a lane id")]
             checks.number(g.start_s, gwhere + ("interval", 0), invalid, 0.0, g.end_s)
             checks.number(g.end_s, gwhere + ("interval", 1), invalid, 0.0, glane.length + 1e-9)
+            if g.lateral_tolerance is not None:
+                checks.number(g.lateral_tolerance, gwhere + ("lateral_tolerance_m",), invalid, 0.0)
             checks.member(g.lane, gwhere + ("lane",), invalid, reachable,
                           f"a lane reachable from {v.lane!r}")
 

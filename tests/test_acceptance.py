@@ -14,10 +14,11 @@ import time
 import pytest
 
 from whyplan.bayes_net import build_bn, expected_reward, query
-from whyplan.causal import CounterfactualQuery, reward_deltas, trace_divergence
+from whyplan.causal import (CausalSummary, Cause, CfOutcome, CounterfactualQuery, Effect,
+                            reward_deltas, trace_divergence)
 from whyplan.cli import main as cli_main
 from whyplan.errors import UnexploredCounterfactualError
-from whyplan.grammar import GrammarInput, adverb, generate_raw, load_style, post_process
+from whyplan.grammar import adverb, generate_raw, load_style, post_process
 from whyplan.mcts import OUTCOME_KINDS, REWARD_COMPONENTS, RewardConfig
 from whyplan.pipeline import explain_query, run_pipeline
 from whyplan.scenario import load_scenario
@@ -74,14 +75,17 @@ def s2_runs():
 
 def test_criterion_01_grammar_fidelity_running_example():
     with criterion("grammar fidelity: running example renders byte-exact in < 1 ms"):
-        ginput = GrammarInput(cf_macros=("Continue",), outcome="done", outcome_p=0.75,
-                              effects=((-5.0, "time"),),
-                              causes=((1, ("Change-right",), 0.6),))
-        generate_raw(ginput)  # warm any caches before timing
+        summary = CausalSummary(
+            cf_actions=("Continue",),
+            outcome=CfOutcome(distribution={"done": 0.75}, kind="done", probability=0.75),
+            effects=(Effect(component="time", delta=-5.0, delta_quantity=-5.0),),
+            causes=(Cause(vehicle="v1", label="vehicle 1", macros=("Change-right",),
+                          probability=0.6, divergence=0.0),))
+        generate_raw(summary)  # warm any caches before timing
         best = math.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            out = generate_raw(ginput)
+            out = generate_raw(summary)
             best = min(best, time.perf_counter() - t0)
         assert out == RUNNING_EXAMPLE
         assert best < 1e-3

@@ -440,6 +440,46 @@ def test_malformed_scenario_exits_with_parse_code(tmp_path, capsys, case):
     assert not os.path.exists(tmp_path / "run")
 
 
+# Each edit puts one value out of its documented range into a shipped scenario,
+# and `plan` must exit 3 with exactly this message, before the motion
+# arithmetic can overflow or the goal softmax turn NaN.
+OUT_OF_RANGE_SCENARIOS = {  # case -> (file, path to the edited value, its new value, message)
+    "huge-timestep-s1": ("s1.json", ("timestep_s",), 1e308,
+                         "scenario timestep_s is 1e+308, not at most 1e+06"),
+    "huge-timestep-s2": ("s2.json", ("timestep_s",), 1e308,
+                         "scenario timestep_s is 1e+308, not at most 1e+06"),
+    "huge-speed-range": ("s1.json", ("vehicles", 1, "speed_range_mps", 1), 1e308,
+                         "vehicle v1 speed_range_mps 1 is 1e+308, not at most 1e+06"),
+    "huge-rationality-s1": ("s1.json", ("rationality_beta",), 1e308,
+                            "scenario rationality_beta is 1e+308, not at most 1e+06"),
+    "huge-rationality-s2": ("s2.json", ("rationality_beta",), 1e308,
+                            "scenario rationality_beta is 1e+308, not at most 1e+06"),
+    "huge-target-speed": ("s2.json", ("target_speed_mps",), 1e308,
+                          "scenario target_speed_mps is 1e+308, not at most 1e+06"),
+    "negative-ego-tolerance": ("s1.json", ("ego", "goal", "lateral_tolerance_m"), -1.0,
+                               "ego goal lateral_tolerance_m is -1.0, "
+                               "not a finite number in [0.0, inf]"),
+    "negative-goal-tolerance": ("s2.json", ("vehicles", 1, "goals", 0, "lateral_tolerance_m"),
+                                -1.0, "vehicle v1 goals 0 lateral_tolerance_m is -1.0, "
+                                "not a finite number in [0.0, inf]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_SCENARIOS))
+def test_out_of_range_scenario_exits_with_validation_code(tmp_path, capsys, case):
+    name, path, value, message = OUT_OF_RANGE_SCENARIOS[case]
+    with open(os.path.join(REPO_ROOT, "scenarios", name)) as fh:
+        raw = json.load(fh)
+    functools.reduce(operator.getitem, path[:-1], raw)[path[-1]] = value
+    scenario = tmp_path / name
+    scenario.write_text(json.dumps(raw))
+    code, _, err = run_cli(["plan", "--scenario", str(scenario), *FAST,
+                            "--out", str(tmp_path / "run")], capsys)
+    assert code == 3, err
+    assert err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_plan_into_an_existing_file_exits_with_run_dir_code(mini_scenario_path, tmp_path,
                                                             capsys):
     out = tmp_path / "taken"

@@ -8,10 +8,13 @@ recognition behaviour, or the run-directory format, and must say why in
 CHANGES.md.
 
 Also checks that `load_run` rebuilds, from the run directory alone, the
-model the planning run built in memory, down to the `bn.json` bytes.
+model the planning run built in memory, down to the `bn.json` bytes, and pins
+the SHA-256 of the explanation sentences for every explored depth-1 and
+depth-2 counterfactual of those runs.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
@@ -21,8 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whyplan.bayes_net import build_bn, model_to_dict
+from whyplan.cli import parse_query
 from whyplan.mcts import OUTCOME_REQUIRED, REWARD_COMPONENTS, PlannerConfig, RewardConfig
-from whyplan.pipeline import file_sha256, load_run, planner_config, run_pipeline, save_run
+from whyplan.pipeline import (explain_query, file_sha256, load_run, planner_config, run_pipeline,
+                              save_run)
 from whyplan.scenario import load_scenario
 
 from conftest import REPO_ROOT, random_trace_log
@@ -130,6 +135,32 @@ def test_trace_table_expands_to_the_trace_log(planned, name, seed, iterations):
                                   table.assignment[j][1::2]))),
                  table.macro_sequences[table.macros[j]]) for j in table.record]
     assert [(it.assignment_key(), it.macros) for it in pipe.mcts.trace_log] == expanded
+
+
+SENTENCES_PINNED = {
+    ("s1", 0): "85bad0e8fe8a65145c5320fde39624f43e7c2f2602b895f18f662b4d661f5978",
+    ("s2", 0): "e74e35ec4b7c7d312f651d251453deeaf176e3ac739c9d3e7f7b9daea5aa62da",
+    ("dense", 0): "b5a7449d2af7f00fde966a5505ed16dd674c3752e4a3818348fe5f6d87ba9754",
+    ("s1", 1): "5175df94a7f596467b474bcb9dc1f3808dc1ac22f30a99e664a2b495b03656d3",
+    ("s2", 1): "0f304ff37082698ca070d77de426866f4350830077615ed60c81d26dc61277bd",
+    ("dense", 1): "7f8fb1618ac2517a30d6476922321b388709f9cfabbf705e421cec1f16202503",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(SENTENCES_PINNED))
+def test_explanation_sentences_match_pinned_sha256(planned, name, seed):
+    # Every explored depth-1 and depth-2 counterfactual, in a fixed order: its
+    # raw and its post-processed sentence, one per line.
+    pipe = planned(name, seed, 60)
+    model = pipe.model
+    lines = []
+    for depth in (1, 2):
+        for action in sorted(model.omega_support[depth]):
+            query = parse_query(f"omega{depth}={action}", n_causes=2, n_effects=3)
+            _, raw, text = explain_query(model, pipe.mcts.plan, pipe.reward, query)
+            lines += [raw, text]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SENTENCES_PINNED[(name, seed)], "\n".join(lines)
 
 
 # At 60 iterations test_reloaded_model_equals_the_in_memory_model checks this too.

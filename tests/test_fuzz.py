@@ -4,7 +4,8 @@ error").
 
 Four kinds of input are mutated: the leaves of the shipped scenario files
 `s1.json` and `s2.json`, each planned at 5 iterations within a time bound per
-case; the leaves of one small run directory's `run.json`, of its
+case, and every number of theirs off the lane midlines set to each float
+extreme; the leaves of one small run directory's `run.json`, of its
 `tracelog.json` columns and their first entries, and of its
 `predictions.json`; every key and table entry of a style file; and query
 strings built from an atom alphabet. The faults of the per-signature trace
@@ -16,8 +17,10 @@ seeded `random.Random`, so the cases are the same on every run.
 """
 
 import copy
+import functools
 import json
 import math
+import operator
 import os
 import random
 import signal
@@ -58,6 +61,14 @@ QUERY_ATOMS = ["omega", "omega1", "omega-1", "omega1e9", "Omega1", "=", "==", ",
 # connection into it 1e9 m long, a curve of 2e9 samples.
 CONNECTION_CASES = [("s1.json", ("layout", "lanes", 1, "midline", 0, 1), 1e9),
                     ("s1.json", ("layout", "lanes", 2, "midline", 0, 0), 1e9)]
+
+# The largest and the smallest positive float, which every number of s1 and s2
+# outside the lane midlines takes in turn (`extreme_cases`): the scalars, the
+# vehicle numbers, the lane widths, and the goal intervals and tolerances. A
+# huge timestep, speed range or rationality once ended as exit 1. Midline
+# points stay out: a lane's last point moved to +-1e308 still runs past
+# CASE_SECONDS in the goal walk.
+EXTREMES = (1e308, 5e-324)
 
 
 class CaseTimeout(BaseException):
@@ -122,9 +133,21 @@ def run_dir_cases(originals: dict, rng: random.Random):
         yield name, path, rng.choice(VALUES + [DELETE])
 
 
+def extreme_cases(originals: dict):
+    """(file, path, value) setting each number off the midlines to each of EXTREMES."""
+    for name, payload in originals.items():
+        for path in leaves(payload):
+            value = functools.reduce(operator.getitem, path, payload)
+            if type(value) in (int, float) and "midline" not in path:
+                for extreme in EXTREMES:
+                    yield name, path, extreme
+
+
 def scenario_cases(originals: dict, rng: random.Random):
-    """The connection cases, then (file, path, value) cases over every leaf."""
+    """The connection and extreme-value cases, then (file, path, value) cases
+    over every leaf."""
     yield from CONNECTION_CASES
+    yield from extreme_cases(originals)
     paths = [(name, p) for name in originals for p in leaves(originals[name])]
     for _ in range(SCENARIO_CASES):
         name, path = rng.choice(paths)

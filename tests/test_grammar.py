@@ -6,22 +6,31 @@ import pytest
 
 from whyplan.causal import CausalSummary, Cause, CfOutcome, Effect
 from whyplan.errors import StyleError
-from whyplan.grammar import (DEFAULT_STYLE, GrammarInput, adverb, explain, generate_raw,
-                             load_style, post_process, realize_macros, to_grammar_input)
+from whyplan.grammar import (adverb, explain, generate_raw, load_style, post_process,
+                             realize_macros)
 
 RUNNING_EXAMPLE = ("If ego had continued ahead then it would have likely reached its goal "
                    "with lower time to goal because vehicle 1 would have probably changed "
                    "right.")
 
 
-def running_example_input():
-    return GrammarInput(
-        cf_macros=("Continue",),
-        outcome="done",
-        outcome_p=0.75,
-        effects=((-5.0, "time"),),
-        causes=((1, ("Change-right",), 0.6),),
+def summary_of(cf_actions=("Continue",), kind="done", probability=0.8, effects=(), causes=(),
+               collider=None):
+    """A causal summary from (quantity delta, component) effects and
+    (label, macros, probability) causes."""
+    return CausalSummary(
+        cf_actions=cf_actions,
+        outcome=CfOutcome(distribution={kind: probability}, kind=kind, probability=probability,
+                          collider=collider),
+        effects=tuple(Effect(component=c, delta=d, delta_quantity=d) for d, c in effects),
+        causes=tuple(Cause(vehicle=label, label=label, macros=macros, probability=p,
+                           divergence=0.0) for label, macros, p in causes),
     )
+
+
+def running_example_summary():
+    return summary_of(probability=0.75, effects=((-5.0, "time"),),
+                      causes=(("vehicle 1", ("Change-right",), 0.6),))
 
 
 def test_adverb_threshold_table():
@@ -51,61 +60,55 @@ def test_realize_macros_tenses():
 
 
 def test_running_example_renders_byte_exact():
-    assert generate_raw(running_example_input()) == RUNNING_EXAMPLE
+    assert generate_raw(running_example_summary()) == RUNNING_EXAMPLE
 
 
 def test_no_goal_shape_with_suppressed_adverb_and_no_causes():
-    ginput = GrammarInput(cf_macros=("Exit-right",), outcome="termination", outcome_p=None,
-                          effects=(), causes=())
-    assert generate_raw(ginput) == \
+    # A certain outcome loses its adverb.
+    summary = summary_of(cf_actions=("Exit-right",), kind="termination", probability=1.0)
+    assert generate_raw(summary) == \
         "If ego had turned right then it would have not reached the goal."
 
 
 def test_two_effects_join_with_and():
-    ginput = GrammarInput(cf_macros=("Continue",), outcome="done", outcome_p=0.8,
-                          effects=((2.0, "time"), (0.3, "jerk")), causes=())
-    text = generate_raw(ginput)
+    text = generate_raw(summary_of(effects=((2.0, "time"), (0.3, "jerk"))))
     assert "with higher time to goal and with higher jerk" in text
 
 
 def test_monotone_extension_of_effects_and_causes():
     effects = ((2.0, "time"), (0.3, "jerk"), (-0.1, "angular_acceleration"))
-    causes = ((1, ("Change-right",), 0.6), (2, ("Exit-right",), 0.5))
+    causes = (("vehicle 1", ("Change-right",), 0.6), ("vehicle 2", ("Exit-right",), 0.5))
     prev_effects = None
     for n in range(1, 4):
-        ginput = GrammarInput(("Continue",), "done", 0.8, effects[:n], causes[:1])
-        text = generate_raw(ginput)
+        text = generate_raw(summary_of(effects=effects[:n], causes=causes[:1]))
         chunk = text.split(" because ")[0]
         if prev_effects is not None:
             assert chunk.startswith(prev_effects.split(" because ")[0][:-1]) or \
                 prev_effects.split(" because ")[0].rstrip(".") in chunk
         prev_effects = text
-    one = generate_raw(GrammarInput(("Continue",), "done", 0.8, effects[:1], causes[:1]))
-    two = generate_raw(GrammarInput(("Continue",), "done", 0.8, effects[:1], causes))
+    one = generate_raw(summary_of(effects=effects[:1], causes=causes[:1]))
+    two = generate_raw(summary_of(effects=effects[:1], causes=causes))
     assert two.startswith(one[:-1])
     assert " and " in two.split(" because ")[1]
 
 
 def test_collision_outcome_substitutes_collider():
-    ginput = GrammarInput(cf_macros=("Continue",), outcome="collision", outcome_p=0.6,
-                          effects=(), causes=(), collider_label="vehicle 1")
-    assert "probably collided with vehicle 1" in generate_raw(ginput)
-    anon = GrammarInput(cf_macros=("Continue",), outcome="collision", outcome_p=0.6,
-                        effects=(), causes=())
+    summary = summary_of(kind="collision", probability=0.6, collider="vehicle 1")
+    assert "probably collided with vehicle 1" in generate_raw(summary)
+    anon = summary_of(kind="collision", probability=0.6)
     assert "collided with a vehicle" in generate_raw(anon)
 
 
 def test_strict_mode_keeps_literal_because():
     style = load_style()
     style["suppress_empty_because"] = False
-    ginput = GrammarInput(("Continue",), "done", 0.8, (), ())
-    assert generate_raw(ginput, style).endswith("because.")
+    assert generate_raw(summary_of(), style).endswith("because.")
 
 
 def test_generate_raw_is_deterministic_and_total():
-    ginput = running_example_input()
-    a = generate_raw(ginput)
-    b = generate_raw(ginput)
+    summary = running_example_summary()
+    a = generate_raw(summary)
+    b = generate_raw(summary)
     assert a == b
     assert "{" not in a and "}" not in a
     assert a[0].isupper() and a.endswith(".")
@@ -139,8 +142,8 @@ def test_style_file_overrides(tmp_path):
         "outcomes": {"done": "reached the goal"},
     }))
     style = load_style(str(style_path))
-    ginput = GrammarInput(("Continue",), "done", 0.8, (), ((1, ("Change-right",), 0.6),))
-    text = generate_raw(ginput, style)
+    summary = summary_of(causes=(("vehicle 1", ("Change-right",), 0.6),))
+    text = generate_raw(summary, style)
     assert text.startswith("If ego had gone straight then it would have likely reached "
                            "the goal")
     assert "vehicle 1 probably changes right" in text
@@ -203,7 +206,7 @@ def test_malformed_style_value_is_a_style_error(tmp_path, case):
         load_style(str(style_path))
 
 
-def test_to_grammar_input_suppression_and_quantity_deltas():
+def test_certain_adverb_suppression_and_quantity_deltas():
     summary = CausalSummary(
         cf_actions=("Continue",),
         outcome=CfOutcome(distribution={"done": 1.0}, kind="done", probability=1.0),
@@ -211,11 +214,7 @@ def test_to_grammar_input_suppression_and_quantity_deltas():
         causes=(Cause(vehicle="v1", label="vehicle 1", macros=("Change-right",),
                       probability=1.0, divergence=0.0),),
     )
-    ginput = to_grammar_input(summary, DEFAULT_STYLE)
-    assert ginput.outcome_p is None        # certainty elides the adverb
-    assert ginput.causes[0][2] is None
-    assert ginput.effects[0] == (2.5, "time")
-    raw = generate_raw(ginput)
+    raw = generate_raw(summary)
     assert "certainly" not in raw
     assert "with higher time to goal" in raw
     assert post_process(raw).count("slower") == 1

@@ -48,6 +48,15 @@ def test_config_validation():
         RewardConfig(weights={**RewardConfig().weights, "collision": 5.0})
 
 
+# A seed that numpy refuses, or one that save_run would write and load_run refuse.
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_run_pipeline_checks_its_own_seed(seed):
+    scenario = load_scenario(os.path.join(REPO_ROOT, "scenarios", "s1.json"))
+    with pytest.raises(ScenarioValidationError, match=re.escape(
+            f"seed is {seed!r}, not an integer in [0, inf]")):
+        run_pipeline(scenario, seed, planner=PlannerConfig(iterations=5))
+
+
 def test_single_applicable_macro_gets_all_visits(monkeypatch):
     sc = scenario_from_dict(mini_scenario_dict())
     monkeypatch.setattr(mcts_mod, "applicable_macros",

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from whyplan.errors import OffRoadError, ScenarioParseError, ScenarioValidationError
 from whyplan.geometry import Polyline, turn_curve
-from whyplan.scenario import (Goal, VehicleState, goal_contains, lane_point_state,
-                              load_scenario, locate, sample_initial_states,
-                              scenario_from_dict)
+from whyplan.scenario import (MAX_RATIONALITY_BETA, MAX_SPEED_MPS, MAX_TIMESTEP_S, Goal,
+                              VehicleState, goal_contains, lane_point_state, load_scenario,
+                              locate, sample_initial_states, scenario_from_dict)
 
 from conftest import REPO_ROOT, mini_scenario_dict, spec_of
 
@@ -70,6 +70,18 @@ def test_negative_rationality_beta_is_rejected():
         scenario_from_dict(raw)
     raw["rationality_beta"] = 0.0  # a flat goal posterior stays valid
     assert scenario_from_dict(raw).rationality_beta == 0.0
+
+
+def test_upper_bounds_are_inclusive():
+    raw = mini_scenario_dict()
+    raw.update(timestep_s=MAX_TIMESTEP_S, target_speed_mps=MAX_SPEED_MPS,
+               rationality_beta=MAX_RATIONALITY_BETA)
+    raw["vehicles"][1]["speed_range_mps"] = [5.0, MAX_SPEED_MPS]
+    raw["ego"]["goal"]["lateral_tolerance_m"] = 0.0
+    sc = scenario_from_dict(raw)
+    assert (sc.dt, sc.target_speed, sc.rationality_beta) == (1e6, 1e6, 1e6)
+    assert spec_of(sc, "v1").speed_range == (5.0, 1e6)
+    assert sc.ego_goal.lateral_tolerance == 0.0
 
 
 def test_unknown_planner_key_is_rejected():
